@@ -19,6 +19,7 @@ import numpy as np
 from .cellular import (
     Lattice,
     ProbabilisticCellularAutomaton,
+    ca_step,
     pca_step_distribution,
     validate_ca,
     validate_pca,
@@ -26,11 +27,15 @@ from .cellular import (
 from .composition import (
     MODE_CA_FROM_SA,
     MODE_SA_FROM_CA,
+    Binding,
     MimicAutomaton,
     MimicConfiguration,
     SaUnit,
+    _fresh_units,
+    _inner_readout,
     _macro_step_mode1,
     _macro_step_mode2,
+    _outer_step,
     _reinit_units,
     _run_unit,
     binding_seed,
@@ -200,14 +205,14 @@ def builtin_labeling(ma: MimicAutomaton) -> Labeling:
     return props, frozenset(vocabulary)
 
 
-def _observable_output(ma: MimicAutomaton, per_cell) -> Word | None:
-    """Voted output when the composite carries a voter, else the first cell's word."""
+def _observable_output(ma: MimicAutomaton, words: tuple[Word, ...]) -> Word | None:
+    """Voted output of the per-cell words when the composite carries a voter, else the first cell's."""
     if ma.voter is not None:
         from .dhr import vote
 
-        voted, _ = vote(ma.voter, tuple(r.output_word for r in per_cell))
+        voted, _ = vote(ma.voter, words)
         return voted
-    return per_cell[0].output_word if per_cell else ()
+    return words[0] if words else ()
 
 
 def _normalize_universe(universe: Iterable) -> tuple[tuple, ...]:
@@ -265,8 +270,14 @@ def flatten(
     props_fn, vocabulary = labeling or builtin_labeling(ma)
     start_lattice = tuple(lattice0) if lattice0 is not None else binding_seed(ma, binding)
     start = strip_clocks(ma_initial(ma, start_lattice))
+    if binding.mode == MODE_SA_FROM_CA:
+        successors = _mode1_successors(ma, binding, universe)
+    else:
+        successors = _mode2_successors(ma, binding, universe)
 
-    ids: dict[MimicConfiguration, str] = {start: "s0"}
+    # states are keyed by (lattice, unit states, outer state): the fields of a
+    # clock-stripped configuration, without building one per edge
+    ids = {(start.lattice, start.unit_states, start.outer_state): "s0"}
     states = {"s0": start}
     transitions: dict[str, tuple[tuple[Action, str], ...]] = {}
     atomic_props = {"s0": props_fn(start)}
@@ -274,24 +285,17 @@ def flatten(
 
     while queue:
         sid = queue.popleft()
-        cfg = states[sid]
         edges = []
-        for entry in universe:
-            if binding.mode == MODE_SA_FROM_CA:
-                nxt, per_cell, _ = _macro_step_mode1(ma, binding, cfg, entry, None, depth=1)
-                action = Action(entry, _observable_output(ma, per_cell))
-            else:
-                nxt, _, _, output = _macro_step_mode2(ma, binding, cfg, entry, depth=1)
-                action = Action(entry, output)
-            key = strip_clocks(nxt)
+        for action, key in successors(states[sid]):
             tid = ids.get(key)
             if tid is None:
                 if len(ids) >= bound:
                     raise ExplosionError(bound, len(queue) + 1)
                 tid = f"s{len(ids)}"
                 ids[key] = tid
-                states[tid] = key
-                atomic_props[tid] = props_fn(key)
+                cfg = MimicConfiguration(key[0], key[1], 0, key[2])
+                states[tid] = cfg
+                atomic_props[tid] = props_fn(cfg)
                 queue.append(tid)
             edges.append((action, tid))
         transitions[sid] = tuple(edges)
@@ -304,6 +308,87 @@ def flatten(
         vocabulary=vocabulary,
         metadata={"model": ma.name, "universe": universe, "lattice0": start_lattice},
     )
+
+
+def _mode1_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tuple, ...]):
+    """The successor function of ``sa_from_ca`` states for one flatten call.
+
+    ``successors(cfg)`` yields ``(action, state key)`` per universe entry,
+    equal to ``_macro_step_mode1`` followed by ``strip_clocks`` and
+    ``_observable_output``, but its tables make each lattice step once,
+    each (unit, unit state, block) run once, and each (block, per-cell
+    output words) one Action. Work is done entry-major, cell-minor, as the
+    single step does it, so the first error raised is the one
+    ``_macro_step_mode1`` would raise; a run that raises is never stored.
+    """
+    ca = ma.ca_set[binding.ca]
+    unit_ids: dict = {}  # distinct units in first-seen order
+    uid_of = {q: unit_ids.setdefault(unit, len(unit_ids)) for q, unit in binding.cell_map.items()}
+    units = list(unit_ids)
+    # runs[entry][unit id]: unit state -> (clock-stripped final state, output word)
+    runs = [[{} for _ in units] for _ in universe]
+    actions: list[dict] = [{} for _ in universe]  # [entry]: per-cell output words -> Action
+    # lattice -> [unit id per cell, (successor lattice, ((cell, fresh unit state), ...)) once stepped]
+    lattices: dict = {}
+
+    def successors(cfg: MimicConfiguration):
+        lattice = cfg.lattice
+        unit_states = cfg.unit_states
+        info = lattices.get(lattice)
+        if info is None:
+            info = lattices[lattice] = [tuple(uid_of[q] for q in lattice), None]
+        uids = info[0]
+        for e, entry in enumerate(universe):
+            table = runs[e]
+            ran = []
+            words = []
+            for i, uid in enumerate(uids):
+                state = unit_states[i]
+                hit = table[uid].get(state)
+                if hit is None:
+                    final, result = _run_unit(ma, units[uid], state, entry, None, 1, i)
+                    if isinstance(final, MimicConfiguration):
+                        final = strip_clocks(final)
+                    hit = table[uid][state] = (final, result.output_word)
+                ran.append(hit[0])
+                words.append(hit[1])
+            if info[1] is None:  # after the first entry's runs, where the single step fails
+                after = ca_step(ca, lattice)
+                info[1] = (after, _fresh_units(ma, binding, lattice, after, 1))
+            after, fresh = info[1]
+            for i, unit_state in fresh:
+                ran[i] = unit_state
+            words = tuple(words)
+            action = actions[e].get(words)
+            if action is None:
+                action = actions[e][words] = Action(entry, _observable_output(ma, words))
+            yield action, (after, tuple(ran), cfg.outer_state)
+
+    return successors
+
+
+def _mode2_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tuple, ...]):
+    """The successor function of ``ca_from_sa`` states for one flatten call.
+
+    The inner lattice run and its readout depend only on the seed lattice,
+    so each runs once per universe entry, when that entry is first tried.
+    """
+    readouts: dict[int, tuple] = {}  # entry -> (final inner lattice, readout symbol)
+    actions: dict[tuple, Action] = {}  # (entry, output) -> Action
+
+    def successors(cfg: MimicConfiguration):
+        for e, entry in enumerate(universe):
+            readout = readouts.get(e)
+            if readout is None:
+                inner, symbol = _inner_readout(ma, binding, entry)
+                readout = readouts[e] = (inner.trace[-1], symbol)
+            nxt, output = _outer_step(ma, binding, cfg, readout[0], readout[1], 1)
+            action = actions.get((e, output))
+            if action is None:
+                action = actions[e, output] = Action(entry, output)
+            yield action, (nxt.lattice, nxt.unit_states, nxt.outer_state)
+
+    return successors
 
 
 def _as_predicate(target: Pred | str) -> Pred:
@@ -387,17 +472,21 @@ def product(ts: TransitionSystem, pattern: SequentialAutomaton) -> TransitionSys
     base_of = {"p0": ts.initial}
 
     def props_for(sid: str, pat_state: str) -> frozenset[str]:
-        extra = {ACCEPTING} if pat_state in pattern.finals else set()
-        return ts.atomic_props[sid] | frozenset(extra)
+        if pat_state in pattern.finals:
+            return ts.atomic_props[sid] | {ACCEPTING}
+        return ts.atomic_props[sid]  # shared, not copied: the sets are immutable
 
     atomic_props["p0"] = props_for(*start)
+    labels: dict[Action, str] = {}  # one label() per distinct action
     while order:
         node = order.popleft()
         sid, pat = node
         pid = ids[node]
         edges = []
         for action, tid in ts.transitions.get(sid, ()):
-            label = action.label()
+            label = labels.get(action)
+            if label is None:
+                label = labels[action] = action.label()
             if label in alphabet and (pat, label) in pattern.transitions:
                 pat_next = pattern.transitions[(pat, label)]
             else:
@@ -749,7 +838,8 @@ def replay_path(ma: MimicAutomaton, ts: TransitionSystem, path: Path) -> bool:
     for action, sid in zip(path.actions, path.states[1:]):
         if binding.mode == MODE_SA_FROM_CA:
             cfg, per_cell, _ = _macro_step_mode1(ma, binding, cfg, action.macro_input, None, depth=1)
-            observed = Action(action.macro_input, _observable_output(ma, per_cell))
+            words = tuple(r.output_word for r in per_cell)
+            observed = Action(action.macro_input, _observable_output(ma, words))
         else:
             cfg, _, _, output = _macro_step_mode2(ma, binding, cfg, action.macro_input, depth=1)
             observed = Action(action.macro_input, output)

@@ -144,6 +144,16 @@ def _read_input(spec: str, per_line_blocks: bool):
     return tuple(lines)
 
 
+def _read_lattice(ca, spec: str) -> tuple:
+    """An initial lattice for a bare ``ca``/``pca``, every value checked against its cell states."""
+    lattice = _read_input(spec, per_line_blocks=False)
+    states = set(ca.cell_states)
+    for i, q in enumerate(lattice):
+        if q not in states:
+            raise _UsageError(f"--input: cell {i} value {q!r} is not a cell state of {ca.name}")
+    return lattice
+
+
 def _default_universe(ma: MimicAutomaton):
     if ma.root().mode == MODE_SA_FROM_CA:
         alphabet = common_input_alphabet(ma)
@@ -279,7 +289,7 @@ def _cmd_simulate(args) -> int:
             "steps": run.steps,
         }
     elif isinstance(model, CellularAutomaton):
-        lattice = _read_input(args.input, per_line_blocks=False)
+        lattice = _read_lattice(model, args.input)
         run = ca_run(model, lattice, t_max=args.steps)
         lines = [f"model: {model.name}", f"terminated_by: {run.terminated_by}"]
         lines += [f"t={i}: {list(lat)}" for i, lat in enumerate(run.trace)]
@@ -289,7 +299,7 @@ def _cmd_simulate(args) -> int:
             "trace": [[str(q) for q in lat] for lat in run.trace],
         }
     elif isinstance(model, ProbabilisticCellularAutomaton):
-        lattice = _read_input(args.input, per_line_blocks=False)
+        lattice = _read_lattice(model, args.input)
         rng = master_stream(args.seed)
         trace = [tuple(lattice)]
         for _ in range(args.steps):

@@ -48,7 +48,7 @@ from .errors import (
 )
 from .hierarchical import HaConfiguration, HierarchicalAutomaton, ha_initial, ha_step_with_output
 from .rng import master_stream
-from .sequential import RunResult, SequentialAutomaton, State, Symbol, Word
+from .sequential import RunResult, SequentialAutomaton, State, Symbol, Word, sa_run
 
 MODE_SA_FROM_CA = "sa_from_ca"
 MODE_CA_FROM_SA = "ca_from_sa"
@@ -391,22 +391,6 @@ def _unit_initial(ma: MimicAutomaton, unit: Unit, depth: int):
 # ---------------------------------------------------------------------------
 # unit runs (mode sa_from_ca, lattice frozen)
 
-def _run_sa_unit(sa: SequentialAutomaton, state: State, block: Word, cell: int) -> tuple[State, RunResult]:
-    out: list[Symbol] = []
-    steps = 0
-    alphabet = set(sa.input_alphabet)
-    for position, symbol in enumerate(block):
-        if symbol not in alphabet:
-            raise InputRejectedError(symbol, position, cell=cell)
-        key = (state, symbol)
-        if key not in sa.transitions:
-            return state, RunResult(state, False, tuple(out), steps)
-        out.append(sa.outputs[key])
-        state = sa.transitions[key]
-        steps += 1
-    return state, RunResult(state, state in sa.finals, tuple(out), steps)
-
-
 def _run_ha_unit(ha: HierarchicalAutomaton, config: HaConfiguration, block: Word) -> tuple[HaConfiguration, RunResult]:
     out: list[Symbol] = []
     steps = 0
@@ -431,7 +415,11 @@ def _run_unit(
     cell: int,
 ) -> tuple[object, RunResult]:
     if isinstance(unit, SaUnit):
-        return _run_sa_unit(ma.sa_set[unit.sa], state, block, cell)
+        try:
+            result = sa_run(ma.sa_set[unit.sa], block, start=state)
+        except InputRejectedError as exc:
+            raise InputRejectedError(exc.symbol, exc.position, cell=cell) from None
+        return result.final_state, result
     if isinstance(unit, HaUnit):
         return _run_ha_unit(ma.ha_set[unit.ha], state, block)
 
@@ -449,6 +437,21 @@ def _run_unit(
 # ---------------------------------------------------------------------------
 # macro steps
 
+def _fresh_units(
+    ma: MimicAutomaton,
+    binding: Binding,
+    before: Lattice,
+    after: Lattice,
+    depth: int,
+) -> tuple[tuple[int, object], ...]:
+    """``(cell, fresh unit state)`` for every cell whose state the lattice step changed."""
+    fresh = []
+    for i, q_new in enumerate(after):
+        if q_new != before[i]:
+            fresh.append((i, _unit_initial(ma, binding.cell_map[q_new], depth)))
+    return tuple(fresh)
+
+
 def _reinit_units(
     ma: MimicAutomaton,
     binding: Binding,
@@ -457,12 +460,9 @@ def _reinit_units(
     ran_states: tuple,
     depth: int,
 ) -> tuple:
-    units = []
-    for i, q_new in enumerate(after):
-        if q_new == before[i]:
-            units.append(ran_states[i])
-        else:
-            units.append(_unit_initial(ma, binding.cell_map[q_new], depth))
+    units = list(ran_states)
+    for i, unit_state in _fresh_units(ma, binding, before, after, depth):
+        units[i] = unit_state
     return tuple(units)
 
 
@@ -496,20 +496,27 @@ def _macro_step_mode1(
     return new_cfg, tuple(results), after
 
 
-def _macro_step_mode2(
-    ma: MimicAutomaton,
-    binding: Binding,
-    cfg: MimicConfiguration,
-    seed_lattice: Lattice,
-    depth: int,
-) -> tuple[MimicConfiguration, CaRun, Symbol, Word]:
+def _inner_readout(ma: MimicAutomaton, binding: Binding, seed_lattice: Lattice) -> tuple[CaRun, Symbol]:
+    """The inner lattice run of a ``ca_from_sa`` tick and the symbol read off its end."""
     ca = ma.ca_set[binding.ca]
     inner = ca_run(ca, tuple(seed_lattice), binding.t_max)
-    final = inner.trace[-1]
-    symbol = binding.readout.apply(final)
+    symbol = binding.readout.apply(inner.trace[-1])
     outer = ma.sa_set[binding.outer_sa]
     if symbol not in set(outer.input_alphabet):
         raise ReadoutError(f"{binding.name}: readout produced {symbol!r}, not an input of {outer.name}")
+    return inner, symbol
+
+
+def _outer_step(
+    ma: MimicAutomaton,
+    binding: Binding,
+    cfg: MimicConfiguration,
+    final: Lattice,
+    symbol: Symbol,
+    depth: int,
+) -> tuple[MimicConfiguration, Word]:
+    """The rest of a ``ca_from_sa`` tick: one outer step on the readout symbol, then the rebind."""
+    outer = ma.sa_set[binding.outer_sa]
     key = (cfg.outer_state, symbol)
     if key not in outer.transitions:
         raise StuckError(f"{binding.name}: outer machine has no transition on {key!r}")
@@ -517,7 +524,19 @@ def _macro_step_mode2(
     out = outer.outputs[key]
     units = _reinit_units(ma, binding, cfg.lattice, final, cfg.unit_states, depth)
     new_cfg = MimicConfiguration(final, units, cfg.macro_clock + 1, new_outer)
-    return new_cfg, inner, symbol, (out,)
+    return new_cfg, (out,)
+
+
+def _macro_step_mode2(
+    ma: MimicAutomaton,
+    binding: Binding,
+    cfg: MimicConfiguration,
+    seed_lattice: Lattice,
+    depth: int,
+) -> tuple[MimicConfiguration, CaRun, Symbol, Word]:
+    inner, symbol = _inner_readout(ma, binding, seed_lattice)
+    new_cfg, output = _outer_step(ma, binding, cfg, inner.trace[-1], symbol, depth)
+    return new_cfg, inner, symbol, output
 
 
 def ma_macro_step_sa_from_ca(

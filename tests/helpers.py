@@ -131,6 +131,19 @@ def parity_ma():
     return MimicAutomaton("parity_ma", {"parity": sa}, {"ident1": ca}, {}, {"b": binding}, "b")
 
 
+def x11_parity_ma():
+    """Width-11 periodic xor scheduler seeded with a single 1; every cell hosts one parity machine.
+
+    The lattice orbit has 32 lattices whatever the input; under the blocks
+    "0" and "1" the composite reaches 240 states.
+    """
+    v = parity_sa("v")
+    ca = xor_ca("x11", width=11)
+    b = Binding("b", MODE_SA_FROM_CA, "x11", {"0": SaUnit("v"), "1": SaUnit("v")},
+                seed=("0",) * 10 + ("1",))
+    return MimicAutomaton("m11", {"v": v}, {"x11": ca}, {}, {"b": b}, "b")
+
+
 def flip_ma():
     sa = const_sa("idle", "a", inputs=("a",), outputs=("a",))
     pca = flip_pca()

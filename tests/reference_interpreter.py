@@ -250,3 +250,36 @@ def ref_run(ma, lattice0, schedule):
             cfg, output = ref_mode2_tick(ma, binding, cfg, tuple(entry))
             ticks.append((cfg[1], None, output))
     return cfg, ticks
+
+
+def _ref_unclocked(cfg):
+    """A plain configuration with its clock, and every nested clock, set to zero."""
+    _, lattice, units, _, outer = cfg
+    units = tuple(_ref_unclocked(u) if isinstance(u, tuple) and u[0] == "cfg" else u for u in units)
+    return ("cfg", lattice, units, 0, outer)
+
+
+def ref_reachable(ma, universe, lattice0=None):
+    """Clock-free configurations a breadth-first search over the ticks reaches.
+
+    Universe entries are input blocks for an ``sa_from_ca`` root and seed
+    lattices for a ``ca_from_sa`` root; ``lattice0`` defaults to the root's seed.
+    """
+    binding = ma.bindings[ma.root_binding]
+    start = ref_binding_initial(ma, binding)
+    if lattice0 is not None:
+        units = tuple(ref_unit_initial(ma, binding.cell_map[q]) for q in lattice0)
+        start = ("cfg", tuple(lattice0), units, 0, start[4])
+    tick = ref_mode1_tick if binding.mode == "sa_from_ca" else ref_mode2_tick
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for cfg in frontier:
+            for entry in universe:
+                after = _ref_unclocked(tick(ma, binding, cfg, tuple(entry))[0])
+                if after not in seen:
+                    seen.add(after)
+                    nxt.append(after)
+        frontier = nxt
+    return seen

@@ -34,9 +34,10 @@ from helpers import (
     parity_sa,
     plain,
     uniform_pca,
+    x11_parity_ma,
     xor_ca,
 )
-from reference_interpreter import ref_binding_initial, ref_mode1_tick
+from reference_interpreter import ref_reachable
 
 UNIVERSE = [("0",), ("1",)]
 
@@ -362,28 +363,6 @@ def test_counterexample_minimality_vs_brute_force():
     assert len(result.counterexample) == shortest == 1
 
 
-def _ref_reachable(ma, universe):
-    """Clock-free configurations the reference interpreter reaches by BFS.
-
-    For a root ``sa_from_ca`` binding whose units are plain machines.
-    """
-    binding = ma.bindings[ma.root_binding]
-    start = ref_binding_initial(ma, binding)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for cfg in frontier:
-            for block in universe:
-                after = ref_mode1_tick(ma, binding, cfg, tuple(block))[0]
-                after = after[:3] + (0,) + after[4:]
-                if after not in seen:
-                    seen.add(after)
-                    nxt.append(after)
-        frontier = nxt
-    return seen
-
-
 def test_flatten_moderate_state_space_and_stable_ids():
     # The width-11 periodic xor scheduler seeded with a single 1 has a
     # lattice orbit of 32 lattices, whatever the input. Every cell runs the
@@ -392,14 +371,10 @@ def test_flatten_moderate_state_space_and_stable_ids():
     # how many unit-state vectors a lattice carries depends on those resets.
     # The count (240) is therefore checked against the reference interpreter,
     # not guessed; the breadth-first ids must be deterministic across runs.
-    v = parity_sa("v")
-    ca = xor_ca("x11", width=11)
-    b = Binding("b", MODE_SA_FROM_CA, "x11", {"0": SaUnit("v"), "1": SaUnit("v")},
-                seed=("0",) * 10 + ("1",))
-    ma = MimicAutomaton("m11", {"v": v}, {"x11": ca}, {}, {"b": b}, "b")
+    ma = x11_parity_ma()
     ts1 = flatten(ma, UNIVERSE)
     ts2 = flatten(ma, UNIVERSE)
-    assert {plain(strip_clocks(cfg)) for cfg in ts1.states.values()} == _ref_reachable(ma, UNIVERSE)
+    assert {plain(strip_clocks(cfg)) for cfg in ts1.states.values()} == ref_reachable(ma, UNIVERSE)
     assert len(ts1.states) > 100
     assert list(ts1.states) == list(ts2.states)
     assert ts1.transitions == ts2.transitions

@@ -208,3 +208,13 @@ def test_usage_error_exit_three(capsys):
 def test_argparse_errors_exit_three(capsys):
     code, _, _ = run(capsys, ["simulate", PARITY, "--model", "parity_ma"])
     assert code == 3
+
+
+def test_simulate_bare_lattice_rejects_non_cell_states(capsys):
+    # a value outside cell_states is a usage error, not a crash read as "violated"
+    for path, model in ((PARITY, "ident1"), (FLIP, "flip")):
+        code, out, err = run(capsys, ["simulate", path, "--model", model,
+                                      "--input", "2", "--steps", "2"])
+        assert code == 3
+        assert out == ""
+        assert err == f"ma: error: --input: cell 0 value '2' is not a cell state of {model}\n"

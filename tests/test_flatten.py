@@ -1,0 +1,230 @@
+"""The memoised flatten kernel against the single-step semantics it caches.
+
+``flatten`` steps each lattice once, runs each (unit, unit state, block)
+once and builds each Action once per call. These tests check that the graph
+it builds is still the one the unmemoised single step defines, edge by edge
+and id by id, that the work really is done once, and that a failing run
+fails at the same place as before.
+"""
+
+import itertools
+import random
+
+import pytest
+
+import mimic_automata.checker as checker
+from mimic_automata import (
+    Binding,
+    CellularAutomaton,
+    DhrStructure,
+    HaUnit,
+    InputRejectedError,
+    MODE_CA_FROM_SA,
+    MODE_SA_FROM_CA,
+    MimicAutomaton,
+    NestedUnit,
+    SaUnit,
+    VoterPolicy,
+    flatten,
+    inject_fault,
+    ma_initial,
+    ma_run,
+    strip_clocks,
+)
+from mimic_automata.checker import Action, _observable_output, builtin_labeling
+from mimic_automata.composition import _macro_step_mode1, _macro_step_mode2
+
+from helpers import (
+    ALPHABET,
+    echo_dhr,
+    echo_sa,
+    flipper_sa,
+    gen_instance,
+    gen_sa,
+    identity_ca,
+    plain,
+    rotate_ca,
+    x11_parity_ma,
+)
+from reference_interpreter import ref_reachable
+
+BLOCKS = [("a",), ("b",), ("b", "a"), ()]
+
+
+def single_step_edges(ma, cfg, universe):
+    """Each entry's (action, clock-stripped successor) by the unmemoised single step."""
+    binding = ma.root()
+    edges = []
+    for entry in universe:
+        if binding.mode == MODE_SA_FROM_CA:
+            nxt, per_cell, _ = _macro_step_mode1(ma, binding, cfg, entry, None, depth=1)
+            output = _observable_output(ma, tuple(r.output_word for r in per_cell))
+        else:
+            nxt, _, _, output = _macro_step_mode2(ma, binding, cfg, entry, depth=1)
+        edges.append((Action(entry, output), strip_clocks(nxt)))
+    return edges
+
+
+def assert_flatten_is_single_step_bfs(ma, universe, lattice0=None):
+    """Rebuild the graph by a BFS over the single step and compare everything."""
+    ts = flatten(ma, universe, lattice0=lattice0)
+    universe = ts.metadata["universe"]
+    start = strip_clocks(ma_initial(ma, ts.metadata["lattice0"]))
+    props_fn, vocabulary = builtin_labeling(ma)
+
+    ids = {start: "s0"}
+    order = ["s0"]
+    configs = {"s0": start}
+    for sid in order:  # grows while it is walked: breadth-first order
+        cfg = configs[sid]
+        assert ts.states[sid] == cfg
+        assert ts.atomic_props[sid] == props_fn(cfg)
+        edges = []
+        for action, nxt in single_step_edges(ma, cfg, universe):
+            if nxt not in ids:  # first discovery takes the next id
+                ids[nxt] = f"s{len(ids)}"
+                configs[ids[nxt]] = nxt
+                order.append(ids[nxt])
+            edges.append((action, ids[nxt]))
+        assert ts.transitions[sid] == tuple(edges)
+
+    assert list(ts.states) == order
+    assert list(ts.transitions) == order
+    assert list(ts.atomic_props) == order
+    assert ts.initial == "s0"
+    assert ts.vocabulary == vocabulary
+    assert ts.metadata == {"model": ma.name, "universe": universe,
+                           "lattice0": ts.metadata["lattice0"]}
+    return ts
+
+
+def flavor(ma):
+    binding = ma.root()
+    if binding.mode == MODE_CA_FROM_SA:
+        return "mode2"
+    units = list(binding.cell_map.values())
+    if any(isinstance(u, HaUnit) for u in units):
+        return "ha"
+    for unit in units:
+        if isinstance(unit, NestedUnit):
+            return "nested2" if ma.bindings[unit.binding].mode == MODE_CA_FROM_SA else "nested1"
+    return "plain"
+
+
+def test_flatten_matches_single_step_on_every_generated_flavor():
+    seen = set()
+    for seed in range(60):
+        ma, lattice0, _ = gen_instance(random.Random(seed))
+        binding = ma.root()
+        if binding.mode == MODE_CA_FROM_SA:
+            universe = list(itertools.product(ALPHABET, repeat=ma.ca_set[binding.ca].width))
+        else:
+            universe = BLOCKS
+        ts = assert_flatten_is_single_step_bfs(ma, universe, lattice0)
+        reached = {plain(cfg) for cfg in ts.states.values()}
+        assert reached == ref_reachable(ma, universe, lattice0), f"seed {seed}"
+        seen.add(flavor(ma))
+    assert seen == {"plain", "ha", "nested1", "nested2", "mode2"}
+
+
+def generated_dhr(seed=0):
+    """Three generated machines on a still lattice: the votes vary from state to state."""
+    rnd = random.Random(seed)
+    executors = tuple(gen_sa(rnd, f"g{i}") for i in range(3))
+    scheduler = identity_ca("ident3", width=3, states=("0", "1", "2"))
+    return DhrStructure("gen3", executors, scheduler, 3, VoterPolicy(), ("0", "1", "2"))
+
+
+@pytest.mark.parametrize("structure", [
+    echo_dhr(scheduler=rotate_ca()),
+    inject_fault(echo_dhr(scheduler=rotate_ca()), 1, flipper_sa()),
+    inject_fault(echo_dhr(quorum=3), 0, flipper_sa()),
+    generated_dhr(),
+], ids=["rotating", "rotating-injected", "injected-quorum3", "generated"])
+def test_flatten_matches_single_step_on_voted_structures(structure):
+    ma = structure.automaton
+    assert ma.voter is not None
+    universe = [("a",), ("b",), ("a", "b"), ("b", "b")]
+    ts = assert_flatten_is_single_step_bfs(ma, universe)
+    assert {plain(cfg) for cfg in ts.states.values()} == ref_reachable(ma, universe)
+
+
+def test_flatten_runs_each_unit_once_and_steps_each_lattice_once(monkeypatch):
+    runs, steps = [], []
+    run_unit, ca_step = checker._run_unit, checker.ca_step
+
+    def counting_run(ma, unit, state, block, *rest):
+        runs.append((unit, state, block))
+        return run_unit(ma, unit, state, block, *rest)
+
+    def counting_step(ca, lattice):
+        steps.append(lattice)
+        return ca_step(ca, lattice)
+
+    monkeypatch.setattr(checker, "_run_unit", counting_run)
+    monkeypatch.setattr(checker, "ca_step", counting_step)
+    ma = x11_parity_ma()
+    ts = flatten(ma, [("0",), ("1",)])
+    assert len(ts.states) == 240
+
+    cell_map = ma.root().cell_map
+    triples = {
+        (cell_map[q], unit_state, block)
+        for cfg in ts.states.values()
+        for q, unit_state in zip(cfg.lattice, cfg.unit_states)
+        for block in ts.metadata["universe"]
+    }
+    lattices = {cfg.lattice for cfg in ts.states.values()}
+    assert len(runs) == len(triples)
+    assert set(runs) == triples
+    assert len(steps) == len(lattices) == 32
+    assert set(steps) == lattices
+
+
+def split_ma(rule_hole=False):
+    """Two cells that start on a machine taking a, b and c, then split.
+
+    After one tick cell 0 hosts a machine over {a, b} and cell 1 one over
+    {a, c}, so the block "cb" is rejected by both cells, on different
+    symbols at different positions, but only from the second state on.
+    With ``rule_hole`` the rule has no entry for cell 0 of that second
+    lattice, so stepping it fails too.
+    """
+    wide = echo_sa("wide", 1, inputs=("a", "b", "c"))
+    ab = echo_sa("ab", 2, inputs=("a", "b"))
+    ac = echo_sa("ac", 2, inputs=("a", "c"))
+    states = ("0", "1", "2")
+    rule = {nb: nb[1] for nb in itertools.product(states, repeat=3)}
+    rule[("1", "0", "0")] = "1"
+    rule[("0", "0", "1")] = "2"
+    if rule_hole:
+        del rule[("1", "1", "2")]
+    ca = CellularAutomaton("split", states, 2, 1, boundary="fixed", boundary_value="1", rule=rule)
+    b = Binding("b", MODE_SA_FROM_CA, "split",
+                {"0": SaUnit("wide"), "1": SaUnit("ab"), "2": SaUnit("ac")}, seed=("0", "0"))
+    return MimicAutomaton("m", {s.name: s for s in (wide, ab, ac)}, {"split": ca}, {}, {"b": b}, "b")
+
+
+def test_flatten_raises_the_first_rejection_of_the_single_step():
+    # The message is the one the per-edge engine raised before memoisation:
+    # the second state, block "cb" (tried before "bc"), cell 0, position 0.
+    expected = "input symbol 'c' rejected at cell 0, position 0"
+    ma = split_ma()
+    with pytest.raises(InputRejectedError) as exc:
+        flatten(ma, [("a",), ("c", "b"), ("b", "c")])
+    assert str(exc.value) == expected
+    with pytest.raises(InputRejectedError) as exc:
+        ma_run(ma, ma_initial(ma, ("0", "0")), [("a",), ("c", "b")])
+    assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize("universe, error, message", [
+    ([("c", "b"), ("a",)], InputRejectedError, "input symbol 'c' rejected at cell 0, position 0"),
+    ([("a",), ("c", "b")], KeyError, "('1', '1', '2')"),
+])
+def test_flatten_steps_a_lattice_after_its_first_entry_runs(universe, error, message):
+    # As in the per-edge engine: the second state's first entry runs its
+    # units, and only then is its lattice stepped.
+    with pytest.raises(error) as exc:
+        flatten(split_ma(rule_hole=True), universe)
+    assert str(exc.value) == message
