@@ -32,10 +32,8 @@ from .composition import (
     MimicConfiguration,
     SaUnit,
     _fresh_units,
-    _inner_readout,
     _macro_step_mode1,
     _macro_step_mode2,
-    _outer_step,
     _reinit_units,
     _run_unit,
     binding_seed,
@@ -368,25 +366,13 @@ def _mode1_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tupl
 
 
 def _mode2_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tuple, ...]):
-    """The successor function of ``ca_from_sa`` states for one flatten call.
-
-    The inner lattice run and its readout depend only on the seed lattice,
-    so each runs once per universe entry, when that entry is first tried.
-    """
-    readouts: dict[int, tuple] = {}  # entry -> (final inner lattice, readout symbol)
-    actions: dict[tuple, Action] = {}  # (entry, output) -> Action
+    """The successor function of ``ca_from_sa`` states: one ``_macro_step_mode2`` per entry."""
 
     def successors(cfg: MimicConfiguration):
-        for e, entry in enumerate(universe):
-            readout = readouts.get(e)
-            if readout is None:
-                inner, symbol = _inner_readout(ma, binding, entry)
-                readout = readouts[e] = (inner.trace[-1], symbol)
-            nxt, output = _outer_step(ma, binding, cfg, readout[0], readout[1], 1)
-            action = actions.get((e, output))
-            if action is None:
-                action = actions[e, output] = Action(entry, output)
-            yield action, (nxt.lattice, nxt.unit_states, nxt.outer_state)
+        for entry in universe:
+            nxt, _, _, output = _macro_step_mode2(ma, binding, cfg, entry, depth=1)
+            key = strip_clocks(nxt)
+            yield Action(entry, output), (key.lattice, key.unit_states, key.outer_state)
 
     return successors
 

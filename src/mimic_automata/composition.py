@@ -496,37 +496,6 @@ def _macro_step_mode1(
     return new_cfg, tuple(results), after
 
 
-def _inner_readout(ma: MimicAutomaton, binding: Binding, seed_lattice: Lattice) -> tuple[CaRun, Symbol]:
-    """The inner lattice run of a ``ca_from_sa`` tick and the symbol read off its end."""
-    ca = ma.ca_set[binding.ca]
-    inner = ca_run(ca, tuple(seed_lattice), binding.t_max)
-    symbol = binding.readout.apply(inner.trace[-1])
-    outer = ma.sa_set[binding.outer_sa]
-    if symbol not in set(outer.input_alphabet):
-        raise ReadoutError(f"{binding.name}: readout produced {symbol!r}, not an input of {outer.name}")
-    return inner, symbol
-
-
-def _outer_step(
-    ma: MimicAutomaton,
-    binding: Binding,
-    cfg: MimicConfiguration,
-    final: Lattice,
-    symbol: Symbol,
-    depth: int,
-) -> tuple[MimicConfiguration, Word]:
-    """The rest of a ``ca_from_sa`` tick: one outer step on the readout symbol, then the rebind."""
-    outer = ma.sa_set[binding.outer_sa]
-    key = (cfg.outer_state, symbol)
-    if key not in outer.transitions:
-        raise StuckError(f"{binding.name}: outer machine has no transition on {key!r}")
-    new_outer = outer.transitions[key]
-    out = outer.outputs[key]
-    units = _reinit_units(ma, binding, cfg.lattice, final, cfg.unit_states, depth)
-    new_cfg = MimicConfiguration(final, units, cfg.macro_clock + 1, new_outer)
-    return new_cfg, (out,)
-
-
 def _macro_step_mode2(
     ma: MimicAutomaton,
     binding: Binding,
@@ -534,9 +503,21 @@ def _macro_step_mode2(
     seed_lattice: Lattice,
     depth: int,
 ) -> tuple[MimicConfiguration, CaRun, Symbol, Word]:
-    inner, symbol = _inner_readout(ma, binding, seed_lattice)
-    new_cfg, output = _outer_step(ma, binding, cfg, inner.trace[-1], symbol, depth)
-    return new_cfg, inner, symbol, output
+    ca = ma.ca_set[binding.ca]
+    inner = ca_run(ca, tuple(seed_lattice), binding.t_max)
+    final = inner.trace[-1]
+    symbol = binding.readout.apply(final)
+    outer = ma.sa_set[binding.outer_sa]
+    if symbol not in set(outer.input_alphabet):
+        raise ReadoutError(f"{binding.name}: readout produced {symbol!r}, not an input of {outer.name}")
+    key = (cfg.outer_state, symbol)
+    if key not in outer.transitions:
+        raise StuckError(f"{binding.name}: outer machine has no transition on {key!r}")
+    new_outer = outer.transitions[key]
+    out = outer.outputs[key]
+    units = _reinit_units(ma, binding, cfg.lattice, final, cfg.unit_states, depth)
+    new_cfg = MimicConfiguration(final, units, cfg.macro_clock + 1, new_outer)
+    return new_cfg, inner, symbol, (out,)
 
 
 def ma_macro_step_sa_from_ca(
