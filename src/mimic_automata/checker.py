@@ -10,6 +10,7 @@ terminate the construction.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
@@ -17,6 +18,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .cellular import (
+    DEFAULT_SUCCESSOR_CAP,
     Lattice,
     ProbabilisticCellularAutomaton,
     ca_step,
@@ -34,7 +36,6 @@ from .composition import (
     _fresh_units,
     _macro_step_mode1,
     _macro_step_mode2,
-    _reinit_units,
     _run_unit,
     binding_seed,
     has_randomness,
@@ -517,19 +518,119 @@ def _normalize_policy(policy) -> tuple[tuple, ...]:
     return tuple(tuple(block) for block in entries) or ((),)
 
 
-def _require_exactly_expandable(ma: MimicAutomaton) -> ProbabilisticCellularAutomaton:
+def _expansion_refusal(ma: MimicAutomaton) -> str | None:
+    """Why the model's chain cannot be expanded exactly, or None when it can."""
     binding = ma.root()
     if binding.mode != MODE_SA_FROM_CA:
-        raise MimicError("probabilistic expansion supports sa_from_ca roots only")
-    ca = ma.ca_set[binding.ca]
-    if not isinstance(ca, ProbabilisticCellularAutomaton):
-        raise MimicError("the root lattice rule is deterministic; use flatten")
+        return "probabilistic expansion supports sa_from_ca roots only"
+    if not isinstance(ma.ca_set[binding.ca], ProbabilisticCellularAutomaton):
+        return "the root lattice rule is deterministic; use flatten"
     for name, nested in ma.bindings.items():
         if name != ma.root_binding and isinstance(
             ma.ca_set[nested.ca], ProbabilisticCellularAutomaton
         ):
-            raise MimicError("nested probabilistic lattices are not exactly expandable")
-    return ca
+            return "nested probabilistic lattices are not exactly expandable"
+    return None
+
+
+def _require_exactly_expandable(ma: MimicAutomaton) -> None:
+    refusal = _expansion_refusal(ma)
+    if refusal is not None:
+        raise MimicError(refusal)
+
+
+def _expand_chain(
+    ma: MimicAutomaton,
+    policy: tuple[tuple, ...],
+    props_fn: Callable[[MimicConfiguration], frozenset[str]],
+    bound: int,
+    lattice0: Lattice | None = None,
+    successor_cap: int = DEFAULT_SUCCESSOR_CAP,
+    horizon: int | None = None,
+) -> tuple[list[MimicConfiguration], list[frozenset[str]], list[list[int]], list[list[float]]]:
+    """Breadth-first expansion of the chain over (configuration, policy phase) states.
+
+    Returns per state id, in discovery order: the clock-stripped
+    configuration, its propositions, and its row as successor ids and
+    probabilities in ``pca_step_distribution`` order. The tables are local
+    to the call: each distinct lattice's distribution is computed once, each
+    (unit, unit state, block) run once, and each (lattice, successor
+    lattice) rebind once. Per-state work keeps the order of a single macro
+    step (all unit runs, the distribution, then each successor), so the
+    first error raised is the one an unmemoised expansion raises. States at
+    depth ``horizon`` are not expanded and get a self-loop; rows are
+    checked to sum to one only when the whole chain is built (``horizon``
+    None). The model must pass ``_require_exactly_expandable``.
+    """
+    binding = ma.root()
+    ca = ma.ca_set[binding.ca]
+    period = len(policy)
+    start = strip_clocks(
+        ma_initial(ma, lattice0 if lattice0 is not None else binding_seed(ma, binding))
+    )
+    outer = start.outer_state
+    runs: dict = {}  # (unit, unit state, block) -> clock-stripped final state
+    dists: dict = {}  # lattice -> ((successor lattice, probability), ...)
+    fresh: dict = {}  # (lattice, successor lattice) -> ((cell, fresh unit state), ...)
+
+    ids = {(start.lattice, start.unit_states, 0): 0}
+    configs = [start]
+    props = [props_fn(start)]
+    phases = [0]
+    depths = [0]
+    succ: list[list[int]] = []
+    probs: list[list[float]] = []
+    for sid, cfg in enumerate(configs):  # grows while it is walked: breadth-first order
+        if horizon is not None and depths[sid] >= horizon:
+            succ.append([sid])
+            probs.append([1.0])
+            continue
+        lattice = cfg.lattice
+        phase = phases[sid]
+        block = policy[phase]
+        ran = []
+        for i, q in enumerate(lattice):
+            run = (binding.cell_map[q], cfg.unit_states[i], block)
+            final = runs.get(run)
+            if final is None:
+                final, _ = _run_unit(ma, *run, None, 1, i)
+                if isinstance(final, MimicConfiguration):
+                    final = strip_clocks(final)
+                runs[run] = final
+            ran.append(final)
+        dist = dists.get(lattice)
+        if dist is None:
+            dist = dists[lattice] = tuple(pca_step_distribution(ca, lattice, successor_cap).items())
+        next_phase = (phase + 1) % period
+        row_succ = []
+        row_prob = []
+        for after, prob in dist:
+            change = fresh.get((lattice, after))
+            if change is None:
+                change = fresh[(lattice, after)] = _fresh_units(ma, binding, lattice, after, 1)
+            unit_states = list(ran)
+            for i, unit_state in change:
+                unit_states[i] = unit_state
+            key = (after, tuple(unit_states), next_phase)
+            tid = ids.get(key)
+            if tid is None:
+                if len(ids) >= bound:
+                    raise ExplosionError(bound, len(ids) - sid)
+                tid = ids[key] = len(configs)
+                nxt = MimicConfiguration(after, key[1], 0, outer)
+                configs.append(nxt)
+                props.append(props_fn(nxt))
+                phases.append(next_phase)
+                depths.append(depths[sid] + 1)
+            row_succ.append(tid)
+            row_prob.append(prob)
+        if horizon is None:
+            total = sum(row_prob)
+            if abs(total - 1.0) > ROW_TOL:
+                raise MimicError(f"chain row for s{sid} sums to {total!r}")
+        succ.append(row_succ)
+        probs.append(row_prob)
+    return configs, props, succ, probs
 
 
 def build_dtmc(
@@ -538,7 +639,7 @@ def build_dtmc(
     bound: int = DEFAULT_FLATTEN_BOUND,
     lattice0: Lattice | None = None,
     labeling: Labeling | None = None,
-    successor_cap: int = 4096,
+    successor_cap: int = DEFAULT_SUCCESSOR_CAP,
 ) -> Dtmc:
     """Exact chain over configurations under a fixed (cyclically applied) input policy.
 
@@ -547,58 +648,18 @@ def build_dtmc(
     raises SizeCapError advising Monte Carlo estimation.
     """
     policy = _normalize_policy(input_policy)
-    ca = _require_exactly_expandable(ma)
-    binding = ma.root()
+    _require_exactly_expandable(ma)
     props_fn, vocabulary = labeling or builtin_labeling(ma)
-    period = len(policy)
-
-    start_cfg = strip_clocks(
-        ma_initial(ma, lattice0 if lattice0 is not None else binding_seed(ma, binding))
-    )
-    start = (start_cfg, 0)
-    ids: dict[tuple[MimicConfiguration, int], str] = {start: "s0"}
-    states = {"s0": start_cfg}
-    atomic_props = {"s0": props_fn(start_cfg)}
-    rows: dict[str, tuple[tuple[str, float], ...]] = {}
-    queue = deque([start])
-
-    while queue:
-        node = queue.popleft()
-        cfg, phase = node
-        sid = ids[node]
-        block = policy[phase % period]
-        ran = []
-        for i, q in enumerate(cfg.lattice):
-            new_state, _ = _run_unit(ma, binding.cell_map[q], cfg.unit_states[i], block, None, 1, i)
-            ran.append(new_state)
-        dist = pca_step_distribution(ca, cfg.lattice, successor_cap)
-        row: dict[str, float] = {}
-        for lattice_next, prob in dist.items():
-            units = _reinit_units(ma, binding, cfg.lattice, lattice_next, tuple(ran), 1)
-            nxt = strip_clocks(
-                MimicConfiguration(lattice_next, units, 0, cfg.outer_state)
-            )
-            key = (nxt, (phase + 1) % period)
-            tid = ids.get(key)
-            if tid is None:
-                if len(ids) >= bound:
-                    raise ExplosionError(bound, len(queue) + 1)
-                tid = f"s{len(ids)}"
-                ids[key] = tid
-                states[tid] = nxt
-                atomic_props[tid] = props_fn(nxt)
-                queue.append(key)
-            row[tid] = row.get(tid, 0.0) + prob
-        total = sum(row.values())
-        if abs(total - 1.0) > ROW_TOL:
-            raise MimicError(f"chain row for {sid} sums to {total!r}")
-        rows[sid] = tuple(row.items())
-
+    configs, props, succ, probs = _expand_chain(ma, policy, props_fn, bound, lattice0, successor_cap)
+    names = [f"s{i}" for i in range(len(configs))]
     return Dtmc(
-        states=states,
+        states=dict(zip(names, configs)),
         initial="s0",
-        rows=rows,
-        atomic_props=atomic_props,
+        rows={
+            sid: tuple(zip([names[t] for t in row], row_probs))
+            for sid, row, row_probs in zip(names, succ, probs)
+        },
+        atomic_props=dict(zip(names, props)),
         vocabulary=vocabulary,
         metadata={"model": ma.name, "policy": policy},
     )
@@ -615,27 +676,36 @@ def reach_probability_exact(
 
     Unbounded reachability iterates to the least fixpoint (max-norm change
     below ``tol``); a ``horizon`` computes the exact probability of hitting
-    the target within that many steps.
+    the target within that many steps. The rows of non-target states are
+    laid out once as edge arrays (CSR order), and a sweep sums each row's
+    ``prob * x[successor]`` terms with ``np.bincount`` in row order, the
+    order a per-state loop adds them in.
     """
     pred = _as_predicate(target)
     check_vocabulary(pred, dtmc.vocabulary)
     order = list(dtmc.states)
-    is_target = {sid: eval_predicate(pred, dtmc.atomic_props[sid]) for sid in order}
-    x = {sid: 1.0 if is_target[sid] else 0.0 for sid in order}
+    index = {sid: i for i, sid in enumerate(order)}
+    is_target = np.array([eval_predicate(pred, dtmc.atomic_props[sid]) for sid in order], dtype=bool)
+    row_of_edge: list[int] = []
+    col: list[int] = []
+    weight: list[float] = []
+    for i, sid in enumerate(order):
+        if is_target[i]:
+            continue
+        for tid, prob in dtmc.rows.get(sid, ()):
+            row_of_edge.append(i)
+            col.append(index[tid])
+            weight.append(prob)
+    rows = np.array(row_of_edge, dtype=np.intp)
+    cols = np.array(col, dtype=np.intp)
+    probs = np.array(weight, dtype=float)
+    x = is_target.astype(float)
+    start = index[dtmc.initial]
 
-    def sweep(values: dict[str, float]) -> tuple[dict[str, float], float]:
-        new = {}
-        residual = 0.0
-        for sid in order:
-            if is_target[sid]:
-                new[sid] = 1.0
-                continue
-            total = 0.0
-            for tid, prob in dtmc.rows.get(sid, ()):
-                total += prob * values[tid]
-            new[sid] = total
-            residual = max(residual, abs(total - values[sid]))
-        return new, residual
+    def sweep(values: np.ndarray) -> tuple[np.ndarray, float]:
+        new = np.bincount(rows, weights=probs * values[cols], minlength=len(order))
+        new[is_target] = 1.0
+        return new, float(np.max(np.abs(new - values)))
 
     stats = {"states": len(order), "transitions": dtmc.transition_count}
     if horizon is not None:
@@ -644,7 +714,7 @@ def reach_probability_exact(
         stats["iterations"] = horizon
         return CheckResult(
             "probability",
-            probability=x[dtmc.initial],
+            probability=float(x[start]),
             method="exact-value-iteration",
             error_bound=0.0,
             stats=stats,
@@ -656,7 +726,7 @@ def reach_probability_exact(
             stats["iterations"] = iteration
             return CheckResult(
                 "probability",
-                probability=x[dtmc.initial],
+                probability=float(x[start]),
                 method="exact-value-iteration",
                 error_bound=residual,
                 stats=stats,
@@ -681,9 +751,10 @@ def reach_probability_mc(
 
     Trials are grouped into fixed blocks; block ``j`` draws from the stream
     derived from ``seed`` with key ``j``, so estimates are reproducible and
-    independent of any work partitioning. Small models are expanded once and
-    sampled vectorially; models too large for exact rows fall back to
-    per-trial simulation with the same block seeding.
+    independent of any work partitioning. Exactly expandable models are
+    expanded once to depth ``horizon`` and sampled vectorially; models that
+    are not, or whose expansion exceeds ``bound`` states or the successor
+    cap, fall back to per-trial simulation with the same block seeding.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -693,11 +764,14 @@ def reach_probability_mc(
     check_vocabulary(pred, vocabulary)
     seed = 0 if seed is None else seed
 
-    hits = 0
-    try:
-        hits = _mc_vectorized(ma, policy, pred, horizon, trials, seed, bound, props_fn)
-        method = "monte-carlo"
-    except (SizeCapError, ExplosionError, MimicError):
+    hits = None
+    if _expansion_refusal(ma) is None:
+        try:
+            hits = _mc_chain(ma, policy, pred, horizon, trials, seed, bound, props_fn)
+        except (SizeCapError, ExplosionError):
+            pass  # too large to expand: sample paths instead
+    method = "monte-carlo"
+    if hits is None:
         hits = _mc_per_trial(ma, policy, pred, horizon, trials, seed, props_fn)
         method = "monte-carlo-paths"
 
@@ -712,60 +786,35 @@ def reach_probability_mc(
     )
 
 
-def _mc_vectorized(ma, policy, pred, horizon, trials, seed, bound, props_fn) -> int:
-    ca = _require_exactly_expandable(ma)
-    binding = ma.root()
-    period = len(policy)
+def _mc_chain(ma, policy, pred, horizon, trials, seed, bound, props_fn) -> int:
+    """Hits of trials sampled on the chain expanded to depth ``horizon``.
 
-    start = (strip_clocks(ma_initial(ma, binding_seed(ma, binding))), 0)
-    index: dict[tuple[MimicConfiguration, int], int] = {start: 0}
-    rows_cum: list[np.ndarray] = []
-    rows_succ: list[np.ndarray] = []
-    is_target: list[bool] = []
-    queue = deque([start])
-    depth = {start: 0}
+    Each step draws one uniform per live trial, in trial order, and moves it
+    to the first successor whose cumulative row probability exceeds the
+    uniform (``searchsorted(side="right")`` on the row, clipped to its last
+    entry). The search runs for all live trials at once, as a binary search
+    within each trial's row of one flat cumulative array.
+    """
+    _, props, succ, probs = _expand_chain(ma, policy, props_fn, bound, horizon=horizon)
+    target = np.array([eval_predicate(pred, p) for p in props], dtype=bool)
+    lengths = np.array([len(row) for row in succ], dtype=np.intp)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    successors = np.fromiter(itertools.chain.from_iterable(succ), dtype=np.intp, count=int(ends[-1]))
+    cumulative = np.fromiter(
+        itertools.chain.from_iterable(itertools.accumulate(row) for row in probs),
+        dtype=float,
+        count=int(ends[-1]),
+    )
+    rounds = int(lengths.max()).bit_length()  # halvings that empty the longest row's interval
 
-    while queue:
-        node = queue.popleft()
-        cfg, phase = node
-        is_target.append(eval_predicate(pred, props_fn(cfg)))
-        if depth[node] >= horizon:
-            rows_cum.append(np.array([1.0]))
-            rows_succ.append(np.array([index[node]], dtype=np.int64))
-            continue
-        block = policy[phase % period]
-        ran = []
-        for i, q in enumerate(cfg.lattice):
-            new_state, _ = _run_unit(ma, binding.cell_map[q], cfg.unit_states[i], block, None, 1, i)
-            ran.append(new_state)
-        dist = pca_step_distribution(ca, cfg.lattice)
-        succ = []
-        probs = []
-        for lattice_next, prob in dist.items():
-            units = _reinit_units(ma, binding, cfg.lattice, lattice_next, tuple(ran), 1)
-            nxt = (strip_clocks(MimicConfiguration(lattice_next, units, 0, cfg.outer_state)),
-                   (phase + 1) % period)
-            tid = index.get(nxt)
-            if tid is None:
-                if len(index) >= bound:
-                    raise ExplosionError(bound, len(queue) + 1)
-                tid = len(index)
-                index[nxt] = tid
-                depth[nxt] = depth[node] + 1
-                queue.append(nxt)
-            succ.append(tid)
-            probs.append(prob)
-        rows_cum.append(np.cumsum(np.array(probs)))
-        rows_succ.append(np.array(succ, dtype=np.int64))
-
-    target = np.array(is_target, dtype=bool)
     hits = 0
     done = 0
     block_index = 0
     while done < trials:
         n = min(MC_BLOCK, trials - done)
         gen = derive_stream(seed, block_index)
-        cur = np.zeros(n, dtype=np.int64)
+        cur = np.zeros(n, dtype=np.intp)
         hit = np.full(n, bool(target[0]))
         for _ in range(horizon):
             alive = ~hit
@@ -774,11 +823,16 @@ def _mc_vectorized(ma, policy, pred, horizon, trials, seed, bound, props_fn) -> 
                 break
             u = gen.random(count)
             cur_alive = cur[alive]
-            nxt = np.empty(count, dtype=np.int64)
-            for s in np.unique(cur_alive):
-                mask = cur_alive == s
-                idx = np.searchsorted(rows_cum[s], u[mask], side="right")
-                nxt[mask] = rows_succ[s][np.minimum(idx, len(rows_succ[s]) - 1)]
+            lo = starts[cur_alive]
+            hi = ends[cur_alive]
+            last = hi - 1
+            for _ in range(rounds):
+                mid = (lo + hi) >> 1
+                open_ = lo < hi
+                right = open_ & (cumulative[np.minimum(mid, len(cumulative) - 1)] <= u)
+                lo = np.where(right, mid + 1, lo)
+                hi = np.where(open_ & ~right, mid, hi)
+            nxt = successors[np.minimum(lo, last)]
             cur[alive] = nxt
             hit[alive] = target[nxt]
         hits += int(hit.sum())

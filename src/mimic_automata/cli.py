@@ -257,6 +257,8 @@ def _simulate_ma(ma: MimicAutomaton, args) -> tuple[dict, list[str]]:
 
 
 def _cmd_simulate(args) -> int:
+    if args.steps < 0:
+        raise _UsageError(f"--steps must be >= 0, got {args.steps}")
     doc = _load(args.files)
     model = _resolve_model(doc, args.model)
     if isinstance(model, MimicAutomaton):

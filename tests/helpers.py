@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 from pathlib import Path
 
 from mimic_automata import (
@@ -307,6 +308,34 @@ def gen_instance(rnd: random.Random):
     schedule = [tuple(rnd.choice(ALPHABET) for _ in range(rnd.randint(0, 2)))
                 for _ in range(rnd.randint(0, 3))]
     return ma, lattice0, schedule
+
+
+def gen_pca(rnd: random.Random, ca: CellularAutomaton) -> ProbabilisticCellularAutomaton:
+    """A random rule on ``ca``'s cell states, width and boundary; at most two outcomes per neighborhood."""
+    rule = {}
+    for nb in itertools.product(ca.cell_states, repeat=ca.neighborhood_size):
+        targets = rnd.sample(ca.cell_states, rnd.randint(1, min(2, len(ca.cell_states))))
+        weights = [rnd.random() + 0.05 for _ in targets]
+        total = sum(weights)
+        rule[nb] = tuple((q, w / total) for q, w in zip(targets, weights))
+    return ProbabilisticCellularAutomaton(
+        ca.name, ca.cell_states, ca.width, ca.radius,
+        boundary=ca.boundary, boundary_value=ca.boundary_value, rule=rule,
+    )
+
+
+def gen_pca_instance(rnd: random.Random):
+    """``gen_instance``'s plain, ha, nested1 or nested2 composite with a random PCA as root lattice.
+
+    Returns the model and its start lattice; nested lattices stay deterministic.
+    """
+    while True:
+        ma, lattice0, _ = gen_instance(rnd)
+        if ma.root().mode == MODE_SA_FROM_CA:
+            break
+    root_ca = ma.root().ca
+    ca_set = {**ma.ca_set, root_ca: gen_pca(rnd, ma.ca_set[root_ca])}
+    return replace(ma, ca_set=ca_set), lattice0
 
 
 # ---------------------------------------------------------------------------

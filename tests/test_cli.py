@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from mimic_automata.cli import main
 
 from helpers import DATA, MODELS, SIGNATURES
@@ -218,3 +220,20 @@ def test_simulate_bare_lattice_rejects_non_cell_states(capsys):
         assert code == 3
         assert out == ""
         assert err == f"ma: error: --input: cell 0 value '2' is not a cell state of {model}\n"
+
+
+@pytest.mark.parametrize("path, model, word", [
+    (PARITY, "parity_ma", "1"),  # ma
+    (FLIP, "flip_ma", "a"),  # ma with a probabilistic lattice
+    (DHR, "echo3", "a"),  # dhr
+    (FLIP, "flip", "0"),  # pca
+    (PARITY, "ident1", "0"),  # ca
+    (PARITY, "parity", "1"),  # sa
+])
+def test_simulate_rejects_negative_steps(capsys, path, model, word):
+    # a negative tick count is a usage error, not an empty run that exits 0
+    code, out, err = run(capsys, ["simulate", path, "--model", model,
+                                  "--input", word, "--steps", "-1"])
+    assert code == 3
+    assert out == ""
+    assert err == "ma: error: --steps must be >= 0, got -1\n"
