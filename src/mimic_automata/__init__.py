@@ -62,7 +62,6 @@ from .dhr import (
     SerialTick,
     VoterPolicy,
     build_dhr,
-    compose_serial,
     dhr_initial,
     dhr_run,
     dhr_step,

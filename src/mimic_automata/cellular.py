@@ -197,11 +197,29 @@ def _require_width(ca: AnyCellular, lattice: Lattice) -> None:
         raise DimensionError(f"{ca.name}: lattice length {len(lattice)} != width {ca.width}")
 
 
+def _padded(ca: AnyCellular, lattice: Lattice) -> tuple:
+    """The lattice with ``radius`` boundary cells on each side.
+
+    ``padded[i : i + 2r + 1]`` is ``neighborhood_of(ca, lattice, i)``; a radius above the width wraps repeatedly.
+    """
+    lattice = tuple(lattice)
+    r = ca.radius
+    n = len(lattice)
+    if ca.boundary != BOUNDARY_PERIODIC:
+        edge = (ca.boundary_value,) * r
+        return edge + lattice + edge
+    if r > n > 0:
+        return tuple(lattice[j % n] for j in range(-r, n + r))
+    return lattice[n - r:] + lattice + lattice[:r]
+
+
 def ca_step(ca: CellularAutomaton, lattice: Lattice) -> Lattice:
     """One synchronous update of the whole lattice; the input is not mutated."""
     _require_width(ca, lattice)
     rule = ca.rule
-    return tuple(rule[neighborhood_of(ca, lattice, i)] for i in range(len(lattice)))
+    padded = _padded(ca, lattice)
+    size = 2 * ca.radius + 1
+    return tuple(rule[padded[i:i + size]] for i in range(len(lattice)))
 
 
 @dataclass(frozen=True)
@@ -237,9 +255,12 @@ def ca_run(ca: CellularAutomaton, lattice: Lattice, t_max: int = DEFAULT_STEP_CA
 def pca_step(pca: ProbabilisticCellularAutomaton, lattice: Lattice, rng: np.random.Generator) -> Lattice:
     """Sample one synchronous update; each cell draws one uniform, in index order."""
     _require_width(pca, lattice)
+    rule = pca.rule
+    padded = _padded(pca, lattice)
+    size = 2 * pca.radius + 1
     result = []
     for i in range(len(lattice)):
-        pairs = pca.rule[neighborhood_of(pca, lattice, i)]
+        pairs = rule[padded[i:i + size]]
         u = rng.random()
         acc = 0.0
         chosen = pairs[-1][0]

@@ -34,8 +34,8 @@ from .composition import (
     MimicConfiguration,
     SaUnit,
     _fresh_units,
-    _macro_step_mode1,
     _macro_step_mode2,
+    _mode1_stepper,
     _run_unit,
     binding_seed,
     has_randomness,
@@ -754,7 +754,8 @@ def reach_probability_mc(
     independent of any work partitioning. Exactly expandable models are
     expanded once to depth ``horizon`` and sampled vectorially; models that
     are not, or whose expansion exceeds ``bound`` states or the successor
-    cap, fall back to per-trial simulation with the same block seeding.
+    cap, fall back to per-trial simulation with the same block seeding. A
+    ``ca_from_sa`` root is refused with a MimicError.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -764,8 +765,11 @@ def reach_probability_mc(
     check_vocabulary(pred, vocabulary)
     seed = 0 if seed is None else seed
 
+    refusal = _expansion_refusal(ma)
+    if ma.root().mode != MODE_SA_FROM_CA:
+        raise MimicError(refusal)  # per-trial sampling steps sa_from_ca roots only
     hits = None
-    if _expansion_refusal(ma) is None:
+    if refusal is None:
         try:
             hits = _mc_chain(ma, policy, pred, horizon, trials, seed, bound, props_fn)
         except (SizeCapError, ExplosionError):
@@ -843,6 +847,7 @@ def _mc_chain(ma, policy, pred, horizon, trials, seed, bound, props_fn) -> int:
 
 def _mc_per_trial(ma, policy, pred, horizon, trials, seed, props_fn) -> int:
     binding = ma.root()
+    step = _mode1_stepper(ma, binding, depth=1)
     period = len(policy)
     start = ma_initial(ma, binding_seed(ma, binding))
     hits = 0
@@ -857,7 +862,7 @@ def _mc_per_trial(ma, policy, pred, horizon, trials, seed, props_fn) -> int:
             for t in range(horizon):
                 if hit:
                     break
-                cfg, _, _ = _macro_step_mode1(ma, binding, cfg, policy[t % period], rng, depth=1)
+                cfg, _, _ = step(cfg, policy[t % period], rng)
                 hit = eval_predicate(pred, props_fn(strip_clocks(cfg)))
             hits += int(hit)
         done += n
@@ -875,9 +880,11 @@ def replay_path(ma: MimicAutomaton, ts: TransitionSystem, path: Path) -> bool:
     cfg = ma_initial(ma, lattice0 if lattice0 is not None else binding_seed(ma, binding))
     if strip_clocks(cfg) != ts.states[path.states[0]]:
         return False
+    if binding.mode == MODE_SA_FROM_CA:
+        step = _mode1_stepper(ma, binding, depth=1)
     for action, sid in zip(path.actions, path.states[1:]):
         if binding.mode == MODE_SA_FROM_CA:
-            cfg, per_cell, _ = _macro_step_mode1(ma, binding, cfg, action.macro_input, None, depth=1)
+            cfg, per_cell, _ = step(cfg, action.macro_input, None)
             words = tuple(r.output_word for r in per_cell)
             observed = Action(action.macro_input, _observable_output(ma, words))
         else:

@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success (property holds / nothing matched), 1 violated or
-matched, 2 resource bound exceeded, 3 usage or parse errors. All diagnostics
+matched, 2 resource bound exceeded, 3 usage or parse errors, 4 internal
+error (any other exception, reported on one line). All diagnostics
 go to standard error as ``file:line:col: message``. JSON output always has
 the shape ``{"verdict", "counterexample", "probability", "error_bound",
 "stats"}`` plus a command-specific ``result``.
@@ -48,6 +49,7 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_RESOURCE = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 class _UsageError(Exception):
@@ -485,6 +487,10 @@ def main(argv: list[str] | None = None) -> int:
     except (MimicError, ValueError, OSError) as exc:
         print(f"ma: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a crash must never read as exit 1, "violated"
+        message = " ".join(str(exc).splitlines())
+        print(f"ma: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

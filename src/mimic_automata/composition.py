@@ -466,6 +466,65 @@ def _reinit_units(
     return tuple(units)
 
 
+def _mode1_stepper(ma: MimicAutomaton, binding: Binding, depth: int):
+    """``step(cfg, block, rng)``: the ``sa_from_ca`` macro step, with tables kept per stepper.
+
+    It returns the next configuration, the per-cell ``RunResult``s and the
+    successor lattice. ``SaUnit``/``HaUnit`` runs are pure, so each (unit,
+    unit state, block) runs once; nested units carry macro clocks and run
+    every tick. Fresh units are built once per (lattice, successor lattice);
+    the lattice itself steps exactly once per tick. Cells run in index order
+    and a run that raises is never stored, so errors come in the same order.
+    """
+    ca = ma.ca_set[binding.ca]
+    probabilistic = isinstance(ca, ProbabilisticCellularAutomaton)
+    unit_ids: dict = {}  # distinct units in first-seen order
+    uid_of = {q: unit_ids.setdefault(unit, len(unit_ids)) for q, unit in binding.cell_map.items()}
+    units = list(unit_ids)
+    pure = [not isinstance(unit, NestedUnit) for unit in units]
+    runs: dict = {}  # block -> [unit id] -> unit state -> (final state, RunResult)
+    lattices: dict = {}  # lattice -> (unit id per cell, successor lattice -> fresh units)
+
+    def step(cfg: MimicConfiguration, block: Word, rng: np.random.Generator | None):
+        lattice = cfg.lattice
+        info = lattices.get(lattice)
+        if info is None:
+            info = lattices[lattice] = (tuple(uid_of.get(q) for q in lattice), {})
+        uids, fresh_of = info
+        tables = runs.get(block)
+        if tables is None:
+            tables = runs[block] = [{} for _ in units]
+        unit_states = cfg.unit_states
+        ran = []
+        results = []
+        for i, uid in enumerate(uids):
+            if uid is None:  # an unmapped cell state fails where the unmemoised step fails
+                raise KeyError(lattice[i])
+            state = unit_states[i]
+            hit = tables[uid].get(state) if pure[uid] else None
+            if hit is None:
+                hit = _run_unit(ma, units[uid], state, block, rng, depth, i)
+                if pure[uid]:
+                    tables[uid][state] = hit
+            ran.append(hit[0])
+            results.append(hit[1])
+
+        if probabilistic:
+            if rng is None:
+                raise MimicError(f"{binding.name}: probabilistic lattice step needs a random stream")
+            after = pca_step(ca, lattice, rng)
+        else:
+            after = ca_step(ca, lattice)
+        fresh = fresh_of.get(after)
+        if fresh is None:
+            fresh = fresh_of[after] = _fresh_units(ma, binding, lattice, after, depth)
+        for i, unit_state in fresh:
+            ran[i] = unit_state
+        return MimicConfiguration(after, ran, cfg.macro_clock + 1, cfg.outer_state), tuple(results), after
+
+    return step
+
+
 def _macro_step_mode1(
     ma: MimicAutomaton,
     binding: Binding,
@@ -474,26 +533,8 @@ def _macro_step_mode1(
     rng: np.random.Generator | None,
     depth: int,
 ) -> tuple[MimicConfiguration, tuple[RunResult, ...], Lattice]:
-    ca = ma.ca_set[binding.ca]
-    lattice = cfg.lattice
-    results: list[RunResult] = []
-    ran: list = []
-    for i, q in enumerate(lattice):
-        unit = binding.cell_map[q]
-        new_state, result = _run_unit(ma, unit, cfg.unit_states[i], block, rng, depth, i)
-        ran.append(new_state)
-        results.append(result)
-
-    if isinstance(ca, ProbabilisticCellularAutomaton):
-        if rng is None:
-            raise MimicError(f"{binding.name}: probabilistic lattice step needs a random stream")
-        after = pca_step(ca, lattice, rng)
-    else:
-        after = ca_step(ca, lattice)
-
-    units = _reinit_units(ma, binding, lattice, after, tuple(ran), depth)
-    new_cfg = MimicConfiguration(after, units, cfg.macro_clock + 1, cfg.outer_state)
-    return new_cfg, tuple(results), after
+    """One ``sa_from_ca`` macro step: a stepper used once."""
+    return _mode1_stepper(ma, binding, depth)(cfg, block, rng)
 
 
 def _macro_step_mode2(
@@ -585,13 +626,15 @@ def ma_run(
     binding = ma.root()
     if rng is None and has_randomness(ma):
         rng = master_stream(seed)
+    if binding.mode == MODE_SA_FROM_CA:
+        step = _mode1_stepper(ma, binding, depth=1)
     ticks: list[MacroTick] = []
     for entry in schedule:
         before = cfg.lattice
         index = cfg.macro_clock
         if binding.mode == MODE_SA_FROM_CA:
             block = tuple(entry)
-            cfg, per_cell, after = _macro_step_mode1(ma, binding, cfg, block, rng, depth=1)
+            cfg, per_cell, after = step(cfg, block, rng)
             output = per_cell[0].output_word if per_cell else ()
             ticks.append(
                 MacroTick(index, binding.mode, block, before, after, per_cell=per_cell, output=output)

@@ -35,11 +35,10 @@ from .composition import (
     MimicAutomaton,
     MimicConfiguration,
     SaUnit,
-    _macro_step_mode1,
+    _mode1_stepper,
     ma_initial,
 )
 from .errors import MimicError, ModelValidationError, Violation
-from .hierarchical import HierarchicalAutomaton
 from .rng import master_stream
 from .sequential import SequentialAutomaton, Word, validate_sa
 
@@ -360,25 +359,29 @@ def dhr_initial(d: DhrStructure) -> MimicConfiguration:
     return ma_initial(ma, ma.root().seed)
 
 
-def _dhr_tick(
-    ma: MimicAutomaton,
-    voter: VoterPolicy,
-    cfg: MimicConfiguration,
-    block: Word,
-    rng: np.random.Generator | None,
-) -> tuple[MimicConfiguration, DhrStepReport]:
-    new_cfg, per_cell, after = _macro_step_mode1(ma, ma.root(), cfg, block, rng, depth=1)
-    words = tuple(r.output_word for r in per_cell)
-    voted, dissenters = vote(voter, words)
-    report = DhrStepReport(
-        input_block=block,
-        per_slot_outputs=words,
-        voted_output=voted,
-        dissenters=dissenters,
-        lattice_before=tuple(base_state(q) for q in cfg.lattice),
-        lattice_after=tuple(base_state(q) for q in after),
-    )
-    return new_cfg, report
+def _dhr_ticker(ma: MimicAutomaton, voter: VoterPolicy):
+    """``tick(cfg, block, rng)``: one tick of a ``_mode1_stepper``, then the vote and the report.
+
+    The vote runs once per distinct tuple of slot words, and fault tags are
+    stripped once per distinct lattice.
+    """
+    step = _mode1_stepper(ma, ma.root(), depth=1)
+    votes: dict = {}  # slot words -> (voted word, dissenters)
+    bases: dict = {}  # lattice -> untagged lattice
+
+    def tick(cfg: MimicConfiguration, block: Word, rng: np.random.Generator | None):
+        new_cfg, per_cell, after = step(cfg, block, rng)
+        words = tuple(r.output_word for r in per_cell)
+        outcome = votes.get(words)
+        if outcome is None:
+            outcome = votes[words] = vote(voter, words)
+        for lattice in (cfg.lattice, after):
+            if lattice not in bases:
+                bases[lattice] = tuple(base_state(q) for q in lattice)
+        report = DhrStepReport(block, words, outcome[0], outcome[1], bases[cfg.lattice], bases[after])
+        return new_cfg, report
+
+    return tick
 
 
 def dhr_step(
@@ -388,7 +391,7 @@ def dhr_step(
     rng: np.random.Generator | None = None,
 ) -> tuple[MimicConfiguration, DhrStepReport]:
     """One tick: per-slot runs under the frozen lattice, the vote, one scheduler step."""
-    return _dhr_tick(d.automaton, d.voter, state, tuple(input_block), rng)
+    return _dhr_ticker(d.automaton, d.voter)(state, tuple(input_block), rng)
 
 
 def inject_fault(d: DhrStructure, slot: int, faulty: SequentialAutomaton) -> DhrStructure:
@@ -426,9 +429,10 @@ def dhr_run(
     ma = target.automaton
     rng = master_stream(seed) if isinstance(ma.ca_set[ma.root().ca], ProbabilisticCellularAutomaton) else None
     cfg = dhr_initial(target)
+    tick = _dhr_ticker(ma, target.voter)
     reports = []
     for block in schedule:
-        cfg, report = _dhr_tick(ma, target.voter, cfg, tuple(block), rng)
+        cfg, report = tick(cfg, tuple(block), rng)
         reports.append(report)
     return reports
 
@@ -447,19 +451,26 @@ def serial_step(
     rng: np.random.Generator | None = None,
 ) -> tuple[tuple[MimicConfiguration, ...], SerialTick]:
     """One serial tick: stage i's vote becomes stage i+1's input block."""
-    block = tuple(input_block)
-    new_states = list(states)
-    stage_reports: list[DhrStepReport] = []
-    word: Word | None = block
-    aborted_at = None
-    for i, stage in enumerate(s.stages):
-        new_states[i], report = _dhr_tick(s.automata[i], stage.voter, states[i], word, rng)
-        stage_reports.append(report)
-        word = report.voted_output
-        if word is None:
-            aborted_at = i
-            break
-    return tuple(new_states), SerialTick(tuple(stage_reports), word, aborted_at)
+    return _serial_ticker(s)(states, tuple(input_block), rng)
+
+
+def _serial_ticker(s: SerialDhr):
+    """``tick(states, block, rng)``: one serial tick through one ``_dhr_ticker`` per stage."""
+    tickers = [_dhr_ticker(ma, stage.voter) for ma, stage in zip(s.automata, s.stages)]
+
+    def tick(states: Sequence[MimicConfiguration], block: Word, rng: np.random.Generator | None):
+        new_states = list(states)
+        stage_reports: list[DhrStepReport] = []
+        word: Word | None = block
+        for i, stage_tick in enumerate(tickers):
+            new_states[i], report = stage_tick(states[i], word, rng)
+            stage_reports.append(report)
+            word = report.voted_output
+            if word is None:
+                return tuple(new_states), SerialTick(tuple(stage_reports), None, i)
+        return tuple(new_states), SerialTick(tuple(stage_reports), word, None)
+
+    return tick
 
 
 def serial_run(
@@ -472,99 +483,11 @@ def serial_run(
     )
     rng = master_stream(seed) if random_stages else None
     states = serial_initial(s)
+    serial_tick = _serial_ticker(s)
     ticks: list[SerialTick] = []
     for block in schedule:
-        states, tick = serial_step(s, states, block, rng)
+        states, tick = serial_tick(states, tuple(block), rng)
         ticks.append(tick)
         if tick.aborted_at is not None:
             break
     return states, ticks
-
-
-def compose_serial(s: SerialDhr) -> MimicAutomaton:
-    """Structural composite: a sequencer hierarchy over per-stage lattices.
-
-    The returned automaton carries a root hierarchy whose top machine has one
-    state per stage (with a deterministic advance transition); each stage
-    state refines into renamed copies of that stage's executors, and each
-    stage contributes its ``sa_from_ca`` binding. Serial data flow itself is
-    executed by ``serial_run``; the composite is the checkable artifact.
-    """
-    report = validate_serial(s)
-    if report:
-        raise ModelValidationError(report)
-
-    seq_states = tuple(f"stage{i}" for i in range(len(s.stages)))
-    transitions = {}
-    outputs = {}
-    for i, state in enumerate(seq_states):
-        target = seq_states[min(i + 1, len(seq_states) - 1)]
-        transitions[(state, "advance")] = target
-        outputs[(state, "advance")] = "advance"
-    sequencer = SequentialAutomaton(
-        name=f"{s.name}.seq",
-        states=seq_states,
-        initial=seq_states[0],
-        finals=frozenset({seq_states[-1]}),
-        input_alphabet=("advance",),
-        output_alphabet=("advance",),
-        transitions=transitions,
-        outputs=outputs,
-    )
-
-    sa_set: dict[str, SequentialAutomaton] = {sequencer.name: sequencer}
-    ca_set: dict[str, AnyCellular] = {}
-    bindings: dict[str, Binding] = {}
-    gamma: dict[tuple[str, str], frozenset[str]] = {}
-    members = [sequencer]
-
-    for i, stage in enumerate(s.stages):
-        prefix = f"{s.name}.s{i}"
-        renamed = {}
-        for sa in stage.executors:
-            copy = replace(sa, name=f"{prefix}.{sa.name}")
-            renamed[sa.name] = copy
-            sa_set[copy.name] = copy
-            members.append(copy)
-        overrides = {}
-        for slot, faulty in stage.overrides.items():
-            copy = replace(faulty, name=f"{prefix}.{faulty.name}")
-            sa_set[copy.name] = copy
-            members.append(copy)
-            overrides[slot] = copy
-        gamma[(sequencer.name, seq_states[i])] = frozenset(
-            renamed[sa.name].name for sa in stage.executors
-        )
-
-        stage_ma = build_dhr(
-            replace(
-                stage,
-                name=prefix,
-                executors=tuple(renamed[sa.name] for sa in stage.executors),
-                overrides=overrides,
-            )
-        )
-        scheduler = stage_ma.ca_set[stage_ma.root().ca]
-        scheduler = replace(scheduler, name=f"{prefix}.{scheduler.name}")
-        ca_set[scheduler.name] = scheduler
-        binding = replace(stage_ma.root(), name=f"{prefix}.binding", ca=scheduler.name)
-        bindings[binding.name] = binding
-
-    hierarchy = HierarchicalAutomaton(
-        name=f"{s.name}.ha", sas=tuple(members), root=sequencer.name, gamma=gamma
-    )
-    return MimicAutomaton(
-        name=f"serial:{s.name}",
-        sa_set=sa_set,
-        ca_set=ca_set,
-        ha_set={hierarchy.name: hierarchy},
-        bindings=bindings,
-        root_binding=f"{s.name}.s0.binding",
-        voter=s.stages[0].voter,
-        metadata={
-            "kind": "serial_dhr",
-            "structure": s.name,
-            "stages": " ".join(f"{s.name}.s{i}.binding" for i in range(len(s.stages))),
-            "sequencer": hierarchy.name,
-        },
-    )

@@ -452,8 +452,9 @@ def test_sampler_breaks_ties_like_searchsorted_right(monkeypatch):
 
 # --- Monte Carlo fallback ----------------------------------------------------
 
-def test_mc_falls_back_to_paths_when_not_exactly_expandable():
-    # a ca_from_sa root, and a probabilistic lattice nested under the root's cells
+def test_mc_refuses_mode2_roots_and_falls_back_to_paths_on_nested_lattices():
+    # a ca_from_sa root is refused: per-trial sampling steps only sa_from_ca
+    # roots, so it would never step the outer machine
     outer = make_sa("outer", ("o",), "o", ("o",), ("0", "1"), ("x",),
                     delta=[("o", "0", "o", "x"), ("o", "1", "o", "x")])
     idle = make_sa("idle", ("s",), "s", ("s",), ("a",), delta=[("s", "a", "s")])
@@ -465,9 +466,10 @@ def test_mc_falls_back_to_paths_when_not_exactly_expandable():
         "r",
     )
     assert checker._expansion_refusal(mode2) == "probabilistic expansion supports sa_from_ca roots only"
-    result = reach_probability_mc(mode2, ("a",), "lattice_has(1)", 2, trials=50, seed=1)
-    assert result.method == "monte-carlo-paths"
+    with pytest.raises(MimicError, match="^probabilistic expansion supports sa_from_ca roots only$"):
+        reach_probability_mc(mode2, ("a",), "lattice_has(1)", 2, trials=50, seed=1)
 
+    # a probabilistic lattice nested under the root's cells is sampled path by path
     inner = flip_ma().bindings["b"]
     nested = MimicAutomaton(
         "nested", {"idle": idle}, {"flip": flip_pca(), "root_u": uniform_pca("root_u", width=1)}, {},

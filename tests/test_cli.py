@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import mimic_automata.cli as cli
 from mimic_automata.cli import main
 
 from helpers import DATA, MODELS, SIGNATURES
@@ -237,3 +238,17 @@ def test_simulate_rejects_negative_steps(capsys, path, model, word):
     assert code == 3
     assert out == ""
     assert err == "ma: error: --steps must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("message", ["boom", "two\nlines"])
+def test_unexpected_exception_exits_four_on_one_line(capsys, monkeypatch, message):
+    # a crash is "internal error", never exit 1 ("violated")
+    def crash(args):
+        raise RuntimeError(message)
+
+    monkeypatch.setattr(cli, "_cmd_validate", crash)
+    code, out, err = run(capsys, ["validate", PARITY])
+    assert code == 4
+    assert out == ""
+    assert err == f"ma: internal error: RuntimeError: {' '.join(message.splitlines())}\n"
+    assert "Traceback" not in err

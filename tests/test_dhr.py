@@ -10,7 +10,6 @@ from mimic_automata import (
     SerialDhr,
     VoterPolicy,
     build_dhr,
-    compose_serial,
     dhr_initial,
     dhr_run,
     dhr_step,
@@ -258,20 +257,6 @@ def test_serial_abstention_aborts():
 
 def test_single_stage_serial_rejected():
     assert any(v.invariant == "serial-length" for v in validate_serial(SerialDhr("one", (echo_dhr(),))))
-    with pytest.raises(ModelValidationError):
-        compose_serial(SerialDhr("one", (echo_dhr(),)))
-
-
-def test_compose_serial_structure():
-    s = SerialDhr("chain", (echo_dhr("st0"), echo_dhr("st1")))
-    ma = compose_serial(s)
-    assert validate_ma(ma) == []
-    assert len(ma.ha_set) == 1
-    ha = next(iter(ma.ha_set.values()))
-    seq = ha.by_name[ha.root]
-    assert len(seq.states) == 2  # one sequencer state per stage
-    assert ma.metadata["kind"] == "serial_dhr"
-    assert len(ma.bindings) == 2
 
 
 def test_fault_masking_exhaustive_small():

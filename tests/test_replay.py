@@ -1,0 +1,409 @@
+"""The memoised mode-1 stepper that every replay loop holds, and the sliced lattice step.
+
+``ma_run``, ``dhr_run``, ``serial_run``, per-trial Monte Carlo and
+``replay_path`` hold one stepper per call: it runs each (unit, unit state,
+block) of a plain or hierarchical unit once, builds the fresh units of each
+(lattice, successor lattice) once, and still steps the lattice exactly once
+per tick. These tests fold the reference interpreter's tick over long
+schedules and require every tick and the final configuration, clocks
+included; they count the work, pin the first error, and check the padded
+``ca_step``/``pca_step`` against the ``neighborhood_of`` form.
+"""
+
+import itertools
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import mimic_automata.composition as composition
+import mimic_automata.dhr as dhr
+from mimic_automata import (
+    Binding,
+    CellularAutomaton,
+    DhrStructure,
+    InputRejectedError,
+    MODE_CA_FROM_SA,
+    MODE_SA_FROM_CA,
+    MimicAutomaton,
+    MimicConfiguration,
+    NestedUnit,
+    ProbabilisticCellularAutomaton,
+    SaUnit,
+    SerialDhr,
+    VoterPolicy,
+    dhr_initial,
+    dhr_run,
+    inject_fault,
+    ma_initial,
+    ma_run,
+    serial_run,
+    vote,
+)
+from mimic_automata.cellular import ca_step, neighborhood_of, pca_step
+from mimic_automata.composition import _macro_step_mode1, _mode1_stepper
+from mimic_automata.dhr import base_state
+from mimic_automata.rng import master_stream
+
+from helpers import (
+    ALPHABET,
+    echo_dhr,
+    echo_sa,
+    flipper_sa,
+    gen_instance,
+    gen_pca_instance,
+    gen_sa,
+    identity_ca,
+    plain,
+    rotate_ca,
+    x11_parity_ma,
+)
+from reference_interpreter import ref_mode1_tick, ref_mode2_tick, ref_run_unit, ref_unit_initial
+
+
+def long_schedule(rnd, ticks=24, max_len=2):
+    """Blocks over the generators' alphabet, few enough that most ticks repeat one."""
+    return [tuple(rnd.choice(ALPHABET) for _ in range(rnd.randint(0, max_len))) for _ in range(ticks)]
+
+
+def plain_result(result):
+    return (plain(result.final_state), result.output_word, result.steps, result.accepted)
+
+
+def reference_fold(ma, lattice0, schedule):
+    """Per tick (lattice before, lattice after, per-cell records, output), and the final configuration."""
+    binding = ma.root()
+    cfg = plain(ma_initial(ma, lattice0))
+    ticks = []
+    for entry in schedule:
+        before = cfg[1]
+        if binding.mode == MODE_SA_FROM_CA:
+            cfg, per_cell, output = ref_mode1_tick(ma, binding, cfg, tuple(entry))
+        else:
+            cfg, output = ref_mode2_tick(ma, binding, cfg, tuple(entry))
+            per_cell = None
+        ticks.append((before, cfg[1], per_cell, output))
+    return ticks, cfg
+
+
+def replayed(ma, lattice0, schedule, seed=None):
+    final, trace = ma_run(ma, ma_initial(ma, lattice0), schedule, seed=seed)
+    ticks = [
+        (
+            tick.lattice_before,
+            tick.lattice_after,
+            None if tick.per_cell is None else tuple(plain_result(r) for r in tick.per_cell),
+            tick.output,
+        )
+        for tick in trace
+    ]
+    return ticks, plain(final)
+
+
+def test_ma_run_equals_a_reference_fold_on_every_generated_flavor():
+    flavors = set()
+    compared = 0
+    for seed in range(60):
+        rnd = random.Random(seed)
+        ma, lattice0, schedule = gen_instance(rnd)
+        binding = ma.root()
+        if binding.mode == MODE_SA_FROM_CA:
+            schedule = schedule + long_schedule(rnd)
+        try:
+            expected = reference_fold(ma, lattice0, schedule)
+        except (KeyError, ValueError):
+            with pytest.raises(Exception):
+                replayed(ma, lattice0, schedule)
+            continue
+        assert replayed(ma, lattice0, schedule) == expected, f"seed {seed}"
+        compared += 1
+        units = binding.cell_map.values()
+        if binding.mode == MODE_CA_FROM_SA:
+            flavors.add("mode2")
+        elif any(isinstance(u, NestedUnit) for u in units):
+            flavors.add("nested")
+        elif all(isinstance(u, SaUnit) for u in units):
+            flavors.add("plain")
+        else:
+            flavors.add("ha")
+    assert flavors == {"plain", "ha", "nested", "mode2"}
+    assert compared >= 50
+
+
+def generated_dhr(seed=0):
+    """Three generated machines on a still lattice: the votes vary from tick to tick."""
+    rnd = random.Random(seed)
+    executors = tuple(gen_sa(rnd, f"g{i}") for i in range(3))
+    scheduler = identity_ca("ident3", width=3, states=("0", "1", "2"))
+    return DhrStructure("gen3", executors, scheduler, 3, VoterPolicy(), ("0", "1", "2"))
+
+
+STRUCTURES = [
+    echo_dhr(scheduler=rotate_ca()),
+    inject_fault(echo_dhr(scheduler=rotate_ca()), 1, flipper_sa()),
+    inject_fault(echo_dhr(quorum=3), 0, flipper_sa()),
+    generated_dhr(),
+]
+STRUCTURE_IDS = ["rotating", "rotating-injected", "injected-quorum3", "generated"]
+
+
+def reference_dhr_tick(structure, cfg, block):
+    """The reference tick plus ``vote``, reported the way ``DhrStepReport`` reports it."""
+    ma = structure.automaton
+    new_cfg, per_cell, _ = ref_mode1_tick(ma, ma.root(), cfg, block)
+    words = tuple(record[1] for record in per_cell)
+    voted, dissenters = vote(structure.voter, words)
+    report = (block, words, voted, dissenters,
+              tuple(base_state(q) for q in cfg[1]), tuple(base_state(q) for q in new_cfg[1]))
+    return new_cfg, report
+
+
+def report_tuple(report):
+    return (report.input_block, report.per_slot_outputs, report.voted_output, report.dissenters,
+            report.lattice_before, report.lattice_after)
+
+
+@pytest.mark.parametrize("structure", STRUCTURES, ids=STRUCTURE_IDS)
+def test_dhr_run_equals_a_reference_fold_plus_vote(structure):
+    schedule = long_schedule(random.Random(7), ticks=40, max_len=3)
+    cfg = plain(dhr_initial(structure))
+    expected = []
+    for block in schedule:
+        cfg, report = reference_dhr_tick(structure, cfg, block)
+        expected.append(report)
+    assert [report_tuple(r) for r in dhr_run(structure, schedule)] == expected
+    # the final configuration, clocks included, through the same stepper in ma_run
+    ma = structure.automaton
+    final, _ = ma_run(ma, dhr_initial(structure), schedule)
+    assert plain(final) == cfg
+
+
+def test_serial_run_equals_a_reference_fold_stage_by_stage():
+    stages = (STRUCTURES[0], inject_fault(echo_dhr("st1"), 2, flipper_sa()))
+    s = SerialDhr("pipe", stages)
+    schedule = long_schedule(random.Random(3), ticks=30, max_len=3)
+    states = [plain(dhr_initial(stage)) for stage in stages]
+    expected = []
+    for block in schedule:
+        word = block
+        reports = []
+        for i, stage in enumerate(stages):
+            states[i], report = reference_dhr_tick(stage, states[i], word)
+            reports.append(report)
+            word = report[2]
+            if word is None:
+                break
+        expected.append(reports)
+        if word is None:
+            break
+    final, ticks = serial_run(s, schedule)
+    assert [[report_tuple(r) for r in tick.stage_reports] for tick in ticks] == expected
+    assert [plain(cfg) for cfg in final] == states
+
+
+def ref_pca_step(pca, lattice, rng):
+    """``pca_step`` written with ``neighborhood_of``: one uniform per cell, in index order."""
+    out = []
+    for i in range(len(lattice)):
+        pairs = pca.rule[neighborhood_of(pca, lattice, i)]
+        u = rng.random()
+        acc = 0.0
+        chosen = pairs[-1][0]
+        for state, prob in pairs:
+            acc += prob
+            if u < acc:
+                chosen = state
+                break
+        out.append(chosen)
+    return tuple(out)
+
+
+def test_seeded_pca_runs_equal_a_neighborhood_of_reference():
+    for seed in range(40):
+        rnd = random.Random(seed)
+        ma, lattice0 = gen_pca_instance(rnd)
+        binding = ma.root()
+        schedule = long_schedule(rnd, ticks=30)
+        run_seed = rnd.randrange(1000)
+        ticks, final = replayed(ma, lattice0, schedule, seed=run_seed)
+
+        rng = master_stream(run_seed)
+        cfg = plain(ma_initial(ma, lattice0))
+        for i, block in enumerate(schedule):
+            _, lattice, units, clock, outer = cfg
+            ran, per_cell = [], []
+            for j, q in enumerate(lattice):
+                state, record = ref_run_unit(ma, binding.cell_map[q], units[j], block)
+                ran.append(state)
+                per_cell.append(record)
+            after = ref_pca_step(ma.ca_set[binding.ca], lattice, rng)
+            units = tuple(state if after[j] == lattice[j] else ref_unit_initial(ma, binding.cell_map[after[j]])
+                          for j, state in enumerate(ran))
+            cfg = ("cfg", after, units, clock + 1, outer)
+            output = per_cell[0][1] if per_cell else ()
+            assert ticks[i] == (lattice, after, tuple(per_cell), output), f"seed {seed}, tick {i}"
+        assert final == cfg, f"seed {seed}"
+
+
+def test_each_pure_run_happens_once_and_the_lattice_steps_every_tick(monkeypatch):
+    ma = x11_parity_ma()
+    binding = ma.root()
+    schedule = long_schedule(random.Random(5), ticks=200)
+    schedule = [tuple("1" if s == "a" else "0" for s in block) for block in schedule]
+    cfg = ma_initial(ma, binding.seed)
+    triples, pairs = set(), set()
+    for block in schedule:  # the unit states each tick starts from, by one-shot steps
+        triples.update(zip((binding.cell_map[q] for q in cfg.lattice), cfg.unit_states,
+                           itertools.repeat(block)))
+        nxt, _, _ = _macro_step_mode1(ma, binding, cfg, block, None, 1)
+        pairs.add((cfg.lattice, nxt.lattice))
+        cfg = nxt
+
+    runs, steps, rebinds = [], [], []
+    run_unit, step, fresh_units = composition._run_unit, composition.ca_step, composition._fresh_units
+
+    def counting_run(ma, unit, state, block, *rest):
+        runs.append((unit, state, block))
+        return run_unit(ma, unit, state, block, *rest)
+
+    def counting_step(ca, lattice):
+        steps.append(lattice)
+        return step(ca, lattice)
+
+    def counting_fresh(ma, binding, before, after, depth):
+        rebinds.append((before, after))
+        return fresh_units(ma, binding, before, after, depth)
+
+    monkeypatch.setattr(composition, "_run_unit", counting_run)
+    monkeypatch.setattr(composition, "ca_step", counting_step)
+    monkeypatch.setattr(composition, "_fresh_units", counting_fresh)
+    final, trace = ma_run(ma, ma_initial(ma, binding.seed), schedule)
+    assert final.macro_clock == len(schedule)
+    assert len(runs) == len(set(runs)) == len(triples) < len(schedule) * 11 // 10
+    assert set(runs) == triples
+    assert len(steps) == len(schedule)
+    assert len(rebinds) == len(set(rebinds)) == len(pairs)
+    assert plain(final) == plain(cfg)
+
+
+def test_nested_units_run_every_tick_and_votes_happen_once_per_word_tuple(monkeypatch):
+    nested_runs, votes = [], []
+    run_unit, real_vote = composition._run_unit, dhr.vote
+
+    def counting_run(ma, unit, state, block, rng, depth, cell):
+        if isinstance(unit, NestedUnit) and depth == 1:
+            nested_runs.append(cell)
+        return run_unit(ma, unit, state, block, rng, depth, cell)
+
+    def counting_vote(policy, words):
+        votes.append(words)
+        return real_vote(policy, words)
+
+    monkeypatch.setattr(composition, "_run_unit", counting_run)
+    monkeypatch.setattr(dhr, "vote", counting_vote)
+    for seed in range(60):
+        rnd = random.Random(seed)
+        ma, lattice0, _ = gen_instance(rnd)
+        if ma.root().mode != MODE_SA_FROM_CA:
+            continue
+        schedule = long_schedule(rnd)
+        nested_runs.clear()
+        try:
+            _, trace = ma_run(ma, ma_initial(ma, lattice0), schedule)
+        except (KeyError, InputRejectedError):
+            continue
+        cell_map = ma.root().cell_map
+        expected = sum(isinstance(cell_map[q], NestedUnit) for t in trace for q in t.lattice_before)
+        assert len(nested_runs) == expected, f"seed {seed}"
+
+    reports = dhr_run(STRUCTURES[3], long_schedule(random.Random(9), ticks=60, max_len=3))
+    assert len(votes) == len(set(votes)) == len({r.per_slot_outputs for r in reports})
+
+
+def late_rejection_ma():
+    """Two cells on a machine over {a, b, c}; after one tick cell 1 hosts one over {a, b}."""
+    wide = echo_sa("wide", 1, inputs=("a", "b", "c"))
+    ab = echo_sa("ab", 2, inputs=("a", "b"))
+    rule = {nb: nb[1] for nb in itertools.product(("0", "1"), repeat=3)}
+    rule[("0", "0", "1")] = "1"
+    ca = CellularAutomaton("late", ("0", "1"), 2, 1, boundary="fixed", boundary_value="1", rule=rule)
+    b = Binding("b", MODE_SA_FROM_CA, "late", {"0": SaUnit("wide"), "1": SaUnit("ab")}, seed=("0", "0"))
+    return MimicAutomaton("late", {"wide": wide, "ab": ab}, {"late": ca}, {}, {"b": b}, "b")
+
+
+def test_a_rejection_after_table_hits_raises_the_unmemoised_message():
+    # tick 1 fills cell 0's ("c",) run, which tick 2 reuses; cell 1 then
+    # hosts "ab" and rejects "c", so the error must name cell 1
+    ma = late_rejection_ma()
+    start = ma_initial(ma, ("0", "0"))
+    with pytest.raises(InputRejectedError) as exc:
+        ma_run(ma, start, [("c",), ("a",), ("c",)])
+    assert str(exc.value) == "input symbol 'c' rejected at cell 1, position 0"
+    # a run that raised is not stored: the same stepper raises it again
+    step = _mode1_stepper(ma, ma.root(), 1)
+    cfg, _, _ = step(start, ("c",), None)
+    for _ in range(2):
+        with pytest.raises(InputRejectedError) as exc:
+            step(cfg, ("a", "c"), None)
+        assert str(exc.value) == "input symbol 'c' rejected at cell 1, position 1"
+    # when both cells reject, the earlier one fails first, as in an unmemoised step
+    with pytest.raises(InputRejectedError) as exc:
+        step(cfg, ("d",), None)
+    assert str(exc.value) == "input symbol 'd' rejected at cell 0, position 0"
+    # an unmapped cell state fails at its own cell, after the cells before it ran
+    unmapped = MimicConfiguration(("0", "9"), cfg.unit_states, cfg.macro_clock)
+    with pytest.raises(KeyError) as exc:
+        step(unmapped, ("a",), None)
+    assert exc.value.args == ("9",)
+    with pytest.raises(InputRejectedError, match="cell 0, position 0"):
+        step(unmapped, ("d",), None)
+
+
+# --- the padded lattice step against the neighborhood_of form ----------------
+
+def ref_ca_step(ca, lattice):
+    return tuple(ca.rule[neighborhood_of(ca, lattice, i)] for i in range(len(lattice)))
+
+
+@st.composite
+def lattice_rules(draw):
+    n_states = draw(st.integers(1, 3))
+    radius = draw(st.integers(1, 4 if n_states <= 2 else 2))
+    width = draw(st.integers(1, 5))
+    states = tuple(str(i) for i in range(n_states))
+    boundary = draw(st.sampled_from(["periodic", "fixed"]))
+    boundary_value = draw(st.sampled_from(states)) if boundary == "fixed" else None
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    neighborhoods = list(itertools.product(states, repeat=2 * radius + 1))
+    rule = {nb: rnd.choice(states) for nb in neighborhoods}
+    dist = {}
+    for nb in neighborhoods:
+        targets = rnd.sample(states, rnd.randint(1, n_states))
+        weights = [rnd.random() + 0.05 for _ in targets]
+        dist[nb] = tuple((q, w / sum(weights)) for q, w in zip(targets, weights))
+    hole = draw(st.none() | st.sampled_from(neighborhoods))
+    if hole is not None:
+        del rule[hole]
+        del dist[hole]
+    ca = CellularAutomaton("c", states, width, radius, boundary, boundary_value, rule)
+    pca = ProbabilisticCellularAutomaton("p", states, width, radius, boundary, boundary_value, dist)
+    lattice = tuple(draw(st.lists(st.sampled_from(states), min_size=width, max_size=width)))
+    return ca, pca, lattice, draw(st.integers(0, 2**16))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except KeyError as exc:
+        return ("KeyError", exc.args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_rules())
+def test_padded_lattice_steps_equal_the_neighborhood_of_form(case):
+    ca, pca, lattice, seed = case
+    assert outcome(ca_step, ca, lattice) == outcome(ref_ca_step, ca, lattice)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert outcome(pca_step, pca, lattice, rng) == outcome(ref_pca_step, pca, lattice, ref_rng)
+    assert rng.random() == ref_rng.random()  # the same number of uniforms was drawn
