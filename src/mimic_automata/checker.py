@@ -33,10 +33,9 @@ from .composition import (
     MimicAutomaton,
     MimicConfiguration,
     SaUnit,
-    _fresh_units,
     _macro_step_mode2,
     _mode1_stepper,
-    _run_unit,
+    _unit_tables,
     binding_seed,
     has_randomness,
     ma_initial,
@@ -191,12 +190,20 @@ def builtin_labeling(ma: MimicAutomaton) -> Labeling:
             vocabulary.add(f"outer_state({s})")
 
     cell_map = binding.cell_map
+    lattices: dict = {}  # lattice -> (its lattice_has labels, the cells hosting plain machines)
+    cell_labels: dict = {}  # (cell, machine state) -> label, one string for all states
 
     def props(cfg: MimicConfiguration) -> frozenset[str]:
-        labels = {f"lattice_has({base(q)})" for q in set(cfg.lattice)}
-        for i, q in enumerate(cfg.lattice):
-            if isinstance(cell_map[q], SaUnit):
-                labels.add(f"cell{i}_state({cfg.unit_states[i]})")
+        info = lattices.get(cfg.lattice)
+        if info is None:
+            info = lattices[cfg.lattice] = (
+                {f"lattice_has({base(q)})" for q in cfg.lattice},
+                [i for i, q in enumerate(cfg.lattice) if isinstance(cell_map[q], SaUnit)],
+            )
+        labels = set(info[0])
+        for i in info[1]:
+            key = (i, cfg.unit_states[i])
+            labels.add(cell_labels.get(key) or cell_labels.setdefault(key, f"cell{i}_state({key[1]})"))
         if cfg.outer_state is not None:
             labels.add(f"outer_state({cfg.outer_state})")
         return frozenset(labels)
@@ -269,107 +276,97 @@ def flatten(
     props_fn, vocabulary = labeling or builtin_labeling(ma)
     start_lattice = tuple(lattice0) if lattice0 is not None else binding_seed(ma, binding)
     start = strip_clocks(ma_initial(ma, start_lattice))
-    if binding.mode == MODE_SA_FROM_CA:
-        successors = _mode1_successors(ma, binding, universe)
-    else:
-        successors = _mode2_successors(ma, binding, universe)
-
-    # states are keyed by (lattice, unit states, outer state): the fields of a
-    # clock-stripped configuration, without building one per edge
-    ids = {(start.lattice, start.unit_states, start.outer_state): "s0"}
-    states = {"s0": start}
-    transitions: dict[str, tuple[tuple[Action, str], ...]] = {}
-    atomic_props = {"s0": props_fn(start)}
-    queue = deque(["s0"])
-
-    while queue:
-        sid = queue.popleft()
-        edges = []
-        for action, key in successors(states[sid]):
-            tid = ids.get(key)
-            if tid is None:
-                if len(ids) >= bound:
-                    raise ExplosionError(bound, len(queue) + 1)
-                tid = f"s{len(ids)}"
-                ids[key] = tid
-                cfg = MimicConfiguration(key[0], key[1], 0, key[2])
-                states[tid] = cfg
-                atomic_props[tid] = props_fn(cfg)
-                queue.append(tid)
-            edges.append((action, tid))
-        transitions[sid] = tuple(edges)
-
+    mode_successors = _mode1_successors if binding.mode == MODE_SA_FROM_CA else _mode2_successors
+    successors = mode_successors(ma, binding, universe)
+    # keys are the fields of a clock-stripped configuration, not one per edge
+    names, configs, props, rows = _explore(
+        (start.lattice, start.unit_states, start.outer_state),
+        lambda key: MimicConfiguration(key[0], key[1], 0, key[2]),
+        successors,
+        props_fn,
+        bound,
+    )
     return TransitionSystem(
-        states=states,
+        states=dict(zip(names, configs)),
         initial="s0",
-        transitions=transitions,
-        atomic_props=atomic_props,
+        transitions=dict(zip(names, rows)),
+        atomic_props=dict(zip(names, props)),
         vocabulary=vocabulary,
         metadata={"model": ma.name, "universe": universe, "lattice0": start_lattice},
     )
 
 
-def _mode1_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tuple, ...]):
-    """The successor function of ``sa_from_ca`` states for one flatten call.
+def _explore(start_key, make_config, successors, props_fn, bound: int):
+    """Breadth-first interning of the states reachable from ``start_key``.
 
-    ``successors(cfg)`` yields ``(action, state key)`` per universe entry,
-    equal to ``_macro_step_mode1`` followed by ``strip_clocks`` and
-    ``_observable_output``, but its tables make each lattice step once,
-    each (unit, unit state, block) run once, and each (block, per-cell
-    output words) one Action. Work is done entry-major, cell-minor, as the
-    single step does it, so the first error raised is the one
-    ``_macro_step_mode1`` would raise; a run that raises is never stored.
+    ``successors(sid, cfg, depth)`` yields ``(label, key)`` per edge of the
+    state at index ``sid``; a new key is named ``s<index>`` in discovery
+    order, and its configuration is ``make_config(key)``. Returns per index
+    the name, configuration, propositions and row of ``(label, successor
+    name)``. Exceeding ``bound`` states raises ExplosionError.
+    """
+    start = make_config(start_key)
+    ids = {start_key: "s0"}
+    names = ["s0"]
+    configs = [start]
+    props = [props_fn(start)]
+    depths = [0]
+    rows: list[tuple[tuple[object, str], ...]] = []
+    for sid, cfg in enumerate(configs):  # grows while it is walked: breadth-first order
+        row = []
+        for label, key in successors(sid, cfg, depths[sid]):
+            tid = ids.get(key)
+            if tid is None:
+                if len(ids) >= bound:
+                    raise ExplosionError(bound, len(ids) - sid)
+                tid = ids[key] = f"s{len(configs)}"
+                nxt = make_config(key)
+                names.append(tid)
+                configs.append(nxt)
+                props.append(props_fn(nxt))
+                depths.append(depths[sid] + 1)
+            row.append((label, tid))
+        rows.append(tuple(row))
+    return names, configs, props, rows
+
+
+def _mode1_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tuple, ...]):
+    """``_explore`` successors of ``sa_from_ca`` states: ``_macro_step_mode1``, stripped, per entry.
+
+    Each lattice steps once, after its first entry's runs, where the single
+    step fails; each (entry, per-cell output words) is one Action.
     """
     ca = ma.ca_set[binding.ca]
-    unit_ids: dict = {}  # distinct units in first-seen order
-    uid_of = {q: unit_ids.setdefault(unit, len(unit_ids)) for q, unit in binding.cell_map.items()}
-    units = list(unit_ids)
-    # runs[entry][unit id]: unit state -> (clock-stripped final state, output word)
-    runs = [[{} for _ in units] for _ in universe]
-    actions: list[dict] = [{} for _ in universe]  # [entry]: per-cell output words -> Action
-    # lattice -> [unit id per cell, (successor lattice, ((cell, fresh unit state), ...)) once stepped]
-    lattices: dict = {}
+    run, rebind = _unit_tables(ma, binding, 1, canonical=True)
+    steps: dict = {}  # lattice -> successor lattice
+    actions = [(entry, {}) for entry in universe]  # per entry: per-cell output words -> Action
 
-    def successors(cfg: MimicConfiguration):
+    def successors(sid: int, cfg: MimicConfiguration, depth: int):
         lattice = cfg.lattice
         unit_states = cfg.unit_states
-        info = lattices.get(lattice)
-        if info is None:
-            info = lattices[lattice] = [tuple(uid_of[q] for q in lattice), None]
-        uids = info[0]
-        for e, entry in enumerate(universe):
-            table = runs[e]
-            ran = []
-            words = []
-            for i, uid in enumerate(uids):
-                state = unit_states[i]
-                hit = table[uid].get(state)
-                if hit is None:
-                    final, result = _run_unit(ma, units[uid], state, entry, None, 1, i)
-                    if isinstance(final, MimicConfiguration):
-                        final = strip_clocks(final)
-                    hit = table[uid][state] = (final, result.output_word)
-                ran.append(hit[0])
-                words.append(hit[1])
-            if info[1] is None:  # after the first entry's runs, where the single step fails
-                after = ca_step(ca, lattice)
-                info[1] = (after, _fresh_units(ma, binding, lattice, after, 1))
-            after, fresh = info[1]
+        after = steps.get(lattice)
+        fresh = None
+        for entry, table in actions:
+            ran, words = run(lattice, unit_states, entry, None)
+            if fresh is None:  # after the first entry's runs, where the single step fails
+                if after is None:
+                    after = steps[lattice] = ca_step(ca, lattice)
+                fresh = rebind(lattice, after)
             for i, unit_state in fresh:
                 ran[i] = unit_state
             words = tuple(words)
-            action = actions[e].get(words)
+            action = table.get(words)
             if action is None:
-                action = actions[e][words] = Action(entry, _observable_output(ma, words))
+                action = table[words] = Action(entry, _observable_output(ma, words))
             yield action, (after, tuple(ran), cfg.outer_state)
 
     return successors
 
 
 def _mode2_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tuple, ...]):
-    """The successor function of ``ca_from_sa`` states: one ``_macro_step_mode2`` per entry."""
+    """``_explore`` successors of ``ca_from_sa`` states: one ``_macro_step_mode2`` per entry."""
 
-    def successors(cfg: MimicConfiguration):
+    def successors(sid: int, cfg: MimicConfiguration, depth: int):
         for entry in universe:
             nxt, _, _, output = _macro_step_mode2(ma, binding, cfg, entry, depth=1)
             key = strip_clocks(nxt)
@@ -509,6 +506,11 @@ def product(ts: TransitionSystem, pattern: SequentialAutomaton) -> TransitionSys
 # ---------------------------------------------------------------------------
 # probabilistic analysis
 
+def _require_horizon(horizon: int | None) -> None:
+    if horizon is not None and horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+
+
 def _normalize_policy(policy) -> tuple[tuple, ...]:
     if policy is None:
         raise ValueError("an input policy is required for probabilistic analysis")
@@ -547,20 +549,17 @@ def _expand_chain(
     lattice0: Lattice | None = None,
     successor_cap: int = DEFAULT_SUCCESSOR_CAP,
     horizon: int | None = None,
-) -> tuple[list[MimicConfiguration], list[frozenset[str]], list[list[int]], list[list[float]]]:
-    """Breadth-first expansion of the chain over (configuration, policy phase) states.
+) -> tuple[list[str], list[MimicConfiguration], list[frozenset[str]], list[tuple[tuple[float, str], ...]]]:
+    """``_explore`` of the chain over (configuration, policy phase) states.
 
-    Returns per state id, in discovery order: the clock-stripped
-    configuration, its propositions, and its row as successor ids and
-    probabilities in ``pca_step_distribution`` order. The tables are local
-    to the call: each distinct lattice's distribution is computed once, each
-    (unit, unit state, block) run once, and each (lattice, successor
-    lattice) rebind once. Per-state work keeps the order of a single macro
-    step (all unit runs, the distribution, then each successor), so the
-    first error raised is the one an unmemoised expansion raises. States at
-    depth ``horizon`` are not expanded and get a self-loop; rows are
-    checked to sum to one only when the whole chain is built (``horizon``
-    None). The model must pass ``_require_exactly_expandable``.
+    A row holds ``(probability, successor name)`` in ``pca_step_distribution``
+    order, and a state's phase is its depth modulo the policy's period. Each
+    lattice's distribution, with its successors' fresh units, is computed
+    once per call. Per state, the unit runs come before the distribution and
+    the successors, as in a single step, so the first error is the same.
+    States at depth ``horizon`` get a self-loop; rows must sum to one only
+    when ``horizon`` is None. The model must pass
+    ``_require_exactly_expandable``.
     """
     binding = ma.root()
     ca = ma.ca_set[binding.ca]
@@ -569,68 +568,39 @@ def _expand_chain(
         ma_initial(ma, lattice0 if lattice0 is not None else binding_seed(ma, binding))
     )
     outer = start.outer_state
-    runs: dict = {}  # (unit, unit state, block) -> clock-stripped final state
-    dists: dict = {}  # lattice -> ((successor lattice, probability), ...)
-    fresh: dict = {}  # (lattice, successor lattice) -> ((cell, fresh unit state), ...)
+    run, rebind = _unit_tables(ma, binding, 1, canonical=True)
+    # lattice -> ([[successor lattice, probability, fresh units once rebound], ...], their sum)
+    dists: dict = {}
 
-    ids = {(start.lattice, start.unit_states, 0): 0}
-    configs = [start]
-    props = [props_fn(start)]
-    phases = [0]
-    depths = [0]
-    succ: list[list[int]] = []
-    probs: list[list[float]] = []
-    for sid, cfg in enumerate(configs):  # grows while it is walked: breadth-first order
-        if horizon is not None and depths[sid] >= horizon:
-            succ.append([sid])
-            probs.append([1.0])
-            continue
+    def successors(sid: int, cfg: MimicConfiguration, depth: int):
         lattice = cfg.lattice
-        phase = phases[sid]
-        block = policy[phase]
-        ran = []
-        for i, q in enumerate(lattice):
-            run = (binding.cell_map[q], cfg.unit_states[i], block)
-            final = runs.get(run)
-            if final is None:
-                final, _ = _run_unit(ma, *run, None, 1, i)
-                if isinstance(final, MimicConfiguration):
-                    final = strip_clocks(final)
-                runs[run] = final
-            ran.append(final)
+        if horizon is not None and depth >= horizon:
+            yield 1.0, (lattice, cfg.unit_states, depth % period)
+            return
+        ran, _ = run(lattice, cfg.unit_states, policy[depth % period], None)
         dist = dists.get(lattice)
         if dist is None:
-            dist = dists[lattice] = tuple(pca_step_distribution(ca, lattice, successor_cap).items())
-        next_phase = (phase + 1) % period
-        row_succ = []
-        row_prob = []
-        for after, prob in dist:
-            change = fresh.get((lattice, after))
-            if change is None:
-                change = fresh[(lattice, after)] = _fresh_units(ma, binding, lattice, after, 1)
+            dist = pca_step_distribution(ca, lattice, successor_cap)
+            dist = dists[lattice] = ([[after, prob, None] for after, prob in dist.items()], sum(dist.values()))
+        phase = (depth + 1) % period
+        for successor in dist[0]:
+            after, prob, fresh = successor
+            if fresh is None:  # rebound when first reached, so errors keep their order
+                fresh = successor[2] = rebind(lattice, after)
             unit_states = list(ran)
-            for i, unit_state in change:
+            for i, unit_state in fresh:
                 unit_states[i] = unit_state
-            key = (after, tuple(unit_states), next_phase)
-            tid = ids.get(key)
-            if tid is None:
-                if len(ids) >= bound:
-                    raise ExplosionError(bound, len(ids) - sid)
-                tid = ids[key] = len(configs)
-                nxt = MimicConfiguration(after, key[1], 0, outer)
-                configs.append(nxt)
-                props.append(props_fn(nxt))
-                phases.append(next_phase)
-                depths.append(depths[sid] + 1)
-            row_succ.append(tid)
-            row_prob.append(prob)
-        if horizon is None:
-            total = sum(row_prob)
-            if abs(total - 1.0) > ROW_TOL:
-                raise MimicError(f"chain row for s{sid} sums to {total!r}")
-        succ.append(row_succ)
-        probs.append(row_prob)
-    return configs, props, succ, probs
+            yield prob, (after, tuple(unit_states), phase)
+        if horizon is None and abs(dist[1] - 1.0) > ROW_TOL:
+            raise MimicError(f"chain row for s{sid} sums to {dist[1]!r}")
+
+    return _explore(
+        (start.lattice, start.unit_states, 0),
+        lambda key: MimicConfiguration(key[0], key[1], 0, outer),
+        successors,
+        props_fn,
+        bound,
+    )
 
 
 def build_dtmc(
@@ -650,15 +620,11 @@ def build_dtmc(
     policy = _normalize_policy(input_policy)
     _require_exactly_expandable(ma)
     props_fn, vocabulary = labeling or builtin_labeling(ma)
-    configs, props, succ, probs = _expand_chain(ma, policy, props_fn, bound, lattice0, successor_cap)
-    names = [f"s{i}" for i in range(len(configs))]
+    names, configs, props, rows = _expand_chain(ma, policy, props_fn, bound, lattice0, successor_cap)
     return Dtmc(
         states=dict(zip(names, configs)),
         initial="s0",
-        rows={
-            sid: tuple(zip([names[t] for t in row], row_probs))
-            for sid, row, row_probs in zip(names, succ, probs)
-        },
+        rows={sid: tuple((tid, prob) for prob, tid in row) for sid, row in zip(names, rows)},
         atomic_props=dict(zip(names, props)),
         vocabulary=vocabulary,
         metadata={"model": ma.name, "policy": policy},
@@ -681,6 +647,7 @@ def reach_probability_exact(
     ``prob * x[successor]`` terms with ``np.bincount`` in row order, the
     order a per-state loop adds them in.
     """
+    _require_horizon(horizon)
     pred = _as_predicate(target)
     check_vocabulary(pred, dtmc.vocabulary)
     order = list(dtmc.states)
@@ -759,6 +726,7 @@ def reach_probability_mc(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _require_horizon(horizon)
     pred = _as_predicate(target)
     policy = _normalize_policy(input_policy)
     props_fn, vocabulary = labeling or builtin_labeling(ma)
@@ -799,14 +767,15 @@ def _mc_chain(ma, policy, pred, horizon, trials, seed, bound, props_fn) -> int:
     entry). The search runs for all live trials at once, as a binary search
     within each trial's row of one flat cumulative array.
     """
-    _, props, succ, probs = _expand_chain(ma, policy, props_fn, bound, horizon=horizon)
+    names, _, props, rows = _expand_chain(ma, policy, props_fn, bound, horizon=horizon)
+    index = {name: i for i, name in enumerate(names)}
     target = np.array([eval_predicate(pred, p) for p in props], dtype=bool)
-    lengths = np.array([len(row) for row in succ], dtype=np.intp)
+    lengths = np.array([len(row) for row in rows], dtype=np.intp)
     ends = np.cumsum(lengths)
     starts = ends - lengths
-    successors = np.fromiter(itertools.chain.from_iterable(succ), dtype=np.intp, count=int(ends[-1]))
+    successors = np.array([index[tid] for row in rows for _, tid in row], dtype=np.intp)
     cumulative = np.fromiter(
-        itertools.chain.from_iterable(itertools.accumulate(row) for row in probs),
+        itertools.chain.from_iterable(itertools.accumulate(prob for prob, _ in row) for row in rows),
         dtype=float,
         count=int(ends[-1]),
     )
@@ -910,7 +879,9 @@ def check_property(
     Deterministic models are flattened and checked explicitly. Probabilistic
     models support ``reach`` targets, exactly by default or by Monte Carlo
     when ``trials`` is given; the policy comes from the property (or the sole
-    universe entry).
+    universe entry). A ``horizon`` applies to ``reach`` only: a deterministic
+    reach then holds only when its shortest witness has at most ``horizon``
+    actions.
     """
     universe = prop.inputs if prop.inputs is not None else input_universe
     if has_randomness(ma):
@@ -931,13 +902,19 @@ def check_property(
         dtmc = build_dtmc(ma, policy, bound=bound, lattice0=lattice0)
         return reach_probability_exact(dtmc, prop.predicate, tol=tol, horizon=prop.horizon)
 
+    if prop.horizon is not None and prop.kind != REACH:
+        raise PropertyError(f"a horizon applies to reach properties only, not to {prop.kind}")
+    _require_horizon(prop.horizon)
     if universe is None:
         raise PropertyError("an input universe is required to flatten the model")
     ts = flatten(ma, universe, bound=bound, lattice0=lattice0)
     if prop.kind == INVARIANT:
         return check_invariant(ts, prop.predicate)
     if prop.kind == REACH:
-        return check_reach(ts, prop.predicate)
+        result = check_reach(ts, prop.predicate)
+        if prop.horizon is not None and result.verdict == "holds" and len(result.counterexample) > prop.horizon:
+            return CheckResult("violated", stats=result.stats)  # the witness is a shortest one
+        return result
     if prop.kind == BAD_PREFIX:
         prod = product(ts, prop.pattern)
         result = check_reach(prod, ACCEPTING)

@@ -466,59 +466,82 @@ def _reinit_units(
     return tuple(units)
 
 
-def _mode1_stepper(ma: MimicAutomaton, binding: Binding, depth: int):
-    """``step(cfg, block, rng)``: the ``sa_from_ca`` macro step, with tables kept per stepper.
+def _unit_tables(ma: MimicAutomaton, binding: Binding, depth: int, canonical: bool):
+    """``run`` and ``rebind``: the ``sa_from_ca`` unit runs of one call, memoised.
 
-    It returns the next configuration, the per-cell ``RunResult``s and the
-    successor lattice. ``SaUnit``/``HaUnit`` runs are pure, so each (unit,
-    unit state, block) runs once; nested units carry macro clocks and run
-    every tick. Fresh units are built once per (lattice, successor lattice);
-    the lattice itself steps exactly once per tick. Cells run in index order
-    and a run that raises is never stored, so errors come in the same order.
+    ``run(lattice, unit_states, block, rng)`` gives the frozen lattice's
+    final unit states and per-cell ``RunResult``s (output words when
+    ``canonical``). Each (unit, unit state, block) runs once; nested units
+    carry macro clocks and run every time, unless ``canonical``: then states
+    are clock-stripped, so nested runs are memoised and their finals
+    stripped. Cells run in index order, a run that raises is never stored,
+    and an unmapped cell state raises its ``KeyError`` at its own cell.
+    ``rebind(lattice, after)`` gives the ``_fresh_units`` of a lattice step,
+    built once per (lattice, successor lattice).
     """
-    ca = ma.ca_set[binding.ca]
-    probabilistic = isinstance(ca, ProbabilisticCellularAutomaton)
     unit_ids: dict = {}  # distinct units in first-seen order
     uid_of = {q: unit_ids.setdefault(unit, len(unit_ids)) for q, unit in binding.cell_map.items()}
     units = list(unit_ids)
-    pure = [not isinstance(unit, NestedUnit) for unit in units]
-    runs: dict = {}  # block -> [unit id] -> unit state -> (final state, RunResult)
-    lattices: dict = {}  # lattice -> (unit id per cell, successor lattice -> fresh units)
+    unmapped = len(units)  # the unit id of an unmapped cell state: its table stays empty
+    runs: dict = {}  # block -> [unit id] -> unit state -> (final state, RunResult or output word)
+    unit_ids_of: dict = {}  # lattice -> unit id per cell
+    fresh_of: dict = {}  # (lattice, successor lattice) -> fresh units
+
+    def run(lattice: Lattice, unit_states: tuple, block: Word, rng: np.random.Generator | None):
+        uids = unit_ids_of.get(lattice)
+        if uids is None:
+            uids = unit_ids_of[lattice] = tuple(uid_of.get(q, unmapped) for q in lattice)
+        tables = runs.get(block)
+        if tables is None:
+            tables = runs[block] = [{} for _ in range(unmapped + 1)]
+        ran = []
+        per_cell = []
+        for uid, state in zip(uids, unit_states):
+            hit = tables[uid].get(state)
+            if hit is None:
+                i = len(ran)  # the cell's index
+                if uid == unmapped:
+                    raise KeyError(lattice[i])
+                hit = _run_unit(ma, units[uid], state, block, rng, depth, i)
+                if canonical:
+                    final, result = hit
+                    if isinstance(final, MimicConfiguration):
+                        final = strip_clocks(final)
+                    hit = (final, result.output_word)
+                if canonical or not isinstance(units[uid], NestedUnit):
+                    tables[uid][state] = hit
+            ran.append(hit[0])
+            per_cell.append(hit[1])
+        return ran, per_cell
+
+    def rebind(lattice: Lattice, after: Lattice) -> tuple[tuple[int, object], ...]:
+        fresh = fresh_of.get((lattice, after))
+        if fresh is None:
+            fresh = fresh_of[(lattice, after)] = _fresh_units(ma, binding, lattice, after, depth)
+        return fresh
+
+    return run, rebind
+
+
+def _mode1_stepper(ma: MimicAutomaton, binding: Binding, depth: int):
+    """``step(cfg, block, rng)`` -> (next configuration, per-cell ``RunResult``s, successor lattice).
+
+    One ``_unit_tables`` serves every tick; the lattice steps once per tick.
+    """
+    ca = ma.ca_set[binding.ca]
+    probabilistic = isinstance(ca, ProbabilisticCellularAutomaton)
+    run, rebind = _unit_tables(ma, binding, depth, canonical=False)
 
     def step(cfg: MimicConfiguration, block: Word, rng: np.random.Generator | None):
         lattice = cfg.lattice
-        info = lattices.get(lattice)
-        if info is None:
-            info = lattices[lattice] = (tuple(uid_of.get(q) for q in lattice), {})
-        uids, fresh_of = info
-        tables = runs.get(block)
-        if tables is None:
-            tables = runs[block] = [{} for _ in units]
-        unit_states = cfg.unit_states
-        ran = []
-        results = []
-        for i, uid in enumerate(uids):
-            if uid is None:  # an unmapped cell state fails where the unmemoised step fails
-                raise KeyError(lattice[i])
-            state = unit_states[i]
-            hit = tables[uid].get(state) if pure[uid] else None
-            if hit is None:
-                hit = _run_unit(ma, units[uid], state, block, rng, depth, i)
-                if pure[uid]:
-                    tables[uid][state] = hit
-            ran.append(hit[0])
-            results.append(hit[1])
-
+        ran, results = run(lattice, cfg.unit_states, block, rng)
         if probabilistic:
             if rng is None:
                 raise MimicError(f"{binding.name}: probabilistic lattice step needs a random stream")
             after = pca_step(ca, lattice, rng)
         else:
             after = ca_step(ca, lattice)
-        fresh = fresh_of.get(after)
-        if fresh is None:
-            fresh = fresh_of[after] = _fresh_units(ma, binding, lattice, after, depth)
-        for i, unit_state in fresh:
+        for i, unit_state in rebind(lattice, after):
             ran[i] = unit_state
         return MimicConfiguration(after, ran, cfg.macro_clock + 1, cfg.outer_state), tuple(results), after
 

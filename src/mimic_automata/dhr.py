@@ -36,6 +36,7 @@ from .composition import (
     MimicConfiguration,
     SaUnit,
     _mode1_stepper,
+    has_randomness,
     ma_initial,
 )
 from .errors import MimicError, ModelValidationError, Violation
@@ -427,7 +428,7 @@ def dhr_run(
                 break
         return reports
     ma = target.automaton
-    rng = master_stream(seed) if isinstance(ma.ca_set[ma.root().ca], ProbabilisticCellularAutomaton) else None
+    rng = master_stream(seed) if has_randomness(ma) else None
     cfg = dhr_initial(target)
     tick = _dhr_ticker(ma, target.voter)
     reports = []
@@ -478,10 +479,7 @@ def serial_run(
     schedule: Iterable[Iterable[str]],
     seed: int | None = None,
 ) -> tuple[tuple[MimicConfiguration, ...], list[SerialTick]]:
-    random_stages = any(
-        isinstance(stage.scheduler, ProbabilisticCellularAutomaton) for stage in s.stages
-    )
-    rng = master_stream(seed) if random_stages else None
+    rng = master_stream(seed) if any(has_randomness(ma) for ma in s.automata) else None
     states = serial_initial(s)
     serial_tick = _serial_ticker(s)
     ticks: list[SerialTick] = []

@@ -696,6 +696,11 @@ def _build_property(block: RawBlock, builder: _Builder, sas: dict[str, Sequentia
     inputs = _words_field(block, "inputs", builder)
     policy = _words_field(block, "policy", builder)
     horizon = _int_field(block, "horizon", builder, required=False)
+    if horizon is not None and horizon < 0:
+        field = _take_all(block, "horizon")[0]
+        builder.err(block, f"field 'horizon' must be >= 0, got {horizon}",
+                    line=field.line, col=field.tokens[0].col)
+        return None
     return Property(
         name=block.name,
         kind=kind,

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import mimic_automata.checker as checker
+import mimic_automata.composition as composition
 from mimic_automata import (
     Binding,
     ConvergenceError,
@@ -235,23 +236,25 @@ def test_unnormalised_rows_fail_the_exact_chain_and_are_sampled_as_they_are():
 
 def test_build_dtmc_computes_each_distribution_run_and_rebind_once(monkeypatch):
     dists, runs, rebinds = [], [], []
-    real_dist, real_run, real_fresh = checker.pca_step_distribution, checker._run_unit, checker._fresh_units
+    real_dist, real_run, real_fresh = checker.pca_step_distribution, composition._run_unit, composition._fresh_units
 
     def counting_dist(ca, lattice, cap):
         dists.append(lattice)
         return real_dist(ca, lattice, cap)
 
-    def counting_run(ma, unit, state, block, *rest):
-        runs.append((unit, state, block))
-        return real_run(ma, unit, state, block, *rest)
+    def counting_run(ma, unit, state, block, rng, depth, cell):
+        if depth == 1:  # nested steps run their own units at depth 2 and below
+            runs.append((unit, state, block))
+        return real_run(ma, unit, state, block, rng, depth, cell)
 
     def counting_fresh(ma, binding, before, after, depth):
-        rebinds.append((before, after))
+        if depth == 1:
+            rebinds.append((before, after))
         return real_fresh(ma, binding, before, after, depth)
 
     monkeypatch.setattr(checker, "pca_step_distribution", counting_dist)
-    monkeypatch.setattr(checker, "_run_unit", counting_run)
-    monkeypatch.setattr(checker, "_fresh_units", counting_fresh)
+    monkeypatch.setattr(composition, "_run_unit", counting_run)
+    monkeypatch.setattr(composition, "_fresh_units", counting_fresh)
     shared = 0
     for seed, ma, lattice0, policies in generated(40):
         for policy in policies:

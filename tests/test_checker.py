@@ -9,11 +9,13 @@ from mimic_automata import (
     MODE_SA_FROM_CA,
     MimicAutomaton,
     MimicError,
+    Property,
     PropertyError,
     SaUnit,
     build_dtmc,
     check_components,
     check_invariant,
+    check_property,
     check_reach,
     flatten,
     ma_initial,
@@ -25,6 +27,7 @@ from mimic_automata import (
     strip_clocks,
 )
 from mimic_automata.dot import ca_graph_dot, dtmc_to_dot, ts_to_dot
+from mimic_automata.props import parse_predicate
 
 from helpers import (
     flip_ma,
@@ -160,6 +163,41 @@ def test_reach_odd_has_witness():
     result = check_reach(ts, "cell0_state(odd)")
     assert result.verdict == "holds"
     assert [a.macro_input for a in result.counterexample.actions] == [("1",)]
+
+
+@pytest.mark.parametrize("horizon, verdict", [(None, "holds"), (0, "violated"), (1, "holds"), (5, "holds")])
+def test_deterministic_reach_holds_only_within_its_horizon(horizon, verdict):
+    # the witness check_reach finds is a shortest one: one action to "odd"
+    prop = Property("odd", "reach", predicate=parse_predicate("cell0_state(odd)"), horizon=horizon)
+    result = check_property(parity_ma(), prop, UNIVERSE)
+    assert result.verdict == verdict
+    if verdict == "holds":
+        assert len(result.counterexample) == 1
+    else:
+        assert result.counterexample is None
+    # a target true at the start needs no action, so horizon 0 suffices
+    start = Property("even", "reach", predicate=parse_predicate("cell0_state(even)"), horizon=0)
+    assert check_property(parity_ma(), start, UNIVERSE).verdict == "holds"
+
+
+@pytest.mark.parametrize("kind", ["invariant", "bad_prefix"])
+def test_horizon_on_a_non_reach_property_is_rejected(kind):
+    prop = Property("p", kind, predicate=parse_predicate("true"), pattern=parity_sa(), horizon=2)
+    with pytest.raises(PropertyError, match="horizon"):
+        check_property(parity_ma(), prop, UNIVERSE)
+
+
+def test_negative_horizons_are_rejected_by_every_reach_analysis():
+    dtmc = build_dtmc(flip_ma(), ("a",))
+    with pytest.raises(ValueError, match="horizon must be >= 0, got -3"):
+        reach_probability_exact(dtmc, "lattice_has(1)", horizon=-3)
+    with pytest.raises(ValueError, match="horizon must be >= 0, got -1"):
+        reach_probability_mc(flip_ma(), ("a",), "lattice_has(1)", horizon=-1, trials=100, seed=1)
+    prop = Property("odd", "reach", predicate=parse_predicate("cell0_state(odd)"), horizon=-1)
+    with pytest.raises(ValueError, match="horizon must be >= 0, got -1"):
+        check_property(parity_ma(), prop, UNIVERSE)
+    # horizon 0 is still a valid bound: only the initial state counts
+    assert reach_probability_exact(dtmc, "lattice_has(1)", horizon=0).probability == 0.0
 
 
 def test_reach_vocabulary_member_never_assigned_is_unreachable():

@@ -201,6 +201,45 @@ def test_check_unbounded_probability_with_tol(capsys):
     assert abs(json.loads(out)["probability"] - 1.0) < 1e-4
 
 
+def test_negative_horizon_exits_three_in_validate_and_check(capsys, tmp_path):
+    bad = tmp_path / "flip.ma"
+    bad.write_text((MODELS / "flip.ma").read_text().replace("horizon: 2", "horizon: -3"))
+    for argv in (["validate", str(bad)],
+                 ["check", str(bad), "--model", "flip_ma", "--property", "hit_one"],
+                 ["check", str(bad), "--model", "flip_ma", "--property", "hit_one", "--trials", "100"]):
+        code, out, err = run(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert "field 'horizon' must be >= 0, got -3" in err
+
+
+@pytest.mark.parametrize("horizon, code", [(0, 1), (1, 0)])
+def test_deterministic_reach_horizon_decides_the_exit_code(capsys, tmp_path, horizon, code):
+    path = tmp_path / "parity.ma"
+    path.write_text(
+        (MODELS / "parity.ma").read_text().replace(
+            "  predicate: cell0_state(odd)\n", f"  predicate: cell0_state(odd)\n  horizon: {horizon}\n"
+        )
+    )
+    got, out, _ = run(capsys, ["check", str(path), "--model", "parity_ma", "--property", "reach_odd",
+                               "--format", "json"])
+    assert got == code
+    assert json.loads(out)["verdict"] == ("holds" if code == 0 else "violated")
+
+
+def test_horizon_on_an_invariant_exits_three(capsys, tmp_path):
+    path = tmp_path / "parity.ma"
+    path.write_text(
+        (MODELS / "parity.ma").read_text().replace(
+            "  predicate: cell0_state(even)\n", "  predicate: cell0_state(even)\n  horizon: 3\n"
+        )
+    )
+    code, out, err = run(capsys, ["check", str(path), "--model", "parity_ma", "--property", "even_always"])
+    assert code == 3
+    assert out == ""
+    assert "horizon applies to reach properties only" in err
+
+
 def test_usage_error_exit_three(capsys):
     code, _, err = run(capsys, ["check", PARITY, "--model", "missing",
                                 "--property", "true_inv"])

@@ -7,12 +7,14 @@ and id by id, that the work really is done once, and that a failing run
 fails at the same place as before.
 """
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
 import mimic_automata.checker as checker
+import mimic_automata.composition as composition
 from mimic_automata import (
     Binding,
     CellularAutomaton,
@@ -22,17 +24,20 @@ from mimic_automata import (
     MODE_CA_FROM_SA,
     MODE_SA_FROM_CA,
     MimicAutomaton,
+    MimicError,
     NestedUnit,
     SaUnit,
     VoterPolicy,
+    build_dtmc,
     flatten,
     inject_fault,
     ma_initial,
     ma_run,
+    point_mass_pca,
     strip_clocks,
 )
 from mimic_automata.checker import Action, _observable_output, builtin_labeling
-from mimic_automata.composition import _macro_step_mode1, _macro_step_mode2
+from mimic_automata.composition import _macro_step_mode1, _macro_step_mode2, has_randomness
 
 from helpers import (
     ALPHABET,
@@ -127,6 +132,36 @@ def test_flatten_matches_single_step_on_every_generated_flavor():
     assert seen == {"plain", "ha", "nested1", "nested2", "mode2"}
 
 
+def test_flatten_and_the_chain_builder_agree_on_point_mass_copies():
+    # the two drivers of the one exploration loop: a deterministic model
+    # flattened under one entry is the chain of its point-mass copy under
+    # that entry as the policy, id for id, with every row a probability-1 edge
+    checked = skipped = 0
+    cases = [(x11_parity_ma(), None, [("0",), ("1",)])]
+    cases += [(*gen_instance(random.Random(seed))[:2], BLOCKS) for seed in range(80)]
+    for ma, lattice0, universe in cases:
+        binding = ma.root()
+        if binding.mode != MODE_SA_FROM_CA or has_randomness(ma):
+            skipped += 1
+            continue
+        entry = universe[0]
+        try:
+            ts = flatten(ma, [entry], lattice0=lattice0)
+        except (KeyError, MimicError):
+            skipped += 1
+            continue
+        pca = point_mass_pca(ma.ca_set[binding.ca])
+        copy = dataclasses.replace(ma, ca_set={**ma.ca_set, binding.ca: pca})
+        dtmc = build_dtmc(copy, entry, lattice0=lattice0)
+        assert list(dtmc.states) == list(ts.states)
+        assert dtmc.states == ts.states
+        assert dtmc.atomic_props == ts.atomic_props
+        assert dtmc.rows == {sid: tuple((tid, 1.0) for _, tid in edges)
+                             for sid, edges in ts.transitions.items()}
+        checked += 1
+    assert checked >= 70 and checked + skipped == 81
+
+
 def generated_dhr(seed=0):
     """Three generated machines on a still lattice: the votes vary from state to state."""
     rnd = random.Random(seed)
@@ -151,7 +186,7 @@ def test_flatten_matches_single_step_on_voted_structures(structure):
 
 def test_flatten_runs_each_unit_once_and_steps_each_lattice_once(monkeypatch):
     runs, steps = [], []
-    run_unit, ca_step = checker._run_unit, checker.ca_step
+    run_unit, ca_step = composition._run_unit, checker.ca_step
 
     def counting_run(ma, unit, state, block, *rest):
         runs.append((unit, state, block))
@@ -161,7 +196,7 @@ def test_flatten_runs_each_unit_once_and_steps_each_lattice_once(monkeypatch):
         steps.append(lattice)
         return ca_step(ca, lattice)
 
-    monkeypatch.setattr(checker, "_run_unit", counting_run)
+    monkeypatch.setattr(composition, "_run_unit", counting_run)
     monkeypatch.setattr(checker, "ca_step", counting_step)
     ma = x11_parity_ma()
     ts = flatten(ma, [("0",), ("1",)])

@@ -53,6 +53,18 @@ def test_parse_locates_unterminated_string_and_unclosed_block():
     assert any("unterminated" in m for m in messages)
 
 
+def test_negative_horizon_is_rejected_at_its_field():
+    text = (MODELS / "flip.ma").read_text().replace("horizon: 2", "horizon: -3")
+    doc, diags = parse(text, "flip.ma")
+    line = text.splitlines().index("  horizon: -3") + 1
+    assert [(d.file, d.line, d.col, d.message) for d in diags] == [
+        ("flip.ma", line, 12, "field 'horizon' must be >= 0, got -3")
+    ]
+    assert "hit_one" not in doc.properties
+    _, diags = parse(text.replace("horizon: -3", "horizon: 0"))
+    assert diags == []
+
+
 def test_every_rejection_is_located():
     bad_texts = [
         "what is this",
