@@ -722,10 +722,13 @@ def reach_probability_mc(
     expanded once to depth ``horizon`` and sampled vectorially; models that
     are not, or whose expansion exceeds ``bound`` states or the successor
     cap, fall back to per-trial simulation with the same block seeding. A
-    ``ca_from_sa`` root is refused with a MimicError.
+    ``ca_from_sa`` root is refused with a MimicError, and a missing or
+    negative ``horizon`` with a ValueError.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if horizon is None:
+        raise ValueError("Monte Carlo estimation needs a horizon")
     _require_horizon(horizon)
     pred = _as_predicate(target)
     policy = _normalize_policy(input_policy)

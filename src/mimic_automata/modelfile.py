@@ -11,20 +11,24 @@ sequences) are double-quoted and split per character. Repeatable fields:
 
 Rule fields for ``ca``/``pca`` are either ``rule expr: xor|identity|majority``
 or ``rule table:`` followed by indented ``<neighborhood> -> <state>`` lines
-(``<state>@<prob> ...`` for ``pca``). A ``binding`` in mode ``ca_from_sa``
-carries ``readout expr: cell <i>`` / ``readout expr: parity <q>`` or
-``readout table:`` with ``<lattice> -> <symbol>`` lines.
+(``<state>@<prob> ...`` for ``pca``, which takes only ``rule table:``). A
+``binding`` in mode ``ca_from_sa`` carries ``readout expr: cell <i>`` /
+``readout expr: parity <q>`` or ``readout table:`` with ``<lattice> ->
+<symbol>`` lines. No other field takes an ``expr``/``table`` sub-key.
 
-Parsing is followed by reference resolution and invariant validation; every
-rejection carries at least one ``file:line:col`` diagnostic. Serialization is
-canonical (blocks sorted by kind then name, fixed field order) and
-``parse(serialize(doc))`` equals ``doc``.
+Each block kind has one spec (``_SPECS``): its document attribute, builder,
+writer and fields in canonical order, each required, repeatable or taking
+sub-keys. Parsing is followed by reference resolution and invariant
+validation; every rejection carries at least one ``file:line:col``
+diagnostic. Serialization is canonical (blocks sorted by kind then name,
+fields in spec order) and ``parse(serialize(doc))`` equals ``doc``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dc_field
+from typing import Callable, NamedTuple
 
 from .cellular import (
     BOUNDARY_FIXED,
@@ -102,11 +106,11 @@ class ModelDocument:
 # ---------------------------------------------------------------------------
 # lexical scan
 
-@dataclass(frozen=True)
-class Token:
-    text: str
-    col: int
-    quoted: bool = False
+Token = tuple[str, int, bool]  # (text, column, quoted): plain tuples keep large documents cheap
+
+
+def _texts(tokens: list[Token]) -> list[str]:
+    return [text for text, _, _ in tokens]
 
 
 @dataclass
@@ -119,6 +123,10 @@ class RawField:
     col: int
     entries: list[tuple[list[Token], int]] = dc_field(default_factory=list)
 
+    @property
+    def texts(self) -> list[str]:
+        return _texts(self.tokens)
+
 
 @dataclass
 class RawBlock:
@@ -128,52 +136,27 @@ class RawBlock:
     line: int
     fields: list[RawField] = dc_field(default_factory=list)
 
-    def field_map(self) -> dict[tuple[str, str | None], RawField]:
-        return {(f.name, f.sub): f for f in self.fields}
-
 
 _FIELD_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\s+(table|expr))?\s*:\s*(.*)$")
 _OPEN_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s+(\S+)\s*\{\s*$")
-_RESERVED_IN_TOKEN = set('{}"#:')
-
-
-def _strip_comment(line: str) -> str:
-    out = []
-    quoted = False
-    for ch in line:
-        if ch == '"':
-            quoted = not quoted
-        if ch == "#" and not quoted:
-            break
-        out.append(ch)
-    return "".join(out)
+# the text before the first '#' outside a string; an unterminated string runs to the end
+_BEFORE_COMMENT_RE = re.compile(r'(?:[^"#]+|"[^"]*(?:"|$))*')
+# a string, a bare token, or (group 3) a stray quote or reserved character
+_TOKEN_RE = re.compile(r'\s*(?:"([^"]*)"|([^\s{}"#:]+)|(\S))')
 
 
 def _tokenize(text: str, line_no: int, base_col: int, diagnostics: list[Diagnostic], file: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        col = base_col + i
-        if ch == '"':
-            end = text.find('"', i + 1)
-            if end < 0:
-                diagnostics.append(Diagnostic(file, line_no, col, "unterminated string"))
-                return tokens
-            tokens.append(Token(text[i + 1 : end], col, quoted=True))
-            i = end + 1
-            continue
-        j = i
-        while j < len(text) and not text[j].isspace() and text[j] not in _RESERVED_IN_TOKEN:
-            j += 1
-        if j == i:
-            diagnostics.append(Diagnostic(file, line_no, col, f"unexpected character {ch!r}"))
-            return tokens
-        tokens.append(Token(text[i:j], col))
-        i = j
+    for match in _TOKEN_RE.finditer(text):
+        quoted, bare, bad = match.groups()
+        if bare is not None:
+            tokens.append((bare, base_col + match.start(2), False))
+        elif quoted is not None:
+            tokens.append((quoted, base_col + match.start(1) - 1, True))
+        else:
+            message = "unterminated string" if bad == '"' else f"unexpected character {bad!r}"
+            diagnostics.append(Diagnostic(file, line_no, base_col + match.start(3), message))
+            break
     return tokens
 
 
@@ -184,7 +167,7 @@ def scan(text: str, file: str = "<string>") -> tuple[list[RawBlock], list[Diagno
     table: RawField | None = None
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        stripped_full = _strip_comment(raw_line)
+        stripped_full = _BEFORE_COMMENT_RE.match(raw_line).group() if "#" in raw_line else raw_line
         stripped = stripped_full.strip()
         if not stripped:
             continue
@@ -240,216 +223,256 @@ def scan(text: str, file: str = "<string>") -> tuple[list[RawBlock], list[Diagno
 
 
 # ---------------------------------------------------------------------------
+# block kinds: one spec each
+
+class _FieldSpec(NamedTuple):
+    required: bool
+    repeat: bool
+    subs: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class _Kind:
+    attr: str  # the ModelDocument attribute holding this kind's objects
+    build: Callable  # (_Block, ModelDocument) -> object | None
+    write: Callable  # object -> {field: value}; see _write_block
+    fields: dict[str, _FieldSpec]  # canonical order
+    check: Callable | None = None  # (ModelDocument, blocks) after all of this kind are built
+
+
+_FIELD_SPEC_RE = re.compile(r"(\w+)(!?)(\*?)(?:\[([\w,]+)\])?")
+
+
+def _kind(attr: str, build, write, fields: str, check=None) -> _Kind:
+    """``fields`` in canonical order: ``name!`` is required, ``name*`` repeatable,
+    ``name[expr,table]`` takes exactly one of those sub-keys; any other field takes none."""
+    specs = {}
+    for item in fields.split():
+        name, required, repeat, subs = _FIELD_SPEC_RE.fullmatch(item).groups()
+        specs[name] = _FieldSpec(bool(required), bool(repeat), tuple(subs.split(",")) if subs else ())
+    return _Kind(attr, build, write, specs, check)
+
+
+class _Block:
+    """A raw block's fields grouped by its kind's spec.
+
+    Grouping reports unknown fields and sub-keys a field does not take. A
+    duplicate of a non-repeatable field, and a missing required one, are
+    reported when the builder takes that field, in the builder's order.
+    """
+
+    def __init__(self, raw: RawBlock, spec: _Kind, diagnostics: list[Diagnostic]):
+        self.raw, self.spec, self.diagnostics = raw, spec, diagnostics
+        self.groups: dict[str | tuple[str, str | None], list[RawField]] = {}
+        for f in raw.fields:
+            fs = spec.fields.get(f.name)
+            if fs is None:
+                self.err(f"unknown field {f.name!r} in {raw.kind} block", f.line, f.col,
+                         hint="expected one of " + ", ".join(sorted(spec.fields)))
+                continue
+            if f.sub not in (fs.subs or (None,)):
+                forms = " or ".join(f"'{f.name} {sub}:'" for sub in fs.subs) or f"'{f.name}:'"
+                what = f"takes no sub-key {f.sub!r}" if f.sub else "needs a sub-key"
+                self.err(f"field {f.name!r} {what}", f.line, f.col, hint="write " + forms)
+            self.groups.setdefault((f.name, f.sub) if fs.subs else f.name, []).append(f)
+
+    @property
+    def name(self) -> str:
+        return self.raw.name
+
+    def err(self, message: str, line: int | None = None, col: int = 1, hint=None) -> None:
+        self.diagnostics.append(Diagnostic(self.raw.file, line or self.raw.line, col, message, hint))
+
+    def report_violations(self, violations) -> None:
+        for v in violations:
+            self.err(f"{self.raw.kind} {self.raw.name}: {v}")
+
+    def take(self, name: str, sub: str | None = None, required: bool | None = None) -> RawField | None:
+        """The first ``name`` field (``name sub:`` for a field with sub-keys)."""
+        spec = self.spec.fields[name]
+        found = self.groups.get((name, sub) if spec.subs else name)
+        if not found:
+            if spec.required if required is None else required:
+                self.err(f"{self.raw.kind} {self.raw.name}: missing field {name!r}")
+            return None
+        if len(found) > 1 and not spec.repeat:
+            self.err(f"duplicate field {name!r}", found[1].line, found[1].col)
+        return found[0]
+
+    def take_all(self, name: str) -> list[RawField]:
+        return self.groups.get(name, [])
+
+    def expr_or_table(self, name: str) -> tuple[RawField | None, RawField | None]:
+        expr_f, table_f = self.take(name, "expr"), self.take(name, "table")
+        if expr_f is not None and table_f is not None:
+            self.err(f"give either '{name} expr:' or '{name} table:', not both", table_f.line, table_f.col)
+        return expr_f, table_f
+
+    def names(self, name: str) -> list[str] | None:
+        field = self.take(name)
+        return None if field is None else field.texts
+
+    def one_name(self, name: str, required: bool | None = None) -> str | None:
+        field = self.take(name, required=required)
+        if field is None:
+            return None
+        if len(field.tokens) != 1:
+            self.err(f"field {name!r} expects exactly one value", field.line, field.col)
+            return None
+        return field.texts[0]
+
+    def integer(self, name: str, default: int | None = None) -> int | None:
+        field = self.take(name)
+        if field is None:
+            return default
+        if len(field.tokens) != 1:
+            self.err(f"field {name!r} expects one integer", field.line, field.col)
+            return default
+        text, col, _ = field.tokens[0]
+        try:
+            return int(text)
+        except ValueError:
+            self.err(f"field {name!r}: {text!r} is not an integer", field.line, col)
+            return default
+
+    def at_least_zero(self, name: str, value: int | None) -> bool:
+        """False, with a diagnostic at the value, when ``value`` of ``name`` is negative."""
+        if value is None or value >= 0:
+            return True
+        field = self.groups[name][0]
+        _, col, _ = field.tokens[0]
+        self.err(f"field {name!r} must be >= 0, got {value}", field.line, col)
+        return False
+
+    def words(self, name: str) -> tuple[tuple[str, ...], ...] | None:
+        field = self.take(name)
+        if field is None:
+            return None
+        for _, col, quoted in field.tokens:
+            if not quoted:
+                self.err(f"field {name!r} expects quoted words", field.line, col)
+                return None
+        return tuple(tuple(text) for text in field.texts)
+
+
+# ---------------------------------------------------------------------------
 # building domain objects from raw blocks
 
-class _Builder:
-    def __init__(self):
-        self.diagnostics: list[Diagnostic] = []
-        self.locations: dict[tuple[str, str], tuple[str, int]] = {}
-
-    def err(self, block: RawBlock, message: str, line: int | None = None, col: int = 1, hint=None):
-        self.diagnostics.append(Diagnostic(block.file, line or block.line, col, message, hint))
-
-    def report_violations(self, block: RawBlock, violations) -> None:
-        for v in violations:
-            self.err(block, f"{block.kind} {block.name}: {v}")
-
-
-def _take(block: RawBlock, name: str, builder: _Builder, sub=None, required=False) -> RawField | None:
-    found = [f for f in block.fields if f.name == name and (sub is None or f.sub == sub)]
-    if not found:
-        if required:
-            builder.err(block, f"{block.kind} {block.name}: missing field {name!r}")
+def _build_sa(b: _Block, doc: ModelDocument) -> SequentialAutomaton | None:
+    states = b.names("states")
+    initial = b.one_name("initial")
+    finals = b.names("finals")
+    inputs = b.names("inputs")
+    outputs = b.names("outputs")
+    partial_f = b.take("partial")
+    if states is None or initial is None or inputs is None or outputs is None:
         return None
-    if len(found) > 1 and name not in ("delta", "gamma", "cell_map"):
-        builder.err(block, f"duplicate field {name!r}", line=found[1].line, col=found[1].col)
-    return found[0]
-
-
-def _take_all(block: RawBlock, name: str) -> list[RawField]:
-    return [f for f in block.fields if f.name == name]
-
-
-def _names(field: RawField) -> list[str]:
-    return [t.text for t in field.tokens]
-
-
-def _one_name(block: RawBlock, name: str, builder: _Builder, required=True) -> str | None:
-    field = _take(block, name, builder, required=required)
-    if field is None:
-        return None
-    if len(field.tokens) != 1:
-        builder.err(block, f"field {name!r} expects exactly one value", line=field.line, col=field.col)
-        return None
-    return field.tokens[0].text
-
-
-def _int_field(block: RawBlock, name: str, builder: _Builder, required=True, default=None) -> int | None:
-    field = _take(block, name, builder, required=required)
-    if field is None:
-        return default
-    if len(field.tokens) != 1:
-        builder.err(block, f"field {name!r} expects one integer", line=field.line, col=field.col)
-        return default
-    try:
-        return int(field.tokens[0].text)
-    except ValueError:
-        builder.err(block, f"field {name!r}: {field.tokens[0].text!r} is not an integer",
-                    line=field.line, col=field.tokens[0].col)
-        return default
-
-
-def _word(token: Token) -> tuple[str, ...]:
-    return tuple(token.text)
-
-
-def _words_field(block: RawBlock, name: str, builder: _Builder) -> tuple[tuple[str, ...], ...] | None:
-    field = _take(block, name, builder)
-    if field is None:
-        return None
-    words = []
-    for token in field.tokens:
-        if not token.quoted:
-            builder.err(block, f"field {name!r} expects quoted words", line=field.line, col=token.col)
-            return None
-        words.append(_word(token))
-    return tuple(words)
-
-
-def _check_unknown_fields(block: RawBlock, known: set[str], builder: _Builder) -> None:
-    for f in block.fields:
-        if f.name not in known:
-            builder.err(block, f"unknown field {f.name!r} in {block.kind} block",
-                        line=f.line, col=f.col, hint="expected one of " + ", ".join(sorted(known)))
-
-
-def _build_sa(block: RawBlock, builder: _Builder) -> SequentialAutomaton | None:
-    _check_unknown_fields(block, {"states", "initial", "finals", "inputs", "outputs", "partial", "delta"}, builder)
-    states_f = _take(block, "states", builder, required=True)
-    initial = _one_name(block, "initial", builder)
-    finals_f = _take(block, "finals", builder)
-    inputs_f = _take(block, "inputs", builder, required=True)
-    outputs_f = _take(block, "outputs", builder, required=True)
-    partial_f = _take(block, "partial", builder)
-    if states_f is None or initial is None or inputs_f is None or outputs_f is None:
-        return None
-    states = _names(states_f)
-    inputs = _names(inputs_f)
-    outputs = _names(outputs_f)
-    finals = _names(finals_f) if finals_f is not None else []
     allow_partial = False
     if partial_f is not None:
-        value = " ".join(_names(partial_f))
+        value = " ".join(partial_f.texts)
         if value not in ("true", "false"):
-            builder.err(block, "field 'partial' expects true or false", line=partial_f.line, col=partial_f.col)
+            b.err("field 'partial' expects true or false", partial_f.line, partial_f.col)
         allow_partial = value == "true"
 
     transitions = {}
     out_map = {}
-    for f in _take_all(block, "delta"):
-        tokens = f.tokens
+    for f in b.take_all("delta"):
+        texts = f.texts
         shape_ok = (
-            len(tokens) in (4, 6)
-            and tokens[2].text == "->"
-            and (len(tokens) == 4 or tokens[4].text == "/")
+            len(texts) in (4, 6)
+            and texts[2] == "->"
+            and (len(texts) == 4 or texts[4] == "/")
         )
         if not shape_ok:
-            builder.err(block, "delta expects '<state> <sym> -> <state> [/ <out>]'", line=f.line, col=f.col)
+            b.err("delta expects '<state> <sym> -> <state> [/ <out>]'", f.line, f.col)
             continue
-        src, sym, dst = tokens[0].text, tokens[1].text, tokens[3].text
-        out = tokens[5].text if len(tokens) == 6 else sym
+        (src, src_col, _), (sym, sym_col, _), _, (dst, dst_col, _) = f.tokens[:4]
+        out = texts[5] if len(texts) == 6 else sym
         if src not in states:
-            builder.err(block, f"delta source {src!r} is not a state", line=f.line, col=tokens[0].col)
+            b.err(f"delta source {src!r} is not a state", f.line, src_col)
         if sym not in inputs:
-            builder.err(block, f"delta symbol {sym!r} is not in the input alphabet", line=f.line, col=tokens[1].col)
+            b.err(f"delta symbol {sym!r} is not in the input alphabet", f.line, sym_col)
         if dst not in states:
-            builder.err(block, f"delta target {dst!r} is not a state", line=f.line, col=tokens[3].col)
+            b.err(f"delta target {dst!r} is not a state", f.line, dst_col)
         if out not in outputs:
-            builder.err(block, f"delta output {out!r} is not in the output alphabet", line=f.line, col=f.col)
+            b.err(f"delta output {out!r} is not in the output alphabet", f.line, f.col)
         if (src, sym) in transitions:
-            builder.err(block, f"duplicate delta for ({src}, {sym})", line=f.line, col=f.col)
+            b.err(f"duplicate delta for ({src}, {sym})", f.line, f.col)
         transitions[(src, sym)] = dst
         out_map[(src, sym)] = out
 
     sa = SequentialAutomaton(
-        name=block.name,
+        name=b.name,
         states=tuple(states),
         initial=initial,
-        finals=frozenset(finals),
+        finals=frozenset(finals or ()),
         input_alphabet=tuple(inputs),
         output_alphabet=tuple(outputs),
         transitions=transitions,
         outputs=out_map,
         allow_partial=allow_partial,
     )
-    builder.report_violations(block, validate_sa(sa))
+    b.report_violations(validate_sa(sa))
     return sa
 
 
-def _build_rule_common(block: RawBlock, builder: _Builder):
-    states_f = _take(block, "cell_states", builder, required=True)
-    width = _int_field(block, "width", builder)
-    radius = _int_field(block, "radius", builder, required=False, default=1)
-    boundary_f = _take(block, "boundary", builder)
+def _build_rule_common(b: _Block):
+    states = b.names("cell_states")
+    width = b.integer("width")
+    radius = b.integer("radius", default=1)
+    boundary_f = b.take("boundary")
     boundary = BOUNDARY_PERIODIC
     boundary_value = None
     if boundary_f is not None:
-        names = _names(boundary_f)
+        names = boundary_f.texts
         if names and names[0] == BOUNDARY_PERIODIC and len(names) == 1:
             boundary = BOUNDARY_PERIODIC
         elif names and names[0] == BOUNDARY_FIXED and len(names) == 2:
             boundary = BOUNDARY_FIXED
             boundary_value = names[1]
         else:
-            builder.err(block, "boundary expects 'periodic' or 'fixed <state>'",
-                        line=boundary_f.line, col=boundary_f.col)
-    if states_f is None or width is None or radius is None:
+            b.err("boundary expects 'periodic' or 'fixed <state>'", boundary_f.line, boundary_f.col)
+    if states is None or width is None or radius is None:
         return None
-    return tuple(_names(states_f)), width, radius, boundary, boundary_value
+    return tuple(states), width, radius, boundary, boundary_value
 
 
-def _build_ca(block: RawBlock, builder: _Builder) -> CellularAutomaton | None:
-    _check_unknown_fields(block, {"cell_states", "width", "radius", "boundary", "rule"}, builder)
-    common = _build_rule_common(block, builder)
+def _build_ca(b: _Block, doc: ModelDocument) -> CellularAutomaton | None:
+    common = _build_rule_common(b)
     if common is None:
         return None
     cell_states, width, radius, boundary, boundary_value = common
-    expr_f = _take(block, "rule", builder, sub="expr")
-    table_f = _take(block, "rule", builder, sub="table")
-    if expr_f is not None and table_f is not None:
-        builder.err(block, "give either 'rule expr:' or 'rule table:', not both",
-                    line=table_f.line, col=table_f.col)
+    expr_f, table_f = b.expr_or_table("rule")
 
     rule = None
     rule_expr = None
     if expr_f is not None:
-        names = _names(expr_f)
+        names = expr_f.texts
         if len(names) != 1 or names[0] not in BUILTIN_RULES:
-            builder.err(block, "rule expr expects one of " + "|".join(BUILTIN_RULES),
-                        line=expr_f.line, col=expr_f.col)
+            b.err("rule expr expects one of " + "|".join(BUILTIN_RULES), expr_f.line, expr_f.col)
             return None
         rule_expr = names[0]
         try:
             rule = builtin_rule_table(rule_expr, cell_states, radius)
         except MimicError as exc:
-            builder.err(block, str(exc), line=expr_f.line, col=expr_f.col)
+            b.err(str(exc), expr_f.line, expr_f.col)
             return None
     elif table_f is not None:
         rule = {}
         size = 2 * radius + 1
         for tokens, line in table_f.entries:
-            texts = [t.text for t in tokens]
+            texts = _texts(tokens)
             if "->" not in texts or texts.index("->") != size or len(texts) != size + 2:
-                builder.err(block, f"rule entry expects {size} states, '->', one state", line=line)
+                b.err(f"rule entry expects {size} states, '->', one state", line)
                 continue
             neighborhood = tuple(texts[:size])
             rule[neighborhood] = texts[size + 1]
     else:
-        builder.err(block, f"ca {block.name}: missing 'rule expr:' or 'rule table:'")
+        b.err(f"ca {b.name}: missing 'rule expr:' or 'rule table:'")
         return None
 
     ca = CellularAutomaton(
-        name=block.name,
+        name=b.name,
         cell_states=cell_states,
         width=width,
         radius=radius,
@@ -458,47 +481,46 @@ def _build_ca(block: RawBlock, builder: _Builder) -> CellularAutomaton | None:
         rule=rule,
         rule_expr=rule_expr,
     )
-    builder.report_violations(block, validate_ca(ca))
+    b.report_violations(validate_ca(ca))
     return ca
 
 
-def _build_pca(block: RawBlock, builder: _Builder) -> ProbabilisticCellularAutomaton | None:
-    _check_unknown_fields(block, {"cell_states", "width", "radius", "boundary", "rule"}, builder)
-    common = _build_rule_common(block, builder)
+def _build_pca(b: _Block, doc: ModelDocument) -> ProbabilisticCellularAutomaton | None:
+    common = _build_rule_common(b)
     if common is None:
         return None
     cell_states, width, radius, boundary, boundary_value = common
-    table_f = _take(block, "rule", builder, sub="table")
+    table_f = b.take("rule", "table")
     if table_f is None:
-        builder.err(block, f"pca {block.name}: missing 'rule table:'")
+        b.err(f"pca {b.name}: missing 'rule table:'")
         return None
     size = 2 * radius + 1
     rule = {}
     for tokens, line in table_f.entries:
-        texts = [t.text for t in tokens]
+        texts = _texts(tokens)
         if len(texts) < size + 2 or texts[size] != "->":
-            builder.err(block, f"rule entry expects {size} states, '->', then state@prob pairs", line=line)
+            b.err(f"rule entry expects {size} states, '->', then state@prob pairs", line)
             continue
         neighborhood = tuple(texts[:size])
         pairs = []
         ok = True
         for part in texts[size + 1 :]:
             if "@" not in part:
-                builder.err(block, f"expected <state>@<prob>, got {part!r}", line=line)
+                b.err(f"expected <state>@<prob>, got {part!r}", line)
                 ok = False
                 break
             state, _, prob_text = part.rpartition("@")
             try:
                 pairs.append((state, float(prob_text)))
             except ValueError:
-                builder.err(block, f"bad probability {prob_text!r}", line=line)
+                b.err(f"bad probability {prob_text!r}", line)
                 ok = False
                 break
         if ok:
             rule[neighborhood] = tuple(pairs)
 
     pca = ProbabilisticCellularAutomaton(
-        name=block.name,
+        name=b.name,
         cell_states=cell_states,
         width=width,
         radius=radius,
@@ -506,50 +528,48 @@ def _build_pca(block: RawBlock, builder: _Builder) -> ProbabilisticCellularAutom
         boundary_value=boundary_value,
         rule=rule,
     )
-    builder.report_violations(block, validate_pca(pca))
+    b.report_violations(validate_pca(pca))
     return pca
 
 
-def _build_ha(block: RawBlock, builder: _Builder, sas: dict[str, SequentialAutomaton]) -> HierarchicalAutomaton | None:
-    _check_unknown_fields(block, {"sas", "root", "gamma"}, builder)
-    members_f = _take(block, "sas", builder, required=True)
-    root = _one_name(block, "root", builder)
+def _check_ca_pca_names(doc: ModelDocument, blocks: dict[tuple[str, str], _Block]) -> None:
+    for name in sorted(set(doc.cas) & set(doc.pcas)):
+        blocks["pca", name].err(f"{name!r} is defined as both ca and pca")
+
+
+def _build_ha(b: _Block, doc: ModelDocument) -> HierarchicalAutomaton | None:
+    members_f = b.take("sas")
+    root = b.one_name("root")
     if members_f is None or root is None:
         return None
     members = []
-    for token in members_f.tokens:
-        sa = sas.get(token.text)
+    for text, col, _ in members_f.tokens:
+        sa = doc.sas.get(text)
         if sa is None:
-            builder.err(block, f"unknown machine {token.text!r}", line=members_f.line, col=token.col)
+            b.err(f"unknown machine {text!r}", members_f.line, col)
             return None
         members.append(sa)
     gamma = {}
-    for f in _take_all(block, "gamma"):
-        texts = [t.text for t in f.tokens]
+    for f in b.take_all("gamma"):
+        texts = f.texts
         if len(texts) < 4 or texts[2] != "->":
-            builder.err(block, "gamma expects '<machine> <state> -> <child> ...'", line=f.line, col=f.col)
+            b.err("gamma expects '<machine> <state> -> <child> ...'", f.line, f.col)
             continue
         key = (texts[0], texts[1])
         if key in gamma:
-            builder.err(block, f"duplicate gamma for {key}", line=f.line, col=f.col)
+            b.err(f"duplicate gamma for {key}", f.line, f.col)
         gamma[key] = frozenset(texts[3:])
-    ha = HierarchicalAutomaton(name=block.name, sas=tuple(members), root=root, gamma=gamma)
-    builder.report_violations(block, validate_ha(ha))
+    ha = HierarchicalAutomaton(name=b.name, sas=tuple(members), root=root, gamma=gamma)
+    b.report_violations(validate_ha(ha))
     return ha
 
 
-def _build_readout(block: RawBlock, builder: _Builder) -> Readout | None:
-    expr_f = None
-    table_f = None
-    for f in block.fields:
-        if f.name == "readout" and f.sub == "expr":
-            expr_f = f
-        elif f.name == "readout" and f.sub == "table":
-            table_f = f
+def _build_readout(b: _Block) -> Readout | None:
+    expr_f, table_f = b.expr_or_table("readout")
     if expr_f is None and table_f is None:
         return None
     if expr_f is not None:
-        names = _names(expr_f)
+        names = expr_f.texts
         if len(names) == 2 and names[0] == "cell":
             try:
                 return Readout(kind="cell", cell=int(names[1]))
@@ -557,44 +577,42 @@ def _build_readout(block: RawBlock, builder: _Builder) -> Readout | None:
                 pass
         if len(names) == 2 and names[0] == "parity":
             return Readout(kind="parity", target=names[1])
-        builder.err(block, "readout expr expects 'cell <index>' or 'parity <state>'",
-                    line=expr_f.line, col=expr_f.col)
+        b.err("readout expr expects 'cell <index>' or 'parity <state>'", expr_f.line, expr_f.col)
         return None
     table = {}
     for tokens, line in table_f.entries:
-        texts = [t.text for t in tokens]
+        texts = _texts(tokens)
         if "->" not in texts or texts.index("->") != len(texts) - 2:
-            builder.err(block, "readout entry expects '<lattice> -> <symbol>'", line=line)
+            b.err("readout entry expects '<lattice> -> <symbol>'", line)
             continue
         arrow = texts.index("->")
         table[tuple(texts[:arrow])] = texts[arrow + 1]
     return Readout(kind="table", table=table)
 
 
-def _build_binding(block: RawBlock, builder: _Builder) -> Binding | None:
-    _check_unknown_fields(block, {"mode", "ca", "t_max", "seed", "outer_sa", "readout", "cell_map"}, builder)
-    mode = _one_name(block, "mode", builder)
-    ca = _one_name(block, "ca", builder)
+def _build_binding(b: _Block, doc: ModelDocument) -> Binding | None:
+    mode = b.one_name("mode")
+    ca = b.one_name("ca")
     if mode is None or ca is None:
         return None
     if mode not in (MODE_SA_FROM_CA, MODE_CA_FROM_SA):
-        builder.err(block, f"mode must be {MODE_SA_FROM_CA} or {MODE_CA_FROM_SA}")
+        b.err(f"mode must be {MODE_SA_FROM_CA} or {MODE_CA_FROM_SA}")
         return None
-    t_max = _int_field(block, "t_max", builder, required=False, default=1000)
-    seed_f = _take(block, "seed", builder)
-    seed = tuple(_names(seed_f)) if seed_f is not None else None
-    outer = _one_name(block, "outer_sa", builder, required=False)
-    readout = _build_readout(block, builder)
+    t_max = b.integer("t_max", default=1000)
+    b.at_least_zero("t_max", t_max)
+    seed = b.names("seed")
+    outer = b.one_name("outer_sa")
+    readout = _build_readout(b)
 
     cell_map: dict[str, Unit] = {}
-    for f in _take_all(block, "cell_map"):
-        texts = [t.text for t in f.tokens]
+    for f in b.take_all("cell_map"):
+        texts = f.texts
         if len(texts) != 4 or texts[1] != "->" or texts[2] not in ("sa", "ha", "binding"):
-            builder.err(block, "cell_map expects '<state> -> sa|ha|binding <name>'", line=f.line, col=f.col)
+            b.err("cell_map expects '<state> -> sa|ha|binding <name>'", f.line, f.col)
             continue
         state, kind, name = texts[0], texts[2], texts[3]
         if state in cell_map:
-            builder.err(block, f"duplicate cell_map for {state!r}", line=f.line, col=f.col)
+            b.err(f"duplicate cell_map for {state!r}", f.line, f.col)
         if kind == "sa":
             cell_map[state] = SaUnit(name)
         elif kind == "ha":
@@ -603,213 +621,31 @@ def _build_binding(block: RawBlock, builder: _Builder) -> Binding | None:
             cell_map[state] = NestedUnit(name)
 
     return Binding(
-        name=block.name,
+        name=b.name,
         mode=mode,
         ca=ca,
         cell_map=cell_map,
         t_max=t_max,
         outer_sa=outer,
         readout=readout,
-        seed=seed,
+        seed=tuple(seed) if seed is not None else None,
     )
 
 
-def _build_voter(block: RawBlock, builder: _Builder, width: int) -> VoterPolicy:
-    kind_f = _take(block, "voter", builder)
-    kind = STRICT_MAJORITY
-    if kind_f is not None:
-        names = _names(kind_f)
-        if len(names) == 1 and names[0] in (STRICT_MAJORITY, PLURALITY):
-            kind = names[0]
-        else:
-            builder.err(block, f"voter expects {STRICT_MAJORITY} or {PLURALITY}",
-                        line=kind_f.line, col=kind_f.col)
-    quorum = _int_field(block, "quorum", builder, required=False)
-    prefs = ()
-    if any(f.name == "prefs" for f in block.fields):
-        prefs = _words_field(block, "prefs", builder) or ()
-    return VoterPolicy(kind=kind, quorum=quorum, preferences=prefs)
-
-
-def _build_dhr(block: RawBlock, builder: _Builder, doc: ModelDocument) -> DhrStructure | None:
-    known = {"executors", "scheduler", "width", "voter", "quorum", "prefs", "initial_lattice"}
-    _check_unknown_fields(block, known, builder)
-    executors_f = _take(block, "executors", builder, required=True)
-    scheduler_name = _one_name(block, "scheduler", builder)
-    width = _int_field(block, "width", builder)
-    if executors_f is None or scheduler_name is None or width is None:
-        return None
-    executors = []
-    for token in executors_f.tokens:
-        sa = doc.sas.get(token.text)
-        if sa is None:
-            builder.err(block, f"unknown executor {token.text!r}", line=executors_f.line, col=token.col)
-            return None
-        executors.append(sa)
-    scheduler = doc.cellular(scheduler_name)
-    if scheduler is None:
-        builder.err(block, f"unknown scheduler {scheduler_name!r}")
-        return None
-    lattice_f = _take(block, "initial_lattice", builder)
-    lattice = tuple(_names(lattice_f)) if lattice_f is not None else None
-    voter = _build_voter(block, builder, width)
-    dhr = DhrStructure(
-        name=block.name,
-        executors=tuple(executors),
-        scheduler=scheduler,
-        width=width,
-        voter=voter,
-        initial_lattice=lattice,
-    )
-    builder.report_violations(block, validate_dhr(dhr))
-    return dhr
-
-
-def _build_property(block: RawBlock, builder: _Builder, sas: dict[str, SequentialAutomaton]) -> Property | None:
-    known = {"kind", "predicate", "pattern", "inputs", "policy", "horizon"}
-    _check_unknown_fields(block, known, builder)
-    kind = _one_name(block, "kind", builder)
-    if kind is None:
-        return None
-    if kind not in (INVARIANT, REACH, BAD_PREFIX):
-        builder.err(block, f"property kind must be {INVARIANT}, {REACH} or {BAD_PREFIX}")
-        return None
-    predicate = None
-    pattern = None
-    if kind == BAD_PREFIX:
-        pattern_name = _one_name(block, "pattern", builder)
-        if pattern_name is None:
-            return None
-        pattern = sas.get(pattern_name)
-        if pattern is None:
-            builder.err(block, f"unknown pattern machine {pattern_name!r}")
-            return None
-    else:
-        pred_f = _take(block, "predicate", builder, required=True)
-        if pred_f is None:
-            return None
-        try:
-            predicate = parse_predicate(pred_f.raw_rest)
-        except PropertyError as exc:
-            builder.err(block, str(exc), line=pred_f.line, col=pred_f.col)
-            return None
-    inputs = _words_field(block, "inputs", builder)
-    policy = _words_field(block, "policy", builder)
-    horizon = _int_field(block, "horizon", builder, required=False)
-    if horizon is not None and horizon < 0:
-        field = _take_all(block, "horizon")[0]
-        builder.err(block, f"field 'horizon' must be >= 0, got {horizon}",
-                    line=field.line, col=field.tokens[0].col)
-        return None
-    return Property(
-        name=block.name,
-        kind=kind,
-        predicate=predicate,
-        pattern=pattern,
-        inputs=inputs,
-        policy=policy,
-        horizon=horizon,
-    )
-
-
-def _build_signature(block: RawBlock, builder: _Builder, sas: dict[str, SequentialAutomaton]) -> Signature | None:
-    _check_unknown_fields(block, {"description", "severity", "pattern"}, builder)
-    desc_f = _take(block, "description", builder, required=True)
-    pattern_name = _one_name(block, "pattern", builder)
-    severity = _int_field(block, "severity", builder, required=False, default=1)
-    if desc_f is None or pattern_name is None:
-        return None
-    if len(desc_f.tokens) != 1 or not desc_f.tokens[0].quoted:
-        builder.err(block, "description expects one quoted string", line=desc_f.line, col=desc_f.col)
-        return None
-    pattern = sas.get(pattern_name)
-    if pattern is None:
-        builder.err(block, f"unknown pattern machine {pattern_name!r}")
-        return None
-    sig = Signature(
-        id=block.name, description=desc_f.tokens[0].text, pattern=pattern, severity=severity
-    )
-    builder.report_violations(block, validate_signature(sig))
-    return sig
-
-
-def _build_ma(block: RawBlock, builder: _Builder, doc: ModelDocument) -> MimicAutomaton | None:
-    known = {"sas", "cas", "has", "bindings", "root_binding", "max_depth"}
-    _check_unknown_fields(block, known, builder)
-    root = _one_name(block, "root_binding", builder)
-    if root is None:
-        return None
-    max_depth = _int_field(block, "max_depth", builder, required=False, default=4)
-
-    def collect(field_name: str, source: dict, extra: dict | None = None):
-        f = _take(block, field_name, builder)
-        out = {}
-        if f is None:
-            return out
-        for token in f.tokens:
-            obj = source.get(token.text)
-            if obj is None and extra is not None:
-                obj = extra.get(token.text)
-            if obj is None:
-                builder.err(block, f"unknown reference {token.text!r} in {field_name!r}",
-                            line=f.line, col=token.col)
-                continue
-            out[token.text] = obj
-        return out
-
-    sa_set = collect("sas", doc.sas)
-    ca_set = collect("cas", doc.cas, doc.pcas)
-    ha_set = collect("has", doc.has)
-    bindings = collect("bindings", doc.bindings)
-    if root not in bindings and root in doc.bindings:
-        bindings[root] = doc.bindings[root]
-    if root not in bindings:
-        builder.err(block, f"unknown root binding {root!r}")
-        return None
-    ma = MimicAutomaton(
-        name=block.name,
-        sa_set=sa_set,
-        ca_set=ca_set,
-        ha_set=ha_set,
-        bindings=bindings,
-        root_binding=root,
-        max_depth=max_depth,
-    )
-    builder.report_violations(block, validate_ma(ma))
-    return ma
-
-
-def _build_serial(block: RawBlock, builder: _Builder, doc: ModelDocument) -> SerialDhr | None:
-    _check_unknown_fields(block, {"stages"}, builder)
-    stages_f = _take(block, "stages", builder, required=True)
-    if stages_f is None:
-        return None
-    stages = []
-    for token in stages_f.tokens:
-        dhr = doc.dhrs.get(token.text)
-        if dhr is None:
-            builder.err(block, f"unknown stage {token.text!r}", line=stages_f.line, col=token.col)
-            return None
-        stages.append(dhr)
-    serial = SerialDhr(name=block.name, stages=tuple(stages))
-    builder.report_violations(block, validate_serial(serial))
-    return serial
-
-
-def _check_binding_references(doc: ModelDocument, block_of: dict[tuple[str, str], RawBlock], builder: _Builder):
+def _check_binding_references(doc: ModelDocument, blocks: dict[tuple[str, str], _Block]) -> None:
     for name, binding in sorted(doc.bindings.items()):
-        block = block_of[("binding", name)]
+        block = blocks["binding", name]
         if doc.cellular(binding.ca) is None:
-            builder.err(block, f"unknown cellular automaton {binding.ca!r}")
+            block.err(f"unknown cellular automaton {binding.ca!r}")
         for state, unit in sorted(binding.cell_map.items(), key=lambda kv: str(kv[0])):
             if isinstance(unit, SaUnit) and unit.sa not in doc.sas:
-                builder.err(block, f"cell_map for {state!r}: unknown machine {unit.sa!r}")
+                block.err(f"cell_map for {state!r}: unknown machine {unit.sa!r}")
             elif isinstance(unit, HaUnit) and unit.ha not in doc.has:
-                builder.err(block, f"cell_map for {state!r}: unknown hierarchy {unit.ha!r}")
+                block.err(f"cell_map for {state!r}: unknown hierarchy {unit.ha!r}")
             elif isinstance(unit, NestedUnit) and unit.binding not in doc.bindings:
-                builder.err(block, f"cell_map for {state!r}: unknown binding {unit.binding!r}")
+                block.err(f"cell_map for {state!r}: unknown binding {unit.binding!r}")
         if binding.outer_sa is not None and binding.outer_sa not in doc.sas:
-            builder.err(block, f"unknown outer machine {binding.outer_sa!r}")
+            block.err(f"unknown outer machine {binding.outer_sa!r}")
 
     # standalone invariant check for bindings not owned by any ma block
     in_ma = {bname for ma in doc.mas.values() for bname in ma.bindings}
@@ -828,72 +664,378 @@ def _check_binding_references(doc: ModelDocument, block_of: dict[tuple[str, str]
             match = re.match(r"binding (\S+)$", v.subject)
             name = match.group(1) if match else None
             if name in loose:
-                builder.err(block_of[("binding", name)], f"binding {name}: {v}")
+                blocks["binding", name].err(f"binding {name}: {v}")
+
+
+def _build_ma(b: _Block, doc: ModelDocument) -> MimicAutomaton | None:
+    root = b.one_name("root_binding")
+    if root is None:
+        return None
+    max_depth = b.integer("max_depth", default=4)
+
+    def collect(field_name: str, source: dict, extra: dict | None = None):
+        f = b.take(field_name)
+        out = {}
+        if f is None:
+            return out
+        for text, col, _ in f.tokens:
+            obj = source.get(text)
+            if obj is None and extra is not None:
+                obj = extra.get(text)
+            if obj is None:
+                b.err(f"unknown reference {text!r} in {field_name!r}", f.line, col)
+                continue
+            out[text] = obj
+        return out
+
+    sa_set = collect("sas", doc.sas)
+    ca_set = collect("cas", doc.cas, doc.pcas)
+    ha_set = collect("has", doc.has)
+    bindings = collect("bindings", doc.bindings)
+    if root not in bindings and root in doc.bindings:
+        bindings[root] = doc.bindings[root]
+    if root not in bindings:
+        b.err(f"unknown root binding {root!r}")
+        return None
+    ma = MimicAutomaton(
+        name=b.name,
+        sa_set=sa_set,
+        ca_set=ca_set,
+        ha_set=ha_set,
+        bindings=bindings,
+        root_binding=root,
+        max_depth=max_depth,
+    )
+    b.report_violations(validate_ma(ma))
+    return ma
+
+
+def _build_voter(b: _Block) -> VoterPolicy:
+    kind_f = b.take("voter")
+    kind = STRICT_MAJORITY
+    if kind_f is not None:
+        names = kind_f.texts
+        if len(names) == 1 and names[0] in (STRICT_MAJORITY, PLURALITY):
+            kind = names[0]
+        else:
+            b.err(f"voter expects {STRICT_MAJORITY} or {PLURALITY}", kind_f.line, kind_f.col)
+    quorum = b.integer("quorum")
+    prefs = b.words("prefs") or ()
+    return VoterPolicy(kind=kind, quorum=quorum, preferences=prefs)
+
+
+def _build_dhr(b: _Block, doc: ModelDocument) -> DhrStructure | None:
+    executors_f = b.take("executors")
+    scheduler_name = b.one_name("scheduler")
+    width = b.integer("width")
+    if executors_f is None or scheduler_name is None or width is None:
+        return None
+    executors = []
+    for text, col, _ in executors_f.tokens:
+        sa = doc.sas.get(text)
+        if sa is None:
+            b.err(f"unknown executor {text!r}", executors_f.line, col)
+            return None
+        executors.append(sa)
+    scheduler = doc.cellular(scheduler_name)
+    if scheduler is None:
+        b.err(f"unknown scheduler {scheduler_name!r}")
+        return None
+    lattice = b.names("initial_lattice")
+    dhr = DhrStructure(
+        name=b.name,
+        executors=tuple(executors),
+        scheduler=scheduler,
+        width=width,
+        voter=_build_voter(b),
+        initial_lattice=tuple(lattice) if lattice is not None else None,
+    )
+    b.report_violations(validate_dhr(dhr))
+    return dhr
+
+
+def _build_serial(b: _Block, doc: ModelDocument) -> SerialDhr | None:
+    stages_f = b.take("stages")
+    if stages_f is None:
+        return None
+    stages = []
+    for text, col, _ in stages_f.tokens:
+        dhr = doc.dhrs.get(text)
+        if dhr is None:
+            b.err(f"unknown stage {text!r}", stages_f.line, col)
+            return None
+        stages.append(dhr)
+    serial = SerialDhr(name=b.name, stages=tuple(stages))
+    b.report_violations(validate_serial(serial))
+    return serial
+
+
+def _build_property(b: _Block, doc: ModelDocument) -> Property | None:
+    kind = b.one_name("kind")
+    if kind is None:
+        return None
+    if kind not in (INVARIANT, REACH, BAD_PREFIX):
+        b.err(f"property kind must be {INVARIANT}, {REACH} or {BAD_PREFIX}")
+        return None
+    predicate = None
+    pattern = None
+    if kind == BAD_PREFIX:
+        pattern_name = b.one_name("pattern", required=True)
+        if pattern_name is None:
+            return None
+        pattern = doc.sas.get(pattern_name)
+        if pattern is None:
+            b.err(f"unknown pattern machine {pattern_name!r}")
+            return None
+    else:
+        pred_f = b.take("predicate", required=True)
+        if pred_f is None:
+            return None
+        try:
+            predicate = parse_predicate(pred_f.raw_rest)
+        except PropertyError as exc:
+            b.err(str(exc), pred_f.line, pred_f.col)
+            return None
+    inputs = b.words("inputs")
+    policy = b.words("policy")
+    horizon = b.integer("horizon")
+    if not b.at_least_zero("horizon", horizon):
+        return None
+    return Property(
+        name=b.name,
+        kind=kind,
+        predicate=predicate,
+        pattern=pattern,
+        inputs=inputs,
+        policy=policy,
+        horizon=horizon,
+    )
+
+
+def _build_signature(b: _Block, doc: ModelDocument) -> Signature | None:
+    desc_f = b.take("description")
+    pattern_name = b.one_name("pattern")
+    severity = b.integer("severity", default=1)
+    if desc_f is None or pattern_name is None:
+        return None
+    if [quoted for _, _, quoted in desc_f.tokens] != [True]:
+        b.err("description expects one quoted string", desc_f.line, desc_f.col)
+        return None
+    pattern = doc.sas.get(pattern_name)
+    if pattern is None:
+        b.err(f"unknown pattern machine {pattern_name!r}")
+        return None
+    sig = Signature(
+        id=b.name, description=desc_f.texts[0], pattern=pattern, severity=severity
+    )
+    b.report_violations(validate_signature(sig))
+    return sig
+
+
+# ---------------------------------------------------------------------------
+# canonical serialization: each writer maps field names to values, and
+# _write_block lays them out in spec order
+
+def _ser_word(word) -> str:
+    parts = [str(s) for s in word]
+    if any(len(p) != 1 for p in parts):
+        raise MimicError(f"only single-character symbols serialize into words: {word!r}")
+    return '"' + "".join(parts) + '"'
+
+
+def _write_sa(sa: SequentialAutomaton) -> dict:
+    return {
+        "states": " ".join(sa.states),
+        "initial": sa.initial,
+        "finals": " ".join(s for s in sa.states if s in sa.finals),
+        "inputs": " ".join(sa.input_alphabet),
+        "outputs": " ".join(sa.output_alphabet),
+        "partial": "true" if sa.allow_partial else None,
+        "delta": [f"{state} {sym} -> {sa.transitions[state, sym]} / {sa.outputs[state, sym]}"
+                  for state in sa.states for sym in sa.input_alphabet if (state, sym) in sa.transitions],
+    }
+
+
+def _nb_sort_key(ca):
+    order = {q: i for i, q in enumerate(ca.cell_states)}
+    return lambda nb: tuple(order[q] for q in nb)
+
+
+def _write_rule_common(ca) -> dict:
+    return {
+        "cell_states": " ".join(str(q) for q in ca.cell_states),
+        "width": ca.width,
+        "radius": ca.radius,
+        "boundary": f"fixed {ca.boundary_value}" if ca.boundary == BOUNDARY_FIXED else "periodic",
+    }
+
+
+def _write_ca(ca: CellularAutomaton) -> dict:
+    if ca.rule_expr is not None:
+        rule = ("expr", ca.rule_expr)
+    else:
+        rule = ("table", [" ".join(str(q) for q in nb) + f" -> {ca.rule[nb]}"
+                          for nb in sorted(ca.rule, key=_nb_sort_key(ca))])
+    return {**_write_rule_common(ca), "rule": rule}
+
+
+def _write_pca(pca: ProbabilisticCellularAutomaton) -> dict:
+    entries = []
+    for nb in sorted(pca.rule, key=_nb_sort_key(pca)):
+        pairs = " ".join(f"{state}@{prob!r}" for state, prob in pca.rule[nb])
+        entries.append(" ".join(str(q) for q in nb) + f" -> {pairs}")
+    return {**_write_rule_common(pca), "rule": ("table", entries)}
+
+
+def _write_ha(ha: HierarchicalAutomaton) -> dict:
+    return {
+        "sas": " ".join(sa.name for sa in ha.sas),
+        "root": ha.root,
+        "gamma": [f"{owner} {state} -> " + " ".join(sorted(ha.gamma[owner, state]))
+                  for owner, state in sorted(ha.gamma)],
+    }
+
+
+def _ser_unit(unit: Unit) -> str:
+    if isinstance(unit, SaUnit):
+        return f"sa {unit.sa}"
+    if isinstance(unit, HaUnit):
+        return f"ha {unit.ha}"
+    return f"binding {unit.binding}"
+
+
+def _write_readout(r: Readout | None):
+    if r is None:
+        return None
+    if r.kind == "cell":
+        return ("expr", f"cell {r.cell}")
+    if r.kind == "parity":
+        return ("expr", f"parity {r.target}")
+    return ("table", [" ".join(str(q) for q in lattice) + f" -> {r.table[lattice]}"
+                      for lattice in sorted(r.table, key=lambda lat: tuple(str(q) for q in lat))])
+
+
+def _write_binding(b: Binding) -> dict:
+    return {
+        "mode": b.mode,
+        "ca": b.ca,
+        "t_max": b.t_max,
+        "seed": " ".join(str(q) for q in b.seed) if b.seed is not None else None,
+        "outer_sa": b.outer_sa,
+        "readout": _write_readout(b.readout),
+        "cell_map": [f"{state} -> {_ser_unit(b.cell_map[state])}" for state in sorted(b.cell_map, key=str)],
+    }
+
+
+def _write_ma(ma: MimicAutomaton) -> dict:
+    return {
+        "sas": " ".join(sorted(ma.sa_set)) or None,
+        "cas": " ".join(sorted(ma.ca_set)) or None,
+        "has": " ".join(sorted(ma.ha_set)) or None,
+        "bindings": " ".join(sorted(ma.bindings)) or None,
+        "root_binding": ma.root_binding,
+        "max_depth": ma.max_depth,
+    }
+
+
+def _write_dhr(d: DhrStructure) -> dict:
+    return {
+        "executors": " ".join(sa.name for sa in d.executors),
+        "scheduler": d.scheduler.name,
+        "width": d.width,
+        "voter": d.voter.kind,
+        "quorum": d.voter.quorum,
+        "prefs": " ".join(_ser_word(w) for w in d.voter.preferences) or None,
+        "initial_lattice": (" ".join(str(q) for q in d.initial_lattice)
+                            if d.initial_lattice is not None else None),
+    }
+
+
+def _write_serial(s: SerialDhr) -> dict:
+    return {"stages": " ".join(st.name for st in s.stages)}
+
+
+def _write_property(p: Property) -> dict:
+    return {
+        "kind": p.kind,
+        "pattern": p.pattern.name if p.kind == BAD_PREFIX else None,
+        "predicate": render_predicate(p.predicate) if p.kind != BAD_PREFIX else None,
+        "inputs": " ".join(_ser_word(w) for w in p.inputs) if p.inputs is not None else None,
+        "policy": " ".join(_ser_word(w) for w in p.policy) if p.policy is not None else None,
+        "horizon": p.horizon,
+    }
+
+
+def _write_signature(sig: Signature) -> dict:
+    return {"description": f'"{sig.description}"', "severity": sig.severity, "pattern": sig.pattern.name}
+
+
+def _write_block(kind: str, name: str, spec: _Kind, values: dict) -> str:
+    """A value of None omits its field; a repeatable field has a list of
+    values; a field with sub-keys has ``(sub, text)``, or ``(sub, entries)`` for a table."""
+    lines = [f"{kind} {name} {{"]
+    for field, fs in spec.fields.items():
+        value = values.get(field)
+        if value is None:
+            continue
+        if not fs.subs:
+            lines += [f"  {field}: {v}" for v in (value if fs.repeat else [value])]
+        elif value[0] == "table":
+            lines.append(f"  {field} table:")
+            lines += ["    " + entry for entry in value[1]]
+        else:
+            lines.append(f"  {field} {value[0]}: {value[1]}")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+# in build (dependency) order
+_SPECS = {
+    "sa": _kind("sas", _build_sa, _write_sa, "states! initial! finals inputs! outputs! partial delta*"),
+    "ca": _kind("cas", _build_ca, _write_ca, "cell_states! width! radius boundary rule[expr,table]"),
+    "pca": _kind("pcas", _build_pca, _write_pca, "cell_states! width! radius boundary rule[table]",
+                 check=_check_ca_pca_names),
+    "ha": _kind("has", _build_ha, _write_ha, "sas! root! gamma*"),
+    "binding": _kind("bindings", _build_binding, _write_binding,
+                     "mode! ca! t_max seed outer_sa readout[expr,table] cell_map*",
+                     check=_check_binding_references),
+    "ma": _kind("mas", _build_ma, _write_ma, "sas cas has bindings root_binding! max_depth"),
+    "dhr": _kind("dhrs", _build_dhr, _write_dhr,
+                 "executors! scheduler! width! voter quorum prefs initial_lattice"),
+    "serial_dhr": _kind("serial_dhrs", _build_serial, _write_serial, "stages!"),
+    "property": _kind("properties", _build_property, _write_property,
+                      "kind! predicate pattern inputs policy horizon"),
+    "signature": _kind("signatures", _build_signature, _write_signature, "description! severity pattern!"),
+}
 
 
 def build_document(all_blocks: list[RawBlock]) -> tuple[ModelDocument, list[Diagnostic]]:
-    builder = _Builder()
+    diagnostics: list[Diagnostic] = []
     block_of: dict[tuple[str, str], RawBlock] = {}
     for block in all_blocks:
         key = (block.kind, block.name)
         if key in block_of:
             first = block_of[key]
-            builder.err(
-                block,
+            diagnostics.append(Diagnostic(
+                block.file, block.line, 1,
                 f"duplicate {block.kind} {block.name!r} (already defined at {first.file}:{first.line})",
-            )
+            ))
             continue
         block_of[key] = block
 
     doc = ModelDocument()
-    order = {kind: [b for b in block_of.values() if b.kind == kind] for kind in KINDS}
-    for block in order["sa"]:
-        obj = _build_sa(block, builder)
-        if obj is not None:
-            doc.sas[block.name] = obj
-    for block in order["ca"]:
-        obj = _build_ca(block, builder)
-        if obj is not None:
-            doc.cas[block.name] = obj
-    for block in order["pca"]:
-        obj = _build_pca(block, builder)
-        if obj is not None:
-            doc.pcas[block.name] = obj
-    for name in set(doc.cas) & set(doc.pcas):
-        builder.err(block_of[("pca", name)], f"{name!r} is defined as both ca and pca")
-    for block in order["ha"]:
-        obj = _build_ha(block, builder, doc.sas)
-        if obj is not None:
-            doc.has[block.name] = obj
-    for block in order["binding"]:
-        obj = _build_binding(block, builder)
-        if obj is not None:
-            doc.bindings[block.name] = obj
-    _check_binding_references(doc, block_of, builder)
-    for block in order["ma"]:
-        obj = _build_ma(block, builder, doc)
-        if obj is not None:
-            doc.mas[block.name] = obj
-    for block in order["dhr"]:
-        obj = _build_dhr(block, builder, doc)
-        if obj is not None:
-            doc.dhrs[block.name] = obj
-    for block in order["serial_dhr"]:
-        obj = _build_serial(block, builder, doc)
-        if obj is not None:
-            doc.serial_dhrs[block.name] = obj
-    for block in order["property"]:
-        obj = _build_property(block, builder, doc.sas)
-        if obj is not None:
-            doc.properties[block.name] = obj
-    for block in order["signature"]:
-        obj = _build_signature(block, builder, doc.sas)
-        if obj is not None:
-            doc.signatures[block.name] = obj
-
-    for block in all_blocks:
-        builder.locations[(block.kind, block.name)] = (block.file, block.line)
-    return doc, builder.diagnostics
+    blocks: dict[tuple[str, str], _Block] = {}
+    for kind, spec in _SPECS.items():
+        built = getattr(doc, spec.attr)
+        for key, raw in block_of.items():
+            if raw.kind == kind:
+                block = blocks[key] = _Block(raw, spec, diagnostics)
+                obj = spec.build(block, doc)
+                if obj is not None:
+                    built[raw.name] = obj
+        if spec.check is not None:
+            spec.check(doc, blocks)
+    return doc, diagnostics
 
 
 def parse(text: str, file: str = "<string>") -> tuple[ModelDocument, list[Diagnostic]]:
@@ -921,198 +1063,12 @@ def parse_files(paths: list[str]) -> tuple[ModelDocument, list[Diagnostic]]:
     return doc, diagnostics + more
 
 
-# ---------------------------------------------------------------------------
-# canonical serialization
-
-def _ser_word(word) -> str:
-    parts = [str(s) for s in word]
-    if any(len(p) != 1 for p in parts):
-        raise MimicError(f"only single-character symbols serialize into words: {word!r}")
-    return '"' + "".join(parts) + '"'
-
-
-def _ser_sa(name: str, sa: SequentialAutomaton) -> list[str]:
-    lines = [f"sa {name} {{"]
-    lines.append("  states: " + " ".join(sa.states))
-    lines.append(f"  initial: {sa.initial}")
-    lines.append("  finals: " + " ".join(s for s in sa.states if s in sa.finals))
-    lines.append("  inputs: " + " ".join(sa.input_alphabet))
-    lines.append("  outputs: " + " ".join(sa.output_alphabet))
-    if sa.allow_partial:
-        lines.append("  partial: true")
-    for state in sa.states:
-        for sym in sa.input_alphabet:
-            key = (state, sym)
-            if key in sa.transitions:
-                lines.append(f"  delta: {state} {sym} -> {sa.transitions[key]} / {sa.outputs[key]}")
-    lines.append("}")
-    return lines
-
-
-def _ser_rule_common(ca) -> list[str]:
-    lines = ["  cell_states: " + " ".join(str(q) for q in ca.cell_states)]
-    lines.append(f"  width: {ca.width}")
-    lines.append(f"  radius: {ca.radius}")
-    if ca.boundary == BOUNDARY_FIXED:
-        lines.append(f"  boundary: fixed {ca.boundary_value}")
-    else:
-        lines.append("  boundary: periodic")
-    return lines
-
-
-def _nb_sort_key(ca):
-    order = {q: i for i, q in enumerate(ca.cell_states)}
-    return lambda nb: tuple(order[q] for q in nb)
-
-
-def _ser_ca(name: str, ca: CellularAutomaton) -> list[str]:
-    lines = [f"ca {name} {{"] + _ser_rule_common(ca)
-    if ca.rule_expr is not None:
-        lines.append(f"  rule expr: {ca.rule_expr}")
-    else:
-        lines.append("  rule table:")
-        for nb in sorted(ca.rule, key=_nb_sort_key(ca)):
-            lines.append("    " + " ".join(str(q) for q in nb) + f" -> {ca.rule[nb]}")
-    lines.append("}")
-    return lines
-
-
-def _ser_pca(name: str, pca: ProbabilisticCellularAutomaton) -> list[str]:
-    lines = [f"pca {name} {{"] + _ser_rule_common(pca)
-    lines.append("  rule table:")
-    for nb in sorted(pca.rule, key=_nb_sort_key(pca)):
-        pairs = " ".join(f"{state}@{prob!r}" for state, prob in pca.rule[nb])
-        lines.append("    " + " ".join(str(q) for q in nb) + f" -> {pairs}")
-    lines.append("}")
-    return lines
-
-
-def _ser_ha(name: str, ha: HierarchicalAutomaton) -> list[str]:
-    lines = [f"ha {name} {{"]
-    lines.append("  sas: " + " ".join(sa.name for sa in ha.sas))
-    lines.append(f"  root: {ha.root}")
-    for (owner, state) in sorted(ha.gamma):
-        children = " ".join(sorted(ha.gamma[(owner, state)]))
-        lines.append(f"  gamma: {owner} {state} -> {children}")
-    lines.append("}")
-    return lines
-
-
-def _ser_unit(unit: Unit) -> str:
-    if isinstance(unit, SaUnit):
-        return f"sa {unit.sa}"
-    if isinstance(unit, HaUnit):
-        return f"ha {unit.ha}"
-    return f"binding {unit.binding}"
-
-
-def _ser_binding(name: str, b: Binding) -> list[str]:
-    lines = [f"binding {name} {{"]
-    lines.append(f"  mode: {b.mode}")
-    lines.append(f"  ca: {b.ca}")
-    lines.append(f"  t_max: {b.t_max}")
-    if b.seed is not None:
-        lines.append("  seed: " + " ".join(str(q) for q in b.seed))
-    if b.outer_sa is not None:
-        lines.append(f"  outer_sa: {b.outer_sa}")
-    if b.readout is not None:
-        r = b.readout
-        if r.kind == "cell":
-            lines.append(f"  readout expr: cell {r.cell}")
-        elif r.kind == "parity":
-            lines.append(f"  readout expr: parity {r.target}")
-        else:
-            lines.append("  readout table:")
-            for lattice in sorted(r.table, key=lambda lat: tuple(str(q) for q in lat)):
-                lines.append("    " + " ".join(str(q) for q in lattice) + f" -> {r.table[lattice]}")
-    for state in sorted(b.cell_map, key=str):
-        lines.append(f"  cell_map: {state} -> {_ser_unit(b.cell_map[state])}")
-    lines.append("}")
-    return lines
-
-
-def _ser_ma(name: str, ma: MimicAutomaton) -> list[str]:
-    lines = [f"ma {name} {{"]
-    if ma.sa_set:
-        lines.append("  sas: " + " ".join(sorted(ma.sa_set)))
-    if ma.ca_set:
-        lines.append("  cas: " + " ".join(sorted(ma.ca_set)))
-    if ma.ha_set:
-        lines.append("  has: " + " ".join(sorted(ma.ha_set)))
-    if ma.bindings:
-        lines.append("  bindings: " + " ".join(sorted(ma.bindings)))
-    lines.append(f"  root_binding: {ma.root_binding}")
-    lines.append(f"  max_depth: {ma.max_depth}")
-    lines.append("}")
-    return lines
-
-
-def _ser_dhr(name: str, d: DhrStructure) -> list[str]:
-    lines = [f"dhr {name} {{"]
-    lines.append("  executors: " + " ".join(sa.name for sa in d.executors))
-    lines.append(f"  scheduler: {d.scheduler.name}")
-    lines.append(f"  width: {d.width}")
-    lines.append(f"  voter: {d.voter.kind}")
-    if d.voter.quorum is not None:
-        lines.append(f"  quorum: {d.voter.quorum}")
-    if d.voter.preferences:
-        lines.append("  prefs: " + " ".join(_ser_word(w) for w in d.voter.preferences))
-    if d.initial_lattice is not None:
-        lines.append("  initial_lattice: " + " ".join(str(q) for q in d.initial_lattice))
-    lines.append("}")
-    return lines
-
-
-def _ser_serial(name: str, s: SerialDhr) -> list[str]:
-    return [f"serial_dhr {name} {{", "  stages: " + " ".join(st.name for st in s.stages), "}"]
-
-
-def _ser_property(name: str, p: Property) -> list[str]:
-    lines = [f"property {name} {{", f"  kind: {p.kind}"]
-    if p.kind == BAD_PREFIX:
-        lines.append(f"  pattern: {p.pattern.name}")
-    else:
-        lines.append(f"  predicate: {render_predicate(p.predicate)}")
-    if p.inputs is not None:
-        lines.append("  inputs: " + " ".join(_ser_word(w) for w in p.inputs))
-    if p.policy is not None:
-        lines.append("  policy: " + " ".join(_ser_word(w) for w in p.policy))
-    if p.horizon is not None:
-        lines.append(f"  horizon: {p.horizon}")
-    lines.append("}")
-    return lines
-
-
-def _ser_signature(name: str, sig: Signature) -> list[str]:
-    return [
-        f"signature {name} {{",
-        f'  description: "{sig.description}"',
-        f"  severity: {sig.severity}",
-        f"  pattern: {sig.pattern.name}",
-        "}",
-    ]
-
-
-_SERIALIZERS = {
-    "binding": ("bindings", _ser_binding),
-    "ca": ("cas", _ser_ca),
-    "dhr": ("dhrs", _ser_dhr),
-    "ha": ("has", _ser_ha),
-    "ma": ("mas", _ser_ma),
-    "pca": ("pcas", _ser_pca),
-    "property": ("properties", _ser_property),
-    "sa": ("sas", _ser_sa),
-    "serial_dhr": ("serial_dhrs", _ser_serial),
-    "signature": ("signatures", _ser_signature),
-}
-
-
 def serialize(doc: ModelDocument) -> str:
-    """Canonical text: blocks sorted by (kind, name), fields in fixed order."""
+    """Canonical text: blocks sorted by (kind, name), fields in spec order."""
     chunks: list[str] = []
     for kind in KINDS:
-        attr, renderer = _SERIALIZERS[kind]
-        table = getattr(doc, attr)
+        spec = _SPECS[kind]
+        table = getattr(doc, spec.attr)
         for name in sorted(table):
-            chunks.append("\n".join(renderer(name, table[name])))
+            chunks.append(_write_block(kind, name, spec, spec.write(table[name])))
     return "\n\n".join(chunks) + ("\n" if chunks else "")

@@ -339,6 +339,18 @@ def test_exact_convergence_error_when_budget_too_small():
         reach_probability_exact(dtmc, "lattice_has(1)", tol=1e-12, max_iter=3)
 
 
+def test_mc_without_a_horizon_is_rejected_before_any_expansion(monkeypatch):
+    from mimic_automata import checker
+
+    def expand(*args, **kwargs):
+        raise AssertionError("the chain was expanded")
+
+    monkeypatch.setattr(checker, "_mc_chain", expand)
+    monkeypatch.setattr(checker, "_mc_per_trial", expand)
+    with pytest.raises(ValueError, match="Monte Carlo estimation needs a horizon"):
+        reach_probability_mc(flip_ma(), ("a",), "lattice_has(1)", None, trials=10)
+
+
 def test_mc_point_mass_hits_with_certainty():
     from mimic_automata import point_mass_pca
 

@@ -65,6 +65,45 @@ def test_negative_horizon_is_rejected_at_its_field():
     assert diags == []
 
 
+def test_negative_t_max_is_rejected_at_its_field():
+    text = (MODELS / "flip.ma").read_text().replace("t_max: 1000", "t_max: -5")
+    _, diags = parse(text, "flip.ma")
+    line = text.splitlines().index("  t_max: -5") + 1
+    assert [(d.file, d.line, d.col, d.message) for d in diags] == [
+        ("flip.ma", line, 10, "field 't_max' must be >= 0, got -5")
+    ]
+    _, diags = parse(text.replace("t_max: -5", "t_max: 0"))
+    assert diags == []
+
+
+def test_sub_key_on_a_field_that_takes_none_is_located():
+    text = PARITY_BLOCK.replace("  states: even odd", "  states table: even odd\n    even -> odd")
+    _, diags = parse(text, "p.ma")
+    assert [(d.line, d.col, d.message, d.hint) for d in diags] == [
+        (3, 3, "field 'states' takes no sub-key 'table'", "write 'states:'")
+    ]
+    # pca rules are tables only; a rule field always names its form
+    flip = (MODELS / "flip.ma").read_text()
+    _, diags = parse(flip.replace("  rule table:", "  rule expr: identity\n  rule table:"))
+    assert [(d.col, d.message, d.hint) for d in diags] == [
+        (3, "field 'rule' takes no sub-key 'expr'", "write 'rule table:'")
+    ]
+    _, diags = parse(MODE2_TABLE_DOC.replace("  readout table:", "  readout:"))
+    assert ("field 'readout' needs a sub-key", "write 'readout expr:' or 'readout table:'") in [
+        (d.message, d.hint) for d in diags
+    ]
+
+
+def test_duplicate_and_conflicting_readouts_are_reported_at_the_second_field():
+    text = MODE2_TABLE_DOC.replace("  readout table:", "  readout expr: cell 0\n  readout expr: cell 1\n  readout table:")
+    _, diags = parse(text, "r.ma")
+    line = text.splitlines().index("  readout expr: cell 1") + 1
+    assert [(d.line, d.col, d.message) for d in diags] == [
+        (line, 3, "duplicate field 'readout'"),
+        (line + 1, 3, "give either 'readout expr:' or 'readout table:', not both"),
+    ]
+
+
 def test_every_rejection_is_located():
     bad_texts = [
         "what is this",
