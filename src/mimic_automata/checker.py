@@ -33,8 +33,7 @@ from .composition import (
     MimicAutomaton,
     MimicConfiguration,
     SaUnit,
-    _macro_step_mode2,
-    _mode1_stepper,
+    _stepper,
     _unit_tables,
     binding_seed,
     has_randomness,
@@ -331,7 +330,7 @@ def _explore(start_key, make_config, successors, props_fn, bound: int):
 
 
 def _mode1_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tuple, ...]):
-    """``_explore`` successors of ``sa_from_ca`` states: ``_macro_step_mode1``, stripped, per entry.
+    """``_explore`` successors of ``sa_from_ca`` states: the single macro step, stripped, per entry.
 
     Each lattice steps once, after its first entry's runs, where the single
     step fails; each (entry, per-cell output words) is one Action.
@@ -364,13 +363,17 @@ def _mode1_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tupl
 
 
 def _mode2_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tuple, ...]):
-    """``_explore`` successors of ``ca_from_sa`` states: one ``_macro_step_mode2`` per entry."""
+    """``_explore`` successors of ``ca_from_sa`` states: one ``_stepper`` step per entry.
+
+    No unit runs and fresh units start at clock 0, so the successor's
+    fields are already clock-stripped.
+    """
+    step = _stepper(ma, binding, depth=1)
 
     def successors(sid: int, cfg: MimicConfiguration, depth: int):
         for entry in universe:
-            nxt, _, _, output = _macro_step_mode2(ma, binding, cfg, entry, depth=1)
-            key = strip_clocks(nxt)
-            yield Action(entry, output), (key.lattice, key.unit_states, key.outer_state)
+            nxt, _, _, _, output = step(cfg, entry, None)
+            yield Action(entry, output), (nxt.lattice, nxt.unit_states, nxt.outer_state)
 
     return successors
 
@@ -819,7 +822,7 @@ def _mc_chain(ma, policy, pred, horizon, trials, seed, bound, props_fn) -> int:
 
 def _mc_per_trial(ma, policy, pred, horizon, trials, seed, props_fn) -> int:
     binding = ma.root()
-    step = _mode1_stepper(ma, binding, depth=1)
+    step = _stepper(ma, binding, depth=1)
     period = len(policy)
     start = ma_initial(ma, binding_seed(ma, binding))
     hits = 0
@@ -834,7 +837,7 @@ def _mc_per_trial(ma, policy, pred, horizon, trials, seed, props_fn) -> int:
             for t in range(horizon):
                 if hit:
                     break
-                cfg, _, _ = step(cfg, policy[t % period], rng)
+                cfg = step(cfg, policy[t % period], rng)[0]
                 hit = eval_predicate(pred, props_fn(strip_clocks(cfg)))
             hits += int(hit)
         done += n
@@ -852,17 +855,12 @@ def replay_path(ma: MimicAutomaton, ts: TransitionSystem, path: Path) -> bool:
     cfg = ma_initial(ma, lattice0 if lattice0 is not None else binding_seed(ma, binding))
     if strip_clocks(cfg) != ts.states[path.states[0]]:
         return False
-    if binding.mode == MODE_SA_FROM_CA:
-        step = _mode1_stepper(ma, binding, depth=1)
+    step = _stepper(ma, binding, depth=1)
     for action, sid in zip(path.actions, path.states[1:]):
-        if binding.mode == MODE_SA_FROM_CA:
-            cfg, per_cell, _ = step(cfg, action.macro_input, None)
-            words = tuple(r.output_word for r in per_cell)
-            observed = Action(action.macro_input, _observable_output(ma, words))
-        else:
-            cfg, _, _, output = _macro_step_mode2(ma, binding, cfg, action.macro_input, depth=1)
-            observed = Action(action.macro_input, output)
-        if observed != action or strip_clocks(cfg) != ts.states[sid]:
+        cfg, per_cell, _, _, output = step(cfg, action.macro_input, None)
+        if per_cell is not None:
+            output = _observable_output(ma, tuple(r.output_word for r in per_cell))
+        if Action(action.macro_input, output) != action or strip_clocks(cfg) != ts.states[sid]:
             return False
     return True
 

@@ -413,7 +413,9 @@ def _run_unit(
     rng: np.random.Generator | None,
     depth: int,
     cell: int,
+    steppers: dict,
 ) -> tuple[object, RunResult]:
+    """One unit's run on a block; ``steppers`` holds one ``_stepper`` per nested binding."""
     if isinstance(unit, SaUnit):
         try:
             result = sa_run(ma.sa_set[unit.sa], block, start=state)
@@ -424,14 +426,15 @@ def _run_unit(
         return _run_ha_unit(ma.ha_set[unit.ha], state, block)
 
     nested = ma.bindings[unit.binding]
+    step = steppers.get(unit.binding)
+    if step is None:
+        step = steppers[unit.binding] = _stepper(ma, nested, depth + 1)
     if nested.mode == MODE_SA_FROM_CA:
-        cfg, per_cell, _ = _macro_step_mode1(ma, nested, state, block, rng, depth + 1)
-        head = per_cell[0] if per_cell else RunResult(None, True, (), 0)
+        cfg, per_cell, _, _, output = step(state, block, rng)
         # the first cell is the binding's designated observable
-        return cfg, RunResult(cfg, head.accepted, head.output_word, len(block))
-    cfg, _, _, output = _macro_step_mode2(ma, nested, state, state.lattice, depth + 1)
-    outer = ma.sa_set[nested.outer_sa]
-    return cfg, RunResult(cfg, cfg.outer_state in outer.finals, output, 1)
+        return cfg, RunResult(cfg, per_cell[0].accepted if per_cell else True, output, len(block))
+    cfg, _, _, _, output = step(state, state.lattice, rng)  # a nested lattice runs from its own
+    return cfg, RunResult(cfg, cfg.outer_state in ma.sa_set[nested.outer_sa].finals, output, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -452,40 +455,28 @@ def _fresh_units(
     return tuple(fresh)
 
 
-def _reinit_units(
-    ma: MimicAutomaton,
-    binding: Binding,
-    before: Lattice,
-    after: Lattice,
-    ran_states: tuple,
-    depth: int,
-) -> tuple:
-    units = list(ran_states)
-    for i, unit_state in _fresh_units(ma, binding, before, after, depth):
-        units[i] = unit_state
-    return tuple(units)
-
-
 def _unit_tables(ma: MimicAutomaton, binding: Binding, depth: int, canonical: bool):
     """``run`` and ``rebind``: the ``sa_from_ca`` unit runs of one call, memoised.
 
     ``run(lattice, unit_states, block, rng)`` gives the frozen lattice's
     final unit states and per-cell ``RunResult``s (output words when
-    ``canonical``). Each (unit, unit state, block) runs once; nested units
-    carry macro clocks and run every time, unless ``canonical``: then states
-    are clock-stripped, so nested runs are memoised and their finals
-    stripped. Cells run in index order, a run that raises is never stored,
-    and an unmapped cell state raises its ``KeyError`` at its own cell.
-    ``rebind(lattice, after)`` gives the ``_fresh_units`` of a lattice step,
-    built once per (lattice, successor lattice).
+    ``canonical``). Each (unit, unit state, block) runs once and each nested
+    binding gets one stepper; nested units carry macro clocks, so they run
+    every time without a lookup, unless ``canonical``: then states are
+    clock-stripped, nested runs memoised and their finals stripped. Cells
+    run in index order, a run that raises is never stored, and an unmapped
+    cell state raises its ``KeyError`` at its own cell. ``rebind(lattice,
+    after)`` gives the ``_fresh_units`` of a lattice step, once per pair.
     """
     unit_ids: dict = {}  # distinct units in first-seen order
     uid_of = {q: unit_ids.setdefault(unit, len(unit_ids)) for q, unit in binding.cell_map.items()}
     units = list(unit_ids)
     unmapped = len(units)  # the unit id of an unmapped cell state: its table stays empty
-    runs: dict = {}  # block -> [unit id] -> unit state -> (final state, RunResult or output word)
+    memoised = [canonical or not isinstance(unit, NestedUnit) for unit in units] + [True]
+    runs: dict = {}  # block -> [unit id] -> unit state -> (final state, RunResult or output word), or None
     unit_ids_of: dict = {}  # lattice -> unit id per cell
     fresh_of: dict = {}  # (lattice, successor lattice) -> fresh units
+    steppers: dict = {}  # nested binding name -> its stepper
 
     def run(lattice: Lattice, unit_states: tuple, block: Word, rng: np.random.Generator | None):
         uids = unit_ids_of.get(lattice)
@@ -493,23 +484,24 @@ def _unit_tables(ma: MimicAutomaton, binding: Binding, depth: int, canonical: bo
             uids = unit_ids_of[lattice] = tuple(uid_of.get(q, unmapped) for q in lattice)
         tables = runs.get(block)
         if tables is None:
-            tables = runs[block] = [{} for _ in range(unmapped + 1)]
+            tables = runs[block] = [{} if memo else None for memo in memoised]
         ran = []
         per_cell = []
         for uid, state in zip(uids, unit_states):
-            hit = tables[uid].get(state)
+            table = tables[uid]
+            hit = None if table is None else table.get(state)
             if hit is None:
                 i = len(ran)  # the cell's index
                 if uid == unmapped:
                     raise KeyError(lattice[i])
-                hit = _run_unit(ma, units[uid], state, block, rng, depth, i)
+                hit = _run_unit(ma, units[uid], state, block, rng, depth, i, steppers)
                 if canonical:
                     final, result = hit
                     if isinstance(final, MimicConfiguration):
                         final = strip_clocks(final)
                     hit = (final, result.output_word)
-                if canonical or not isinstance(units[uid], NestedUnit):
-                    tables[uid][state] = hit
+                if table is not None:
+                    table[state] = hit
             ran.append(hit[0])
             per_cell.append(hit[1])
         return ran, per_cell
@@ -523,65 +515,54 @@ def _unit_tables(ma: MimicAutomaton, binding: Binding, depth: int, canonical: bo
     return run, rebind
 
 
-def _mode1_stepper(ma: MimicAutomaton, binding: Binding, depth: int):
-    """``step(cfg, block, rng)`` -> (next configuration, per-cell ``RunResult``s, successor lattice).
+def _stepper(ma: MimicAutomaton, binding: Binding, depth: int):
+    """``step(cfg, entry, rng)``: one macro step of ``binding``, its mode picked once, here.
 
-    One ``_unit_tables`` serves every tick; the lattice steps once per tick.
+    An entry is an input block (``sa_from_ca``) or an inner seed lattice
+    (``ca_from_sa``). ``step`` returns the next configuration and the last
+    four fields of a ``MacroTick``, from one ``_unit_tables`` for all steps.
     """
     ca = ma.ca_set[binding.ca]
-    probabilistic = isinstance(ca, ProbabilisticCellularAutomaton)
     run, rebind = _unit_tables(ma, binding, depth, canonical=False)
 
-    def step(cfg: MimicConfiguration, block: Word, rng: np.random.Generator | None):
-        lattice = cfg.lattice
-        ran, results = run(lattice, cfg.unit_states, block, rng)
-        if probabilistic:
-            if rng is None:
-                raise MimicError(f"{binding.name}: probabilistic lattice step needs a random stream")
-            after = pca_step(ca, lattice, rng)
-        else:
-            after = ca_step(ca, lattice)
-        for i, unit_state in rebind(lattice, after):
-            ran[i] = unit_state
-        return MimicConfiguration(after, ran, cfg.macro_clock + 1, cfg.outer_state), tuple(results), after
+    if binding.mode == MODE_SA_FROM_CA:
+        probabilistic = isinstance(ca, ProbabilisticCellularAutomaton)
+
+        def step(cfg: MimicConfiguration, block: Word, rng: np.random.Generator | None):
+            lattice = cfg.lattice
+            ran, results = run(lattice, cfg.unit_states, block, rng)
+            if probabilistic:
+                if rng is None:
+                    raise MimicError(f"{binding.name}: probabilistic lattice step needs a random stream")
+                after = pca_step(ca, lattice, rng)
+            else:
+                after = ca_step(ca, lattice)
+            for i, unit_state in rebind(lattice, after):
+                ran[i] = unit_state
+            new_cfg = MimicConfiguration(after, ran, cfg.macro_clock + 1, cfg.outer_state)
+            return new_cfg, tuple(results), None, None, results[0].output_word if results else ()
+
+        return step
+
+    outer = ma.sa_set[binding.outer_sa]
+    alphabet = set(outer.input_alphabet)
+
+    def step(cfg: MimicConfiguration, seed_lattice: Lattice, rng: np.random.Generator | None):
+        inner = ca_run(ca, seed_lattice, binding.t_max)
+        final = inner.trace[-1]
+        symbol = binding.readout.apply(final)
+        if symbol not in alphabet:
+            raise ReadoutError(f"{binding.name}: readout produced {symbol!r}, not an input of {outer.name}")
+        key = (cfg.outer_state, symbol)
+        if key not in outer.transitions:
+            raise StuckError(f"{binding.name}: outer machine has no transition on {key!r}")
+        units = list(cfg.unit_states)
+        for i, unit_state in rebind(cfg.lattice, final):
+            units[i] = unit_state
+        new_cfg = MimicConfiguration(final, units, cfg.macro_clock + 1, outer.transitions[key])
+        return new_cfg, None, inner, symbol, (outer.outputs[key],)
 
     return step
-
-
-def _macro_step_mode1(
-    ma: MimicAutomaton,
-    binding: Binding,
-    cfg: MimicConfiguration,
-    block: Word,
-    rng: np.random.Generator | None,
-    depth: int,
-) -> tuple[MimicConfiguration, tuple[RunResult, ...], Lattice]:
-    """One ``sa_from_ca`` macro step: a stepper used once."""
-    return _mode1_stepper(ma, binding, depth)(cfg, block, rng)
-
-
-def _macro_step_mode2(
-    ma: MimicAutomaton,
-    binding: Binding,
-    cfg: MimicConfiguration,
-    seed_lattice: Lattice,
-    depth: int,
-) -> tuple[MimicConfiguration, CaRun, Symbol, Word]:
-    ca = ma.ca_set[binding.ca]
-    inner = ca_run(ca, tuple(seed_lattice), binding.t_max)
-    final = inner.trace[-1]
-    symbol = binding.readout.apply(final)
-    outer = ma.sa_set[binding.outer_sa]
-    if symbol not in set(outer.input_alphabet):
-        raise ReadoutError(f"{binding.name}: readout produced {symbol!r}, not an input of {outer.name}")
-    key = (cfg.outer_state, symbol)
-    if key not in outer.transitions:
-        raise StuckError(f"{binding.name}: outer machine has no transition on {key!r}")
-    new_outer = outer.transitions[key]
-    out = outer.outputs[key]
-    units = _reinit_units(ma, binding, cfg.lattice, final, cfg.unit_states, depth)
-    new_cfg = MimicConfiguration(final, units, cfg.macro_clock + 1, new_outer)
-    return new_cfg, inner, symbol, (out,)
 
 
 def ma_macro_step_sa_from_ca(
@@ -594,7 +575,7 @@ def ma_macro_step_sa_from_ca(
     binding = ma.root()
     if binding.mode != MODE_SA_FROM_CA:
         raise MimicError(f"root binding {binding.name!r} is not in mode {MODE_SA_FROM_CA}")
-    new_cfg, per_cell, _ = _macro_step_mode1(ma, binding, cfg, tuple(input_block), rng, depth=1)
+    new_cfg, per_cell, _, _, _ = _stepper(ma, binding, depth=1)(cfg, tuple(input_block), rng)
     return new_cfg, per_cell
 
 
@@ -605,11 +586,10 @@ def ma_macro_step_ca_from_sa(
     rng: np.random.Generator | None = None,
 ) -> tuple[MimicConfiguration, CaRun]:
     """One ``ca_from_sa`` tick: inner lattice run, readout, one outer step."""
-    del rng  # inner runs are deterministic; kept for signature symmetry
     binding = ma.root()
     if binding.mode != MODE_CA_FROM_SA:
         raise MimicError(f"root binding {binding.name!r} is not in mode {MODE_CA_FROM_SA}")
-    new_cfg, inner, _, _ = _macro_step_mode2(ma, binding, cfg, tuple(inner_lattice0), depth=1)
+    new_cfg, _, inner, _, _ = _stepper(ma, binding, depth=1)(cfg, tuple(inner_lattice0), rng)
     return new_cfg, inner
 
 
@@ -649,34 +629,13 @@ def ma_run(
     binding = ma.root()
     if rng is None and has_randomness(ma):
         rng = master_stream(seed)
-    if binding.mode == MODE_SA_FROM_CA:
-        step = _mode1_stepper(ma, binding, depth=1)
+    step = _stepper(ma, binding, depth=1)
     ticks: list[MacroTick] = []
     for entry in schedule:
-        before = cfg.lattice
-        index = cfg.macro_clock
-        if binding.mode == MODE_SA_FROM_CA:
-            block = tuple(entry)
-            cfg, per_cell, after = step(cfg, block, rng)
-            output = per_cell[0].output_word if per_cell else ()
-            ticks.append(
-                MacroTick(index, binding.mode, block, before, after, per_cell=per_cell, output=output)
-            )
-        else:
-            seed_lattice = tuple(entry)
-            cfg, inner, symbol, output = _macro_step_mode2(ma, binding, cfg, seed_lattice, depth=1)
-            ticks.append(
-                MacroTick(
-                    index,
-                    binding.mode,
-                    seed_lattice,
-                    before,
-                    cfg.lattice,
-                    inner_run=inner,
-                    readout_symbol=symbol,
-                    output=output,
-                )
-            )
+        entry = tuple(entry)
+        before = cfg
+        cfg, *fields = step(cfg, entry, rng)
+        ticks.append(MacroTick(before.macro_clock, binding.mode, entry, before.lattice, cfg.lattice, *fields))
     return cfg, tuple(ticks)
 
 

@@ -35,7 +35,7 @@ from .composition import (
     MimicAutomaton,
     MimicConfiguration,
     SaUnit,
-    _mode1_stepper,
+    _stepper,
     has_randomness,
     ma_initial,
 )
@@ -361,17 +361,18 @@ def dhr_initial(d: DhrStructure) -> MimicConfiguration:
 
 
 def _dhr_ticker(ma: MimicAutomaton, voter: VoterPolicy):
-    """``tick(cfg, block, rng)``: one tick of a ``_mode1_stepper``, then the vote and the report.
+    """``tick(cfg, block, rng)``: one step of a ``_stepper``, then the vote and the report.
 
     The vote runs once per distinct tuple of slot words, and fault tags are
     stripped once per distinct lattice.
     """
-    step = _mode1_stepper(ma, ma.root(), depth=1)
+    step = _stepper(ma, ma.root(), depth=1)
     votes: dict = {}  # slot words -> (voted word, dissenters)
     bases: dict = {}  # lattice -> untagged lattice
 
     def tick(cfg: MimicConfiguration, block: Word, rng: np.random.Generator | None):
-        new_cfg, per_cell, after = step(cfg, block, rng)
+        new_cfg, per_cell, _, _, _ = step(cfg, block, rng)
+        after = new_cfg.lattice
         words = tuple(r.output_word for r in per_cell)
         outcome = votes.get(words)
         if outcome is None:

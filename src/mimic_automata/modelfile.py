@@ -466,6 +466,8 @@ def _build_ca(b: _Block, doc: ModelDocument) -> CellularAutomaton | None:
                 b.err(f"rule entry expects {size} states, '->', one state", line)
                 continue
             neighborhood = tuple(texts[:size])
+            if neighborhood in rule:
+                b.err(f"duplicate rule for {neighborhood}", line, tokens[0][1])
             rule[neighborhood] = texts[size + 1]
     else:
         b.err(f"ca {b.name}: missing 'rule expr:' or 'rule table:'")
@@ -517,6 +519,8 @@ def _build_pca(b: _Block, doc: ModelDocument) -> ProbabilisticCellularAutomaton 
                 ok = False
                 break
         if ok:
+            if neighborhood in rule:
+                b.err(f"duplicate rule for {neighborhood}", line, tokens[0][1])
             rule[neighborhood] = tuple(pairs)
 
     pca = ProbabilisticCellularAutomaton(
@@ -586,7 +590,10 @@ def _build_readout(b: _Block) -> Readout | None:
             b.err("readout entry expects '<lattice> -> <symbol>'", line)
             continue
         arrow = texts.index("->")
-        table[tuple(texts[:arrow])] = texts[arrow + 1]
+        lattice = tuple(texts[:arrow])
+        if lattice in table:
+            b.err(f"duplicate readout for {lattice}", line, tokens[0][1])
+        table[lattice] = texts[arrow + 1]
     return Readout(kind="table", table=table)
 
 
@@ -777,6 +784,10 @@ def _build_property(b: _Block, doc: ModelDocument) -> Property | None:
     if kind not in (INVARIANT, REACH, BAD_PREFIX):
         b.err(f"property kind must be {INVARIANT}, {REACH} or {BAD_PREFIX}")
         return None
+    other = "predicate" if kind == BAD_PREFIX else "pattern"
+    other_f = b.take(other)
+    if other_f is not None:
+        b.err(f"field {other!r} does not apply to a {kind} property", other_f.line, other_f.col)
     predicate = None
     pattern = None
     if kind == BAD_PREFIX:

@@ -210,18 +210,20 @@ def ref_mode1_tick(ma, binding, cfg, block):
     return new_cfg, tuple(per_cell), output
 
 
+def ref_readout(readout, final):
+    if readout.kind == "cell":
+        return final[readout.cell]
+    if readout.kind == "parity":
+        return "1" if sum(1 for q in final if q == readout.target) % 2 == 1 else "0"
+    return readout.table[final]
+
+
 def ref_mode2_tick(ma, binding, cfg, seed_lattice):
     _, lattice, units, clock, outer_state = cfg
     ca = ma.ca_set[binding.ca]
     trace = ref_ca_run(ca, seed_lattice, binding.t_max)
     final = trace[-1]
-    readout = binding.readout
-    if readout.kind == "cell":
-        sym = final[readout.cell]
-    elif readout.kind == "parity":
-        sym = "1" if sum(1 for q in final if q == readout.target) % 2 == 1 else "0"
-    else:
-        sym = readout.table[final]
+    sym = ref_readout(binding.readout, final)
     outer_sa = ma.sa_set[binding.outer_sa]
     new_outer = outer_sa.transitions[(outer_state, sym)]
     out = outer_sa.outputs[(outer_state, sym)]

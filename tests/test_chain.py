@@ -39,7 +39,7 @@ from mimic_automata import (
 )
 from mimic_automata.cellular import DEFAULT_SUCCESSOR_CAP, pca_step_distribution
 from mimic_automata.checker import ROW_TOL, builtin_labeling
-from mimic_automata.composition import _reinit_units, _run_unit, binding_seed
+from mimic_automata.composition import _fresh_units, _run_unit, binding_seed
 from mimic_automata.errors import MimicError
 from mimic_automata.modelfile import parse_files
 from mimic_automata.props import eval_predicate, parse_predicate
@@ -81,12 +81,14 @@ def reference_chain(ma, policy, bound=checker.DEFAULT_FLATTEN_BOUND, lattice0=No
             rows[sid] = ((sid, 1.0),)
             continue
         ran = tuple(
-            _run_unit(ma, binding.cell_map[q], cfg.unit_states[i], policy[phase], None, 1, i)[0]
+            _run_unit(ma, binding.cell_map[q], cfg.unit_states[i], policy[phase], None, 1, i, {})[0]
             for i, q in enumerate(cfg.lattice)
         )
         row = {}
         for after, prob in pca_step_distribution(ca, cfg.lattice, successor_cap).items():
-            units = _reinit_units(ma, binding, cfg.lattice, after, ran, 1)
+            units = list(ran)
+            for i, unit_state in _fresh_units(ma, binding, cfg.lattice, after, 1):
+                units[i] = unit_state
             key = (strip_clocks(MimicConfiguration(after, units, 0, cfg.outer_state)), (phase + 1) % period)
             if key not in ids:
                 if len(ids) >= bound:
@@ -242,10 +244,10 @@ def test_build_dtmc_computes_each_distribution_run_and_rebind_once(monkeypatch):
         dists.append(lattice)
         return real_dist(ca, lattice, cap)
 
-    def counting_run(ma, unit, state, block, rng, depth, cell):
+    def counting_run(ma, unit, state, block, rng, depth, cell, steppers):
         if depth == 1:  # nested steps run their own units at depth 2 and below
             runs.append((unit, state, block))
-        return real_run(ma, unit, state, block, rng, depth, cell)
+        return real_run(ma, unit, state, block, rng, depth, cell, steppers)
 
     def counting_fresh(ma, binding, before, after, depth):
         if depth == 1:

@@ -37,7 +37,7 @@ from mimic_automata import (
     strip_clocks,
 )
 from mimic_automata.checker import Action, _observable_output, builtin_labeling
-from mimic_automata.composition import _macro_step_mode1, _macro_step_mode2, has_randomness
+from mimic_automata.composition import _stepper, has_randomness
 
 from helpers import (
     ALPHABET,
@@ -61,11 +61,9 @@ def single_step_edges(ma, cfg, universe):
     binding = ma.root()
     edges = []
     for entry in universe:
-        if binding.mode == MODE_SA_FROM_CA:
-            nxt, per_cell, _ = _macro_step_mode1(ma, binding, cfg, entry, None, depth=1)
+        nxt, per_cell, _, _, output = _stepper(ma, binding, depth=1)(cfg, entry, None)
+        if per_cell is not None:
             output = _observable_output(ma, tuple(r.output_word for r in per_cell))
-        else:
-            nxt, _, _, output = _macro_step_mode2(ma, binding, cfg, entry, depth=1)
         edges.append((Action(entry, output), strip_clocks(nxt)))
     return edges
 

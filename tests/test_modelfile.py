@@ -272,6 +272,35 @@ def test_readout_table_totality_is_validated():
     assert any("readout-totality" in d.message for d in diags)
 
 
+def test_a_repeated_table_line_is_reported_at_that_line():
+    text = MODE2_TABLE_DOC.replace("    1 1 -> 0\n", "    1 1 -> 0\n    1 1 -> 1\n")
+    _, diags = parse(text, "r.ma")
+    line = text.splitlines().index("    1 1 -> 1") + 1
+    assert [(d.line, d.col, d.message) for d in diags] == [(line, 5, "duplicate readout for ('1', '1')")]
+    rules = "".join(f"    {a} {b} {c} -> {b}\n" for a in "01" for b in "01" for c in "01")
+    text = MODE2_TABLE_DOC.replace("  rule expr: identity\n", "  rule table:\n" + rules + "    1 1 1 -> 0\n")
+    _, diags = parse(text, "r.ma")
+    line = text.splitlines().index("    1 1 1 -> 0") + 1
+    assert [(d.line, d.col, d.message) for d in diags] == [(line, 5, "duplicate rule for ('1', '1', '1')")]
+
+
+def test_a_property_field_its_kind_does_not_use_is_reported():
+    text = (MODELS / "parity.ma").read_text()
+    text = text.replace("  predicate: cell0_state(odd)\n", "  predicate: cell0_state(odd)\n  pattern: nothing_here\n")
+    _, diags = parse(text, "parity.ma")
+    line = text.splitlines().index("  pattern: nothing_here") + 1
+    assert [(d.line, d.col, d.message) for d in diags] == [
+        (line, 3, "field 'pattern' does not apply to a reach property")
+    ]
+    flip = (MODELS / "flip.ma").read_text()
+    bad_prefix = "property bad {\n  kind: bad_prefix\n  pattern: idle\n  predicate: lattice_has(1)\n}\n"
+    _, diags = parse(flip + bad_prefix, "flip.ma")
+    line = len(flip.splitlines()) + 4
+    assert [(d.line, d.col, d.message) for d in diags] == [
+        (line, 3, "field 'predicate' does not apply to a bad_prefix property")
+    ]
+
+
 def test_comments_and_blank_lines_are_ignored():
     text = "# header\n\n" + PARITY_BLOCK.replace(
         "delta: even 0 -> even / 0", "delta: even 0 -> even / 0   # self loop"

@@ -1,12 +1,13 @@
-"""The memoised mode-1 stepper that every replay loop holds, and the sliced lattice step.
+"""The memoised stepper that every replay loop holds, and the sliced lattice step.
 
 ``ma_run``, ``dhr_run``, ``serial_run``, per-trial Monte Carlo and
-``replay_path`` hold one stepper per call: it runs each (unit, unit state,
-block) of a plain or hierarchical unit once, builds the fresh units of each
-(lattice, successor lattice) once, and still steps the lattice exactly once
-per tick. These tests fold the reference interpreter's tick over long
-schedules and require every tick and the final configuration, clocks
-included; they count the work, pin the first error, and check the padded
+``replay_path`` hold one ``_stepper`` per call, for either mode: it runs
+each (unit, unit state, block) of a plain or hierarchical unit once, builds
+the fresh units of each (lattice, successor lattice) once, builds each
+nested binding's stepper once, and still steps the lattice exactly once per
+tick. These tests fold the reference interpreter's tick over long schedules
+and require every tick and the final configuration, clocks included; they
+count the work, pin the first error, and check the padded
 ``ca_step``/``pca_step`` against the ``neighborhood_of`` form.
 """
 
@@ -42,7 +43,7 @@ from mimic_automata import (
     vote,
 )
 from mimic_automata.cellular import ca_step, neighborhood_of, pca_step
-from mimic_automata.composition import _macro_step_mode1, _mode1_stepper
+from mimic_automata.composition import _stepper
 from mimic_automata.dhr import base_state
 from mimic_automata.rng import master_stream
 
@@ -59,7 +60,14 @@ from helpers import (
     rotate_ca,
     x11_parity_ma,
 )
-from reference_interpreter import ref_mode1_tick, ref_mode2_tick, ref_run_unit, ref_unit_initial
+from reference_interpreter import (
+    ref_ca_run,
+    ref_mode1_tick,
+    ref_mode2_tick,
+    ref_readout,
+    ref_run_unit,
+    ref_unit_initial,
+)
 
 
 def long_schedule(rnd, ticks=24, max_len=2):
@@ -72,7 +80,8 @@ def plain_result(result):
 
 
 def reference_fold(ma, lattice0, schedule):
-    """Per tick (lattice before, lattice after, per-cell records, output), and the final configuration."""
+    """Per tick (lattice before, lattice after, per-cell records, output, inner run's final lattice,
+    readout symbol), and the final configuration."""
     binding = ma.root()
     cfg = plain(ma_initial(ma, lattice0))
     ticks = []
@@ -80,10 +89,13 @@ def reference_fold(ma, lattice0, schedule):
         before = cfg[1]
         if binding.mode == MODE_SA_FROM_CA:
             cfg, per_cell, output = ref_mode1_tick(ma, binding, cfg, tuple(entry))
+            final = symbol = None
         else:
             cfg, output = ref_mode2_tick(ma, binding, cfg, tuple(entry))
             per_cell = None
-        ticks.append((before, cfg[1], per_cell, output))
+            final = ref_ca_run(ma.ca_set[binding.ca], tuple(entry), binding.t_max)[-1]
+            symbol = ref_readout(binding.readout, final)
+        ticks.append((before, cfg[1], per_cell, output, final, symbol))
     return ticks, cfg
 
 
@@ -95,6 +107,8 @@ def replayed(ma, lattice0, schedule, seed=None):
             tick.lattice_after,
             None if tick.per_cell is None else tuple(plain_result(r) for r in tick.per_cell),
             tick.output,
+            None if tick.inner_run is None else tick.inner_run.trace[-1],
+            tick.readout_symbol,
         )
         for tick in trace
     ]
@@ -242,7 +256,7 @@ def test_seeded_pca_runs_equal_a_neighborhood_of_reference():
                           for j, state in enumerate(ran))
             cfg = ("cfg", after, units, clock + 1, outer)
             output = per_cell[0][1] if per_cell else ()
-            assert ticks[i] == (lattice, after, tuple(per_cell), output), f"seed {seed}, tick {i}"
+            assert ticks[i] == (lattice, after, tuple(per_cell), output, None, None), f"seed {seed}, tick {i}"
         assert final == cfg, f"seed {seed}"
 
 
@@ -256,7 +270,7 @@ def test_each_pure_run_happens_once_and_the_lattice_steps_every_tick(monkeypatch
     for block in schedule:  # the unit states each tick starts from, by one-shot steps
         triples.update(zip((binding.cell_map[q] for q in cfg.lattice), cfg.unit_states,
                            itertools.repeat(block)))
-        nxt, _, _ = _macro_step_mode1(ma, binding, cfg, block, None, 1)
+        nxt = _stepper(ma, binding, 1)(cfg, block, None)[0]
         pairs.add((cfg.lattice, nxt.lattice))
         cfg = nxt
 
@@ -291,10 +305,10 @@ def test_nested_units_run_every_tick_and_votes_happen_once_per_word_tuple(monkey
     nested_runs, votes = [], []
     run_unit, real_vote = composition._run_unit, dhr.vote
 
-    def counting_run(ma, unit, state, block, rng, depth, cell):
+    def counting_run(ma, unit, state, block, rng, depth, cell, steppers):
         if isinstance(unit, NestedUnit) and depth == 1:
             nested_runs.append(cell)
-        return run_unit(ma, unit, state, block, rng, depth, cell)
+        return run_unit(ma, unit, state, block, rng, depth, cell, steppers)
 
     def counting_vote(policy, words):
         votes.append(words)
@@ -321,6 +335,40 @@ def test_nested_units_run_every_tick_and_votes_happen_once_per_word_tuple(monkey
     assert len(votes) == len(set(votes)) == len({r.per_slot_outputs for r in reports})
 
 
+def test_a_run_builds_each_unit_table_once_however_many_ticks(monkeypatch):
+    builds = []
+    real_tables = composition._unit_tables
+
+    def counting_tables(ma, binding, depth, canonical):
+        builds.append(binding.name)
+        return real_tables(ma, binding, depth, canonical)
+
+    monkeypatch.setattr(composition, "_unit_tables", counting_tables)
+    compared = 0
+    for seed in range(60):
+        rnd = random.Random(seed)
+        ma, lattice0, _ = gen_instance(rnd)
+        cell_map = ma.root().cell_map
+        if ma.root().mode != MODE_SA_FROM_CA or not any(isinstance(u, NestedUnit) for u in cell_map.values()):
+            continue
+        schedule = long_schedule(rnd, ticks=200)
+        counts = []
+        for ticks in (10, 200):
+            builds.clear()
+            try:
+                _, trace = ma_run(ma, ma_initial(ma, lattice0), schedule[:ticks])
+            except (KeyError, InputRejectedError):
+                break
+            hosted = {cell_map[q] for t in trace for q in t.lattice_before if isinstance(cell_map[q], NestedUnit)}
+            # the root's table, then one per nested binding, built at its first run
+            assert len(builds) == 1 + len(hosted), f"seed {seed}, {ticks} ticks"
+            counts.append(len(builds))
+        else:
+            assert counts[0] == counts[1], f"seed {seed}"
+            compared += 1
+    assert compared >= 10
+
+
 def late_rejection_ma():
     """Two cells on a machine over {a, b, c}; after one tick cell 1 hosts one over {a, b}."""
     wide = echo_sa("wide", 1, inputs=("a", "b", "c"))
@@ -341,8 +389,8 @@ def test_a_rejection_after_table_hits_raises_the_unmemoised_message():
         ma_run(ma, start, [("c",), ("a",), ("c",)])
     assert str(exc.value) == "input symbol 'c' rejected at cell 1, position 0"
     # a run that raised is not stored: the same stepper raises it again
-    step = _mode1_stepper(ma, ma.root(), 1)
-    cfg, _, _ = step(start, ("c",), None)
+    step = _stepper(ma, ma.root(), 1)
+    cfg = step(start, ("c",), None)[0]
     for _ in range(2):
         with pytest.raises(InputRejectedError) as exc:
             step(cfg, ("a", "c"), None)
