@@ -11,6 +11,7 @@ terminate the construction.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
@@ -382,33 +383,35 @@ def _as_predicate(target: Pred | str) -> Pred:
     return parse_predicate(target) if isinstance(target, str) else target
 
 
-def _bfs_search(
-    ts: TransitionSystem, want: Callable[[str], bool]
-) -> tuple[str | None, dict[str, tuple[str, Action]]]:
-    """First state satisfying ``want`` in BFS order, plus parent links."""
-    parents: dict[str, tuple[str, Action]] = {}
-    visited = {ts.initial}
-    if want(ts.initial):
-        return ts.initial, parents
-    queue = deque([ts.initial])
+def _bfs_search(start, successors, want, bound: float = math.inf) -> tuple[object, dict]:
+    """First node satisfying ``want`` in BFS order from ``start``, plus parent links.
+
+    ``successors(node)`` yields ``(action, node)`` in edge order. Holding
+    more than ``bound`` nodes raises ExplosionError.
+    """
+    parents: dict = {start: None}  # node -> (parent, action); also the visited set
+    if want(start):
+        return start, parents
+    queue = deque([start])
     while queue:
-        sid = queue.popleft()
-        for action, tid in ts.transitions.get(sid, ()):
-            if tid in visited:
+        node = queue.popleft()
+        for action, nxt in successors(node):
+            if nxt in parents:
                 continue
-            visited.add(tid)
-            parents[tid] = (sid, action)
-            if want(tid):
-                return tid, parents
-            queue.append(tid)
+            if len(parents) >= bound:
+                raise ExplosionError(bound, len(queue) + 1)
+            parents[nxt] = (node, action)
+            if want(nxt):
+                return nxt, parents
+            queue.append(nxt)
     return None, parents
 
 
-def _path_to(ts: TransitionSystem, goal: str, parents: dict[str, tuple[str, Action]]) -> Path:
+def _path_to(goal, parents: dict) -> Path:
     states = [goal]
     actions: list[Action] = []
-    while states[-1] != ts.initial:
-        parent, action = parents[states[-1]]
+    while (link := parents[states[-1]]) is not None:
+        parent, action = link
         actions.append(action)
         states.append(parent)
     states.reverse()
@@ -416,37 +419,46 @@ def _path_to(ts: TransitionSystem, goal: str, parents: dict[str, tuple[str, Acti
     return Path(tuple(states), tuple(actions))
 
 
+def _search_states(ts: TransitionSystem, want: Callable[[str], bool]) -> Path | None:
+    """Shortest path from the initial state to the first state satisfying ``want``, or None."""
+    hit, parents = _bfs_search(ts.initial, lambda sid: ts.transitions.get(sid, ()), want)
+    return None if hit is None else _path_to(hit, parents)
+
+
 def check_invariant(ts: TransitionSystem, invariant: Pred | str) -> CheckResult:
     """Holds iff the predicate is true at every reachable state; else a shortest counterexample."""
     pred = _as_predicate(invariant)
     check_vocabulary(pred, ts.vocabulary)
-    bad, parents = _bfs_search(ts, lambda sid: not eval_predicate(pred, ts.atomic_props[sid]))
+    path = _search_states(ts, lambda sid: not eval_predicate(pred, ts.atomic_props[sid]))
     stats = {"states": len(ts.states), "transitions": ts.transition_count}
-    if bad is None:
+    if path is None:
         return CheckResult("holds", stats=stats)
-    return CheckResult("violated", counterexample=_path_to(ts, bad, parents), stats=stats)
+    return CheckResult("violated", counterexample=path, stats=stats)
 
 
 def check_reach(ts: TransitionSystem, target: Pred | str) -> CheckResult:
     """Holds iff some reachable state satisfies the target; the witness is shortest."""
     pred = _as_predicate(target)
     check_vocabulary(pred, ts.vocabulary)
-    hit, parents = _bfs_search(ts, lambda sid: eval_predicate(pred, ts.atomic_props[sid]))
+    path = _search_states(ts, lambda sid: eval_predicate(pred, ts.atomic_props[sid]))
     stats = {"states": len(ts.states), "transitions": ts.transition_count}
-    if hit is None:
+    if path is None:
         return CheckResult("violated", stats=stats)
-    return CheckResult("holds", counterexample=_path_to(ts, hit, parents), stats=stats)
+    return CheckResult("holds", counterexample=path, stats=stats)
 
 
 ACCEPTING = "accepting"
 
 
-def product(ts: TransitionSystem, pattern: SequentialAutomaton) -> TransitionSystem:
+def product(
+    ts: TransitionSystem, pattern: SequentialAutomaton, bound: int = DEFAULT_FLATTEN_BOUND
+) -> TransitionSystem:
     """Synchronous product with a monitor machine over action labels.
 
     The monitor reads each transition's output label; labels outside its
     alphabet (or without a transition) leave it in place. Product states
     whose monitor component is final carry the ``accepting`` proposition.
+    Exceeding ``bound`` product states raises ExplosionError.
     """
     alphabet = set(pattern.input_alphabet)
     start = (ts.initial, pattern.initial)
@@ -481,6 +493,8 @@ def product(ts: TransitionSystem, pattern: SequentialAutomaton) -> TransitionSys
             key = (tid, pat_next)
             qid = ids.get(key)
             if qid is None:
+                if len(ids) >= bound:
+                    raise ExplosionError(bound, len(order) + 1)
                 qid = f"p{len(ids)}"
                 ids[key] = qid
                 states[qid] = ts.states[tid]
@@ -504,6 +518,42 @@ def product(ts: TransitionSystem, pattern: SequentialAutomaton) -> TransitionSys
             "base_state": base_of,
         },
     )
+
+
+def _monitor_witness(
+    ts: TransitionSystem,
+    pattern: SequentialAutomaton,
+    labels: dict[Action, str],
+    bound: int = DEFAULT_FLATTEN_BOUND,
+) -> Path | None:
+    """Shortest base-state path driving the monitor into a final state, or None.
+
+    The search ``check_reach`` makes on ``product(ts, pattern)``, run on the
+    fly over (base state, monitor state) pairs: a pair's successors depend
+    only on that pair, so the pairs are visited in the product's discovery
+    order and the path is the product's witness mapped to its base states.
+    It stops at the first final pair and builds no product states, rows or
+    propositions. ``labels`` memoises ``Action.label`` and may be shared
+    across patterns. Holding more than ``bound`` pairs raises ExplosionError.
+    """
+    alphabet = set(pattern.input_alphabet)
+    moves = pattern.transitions
+
+    def successors(node):
+        sid, pat = node
+        for action, tid in ts.transitions.get(sid, ()):
+            label = labels.get(action)
+            if label is None:
+                label = labels[action] = action.label()
+            # monitor convention, as in ``product``: unmentioned labels self-loop
+            yield action, (tid, moves.get((pat, label), pat) if label in alphabet else pat)
+
+    start = (ts.initial, pattern.initial)
+    hit, parents = _bfs_search(start, successors, lambda node: node[1] in pattern.finals, bound)
+    if hit is None:
+        return None
+    path = _path_to(hit, parents)
+    return Path(tuple(sid for sid, _ in path.states), path.actions)
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +767,12 @@ def reach_probability_mc(
     bound: int = 100_000,
     labeling: Labeling | None = None,
 ) -> CheckResult:
-    """Monte Carlo estimate of bounded reachability with a 95% half-width.
+    """Monte Carlo estimate of bounded reachability with a 95% error bound.
+
+    ``probability`` is ``hits / trials``. ``error_bound`` is the larger
+    distance from it to either end of the 95% Wilson score interval, so
+    ``[probability - error_bound, probability + error_bound]`` covers that
+    interval, and it is positive even at 0 or ``trials`` hits.
 
     Trials are grouped into fixed blocks; block ``j`` draws from the stream
     derived from ``seed`` with key ``j``, so estimates are reproducible and
@@ -754,14 +809,29 @@ def reach_probability_mc(
         method = "monte-carlo-paths"
 
     p_hat = hits / trials
-    half_width = 1.96 * (p_hat * (1.0 - p_hat) / trials) ** 0.5
     return CheckResult(
         "probability",
         probability=p_hat,
         method=method,
-        error_bound=half_width,
+        error_bound=_wilson_error_bound(hits, trials),
         stats={"trials": trials, "horizon": horizon, "hits": hits},
     )
+
+
+WILSON_Z = 1.96  # two-sided 95%
+
+
+def _wilson_error_bound(hits: int, trials: int) -> float:
+    """Largest distance from ``hits / trials`` to an end of its 95% Wilson score interval.
+
+    Unlike the Wald half-width, it stays positive at 0 and ``trials`` hits
+    (Brown, Cai & DasGupta, Statist. Sci. 2001).
+    """
+    p_hat = hits / trials
+    z2n = WILSON_Z * WILSON_Z / trials
+    center = (p_hat + z2n / 2) / (1 + z2n)
+    half = WILSON_Z / (1 + z2n) * (p_hat * (1 - p_hat) / trials + z2n / (4 * trials)) ** 0.5
+    return max(p_hat - (center - half), center + half - p_hat)
 
 
 def _mc_chain(ma, policy, pred, horizon, trials, seed, bound, props_fn) -> int:
@@ -917,7 +987,7 @@ def check_property(
             return CheckResult("violated", stats=result.stats)  # the witness is a shortest one
         return result
     if prop.kind == BAD_PREFIX:
-        prod = product(ts, prop.pattern)
+        prod = product(ts, prop.pattern, bound=bound)
         result = check_reach(prod, ACCEPTING)
         stats = dict(result.stats)
         stats["pattern"] = prop.pattern.name

@@ -2,8 +2,10 @@
 
 A signature is a bad-prefix monitor: a pattern machine over observable action
 labels whose final states mark a hit. Detection flattens the model once, then
-checks each signature's product for a reachable accepting state; a match
-comes with a shortest witness trace that replays on the model.
+searches each signature's (state, monitor state) pairs breadth-first on the
+fly, without building a product graph, and stops at the first final pair; a
+match comes with a shortest witness trace that replays on the model. Each
+action's label is computed once for all signatures.
 """
 
 from __future__ import annotations
@@ -11,15 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .checker import (
-    ACCEPTING,
-    DEFAULT_FLATTEN_BOUND,
-    Path,
-    TransitionSystem,
-    check_reach,
-    flatten,
-    product,
-)
+from .checker import DEFAULT_FLATTEN_BOUND, Path, TransitionSystem, _monitor_witness, flatten
 from .composition import MimicAutomaton
 from .errors import ModelValidationError, Violation
 from .sequential import SequentialAutomaton, validate_sa
@@ -77,21 +71,18 @@ def detect(
     bound: int = DEFAULT_FLATTEN_BOUND,
     ts: TransitionSystem | None = None,
 ) -> DetectionReport:
-    """Scan a model against a signature set; witnesses are shortest in BFS order."""
+    """Scan a model against a signature set; witnesses are shortest in BFS order.
+
+    ``bound`` caps the flatten's states and each signature's search pairs;
+    exceeding it raises ExplosionError.
+    """
     if ts is None:
         ts = flatten(ma, input_universe, bound=bound)
+    labels: dict = {}  # one label per distinct action, shared by every signature
     results = []
     for sig in signatures:
-        prod = product(ts, sig.pattern)
-        outcome = check_reach(prod, ACCEPTING)
-        matched = outcome.verdict == "holds"
-        witness = None
-        if matched:
-            # express the witness over the model's own flattened graph
-            base = prod.metadata["base_state"]
-            path = outcome.counterexample
-            witness = Path(tuple(base[p] for p in path.states), path.actions)
-        results.append(SignatureResult(sig.id, sig.severity, matched, witness))
+        witness = _monitor_witness(ts, sig.pattern, labels, bound)
+        results.append(SignatureResult(sig.id, sig.severity, witness is not None, witness))
     return DetectionReport(
         model=ma.name,
         results=tuple(results),

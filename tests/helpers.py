@@ -338,6 +338,14 @@ def gen_pca_instance(rnd: random.Random):
     return replace(ma, ca_set=ca_set), lattice0
 
 
+def generated_dhr(seed=0):
+    """Three generated machines on a still lattice: the votes vary from state to state."""
+    rnd = random.Random(seed)
+    executors = tuple(gen_sa(rnd, f"g{i}") for i in range(3))
+    scheduler = identity_ca("ident3", width=3, states=("0", "1", "2"))
+    return DhrStructure("gen3", executors, scheduler, 3, VoterPolicy(), ("0", "1", "2"))
+
+
 # ---------------------------------------------------------------------------
 # random documents for serialization round-trips
 

@@ -241,6 +241,17 @@ def test_product_size_bound():
     assert len(prod.states) <= len(ts.states) * len(pattern.states)
 
 
+def test_product_and_bad_prefix_checks_stop_at_their_bound():
+    ts = flatten(parity_ma(), UNIVERSE)  # 2 states; the product with monitor "1" has 3
+    assert len(product(ts, monitor("m", "1"), bound=3).states) == 3
+    with pytest.raises(ExplosionError) as exc:
+        product(ts, monitor("m", "1"), bound=2)
+    assert (exc.value.bound, exc.value.frontier) == (2, 1)
+    prop = Property("saw_one", "bad_prefix", pattern=monitor("m", "1"))
+    with pytest.raises(ExplosionError):
+        check_property(parity_ma(), prop, UNIVERSE, bound=2)  # the flatten fits, the product does not
+
+
 # --- probabilistic -----------------------------------------------------------
 
 def test_dtmc_point_mass_matches_deterministic_flatten():
@@ -372,9 +383,20 @@ def test_mc_flip_estimate_near_three_quarters():
     result = reach_probability_mc(flip_ma(), ("a",), "lattice_has(1)", horizon=2,
                                   trials=20_000, seed=7)
     assert abs(result.probability - 0.75) < 0.01
-    assert result.error_bound == pytest.approx(
-        1.96 * (result.probability * (1 - result.probability) / 20_000) ** 0.5
-    )
+    # the larger distance from the estimate to an end of the 95% Wilson score interval
+    p, n, z = result.probability, 20_000, 1.96
+    center = (p + z * z / (2 * n)) / (1 + z * z / n)
+    half = z / (1 + z * z / n) * (p * (1 - p) / n + z * z / (4 * n * n)) ** 0.5
+    assert result.error_bound == pytest.approx(max(p - (center - half), center + half - p))
+
+
+@pytest.mark.parametrize("target, probability", [("false", 0.0), ("true", 1.0)])
+def test_mc_error_bound_stays_positive_at_no_and_all_hits(target, probability):
+    result = reach_probability_mc(flip_ma(), ("a",), target, horizon=2, trials=500, seed=3)
+    assert result.probability == probability
+    # the Wilson interval at 0 of 500 hits is [0, 3.84/503.84]; at 500 of 500 its mirror
+    assert result.error_bound == pytest.approx(1.96 ** 2 / (500 + 1.96 ** 2))
+    assert result.error_bound > 0
 
 
 def test_mc_is_seed_reproducible():

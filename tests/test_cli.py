@@ -84,6 +84,45 @@ def test_check_bound_exceeded_is_resource_error(capsys):
     assert "bound" in err
 
 
+SAW_ONE = """
+sa saw1 {
+  states: w hit
+  initial: w
+  finals: hit
+  inputs: 1
+  outputs: 1
+  partial: true
+  delta: w 1 -> hit / 1
+  delta: hit 1 -> hit / 1
+}
+
+property saw_one {
+  kind: bad_prefix
+  pattern: saw1
+}
+"""
+
+
+def test_bad_prefix_product_over_the_bound_is_resource_error(capsys, tmp_path):
+    model = tmp_path / "parity_saw.ma"
+    model.write_text((MODELS / "parity.ma").read_text() + SAW_ONE)
+    args = ["check", str(model), "--model", "parity_ma", "--property", "saw_one"]
+    code, _, _ = run(capsys, args + ["--bound", "3"])
+    assert code == 1  # 2 flattened states, 3 product states
+    code, _, err = run(capsys, args + ["--bound", "2"])
+    assert code == 2
+    assert "state bound 2 exceeded" in err
+
+
+def test_detect_search_over_the_bound_is_resource_error(capsys):
+    args = ["detect", DETECT, "--model", "rogue3", "--signatures", SIG]
+    code, _, _ = run(capsys, args + ["--bound", "2"])
+    assert code == 1  # 1 flattened state, matched at the second pair
+    code, _, err = run(capsys, args + ["--bound", "1"])
+    assert code == 2
+    assert "state bound 1 exceeded" in err
+
+
 def test_simulate_zero_steps_echoes_initial(capsys):
     code, out, _ = run(capsys, ["simulate", PARITY, "--model", "parity_ma",
                                 "--input", "1", "--steps", "0"])

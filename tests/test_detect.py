@@ -1,20 +1,44 @@
+import importlib
+import itertools
+import random
+
 import pytest
 
+import mimic_automata.checker as checker
 from mimic_automata import (
+    MODE_CA_FROM_SA,
     DhrStructure,
+    ExplosionError,
     ModelFormatError,
+    Property,
     Signature,
     VoterPolicy,
     build_dhr,
+    check_property,
+    check_reach,
     detect,
     flatten,
     inject_fault,
     load_signatures,
+    product,
     replay_path,
 )
+from mimic_automata.checker import ACCEPTING, ABSTAIN_LABEL, Path, _monitor_witness
 from mimic_automata.detect import validate_signature
 
-from helpers import SIGNATURES, const_sa, identity_ca, make_sa
+from helpers import (
+    ALPHABET,
+    SIGNATURES,
+    const_sa,
+    echo_dhr,
+    flipper_sa,
+    gen_instance,
+    generated_dhr,
+    identity_ca,
+    make_sa,
+    rotate_ca,
+    x11_parity_ma,
+)
 
 UNIVERSE = [("x",)]
 
@@ -159,3 +183,205 @@ def test_no_match_is_complete_up_to_depth_four():
                 if (pat_state, label) in sig.pattern.transitions:
                     pat_state = sig.pattern.transitions[(pat_state, label)]
                 assert pat_state not in sig.pattern.finals, (depth, seq)
+
+
+# --- the on-the-fly search against the product it replaces ------------------
+
+BLOCKS = [("a",), ("b",), ("b", "a"), ()]
+
+
+def product_witness(ts, pattern):
+    """The witness detection used to give: ``check_reach`` on the product, mapped to base states."""
+    prod = product(ts, pattern)
+    outcome = check_reach(prod, ACCEPTING)
+    if outcome.verdict == "violated":
+        return None
+    base = prod.metadata["base_state"]
+    path = outcome.counterexample
+    return Path(tuple(base[p] for p in path.states), path.actions)
+
+
+def monitor_step(pattern, state, label):
+    """The monitor convention: a label outside the alphabet, or without a move, self-loops."""
+    if label in pattern.input_alphabet:
+        return pattern.transitions.get((state, label), state)
+    return state
+
+
+def shortest_match_length(ts, pattern):
+    """Fewest actions that drive the monitor into a final state, by layers of reachable pairs."""
+    layer = {(ts.initial, pattern.initial)}
+    seen = set(layer)
+    depth = 0
+    while layer:
+        if any(state in pattern.finals for _, state in layer):
+            return depth
+        layer = {(tid, monitor_step(pattern, state, action.label()))
+                 for sid, state in layer for action, tid in ts.transitions[sid]} - seen
+        seen |= layer
+        depth += 1
+    return None
+
+
+def assert_witness_matches(ts, pattern, witness):
+    """The witness is a run of ``ts`` from its initial state that ends the monitor in a final state."""
+    assert witness.states[0] == ts.initial
+    state = pattern.initial
+    for sid, action, tid in zip(witness.states, witness.actions, witness.states[1:]):
+        assert (action, tid) in ts.transitions[sid]
+        state = monitor_step(pattern, state, action.label())
+    assert state in pattern.finals
+
+
+def emitted_labels(ts):
+    return sorted({action.label() for edges in ts.transitions.values() for action, _ in edges})
+
+
+def random_monitor(rnd, labels, name):
+    """A partial monitor over some emitted labels and one never emitted.
+
+    Some monitors start final, some have no finals, and some carry moves on
+    emitted labels left out of their alphabet, which the monitor must ignore.
+    """
+    states = tuple(f"m{i}" for i in range(rnd.randint(1, 4)))
+    shape = rnd.random()
+    if shape < 0.15:
+        finals = (states[0],)
+    elif shape < 0.3:
+        finals = ()
+    else:
+        finals = tuple(q for q in states[1:] if rnd.random() < 0.5) or states[-1:]
+    alphabet = [label for label in labels if rnd.random() < 0.7] + ["never_emitted"]
+    outside = [label for label in labels if label not in alphabet]
+    delta = [(q, sym, rnd.choice(states)) for q in states for sym in alphabet if rnd.random() < 0.6]
+    delta += [(q, sym, rnd.choice(states)) for q in states for sym in outside if rnd.random() < 0.3]
+    return make_sa(name, states, states[0], finals, alphabet, alphabet, delta, partial=True)
+
+
+def oracle_cases():
+    """60 generated composites of every flavor and voted structures that abstain."""
+    cases = []
+    for seed in range(60):
+        ma, lattice0, _ = gen_instance(random.Random(seed))
+        binding = ma.root()
+        if binding.mode == MODE_CA_FROM_SA:
+            universe = list(itertools.product(ALPHABET, repeat=ma.ca_set[binding.ca].width))
+        else:
+            universe = BLOCKS
+        cases.append((ma, universe, lattice0))
+    structures = [
+        echo_dhr(scheduler=rotate_ca()),
+        inject_fault(echo_dhr(scheduler=rotate_ca()), 1, flipper_sa()),
+        inject_fault(echo_dhr(quorum=3), 0, flipper_sa()),
+        *(generated_dhr(seed) for seed in range(4)),
+    ]
+    voted = [("a",), ("b",), ("a", "b"), ("b", "b")]
+    cases += [(structure.automaton, voted, None) for structure in structures]
+    return cases
+
+
+def test_monitor_witness_is_the_product_witness():
+    rnd = random.Random(2001)
+    seen = {"matched": 0, "clean": 0, "starts final": 0, "no finals": 0, "abstain": 0}
+    for ma, universe, lattice0 in oracle_cases():
+        ts = flatten(ma, universe, lattice0=lattice0)
+        labels = emitted_labels(ts)
+        seen["abstain"] += ABSTAIN_LABEL in labels
+        monitors = [random_monitor(rnd, labels, f"mon{i}") for i in range(4)]
+        memo = {}  # shared across the monitors, as detect shares it
+        expected = []
+        for pattern in monitors:
+            want = product_witness(ts, pattern)
+            assert _monitor_witness(ts, pattern, memo) == want, (ma.name, pattern)
+            # and, independently of either search, a shortest matching run
+            if want is None:
+                assert shortest_match_length(ts, pattern) is None
+            else:
+                assert len(want) == shortest_match_length(ts, pattern)
+                assert_witness_matches(ts, pattern, want)
+            expected.append(want)
+            seen["matched" if want is not None else "clean"] += 1
+            seen["starts final"] += pattern.initial in pattern.finals
+            seen["no finals"] += not pattern.finals
+            # check --property <bad_prefix> reports the same run over product states
+            result = check_property(ma, Property("p", "bad_prefix", pattern=pattern), universe,
+                                    lattice0=lattice0)
+            if want is None:
+                assert result.verdict == "holds"
+            else:
+                base = product(ts, pattern).metadata["base_state"]
+                path = result.counterexample
+                assert Path(tuple(base[p] for p in path.states), path.actions) == want
+        signatures = [Signature(m.name, "generated", m) for m in monitors]
+        report = detect(ma, universe, signatures, ts=ts)
+        assert [r.witness for r in report.results] == expected
+        assert [r.matched for r in report.results] == [w is not None for w in expected]
+    assert min(seen.values()) >= 5, seen
+
+
+def rogue_dhr():
+    """``const_dhr`` with two slots emitting B: the vote is B from the first tick."""
+    return inject_fault(inject_fault(const_dhr(), 0, const_sa("emitB", "B")),
+                        1, const_sa("emitB", "B"))
+
+
+def test_detect_builds_no_product(monkeypatch):
+    cases = [(build_dhr(rogue_dhr()), UNIVERSE), (build_dhr(const_dhr()), UNIVERSE),
+             (inject_fault(echo_dhr(scheduler=rotate_ca()), 1, flipper_sa()).automaton,
+              [("a",), ("b",), ("a", "b")])]
+    sig = emits_b_signature()
+    rnd = random.Random(7)
+    runs = []
+    for ma, universe in cases:
+        ts = flatten(ma, universe)
+        signatures = [sig] + [Signature(f"r{i}", "random", random_monitor(rnd, emitted_labels(ts), f"r{i}"))
+                              for i in range(3)]
+        runs.append((ma, universe, signatures,
+                     [product_witness(ts, s.pattern) for s in signatures]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("detect built a product graph")
+
+    # the package's ``detect`` attribute is the function, so fetch the module itself
+    detect_module = importlib.import_module("mimic_automata.detect")
+    for module in (checker, detect_module):  # whichever names detect looks up
+        monkeypatch.setattr(module, "product", refuse, raising=False)
+        monkeypatch.setattr(module, "check_reach", refuse, raising=False)
+    for ma, universe, signatures, witnesses in runs:
+        report = detect(ma, universe, signatures)
+        assert [r.witness for r in report.results] == witnesses
+    assert any(w is not None for *_, witnesses in runs for w in witnesses)
+
+
+class CountingLabels(dict):
+    """A label memo that counts its lookups: one per edge the search reads."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+def test_a_depth_one_match_reads_fewer_edges_than_the_product_has_states():
+    ma = x11_parity_ma()
+    universe = [("0",), ("1",)]
+    ts = flatten(ma, universe)
+    first_label = ts.transitions[ts.initial][0][0].label()
+    pattern = make_sa("first", ("w", "hit"), "w", ("hit",), (first_label,),
+                      delta=[("w", first_label, "hit")], partial=True)
+    memo = CountingLabels()
+    witness = _monitor_witness(ts, pattern, memo)
+    assert len(witness) == 1
+    assert memo.lookups == 1  # the initial pair's first edge already matches
+    assert len(product(ts, pattern).states) > len(ts.states) >= 240
+
+
+def test_detect_stops_at_its_bound():
+    ma = build_dhr(rogue_dhr())
+    ts = flatten(ma, UNIVERSE, bound=1)  # one state; the match is the second pair
+    assert detect(ma, UNIVERSE, [emits_b_signature()], bound=2).results[0].matched
+    with pytest.raises(ExplosionError) as exc:
+        detect(ma, UNIVERSE, [emits_b_signature()], bound=1)
+    assert (exc.value.bound, exc.value.frontier) == (1, 1)
+    assert len(ts.states) == 1

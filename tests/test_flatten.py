@@ -18,7 +18,6 @@ import mimic_automata.composition as composition
 from mimic_automata import (
     Binding,
     CellularAutomaton,
-    DhrStructure,
     HaUnit,
     InputRejectedError,
     MODE_CA_FROM_SA,
@@ -27,7 +26,6 @@ from mimic_automata import (
     MimicError,
     NestedUnit,
     SaUnit,
-    VoterPolicy,
     build_dtmc,
     flatten,
     inject_fault,
@@ -45,8 +43,7 @@ from helpers import (
     echo_sa,
     flipper_sa,
     gen_instance,
-    gen_sa,
-    identity_ca,
+    generated_dhr,
     plain,
     rotate_ca,
     x11_parity_ma,
@@ -158,14 +155,6 @@ def test_flatten_and_the_chain_builder_agree_on_point_mass_copies():
                              for sid, edges in ts.transitions.items()}
         checked += 1
     assert checked >= 70 and checked + skipped == 81
-
-
-def generated_dhr(seed=0):
-    """Three generated machines on a still lattice: the votes vary from state to state."""
-    rnd = random.Random(seed)
-    executors = tuple(gen_sa(rnd, f"g{i}") for i in range(3))
-    scheduler = identity_ca("ident3", width=3, states=("0", "1", "2"))
-    return DhrStructure("gen3", executors, scheduler, 3, VoterPolicy(), ("0", "1", "2"))
 
 
 @pytest.mark.parametrize("structure", [
