@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Mapping
+from typing import TYPE_CHECKING, Hashable, Mapping
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .errors import DimensionError, MimicError, ModelValidationError, SizeCapError, Violation
 

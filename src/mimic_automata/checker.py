@@ -14,9 +14,10 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .cellular import (
     DEFAULT_SUCCESSOR_CAP,
@@ -700,6 +701,8 @@ def reach_probability_exact(
     ``prob * x[successor]`` terms with ``np.bincount`` in row order, the
     order a per-state loop adds them in.
     """
+    import numpy as np
+
     _require_horizon(horizon)
     pred = _as_predicate(target)
     check_vocabulary(pred, dtmc.vocabulary)
@@ -843,6 +846,8 @@ def _mc_chain(ma, policy, pred, horizon, trials, seed, bound, props_fn) -> int:
     entry). The search runs for all live trials at once, as a binary search
     within each trial's row of one flat cumulative array.
     """
+    import numpy as np
+
     names, _, props, rows = _expand_chain(ma, policy, props_fn, bound, horizon=horizon)
     index = {name: i for i, name in enumerate(names)}
     target = np.array([eval_predicate(pred, p) for p in props], dtype=bool)

@@ -20,6 +20,7 @@ from .checker import (
     DEFAULT_FLATTEN_BOUND,
     DEFAULT_TOL,
     Path,
+    build_dtmc,
     check_property,
     flatten,
 )
@@ -28,6 +29,7 @@ from .composition import (
     MimicAutomaton,
     binding_seed,
     common_input_alphabet,
+    has_randomness,
     ma_initial,
     ma_run,
 )
@@ -445,11 +447,7 @@ def _cmd_export_dot(args) -> int:
             model = model.automaton
         if not isinstance(model, MimicAutomaton):
             raise _UsageError(f"{args.model!r} is not flattenable (expected ma or dhr)")
-        from .composition import has_randomness
-
         if has_randomness(model):
-            from .checker import build_dtmc
-
             dtmc = build_dtmc(model, _default_universe(model)[0])
             text = dtmc_to_dot(dtmc)
         else:

@@ -21,9 +21,10 @@ the outer formalism and one complete run of the inner one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .cellular import (
     AnyCellular,

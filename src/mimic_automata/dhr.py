@@ -18,9 +18,10 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .cellular import (
     AnyCellular,

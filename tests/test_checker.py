@@ -3,15 +3,18 @@ import itertools
 import pytest
 
 from mimic_automata import (
+    Action,
     Binding,
     ConvergenceError,
     ExplosionError,
     MODE_SA_FROM_CA,
     MimicAutomaton,
     MimicError,
+    Path,
     Property,
     PropertyError,
     SaUnit,
+    TransitionSystem,
     build_dtmc,
     check_components,
     check_invariant,
@@ -433,6 +436,31 @@ def test_counterexample_minimality_vs_brute_force():
         if shortest is not None:
             break
     assert len(result.counterexample) == shortest == 1
+
+
+def test_counterexamples_are_breadth_first_shortest_paths():
+    # s0's first and last edges enter 4-step chains to bad, its middle edge
+    # a 2-step route: depth-first order, taking either the first or the last
+    # edge first, meets bad at the end of a chain.
+    names = ["s0", "a1", "a2", "a3", "m", "c1", "c2", "c3", "bad"]
+    act = {name: Action((name,), (name,)) for name in names}
+    edges = {
+        "s0": ("a1", "m", "c1"),
+        "a1": ("a2",), "a2": ("a3",), "a3": ("bad",),
+        "m": ("bad",),
+        "c1": ("c2",), "c2": ("c3",), "c3": ("bad",),
+        "bad": (),
+    }
+    ts = TransitionSystem(
+        states={name: None for name in names},
+        initial="s0",
+        transitions={sid: tuple((act[t], t) for t in succ) for sid, succ in edges.items()},
+        atomic_props={name: frozenset({"bad"} if name == "bad" else {"ok"}) for name in names},
+        vocabulary=frozenset({"bad", "ok"}),
+    )
+    shortest = Path(("s0", "m", "bad"), (act["m"], act["bad"]))
+    assert check_invariant(ts, "ok").counterexample == shortest
+    assert check_reach(ts, "bad").counterexample == shortest
 
 
 def test_flatten_moderate_state_space_and_stable_ids():

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import random
+import types
 
 import pytest
 
@@ -385,3 +386,12 @@ def test_detect_stops_at_its_bound():
         detect(ma, UNIVERSE, [emits_b_signature()], bound=1)
     assert (exc.value.bound, exc.value.frontier) == (1, 1)
     assert len(ts.states) == 1
+
+
+def test_package_detect_name_is_the_function_not_the_module():
+    import mimic_automata
+    import mimic_automata.detect as bound  # binds the package attribute: the function
+
+    module = importlib.import_module("mimic_automata.detect")
+    assert isinstance(module, types.ModuleType)
+    assert mimic_automata.detect is bound is module.detect is detect
