@@ -68,7 +68,6 @@ from .dhr import (
     inject_fault,
     serial_initial,
     serial_run,
-    serial_step,
     vote,
 )
 from .errors import (

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -131,17 +133,25 @@ class Property:
 
 @dataclass
 class TransitionSystem:
-    """Explicit reachable-state graph with labeled transitions and propositions."""
+    """Explicit reachable-state graph with labeled transitions and propositions.
 
-    states: dict[str, MimicConfiguration]
+    ``flatten`` fills the three mappings with read-only views over its
+    exploration store: each access builds the configuration, the row of
+    ``(Action, successor name)`` or the propositions anew, and nothing is
+    cached. Hand-built systems may use plain dicts.
+    """
+
+    states: Mapping[str, MimicConfiguration]
     initial: str
-    transitions: dict[str, tuple[tuple[Action, str], ...]]
-    atomic_props: dict[str, frozenset[str]]
+    transitions: Mapping[str, tuple[tuple[Action, str], ...]]
+    atomic_props: Mapping[str, frozenset[str]]
     vocabulary: frozenset[str]
     metadata: dict = field(default_factory=dict)
 
     @property
     def transition_count(self) -> int:
+        if isinstance(self.transitions, _StoreView):
+            return len(self.transitions.store.targets)
         return sum(len(edges) for edges in self.transitions.values())
 
 
@@ -162,6 +172,8 @@ class Dtmc:
 
 
 Labeling = tuple[Callable[[MimicConfiguration], frozenset[str]], frozenset[str]]
+"""A proposition function and its vocabulary. ``flatten`` calls the function
+when ``atomic_props`` is read, once per access, so it must be pure."""
 
 
 def builtin_labeling(ma: MimicAutomaton) -> Labeling:
@@ -265,7 +277,9 @@ def flatten(
 
     Every universe entry (an input block in mode ``sa_from_ca``, a seed
     lattice in mode ``ca_from_sa``) is tried from every state. Exceeding
-    ``bound`` states raises ExplosionError with the frontier size.
+    ``bound`` states raises ExplosionError with the frontier size. The
+    result's mappings are views over the exploration store, so the labeling
+    is called when ``atomic_props`` is read, never by ``flatten`` itself.
     """
     universe = _normalize_universe(input_universe)
     if not universe:
@@ -280,55 +294,121 @@ def flatten(
     mode_successors = _mode1_successors if binding.mode == MODE_SA_FROM_CA else _mode2_successors
     successors = mode_successors(ma, binding, universe)
     # keys are the fields of a clock-stripped configuration, not one per edge
-    names, configs, props, rows = _explore(
-        (start.lattice, start.unit_states, start.outer_state),
-        lambda key: MimicConfiguration(key[0], key[1], 0, key[2]),
-        successors,
-        props_fn,
-        bound,
-    )
+    store = _explore((start.lattice, start.unit_states, start.outer_state), _flat_config, successors, bound)
     return TransitionSystem(
-        states=dict(zip(names, configs)),
+        states=_StoreView(store, store.config),
         initial="s0",
-        transitions=dict(zip(names, rows)),
-        atomic_props=dict(zip(names, props)),
+        transitions=_StoreView(store, store.row),
+        atomic_props=_StoreView(store, lambda i: props_fn(store.config(i))),
         vocabulary=vocabulary,
         metadata={"model": ma.name, "universe": universe, "lattice0": start_lattice},
     )
 
 
-def _explore(start_key, make_config, successors, props_fn, bound: int):
+def _flat_config(key) -> MimicConfiguration:
+    """The clock-stripped configuration a ``flatten`` key holds the fields of."""
+    return MimicConfiguration(key[0], key[1], 0, key[2])
+
+
+_name = "s{}".format  # state index -> its name
+
+
+class _Store(NamedTuple):
+    """What ``_explore`` keeps: the state keys and one CSR edge store.
+
+    ``keys[i]`` is state ``i``'s key in discovery order. Its edges are
+    ``labels[e]`` to state ``targets[e]`` for ``e`` in
+    ``offsets[i]:offsets[i + 1]``. Configurations are built from keys on
+    demand by ``make_config``.
+    """
+
+    keys: list
+    make_config: Callable[[tuple], MimicConfiguration]
+    offsets: array
+    targets: array
+    labels: list
+
+    def config(self, index: int) -> MimicConfiguration:
+        return self.make_config(self.keys[index])
+
+    def edges(self, index: int) -> tuple[list, array]:
+        """The labels and target indices of state ``index``'s edges, in edge order."""
+        lo, hi = self.offsets[index], self.offsets[index + 1]
+        return self.labels[lo:hi], self.targets[lo:hi]
+
+    def row(self, index: int) -> tuple[tuple[object, str], ...]:
+        labels, targets = self.edges(index)
+        return tuple(zip(labels, map(_name, targets)))
+
+
+class _StoreView(Mapping):
+    """Read-only mapping from state names ``s<index>`` to ``value(index)``.
+
+    It behaves as a dict in discovery order: any other key, including a
+    non-canonical name such as ``s01``, raises KeyError. Values are built
+    on every access and not cached.
+    """
+
+    __slots__ = ("store", "value")
+
+    def __init__(self, store: _Store, value: Callable[[int], object]):
+        self.store = store
+        self.value = value
+
+    def _index(self, name) -> int:
+        digits = name[1:] if isinstance(name, str) and name[:1] == "s" else ""
+        if digits.isascii() and digits.isdigit() and (digits[0] != "0" or digits == "0"):
+            index = int(digits)
+            if index < len(self.store.keys):
+                return index
+        raise KeyError(name)
+
+    def __getitem__(self, name):
+        return self.value(self._index(name))
+
+    def __contains__(self, name) -> bool:
+        try:
+            self._index(name)
+        except KeyError:
+            return False
+        return True
+
+    def __iter__(self):
+        return map(_name, range(len(self.store.keys)))
+
+    def __len__(self) -> int:
+        return len(self.store.keys)
+
+
+def _explore(start_key, make_config, successors, bound: int) -> _Store:
     """Breadth-first interning of the states reachable from ``start_key``.
 
-    ``successors(sid, cfg, depth)`` yields ``(label, key)`` per edge of the
-    state at index ``sid``; a new key is named ``s<index>`` in discovery
-    order, and its configuration is ``make_config(key)``. Returns per index
-    the name, configuration, propositions and row of ``(label, successor
-    name)``. Exceeding ``bound`` states raises ExplosionError.
+    ``successors(sid, key, depth)`` yields ``(label, key)`` per edge of the
+    state at index ``sid``; a new key takes the next index in discovery
+    order. Only the keys and the edges are kept, in a ``_Store`` whose
+    configurations are ``make_config(key)``. Exceeding ``bound`` states
+    raises ExplosionError.
     """
-    start = make_config(start_key)
-    ids = {start_key: "s0"}
-    names = ["s0"]
-    configs = [start]
-    props = [props_fn(start)]
-    depths = [0]
-    rows: list[tuple[tuple[object, str], ...]] = []
-    for sid, cfg in enumerate(configs):  # grows while it is walked: breadth-first order
-        row = []
-        for label, key in successors(sid, cfg, depths[sid]):
-            tid = ids.get(key)
+    keys = [start_key]
+    ids = {start_key: 0}
+    offsets = array("q", [0])
+    targets = array("q")
+    labels: list = []
+    depth, level_end = 0, 1  # breadth-first order: states from level_end on are one step deeper
+    for sid, key in enumerate(keys):  # grows while it is walked: breadth-first order
+        if sid == level_end:
+            depth, level_end = depth + 1, len(keys)
+        for label, nxt in successors(sid, key, depth):
+            tid = ids.get(nxt)
             if tid is None:
-                if len(ids) >= bound:
-                    raise ExplosionError(bound, len(ids) - sid)
-                tid = ids[key] = f"s{len(configs)}"
-                nxt = make_config(key)
-                names.append(tid)
-                configs.append(nxt)
-                props.append(props_fn(nxt))
-                depths.append(depths[sid] + 1)
-            row.append((label, tid))
-        rows.append(tuple(row))
-    return names, configs, props, rows
+                if len(keys) >= bound:
+                    raise ExplosionError(bound, len(keys) - sid)
+                tid = ids[nxt] = len(keys)
+                keys.append(nxt)
+            targets.append(tid)
+            labels.append(label)
+        offsets.append(len(targets))
+    return _Store(keys, make_config, offsets, targets, labels)
 
 
 def _mode1_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tuple, ...]):
@@ -342,9 +422,8 @@ def _mode1_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tupl
     steps: dict = {}  # lattice -> successor lattice
     actions = [(entry, {}) for entry in universe]  # per entry: per-cell output words -> Action
 
-    def successors(sid: int, cfg: MimicConfiguration, depth: int):
-        lattice = cfg.lattice
-        unit_states = cfg.unit_states
+    def successors(sid: int, key: tuple, depth: int):
+        lattice, unit_states, outer_state = key
         after = steps.get(lattice)
         fresh = None
         for entry, table in actions:
@@ -359,7 +438,7 @@ def _mode1_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tupl
             action = table.get(words)
             if action is None:
                 action = table[words] = Action(entry, _observable_output(ma, words))
-            yield action, (after, tuple(ran), cfg.outer_state)
+            yield action, (after, tuple(ran), outer_state)
 
     return successors
 
@@ -372,7 +451,8 @@ def _mode2_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tupl
     """
     step = _stepper(ma, binding, depth=1)
 
-    def successors(sid: int, cfg: MimicConfiguration, depth: int):
+    def successors(sid: int, key: tuple, depth: int):
+        cfg = _flat_config(key)
         for entry in universe:
             nxt, _, _, _, output = step(cfg, entry, None)
             yield Action(entry, output), (nxt.lattice, nxt.unit_states, nxt.outer_state)
@@ -461,10 +541,18 @@ def product(
     whose monitor component is final carry the ``accepting`` proposition.
     Exceeding ``bound`` product states raises ExplosionError.
     """
+    base: dict[str, tuple[MimicConfiguration, frozenset[str]]] = {}  # each read once per call
+
+    def base_state(sid: str) -> tuple[MimicConfiguration, frozenset[str]]:
+        entry = base.get(sid)
+        if entry is None:
+            entry = base[sid] = (ts.states[sid], ts.atomic_props[sid])
+        return entry
+
     alphabet = set(pattern.input_alphabet)
     start = (ts.initial, pattern.initial)
     ids = {start: "p0"}
-    states = {"p0": ts.states[ts.initial]}
+    states = {"p0": base_state(ts.initial)[0]}
     atomic_props: dict[str, frozenset[str]] = {}
     transitions: dict[str, tuple[tuple[Action, str], ...]] = {}
     order = deque([start])
@@ -472,9 +560,10 @@ def product(
     base_of = {"p0": ts.initial}
 
     def props_for(sid: str, pat_state: str) -> frozenset[str]:
+        props = base_state(sid)[1]
         if pat_state in pattern.finals:
-            return ts.atomic_props[sid] | {ACCEPTING}
-        return ts.atomic_props[sid]  # shared, not copied: the sets are immutable
+            return props | {ACCEPTING}
+        return props  # shared, not copied: the sets are immutable
 
     atomic_props["p0"] = props_for(*start)
     labels: dict[Action, str] = {}  # one label() per distinct action
@@ -498,7 +587,7 @@ def product(
                     raise ExplosionError(bound, len(order) + 1)
                 qid = f"p{len(ids)}"
                 ids[key] = qid
-                states[qid] = ts.states[tid]
+                states[qid] = base_state(tid)[0]
                 atomic_props[qid] = props_for(tid, pat_next)
                 pat_of[qid] = pat_next
                 base_of[qid] = tid
@@ -598,16 +687,15 @@ def _require_exactly_expandable(ma: MimicAutomaton) -> None:
 def _expand_chain(
     ma: MimicAutomaton,
     policy: tuple[tuple, ...],
-    props_fn: Callable[[MimicConfiguration], frozenset[str]],
     bound: int,
     lattice0: Lattice | None = None,
     successor_cap: int = DEFAULT_SUCCESSOR_CAP,
     horizon: int | None = None,
-) -> tuple[list[str], list[MimicConfiguration], list[frozenset[str]], list[tuple[tuple[float, str], ...]]]:
+) -> _Store:
     """``_explore`` of the chain over (configuration, policy phase) states.
 
-    A row holds ``(probability, successor name)`` in ``pca_step_distribution``
-    order, and a state's phase is its depth modulo the policy's period. Each
+    An edge's label is its probability, in ``pca_step_distribution`` order,
+    and a state's phase is its depth modulo the policy's period. Each
     lattice's distribution, with its successors' fresh units, is computed
     once per call. Per state, the unit runs come before the distribution and
     the successors, as in a single step, so the first error is the same.
@@ -626,12 +714,12 @@ def _expand_chain(
     # lattice -> ([[successor lattice, probability, fresh units once rebound], ...], their sum)
     dists: dict = {}
 
-    def successors(sid: int, cfg: MimicConfiguration, depth: int):
-        lattice = cfg.lattice
+    def successors(sid: int, key: tuple, depth: int):
+        lattice, unit_states, _ = key
         if horizon is not None and depth >= horizon:
-            yield 1.0, (lattice, cfg.unit_states, depth % period)
+            yield 1.0, (lattice, unit_states, depth % period)
             return
-        ran, _ = run(lattice, cfg.unit_states, policy[depth % period], None)
+        ran, _ = run(lattice, unit_states, policy[depth % period], None)
         dist = dists.get(lattice)
         if dist is None:
             dist = pca_step_distribution(ca, lattice, successor_cap)
@@ -652,7 +740,6 @@ def _expand_chain(
         (start.lattice, start.unit_states, 0),
         lambda key: MimicConfiguration(key[0], key[1], 0, outer),
         successors,
-        props_fn,
         bound,
     )
 
@@ -674,12 +761,18 @@ def build_dtmc(
     policy = _normalize_policy(input_policy)
     _require_exactly_expandable(ma)
     props_fn, vocabulary = labeling or builtin_labeling(ma)
-    names, configs, props, rows = _expand_chain(ma, policy, props_fn, bound, lattice0, successor_cap)
+    store = _expand_chain(ma, policy, bound, lattice0, successor_cap)
+    names = list(map(_name, range(len(store.keys))))
+    configs = list(map(store.make_config, store.keys))
+    rows = {}
+    for index, sid in enumerate(names):
+        probs, targets = store.edges(index)
+        rows[sid] = tuple(zip(map(names.__getitem__, targets), probs))
     return Dtmc(
         states=dict(zip(names, configs)),
         initial="s0",
-        rows={sid: tuple((tid, prob) for prob, tid in row) for sid, row in zip(names, rows)},
-        atomic_props=dict(zip(names, props)),
+        rows=rows,
+        atomic_props=dict(zip(names, map(props_fn, configs))),
         vocabulary=vocabulary,
         metadata={"model": ma.name, "policy": policy},
     )
@@ -848,17 +941,19 @@ def _mc_chain(ma, policy, pred, horizon, trials, seed, bound, props_fn) -> int:
     """
     import numpy as np
 
-    names, _, props, rows = _expand_chain(ma, policy, props_fn, bound, horizon=horizon)
-    index = {name: i for i, name in enumerate(names)}
-    target = np.array([eval_predicate(pred, p) for p in props], dtype=bool)
-    lengths = np.array([len(row) for row in rows], dtype=np.intp)
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    successors = np.array([index[tid] for row in rows for _, tid in row], dtype=np.intp)
+    store = _expand_chain(ma, policy, bound, horizon=horizon)
+    target = np.array([eval_predicate(pred, props_fn(cfg)) for cfg in map(store.make_config, store.keys)],
+                      dtype=bool)
+    offsets = np.array(store.offsets, dtype=np.intp)
+    starts, ends = offsets[:-1], offsets[1:]
+    lengths = ends - starts
+    successors = np.array(store.targets, dtype=np.intp)
     cumulative = np.fromiter(
-        itertools.chain.from_iterable(itertools.accumulate(prob for prob, _ in row) for row in rows),
+        itertools.chain.from_iterable(
+            itertools.accumulate(store.edges(i)[0]) for i in range(len(store.keys))
+        ),
         dtype=float,
-        count=int(ends[-1]),
+        count=len(store.targets),
     )
     rounds = int(lengths.max()).bit_length()  # halvings that empty the longest row's interval
 

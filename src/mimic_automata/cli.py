@@ -229,35 +229,108 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if not diagnostics else EXIT_USAGE
 
 
-def _simulate_ma(ma: MimicAutomaton, args) -> tuple[dict, list[str]]:
+def _word_text(word) -> str:
+    return "".join(str(s) for s in word or ())
+
+
+def _simulate_ma(ma: MimicAutomaton, args):
     entry = _read_input(args.input, per_line_blocks=False)
-    schedule = [entry] * args.steps
     cfg = ma_initial(ma, binding_seed(ma, ma.root()))
-    cfg, trace = ma_run(ma, cfg, schedule, seed=args.seed)
-    lines = [f"model: {ma.name}", f"macro_clock: {cfg.macro_clock}", f"final: {render_config(cfg)}"]
-    ticks = []
-    for tick in trace:
-        out = "".join(str(s) for s in tick.output or ())
-        lines.append(
-            f"tick {tick.index}: lattice {list(tick.lattice_before)} -> {list(tick.lattice_after)}"
-            f", output {out!r}"
-        )
-        ticks.append(
+    cfg, trace = ma_run(ma, cfg, [entry] * args.steps, seed=args.seed)
+    final = render_config(cfg)
+
+    def lines():
+        yield from (f"model: {ma.name}", f"macro_clock: {cfg.macro_clock}", f"final: {final}")
+        for tick in trace:
+            yield (f"tick {tick.index}: lattice {list(tick.lattice_before)} -> {list(tick.lattice_after)}"
+                   f", output {_word_text(tick.output)!r}")
+
+    def result():
+        ticks = [
             {
                 "index": tick.index,
-                "input": "".join(str(s) for s in tick.macro_input),
+                "input": _word_text(tick.macro_input),
                 "lattice_before": [str(q) for q in tick.lattice_before],
                 "lattice_after": [str(q) for q in tick.lattice_after],
-                "output": out,
+                "output": _word_text(tick.output),
             }
-        )
-    result = {
-        "model": ma.name,
-        "macro_clock": cfg.macro_clock,
-        "final": render_config(cfg),
-        "ticks": ticks,
+            for tick in trace
+        ]
+        return {"model": ma.name, "macro_clock": cfg.macro_clock, "final": final, "ticks": ticks}
+
+    return lines, result
+
+
+def _simulate_dhr(model: DhrStructure, args):
+    block = _read_input(args.input, per_line_blocks=False)
+    reports = dhr_run(model, [block] * args.steps, seed=args.seed)
+
+    def voted(rep) -> str:
+        return "".join(rep.voted_output) if rep.voted_output is not None else "<abstain>"
+
+    def lines():
+        yield f"model: {model.name}"
+        for i, rep in enumerate(reports):
+            yield f"tick {i}: voted {voted(rep)!r}, dissenters {sorted(rep.dissenters)}"
+
+    def result():
+        ticks = [{"index": i, "voted": voted(rep), "dissenters": sorted(rep.dissenters)}
+                 for i, rep in enumerate(reports)]
+        return {"model": model.name, "ticks": ticks}
+
+    return lines, result
+
+
+def _simulate_sa(model: SequentialAutomaton, args):
+    run = sa_run(model, _read_input(args.input, per_line_blocks=False))
+    fields = {
+        "model": model.name,
+        "final_state": run.final_state,
+        "accepted": run.accepted,
+        "output": "".join(run.output_word),
+        "steps": run.steps,
     }
-    return result, lines
+    return (lambda: (f"{key}: {value}" for key, value in fields.items())), lambda: fields
+
+
+def _simulate_ca(model: CellularAutomaton, args):
+    run = ca_run(model, _read_lattice(model, args.input), t_max=args.steps)
+
+    def lines():
+        yield from (f"model: {model.name}", f"terminated_by: {run.terminated_by}")
+        yield from (f"t={i}: {list(lat)}" for i, lat in enumerate(run.trace))
+
+    def result():
+        return {
+            "model": model.name,
+            "terminated_by": run.terminated_by,
+            "trace": [[str(q) for q in lat] for lat in run.trace],
+        }
+
+    return lines, result
+
+
+def _simulate_pca(model: ProbabilisticCellularAutomaton, args):
+    trace = [_read_lattice(model, args.input)]
+    rng = master_stream(args.seed)
+    for _ in range(args.steps):
+        trace.append(pca_step(model, trace[-1], rng))
+
+    def lines():
+        yield f"model: {model.name}"
+        yield from (f"t={i}: {list(lat)}" for i, lat in enumerate(trace))
+
+    return lines, lambda: {"model": model.name, "trace": [[str(q) for q in lat] for lat in trace]}
+
+
+# model kind -> simulate(model, args) giving (text lines, JSON result), each built only when called
+_SIMULATORS = (
+    (MimicAutomaton, _simulate_ma),
+    (DhrStructure, _simulate_dhr),
+    (SequentialAutomaton, _simulate_sa),
+    (CellularAutomaton, _simulate_ca),
+    (ProbabilisticCellularAutomaton, _simulate_pca),
+)
 
 
 def _cmd_simulate(args) -> int:
@@ -265,56 +338,13 @@ def _cmd_simulate(args) -> int:
         raise _UsageError(f"--steps must be >= 0, got {args.steps}")
     doc = _load(args.files)
     model = _resolve_model(doc, args.model)
-    if isinstance(model, MimicAutomaton):
-        result, lines = _simulate_ma(model, args)
-    elif isinstance(model, DhrStructure):
-        block = _read_input(args.input, per_line_blocks=False)
-        reports = dhr_run(model, [block] * args.steps, seed=args.seed)
-        lines = [f"model: {model.name}"]
-        ticks = []
-        for i, rep in enumerate(reports):
-            voted = "".join(rep.voted_output) if rep.voted_output is not None else "<abstain>"
-            lines.append(f"tick {i}: voted {voted!r}, dissenters {sorted(rep.dissenters)}")
-            ticks.append({"index": i, "voted": voted, "dissenters": sorted(rep.dissenters)})
-        result = {"model": model.name, "ticks": ticks}
-    elif isinstance(model, SequentialAutomaton):
-        word = _read_input(args.input, per_line_blocks=False)
-        run = sa_run(model, word)
-        lines = [
-            f"model: {model.name}",
-            f"final_state: {run.final_state}",
-            f"accepted: {run.accepted}",
-            f"output: {''.join(run.output_word)}",
-            f"steps: {run.steps}",
-        ]
-        result = {
-            "model": model.name,
-            "final_state": run.final_state,
-            "accepted": run.accepted,
-            "output": "".join(run.output_word),
-            "steps": run.steps,
-        }
-    elif isinstance(model, CellularAutomaton):
-        lattice = _read_lattice(model, args.input)
-        run = ca_run(model, lattice, t_max=args.steps)
-        lines = [f"model: {model.name}", f"terminated_by: {run.terminated_by}"]
-        lines += [f"t={i}: {list(lat)}" for i, lat in enumerate(run.trace)]
-        result = {
-            "model": model.name,
-            "terminated_by": run.terminated_by,
-            "trace": [[str(q) for q in lat] for lat in run.trace],
-        }
-    elif isinstance(model, ProbabilisticCellularAutomaton):
-        lattice = _read_lattice(model, args.input)
-        rng = master_stream(args.seed)
-        trace = [tuple(lattice)]
-        for _ in range(args.steps):
-            trace.append(pca_step(model, trace[-1], rng))
-        lines = [f"model: {model.name}"] + [f"t={i}: {list(lat)}" for i, lat in enumerate(trace)]
-        result = {"model": model.name, "trace": [[str(q) for q in lat] for lat in trace]}
-    else:
+    simulate = next((fn for kind, fn in _SIMULATORS if isinstance(model, kind)), None)
+    if simulate is None:
         raise _UsageError(f"model {args.model!r} is not simulatable")
+    lines, result = simulate(model, args)
 
+    if args.trace or args.format == "json":
+        result = result()
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as handle:
             json.dump(result, handle, indent=2, sort_keys=True)
@@ -329,7 +359,7 @@ def _cmd_simulate(args) -> int:
         }
         print(json.dumps(payload, sort_keys=True))
     else:
-        print("\n".join(lines))
+        print("\n".join(lines()))
     return EXIT_OK
 
 

@@ -447,16 +447,6 @@ def serial_initial(s: SerialDhr) -> tuple[MimicConfiguration, ...]:
     return tuple(dhr_initial(stage) for stage in s.stages)
 
 
-def serial_step(
-    s: SerialDhr,
-    states: Sequence[MimicConfiguration],
-    input_block: Iterable[str],
-    rng: np.random.Generator | None = None,
-) -> tuple[tuple[MimicConfiguration, ...], SerialTick]:
-    """One serial tick: stage i's vote becomes stage i+1's input block."""
-    return _serial_ticker(s)(states, tuple(input_block), rng)
-
-
 def _serial_ticker(s: SerialDhr):
     """``tick(states, block, rng)``: one serial tick through one ``_dhr_ticker`` per stage."""
     tickers = [_dhr_ticker(ma, stage.voter) for ma, stage in zip(s.automata, s.stages)]

@@ -166,6 +166,20 @@ def rotate_ca(name="rot3", width=3, states=("0", "1", "2")):
     return CellularAutomaton(name, tuple(states), width, 1, rule=rule)
 
 
+def lockstep_counters_ma(cycles=(5, 7, 11, 13)):
+    """One echo machine per cell of a still lattice, walking a cycle of each length.
+
+    Every input block moves all of them one step, so with pairwise coprime
+    lengths the composite reaches their product: 5,005 states by default.
+    """
+    sas = {f"c{n}": echo_sa(f"c{n}", n) for n in cycles}
+    cells = tuple(str(i) for i in range(len(cycles)))
+    ca = identity_ca("still", width=len(cycles), states=cells)
+    cell_map = {q: SaUnit(f"c{n}") for q, n in zip(cells, cycles)}
+    binding = Binding("b", MODE_SA_FROM_CA, "still", cell_map, seed=cells)
+    return MimicAutomaton("counters", sas, {"still": ca}, {}, {"b": binding}, "b")
+
+
 def plain(x):
     """Structural plain-data form of run-time states, for oracle comparison."""
     if isinstance(x, MimicConfiguration):

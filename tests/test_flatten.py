@@ -10,6 +10,7 @@ fails at the same place as before.
 import dataclasses
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -26,7 +27,10 @@ from mimic_automata import (
     MimicError,
     NestedUnit,
     SaUnit,
+    Signature,
     build_dtmc,
+    check_invariant,
+    detect,
     flatten,
     inject_fault,
     ma_initial,
@@ -44,6 +48,8 @@ from helpers import (
     flipper_sa,
     gen_instance,
     generated_dhr,
+    lockstep_counters_ma,
+    make_sa,
     plain,
     rotate_ca,
     x11_parity_ma,
@@ -111,20 +117,148 @@ def flavor(ma):
     return "plain"
 
 
+def generated_universe(ma):
+    binding = ma.root()
+    if binding.mode == MODE_CA_FROM_SA:
+        return list(itertools.product(ALPHABET, repeat=ma.ca_set[binding.ca].width))
+    return BLOCKS
+
+
 def test_flatten_matches_single_step_on_every_generated_flavor():
     seen = set()
     for seed in range(60):
         ma, lattice0, _ = gen_instance(random.Random(seed))
-        binding = ma.root()
-        if binding.mode == MODE_CA_FROM_SA:
-            universe = list(itertools.product(ALPHABET, repeat=ma.ca_set[binding.ca].width))
-        else:
-            universe = BLOCKS
+        universe = generated_universe(ma)
         ts = assert_flatten_is_single_step_bfs(ma, universe, lattice0)
         reached = {plain(cfg) for cfg in ts.states.values()}
         assert reached == ref_reachable(ma, universe, lattice0), f"seed {seed}"
         seen.add(flavor(ma))
     assert seen == {"plain", "ha", "nested1", "nested2", "mode2"}
+
+
+def single_step_graph(ma, universe, lattice0):
+    """The single step's BFS graph as plain dicts: states, rows and propositions by name."""
+    start = strip_clocks(ma_initial(ma, lattice0))
+    props_fn, _ = builtin_labeling(ma)
+    ids = {start: "s0"}
+    order = [start]
+    transitions = {}
+    for cfg in order:  # grows while it is walked: breadth-first order
+        edges = []
+        for action, nxt in single_step_edges(ma, cfg, universe):
+            if nxt not in ids:
+                ids[nxt] = f"s{len(ids)}"
+                order.append(nxt)
+            edges.append((action, ids[nxt]))
+        transitions[ids[cfg]] = tuple(edges)
+    states = {sid: cfg for cfg, sid in ids.items()}
+    return states, transitions, {sid: props_fn(cfg) for sid, cfg in states.items()}
+
+
+def test_flatten_views_copy_to_the_single_step_dicts_on_every_generated_flavor():
+    seen = set()
+    for seed in range(60):
+        ma, lattice0, _ = gen_instance(random.Random(seed))
+        ts = flatten(ma, generated_universe(ma), lattice0=lattice0)
+        states, transitions, props = single_step_graph(ma, ts.metadata["universe"], ts.metadata["lattice0"])
+        assert dict(ts.states) == states, f"seed {seed}"
+        assert dict(ts.transitions) == transitions, f"seed {seed}"
+        assert dict(ts.atomic_props) == props, f"seed {seed}"
+        assert ts.transition_count == sum(len(edges) for edges in transitions.values())
+        seen.add(flavor(ma))
+    assert seen == {"plain", "ha", "nested1", "nested2", "mode2"}
+
+
+NOT_NAMES = ["s240", "s01", "s00", "x", 0, 1, "s", "s-1", "s+1", " s1", "s1 ", "s1_0", "s\u0661",
+             "S1", None, ("s", 1)]
+
+
+@pytest.mark.parametrize("field", ["states", "transitions", "atomic_props"])
+def test_flatten_views_behave_as_dicts(field):
+    ts = flatten(x11_parity_ma(), [("0",), ("1",)])
+    view = getattr(ts, field)
+    copy = dict(view)
+    assert len(view) == len(copy) == 240
+    assert list(view) == list(view.keys()) == list(copy) == [f"s{i}" for i in range(240)]
+    assert list(view.values()) == list(copy.values())
+    assert list(view.items()) == list(copy.items())
+    assert view == copy and copy == view and not view != copy
+    assert view != {**copy, "s0": "other"} and view != {}
+    assert view == getattr(flatten(x11_parity_ma(), [("0",), ("1",)]), field)
+    for name in ("s0", "s17", "s239"):
+        assert name in view
+        assert view[name] == view.get(name) == view.get(name, "absent") == copy[name]
+    for key in NOT_NAMES:
+        assert key not in view and key not in copy
+        assert view.get(key) is None and view.get(key, "absent") == "absent"
+        with pytest.raises(KeyError):
+            view[key]
+        with pytest.raises(KeyError):
+            copy[key]
+    with pytest.raises(TypeError):
+        view["s0"] = copy["s0"]
+    assert ts.transition_count == sum(len(edges) for edges in ts.transitions.values()) == 480
+
+
+def counting_labeling(ma):
+    """The builtin labeling plus the list of configurations it was called on."""
+    props_fn, vocabulary = builtin_labeling(ma)
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg)
+        return props_fn(cfg)
+
+    return (counted, vocabulary), calls
+
+
+@pytest.mark.parametrize("invariant, verdict", [
+    ("lattice_has(0) or lattice_has(1)", "holds"),
+    ("not cell3_state(odd)", "violated"),
+])
+def test_labeling_is_called_on_access_once_per_searched_state(invariant, verdict):
+    ma = x11_parity_ma()
+    labeling, calls = counting_labeling(ma)
+    ts = flatten(ma, [("0",), ("1",)], labeling=labeling)
+    assert calls == []
+    result = check_invariant(ts, invariant)
+    assert result.verdict == verdict
+    assert len(calls) == len(set(calls))  # no state labeled twice
+    if verdict == "holds":
+        assert set(calls) == set(ts.states.values())
+    else:  # the search stops at the violation, short of the whole graph
+        assert 0 < len(calls) < len(ts.states)
+        assert calls[-1] == ts.states[result.counterexample.states[-1]]
+
+
+def test_detect_on_a_voted_structure_never_labels():
+    ma = inject_fault(echo_dhr(scheduler=rotate_ca()), 1, flipper_sa()).automaton
+    universe = [("a",), ("b",), ("a", "b")]
+    labeling, calls = counting_labeling(ma)
+    ts = flatten(ma, universe, labeling=labeling)
+    pattern = make_sa("pat_b", ("w", "m"), "w", ("m",), ("a", "b"),
+                      delta=[("w", "b", "m"), ("m", "a", "m"), ("m", "b", "m")], partial=True)
+    report = detect(ma, universe, [Signature("emits_b", "voted output b", pattern)], ts=ts)
+    assert [r.matched for r in report.results] == [True]
+    assert report.stats == {"states": len(ts.states), "transitions": ts.transition_count}
+    assert calls == []
+
+
+ALL_BLOCKS = [("a",), ("b",), ("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
+
+
+def test_flatten_peak_memory_per_state():
+    # keys and CSR edges only: configurations, rows and propositions are built on access
+    ma = lockstep_counters_ma()
+    tracemalloc.start()
+    try:
+        ts = flatten(ma, ALL_BLOCKS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ts.states) == 5 * 7 * 11 * 13
+    assert ts.transition_count == len(ts.states) * len(ALL_BLOCKS)
+    assert peak / len(ts.states) <= 600
 
 
 def test_flatten_and_the_chain_builder_agree_on_point_mass_copies():
