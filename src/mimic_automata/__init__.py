@@ -48,8 +48,6 @@ from .composition import (
     SaUnit,
     common_input_alphabet,
     ma_initial,
-    ma_macro_step_ca_from_sa,
-    ma_macro_step_sa_from_ca,
     ma_run,
     strip_clocks,
     validate_ma,
@@ -64,7 +62,6 @@ from .dhr import (
     build_dhr,
     dhr_initial,
     dhr_run,
-    dhr_step,
     inject_fault,
     serial_initial,
     serial_run,

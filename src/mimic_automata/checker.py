@@ -3,9 +3,9 @@
 The composite's reachable configurations are flattened into a finite
 transition system (deterministic case) or a discrete-time Markov chain
 (probabilistic lattice rules) and checked for propositional invariants,
-reachability, and bad-prefix patterns via synchronous products. States are
-identified by their clock-stripped canonical configuration, so revisits
-terminate the construction.
+reachability, and bad-prefix patterns (on the fly, over state and monitor
+pairs). States are identified by their clock-stripped canonical
+configuration, so revisits terminate the construction.
 """
 
 from __future__ import annotations
@@ -500,18 +500,19 @@ def _path_to(goal, parents: dict) -> Path:
     return Path(tuple(states), tuple(actions))
 
 
-def _search_states(ts: TransitionSystem, want: Callable[[str], bool]) -> Path | None:
-    """Shortest path from the initial state to the first state satisfying ``want``, or None."""
-    hit, parents = _bfs_search(ts.initial, lambda sid: ts.transitions.get(sid, ()), want)
-    return None if hit is None else _path_to(hit, parents)
+def _search_states(ts: TransitionSystem, target: Pred | str, holds: bool) -> tuple[Path | None, dict]:
+    """Shortest path to the first state where ``target`` is ``holds`` (or None), and the stats."""
+    pred = _as_predicate(target)
+    check_vocabulary(pred, ts.vocabulary)
+    hit, parents = _bfs_search(ts.initial, lambda sid: ts.transitions.get(sid, ()),
+                               lambda sid: eval_predicate(pred, ts.atomic_props[sid]) == holds)
+    path = None if hit is None else _path_to(hit, parents)
+    return path, {"states": len(ts.states), "transitions": ts.transition_count}
 
 
 def check_invariant(ts: TransitionSystem, invariant: Pred | str) -> CheckResult:
     """Holds iff the predicate is true at every reachable state; else a shortest counterexample."""
-    pred = _as_predicate(invariant)
-    check_vocabulary(pred, ts.vocabulary)
-    path = _search_states(ts, lambda sid: not eval_predicate(pred, ts.atomic_props[sid]))
-    stats = {"states": len(ts.states), "transitions": ts.transition_count}
+    path, stats = _search_states(ts, invariant, False)
     if path is None:
         return CheckResult("holds", stats=stats)
     return CheckResult("violated", counterexample=path, stats=stats)
@@ -519,10 +520,7 @@ def check_invariant(ts: TransitionSystem, invariant: Pred | str) -> CheckResult:
 
 def check_reach(ts: TransitionSystem, target: Pred | str) -> CheckResult:
     """Holds iff some reachable state satisfies the target; the witness is shortest."""
-    pred = _as_predicate(target)
-    check_vocabulary(pred, ts.vocabulary)
-    path = _search_states(ts, lambda sid: eval_predicate(pred, ts.atomic_props[sid]))
-    stats = {"states": len(ts.states), "transitions": ts.transition_count}
+    path, stats = _search_states(ts, target, True)
     if path is None:
         return CheckResult("violated", stats=stats)
     return CheckResult("holds", counterexample=path, stats=stats)
@@ -540,6 +538,9 @@ def product(
     alphabet (or without a transition) leave it in place. Product states
     whose monitor component is final carry the ``accepting`` proposition.
     Exceeding ``bound`` product states raises ExplosionError.
+    No command calls it: the tests use it as the oracle of ``_monitor_witness``
+    and the benchmark's tracing imports it. It moves to
+    ``tests/reference_interpreter.py`` once that probe is replaced.
     """
     base: dict[str, tuple[MimicConfiguration, frozenset[str]]] = {}  # each read once per call
 
@@ -1052,7 +1053,7 @@ def check_property(
     when ``trials`` is given; the policy comes from the property (or the sole
     universe entry). A ``horizon`` applies to ``reach`` only: a deterministic
     reach then holds only when its shortest witness has at most ``horizon``
-    actions.
+    actions. A bad prefix is searched as ``detect`` searches a signature.
     """
     universe = prop.inputs if prop.inputs is not None else input_universe
     if has_randomness(ma):
@@ -1087,11 +1088,9 @@ def check_property(
             return CheckResult("violated", stats=result.stats)  # the witness is a shortest one
         return result
     if prop.kind == BAD_PREFIX:
-        prod = product(ts, prop.pattern, bound=bound)
-        result = check_reach(prod, ACCEPTING)
-        stats = dict(result.stats)
-        stats["pattern"] = prop.pattern.name
-        if result.verdict == "holds":  # an accepting prefix exists: the property is violated
-            return CheckResult("violated", counterexample=result.counterexample, stats=stats)
-        return CheckResult("holds", stats=stats)
+        witness = _monitor_witness(ts, prop.pattern, {}, bound)
+        stats = {"states": len(ts.states), "transitions": ts.transition_count, "pattern": prop.pattern.name}
+        if witness is None:
+            return CheckResult("holds", stats=stats)
+        return CheckResult("violated", counterexample=witness, stats=stats)  # a bad prefix exists
     raise PropertyError(f"unknown property kind {prop.kind!r}")

@@ -566,34 +566,6 @@ def _stepper(ma: MimicAutomaton, binding: Binding, depth: int):
     return step
 
 
-def ma_macro_step_sa_from_ca(
-    ma: MimicAutomaton,
-    cfg: MimicConfiguration,
-    input_block: Iterable[Symbol],
-    rng: np.random.Generator | None = None,
-) -> tuple[MimicConfiguration, tuple[RunResult, ...]]:
-    """One ``sa_from_ca`` tick: all unit runs on the block, then one lattice step."""
-    binding = ma.root()
-    if binding.mode != MODE_SA_FROM_CA:
-        raise MimicError(f"root binding {binding.name!r} is not in mode {MODE_SA_FROM_CA}")
-    new_cfg, per_cell, _, _, _ = _stepper(ma, binding, depth=1)(cfg, tuple(input_block), rng)
-    return new_cfg, per_cell
-
-
-def ma_macro_step_ca_from_sa(
-    ma: MimicAutomaton,
-    cfg: MimicConfiguration,
-    inner_lattice0: Lattice,
-    rng: np.random.Generator | None = None,
-) -> tuple[MimicConfiguration, CaRun]:
-    """One ``ca_from_sa`` tick: inner lattice run, readout, one outer step."""
-    binding = ma.root()
-    if binding.mode != MODE_CA_FROM_SA:
-        raise MimicError(f"root binding {binding.name!r} is not in mode {MODE_CA_FROM_SA}")
-    new_cfg, _, inner, _, _ = _stepper(ma, binding, depth=1)(cfg, tuple(inner_lattice0), rng)
-    return new_cfg, inner
-
-
 def has_randomness(ma: MimicAutomaton) -> bool:
     """True when a probabilistic lattice is reachable from the root binding."""
     seen: set[str] = set()

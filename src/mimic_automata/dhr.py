@@ -387,16 +387,6 @@ def _dhr_ticker(ma: MimicAutomaton, voter: VoterPolicy):
     return tick
 
 
-def dhr_step(
-    d: DhrStructure,
-    state: MimicConfiguration,
-    input_block: Iterable[str],
-    rng: np.random.Generator | None = None,
-) -> tuple[MimicConfiguration, DhrStepReport]:
-    """One tick: per-slot runs under the frozen lattice, the vote, one scheduler step."""
-    return _dhr_ticker(d.automaton, d.voter)(state, tuple(input_block), rng)
-
-
 def inject_fault(d: DhrStructure, slot: int, faulty: SequentialAutomaton) -> DhrStructure:
     """A copy of the structure whose ``slot`` always runs ``faulty``."""
     if not (0 <= slot < d.width):

@@ -244,15 +244,45 @@ def test_product_size_bound():
     assert len(prod.states) <= len(ts.states) * len(pattern.states)
 
 
-def test_product_and_bad_prefix_checks_stop_at_their_bound():
+def test_product_stops_at_its_bound():
     ts = flatten(parity_ma(), UNIVERSE)  # 2 states; the product with monitor "1" has 3
     assert len(product(ts, monitor("m", "1"), bound=3).states) == 3
     with pytest.raises(ExplosionError) as exc:
         product(ts, monitor("m", "1"), bound=2)
     assert (exc.value.bound, exc.value.frontier) == (2, 1)
-    prop = Property("saw_one", "bad_prefix", pattern=monitor("m", "1"))
-    with pytest.raises(ExplosionError):
-        check_property(parity_ma(), prop, UNIVERSE, bound=2)  # the flatten fits, the product does not
+
+
+def twice(name, label):
+    """Three-state monitor that accepts after seeing two actions labeled ``label``."""
+    return make_sa(name, ("w", "once", "hit"), "w", ("hit",), (label,), (label,),
+                   delta=[("w", label, "once"), ("once", label, "hit"), ("hit", label, "hit")],
+                   partial=True)
+
+
+def test_bad_prefix_checks_stop_at_their_bound():
+    ma = parity_ma()  # 2 flattened states
+    saw_one = Property("saw_one", "bad_prefix", pattern=monitor("m", "1"))
+    result = check_property(ma, saw_one, UNIVERSE, bound=2)  # matched at the second pair
+    assert result.verdict == "violated"
+    assert result.counterexample.states == ("s0", "s1")
+    with pytest.raises(ExplosionError) as exc:
+        check_property(ma, saw_one, UNIVERSE, bound=1)  # the flatten itself does not fit
+    assert (exc.value.bound, exc.value.frontier) == (1, 1)
+    # the flatten fits, the pair search does not: two 1s need a third pair
+    saw_two = Property("saw_two", "bad_prefix", pattern=twice("m2", "1"))
+    assert len(flatten(ma, UNIVERSE, bound=2).states) == 2
+    result = check_property(ma, saw_two, UNIVERSE, bound=3)
+    assert result.verdict == "violated"
+    assert result.counterexample.states == ("s0", "s1", "s0")
+    with pytest.raises(ExplosionError) as exc:
+        check_property(ma, saw_two, UNIVERSE, bound=2)
+    assert (exc.value.bound, exc.value.frontier) == (2, 1)
+    # a monitor with no finals visits every pair: 3 here
+    never = Property("never", "bad_prefix", pattern=monitor("m", "1", finals_empty=True))
+    assert check_property(ma, never, UNIVERSE, bound=3).verdict == "holds"
+    with pytest.raises(ExplosionError) as exc:
+        check_property(ma, never, UNIVERSE, bound=2)
+    assert (exc.value.bound, exc.value.frontier) == (2, 1)
 
 
 # --- probabilistic -----------------------------------------------------------

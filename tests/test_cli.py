@@ -103,15 +103,15 @@ property saw_one {
 """
 
 
-def test_bad_prefix_product_over_the_bound_is_resource_error(capsys, tmp_path):
+def test_bad_prefix_search_over_the_bound_is_resource_error(capsys, tmp_path):
     model = tmp_path / "parity_saw.ma"
     model.write_text((MODELS / "parity.ma").read_text() + SAW_ONE)
     args = ["check", str(model), "--model", "parity_ma", "--property", "saw_one"]
-    code, _, _ = run(capsys, args + ["--bound", "3"])
-    assert code == 1  # 2 flattened states, 3 product states
-    code, _, err = run(capsys, args + ["--bound", "2"])
-    assert code == 2
-    assert "state bound 2 exceeded" in err
+    code, _, _ = run(capsys, args + ["--bound", "2"])
+    assert code == 1  # 2 flattened states, matched at the second pair
+    code, _, err = run(capsys, args + ["--bound", "1"])
+    assert code == 2  # the flatten's second state is over the bound
+    assert "state bound 1 exceeded" in err
 
 
 def test_detect_search_over_the_bound_is_resource_error(capsys):
@@ -121,6 +121,24 @@ def test_detect_search_over_the_bound_is_resource_error(capsys):
     code, _, err = run(capsys, args + ["--bound", "1"])
     assert code == 2
     assert "state bound 1 exceeded" in err
+
+
+@pytest.mark.parametrize("model, want", [("rogue3", 1), ("const3", 0)])
+def test_bad_prefix_check_gives_detect_s_witness_and_stats(capsys, tmp_path, model, want):
+    prop = tmp_path / "saw_b.ma"
+    prop.write_text("property saw_b {\n  kind: bad_prefix\n  pattern: pat_b\n}\n")
+    check_code, check_out, _ = run(capsys, ["check", DETECT, SIG, str(prop), "--model", model,
+                                            "--property", "saw_b", "--format", "json"])
+    detect_code, detect_out, _ = run(capsys, ["detect", DETECT, "--model", model,
+                                              "--signatures", SIG, "--format", "json"])
+    assert check_code == detect_code == want
+    checked, detected = json.loads(check_out), json.loads(detect_out)
+    assert checked["counterexample"] == detected["counterexample"]
+    assert {k: checked["stats"][k] for k in ("states", "transitions")} == detected["stats"]
+    if want:  # one flattened state, matched by its own B edge
+        assert checked["counterexample"] == [{"state": "s0", "action": {"input": "x", "output": "B"}},
+                                             {"state": "s0", "action": None}]
+        assert checked["stats"] == {"states": 1, "transitions": 1, "pattern": "pat_b"}
 
 
 def test_simulate_zero_steps_echoes_initial(capsys):

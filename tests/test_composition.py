@@ -16,8 +16,6 @@ from mimic_automata import (
     ca_step,
     ha_initial,
     ma_initial,
-    ma_macro_step_ca_from_sa,
-    ma_macro_step_sa_from_ca,
     ma_run,
     validate_ma,
 )
@@ -68,7 +66,8 @@ def test_initial_ha_cell_uses_hierarchy_initial():
 def test_mode1_identity_cell_runs_and_clock_advances():
     ma = parity_ma()
     cfg = ma_initial(ma, ("0",))
-    cfg2, per_cell = ma_macro_step_sa_from_ca(ma, cfg, "11")
+    cfg2, (tick,) = ma_run(ma, cfg, ["11"])
+    per_cell = tick.per_cell
     assert cfg2.lattice == ("0",)  # identity rule
     assert cfg2.unit_states == ("even",)  # even -> odd -> even
     assert cfg2.macro_clock == 1
@@ -79,7 +78,8 @@ def test_mode1_identity_cell_runs_and_clock_advances():
 def test_mode1_empty_block_still_steps_lattice_once():
     ma = parity_ma()
     cfg = ma_initial(ma, ("0",))
-    cfg2, per_cell = ma_macro_step_sa_from_ca(ma, cfg, "")
+    cfg2, (tick,) = ma_run(ma, cfg, [""])
+    per_cell = tick.per_cell
     assert cfg2.macro_clock == 1
     assert per_cell[0].steps == 0
     assert per_cell[0].output_word == ()
@@ -98,7 +98,8 @@ def test_mode1_two_cell_xor_reinitializes_changed_cells():
     assert ca_step(ca, start) == ("0", "0")  # oracle: each cell sees the other twice
 
     cfg = ma_initial(ma, start)
-    cfg2, per_cell = ma_macro_step_sa_from_ca(ma, cfg, "1")
+    cfg2, (tick,) = ma_run(ma, cfg, ["1"])
+    per_cell = tick.per_cell
     assert cfg2.lattice == ("0", "0")
     # cell 0 kept its state (ran p -> q), cell 1 was rebuilt for variant v0
     assert per_cell[0].final_state == "q"
@@ -109,7 +110,7 @@ def test_mode1_rejects_foreign_symbol_naming_cell_and_position():
     ma = parity_ma()
     cfg = ma_initial(ma, ("0",))
     with pytest.raises(InputRejectedError) as exc:
-        ma_macro_step_sa_from_ca(ma, cfg, ("1", "z"))
+        ma_run(ma, cfg, [("1", "z")])
     assert exc.value.cell == 0
     assert exc.value.position == 1
 
@@ -126,7 +127,8 @@ def test_mode2_identity_inner_moves_outer_to_odd():
     ma = mode2_ma(Readout(kind="cell", cell=0))
     cfg = ma_initial(ma, ("0",))
     assert cfg.outer_state == "even"
-    cfg2, inner = ma_macro_step_ca_from_sa(ma, cfg, ("1",))
+    cfg2, (tick,) = ma_run(ma, cfg, [("1",)])
+    inner = tick.inner_run
     assert inner.trace == (("1",),)
     assert cfg2.outer_state == "odd"
     assert cfg2.macro_clock == 1
@@ -135,7 +137,7 @@ def test_mode2_identity_inner_moves_outer_to_odd():
 def test_mode2_zero_readout_self_loops():
     ma = mode2_ma(Readout(kind="cell", cell=0))
     cfg = ma_initial(ma, ("0",))
-    cfg2, _ = ma_macro_step_ca_from_sa(ma, cfg, ("0",))
+    cfg2, _ = ma_run(ma, cfg, [("0",)])
     assert cfg2.outer_state == "even"
 
 
@@ -143,7 +145,8 @@ def test_mode2_xor_inner_with_parity_readout():
     ca = xor_ca("xi", width=4)
     ma = mode2_ma(Readout(kind="parity", target="1"), t_max=2, ca=ca, seed=("0",) * 4)
     cfg = ma_initial(ma, ("0",) * 4)
-    cfg2, inner = ma_macro_step_ca_from_sa(ma, cfg, tuple("0010"))
+    cfg2, (tick,) = ma_run(ma, cfg, [tuple("0010")])
+    inner = tick.inner_run
     # oracle trace: 0010 -> 0101 -> 0000; zero ones is even parity -> '0'
     assert inner.trace == (tuple("0010"), tuple("0101"), tuple("0000"))
     assert cfg2.outer_state == "even"
@@ -197,9 +200,9 @@ def test_lattice_constant_within_tick():
 def test_reinit_locality_unchanged_cells_keep_state():
     ma = parity_ma()  # identity rule: cell state never changes
     cfg = ma_initial(ma, ("0",))
-    cfg, _ = ma_macro_step_sa_from_ca(ma, cfg, "1")
+    cfg, _ = ma_run(ma, cfg, ["1"])
     assert cfg.unit_states == ("odd",)
-    cfg, _ = ma_macro_step_sa_from_ca(ma, cfg, "")
+    cfg, _ = ma_run(ma, cfg, [""])
     assert cfg.unit_states == ("odd",)  # survived a tick with no input
 
 

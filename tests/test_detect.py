@@ -291,6 +291,7 @@ def test_monitor_witness_is_the_product_witness():
         monitors = [random_monitor(rnd, labels, f"mon{i}") for i in range(4)]
         memo = {}  # shared across the monitors, as detect shares it
         expected = []
+        checked = []
         for pattern in monitors:
             want = product_witness(ts, pattern)
             assert _monitor_witness(ts, pattern, memo) == want, (ma.name, pattern)
@@ -304,19 +305,18 @@ def test_monitor_witness_is_the_product_witness():
             seen["matched" if want is not None else "clean"] += 1
             seen["starts final"] += pattern.initial in pattern.finals
             seen["no finals"] += not pattern.finals
-            # check --property <bad_prefix> reports the same run over product states
+            # check --property <bad_prefix> reports the very same run
             result = check_property(ma, Property("p", "bad_prefix", pattern=pattern), universe,
                                     lattice0=lattice0)
-            if want is None:
-                assert result.verdict == "holds"
-            else:
-                base = product(ts, pattern).metadata["base_state"]
-                path = result.counterexample
-                assert Path(tuple(base[p] for p in path.states), path.actions) == want
+            assert result.verdict == ("holds" if want is None else "violated")
+            assert result.counterexample == want
+            checked.append(result)
         signatures = [Signature(m.name, "generated", m) for m in monitors]
         report = detect(ma, universe, signatures, ts=ts)
         assert [r.witness for r in report.results] == expected
         assert [r.matched for r in report.results] == [w is not None for w in expected]
+        for pattern, result in zip(monitors, checked):
+            assert result.stats == {**report.stats, "pattern": pattern.name}
     assert min(seen.values()) >= 5, seen
 
 
@@ -341,16 +341,19 @@ def test_detect_builds_no_product(monkeypatch):
                      [product_witness(ts, s.pattern) for s in signatures]))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("detect built a product graph")
+        raise AssertionError("a product graph was built")
 
     # the package's ``detect`` attribute is the function, so fetch the module itself
     detect_module = importlib.import_module("mimic_automata.detect")
-    for module in (checker, detect_module):  # whichever names detect looks up
+    for module in (checker, detect_module):  # whichever names the searches look up
         monkeypatch.setattr(module, "product", refuse, raising=False)
         monkeypatch.setattr(module, "check_reach", refuse, raising=False)
     for ma, universe, signatures, witnesses in runs:
         report = detect(ma, universe, signatures)
         assert [r.witness for r in report.results] == witnesses
+        for sig, witness in zip(signatures, witnesses):  # check --property <bad_prefix>
+            result = check_property(ma, Property(sig.id, "bad_prefix", pattern=sig.pattern), universe)
+            assert result.counterexample == witness
     assert any(w is not None for *_, witnesses in runs for w in witnesses)
 
 

@@ -12,7 +12,6 @@ from mimic_automata import (
     build_dhr,
     dhr_initial,
     dhr_run,
-    dhr_step,
     inject_fault,
     ma_initial,
     ma_run,
@@ -118,8 +117,7 @@ def test_pca_scheduler_is_seed_determined():
 
 def test_step_unanimity_report():
     d = echo_dhr()
-    state = dhr_initial(d)
-    _, report = dhr_step(d, state, ("a",))
+    (report,) = dhr_run(d, [("a",)])
     assert report.voted_output == ("a",)
     assert report.dissenters == frozenset()
     assert report.per_slot_outputs == (("a",),) * 3
@@ -129,7 +127,7 @@ def test_step_unanimity_report():
 def test_inject_single_flipper_masked():
     d = echo_dhr()
     faulty = inject_fault(d, 1, flipper_sa())
-    _, report = dhr_step(faulty, dhr_initial(faulty), ("a", "b"))
+    (report,) = dhr_run(faulty, [("a", "b")])
     assert report.voted_output == ("a", "b")
     assert report.dissenters == frozenset({1})
     assert report.per_slot_outputs[1] == ("b", "a")
@@ -140,14 +138,14 @@ def test_inject_into_width_one_no_masking():
     d = DhrStructure("solo", (e0,), identity_ca("i1", width=1, states=("0",)), 1,
                      VoterPolicy(quorum=1), ("0",))
     faulty = inject_fault(d, 0, flipper_sa())
-    _, report = dhr_step(faulty, dhr_initial(faulty), ("a",))
+    (report,) = dhr_run(faulty, [("a",)])
     assert report.voted_output == ("b",)
 
 
 def test_two_identical_faults_capture_majority():
     d = echo_dhr()
     faulty = inject_fault(inject_fault(d, 0, flipper_sa()), 1, flipper_sa())
-    _, report = dhr_step(faulty, dhr_initial(faulty), ("a",))
+    (report,) = dhr_run(faulty, [("a",)])
     assert report.voted_output == ("b",)
     assert report.dissenters == frozenset({2})
 
@@ -166,11 +164,12 @@ def test_inject_alphabet_mismatch_rejected():
 def test_fault_tag_follows_slot_under_rotation():
     d = echo_dhr(scheduler=rotate_ca())
     faulty = inject_fault(d, 1, flipper_sa())
-    state = dhr_initial(faulty)
-    for _ in range(4):
-        tagged = [i for i, q in enumerate(state.lattice) if isinstance(q, FaultTagged)]
+    schedule = [("a",)] * 4
+    _, trace = ma_run(faulty.automaton, dhr_initial(faulty), schedule)
+    for tick in trace:
+        tagged = [i for i, q in enumerate(tick.lattice_before) if isinstance(q, FaultTagged)]
         assert tagged == [1]
-        state, report = dhr_step(faulty, state, ("a",))
+    for report in dhr_run(faulty, schedule):
         assert report.dissenters == frozenset({1})
         assert report.voted_output == ("a",)
 
@@ -190,8 +189,7 @@ def test_fault_masking_under_probabilistic_scheduler():
 
 def test_scheduler_and_compute_are_separated():
     d = echo_dhr(scheduler=rotate_ca())
-    state = dhr_initial(d)
-    _, report = dhr_step(d, state, ("a",))
+    (report,) = dhr_run(d, [("a",)])
     assert report.lattice_before == ("0", "1", "2")
     assert report.lattice_after == ("2", "0", "1")  # outputs computed before the move
 
