@@ -157,18 +157,22 @@ class TransitionSystem:
 
 @dataclass
 class Dtmc:
-    """Discrete-time Markov chain over canonical configurations."""
+    """Discrete-time Markov chain over canonical configurations.
 
-    states: dict[str, MimicConfiguration]
+    ``build_dtmc`` fills the three mappings with views over its exploration
+    store, as ``flatten`` does for a ``TransitionSystem``.
+    """
+
+    states: Mapping[str, MimicConfiguration]
     initial: str
-    rows: dict[str, tuple[tuple[str, float], ...]]
-    atomic_props: dict[str, frozenset[str]]
+    rows: Mapping[str, tuple[tuple[str, float], ...]]
+    atomic_props: Mapping[str, frozenset[str]]
     vocabulary: frozenset[str]
     metadata: dict = field(default_factory=dict)
 
     @property
     def transition_count(self) -> int:
-        return sum(len(row) for row in self.rows.values())
+        return len(self.rows.store.targets)
 
 
 Labeling = tuple[Callable[[MimicConfiguration], frozenset[str]], frozenset[str]]
@@ -757,26 +761,36 @@ def build_dtmc(
 
     Each state's row is the product of per-cell rule distributions, so rows
     sum to one up to float error. Exceeding ``successor_cap`` per state
-    raises SizeCapError advising Monte Carlo estimation.
+    raises SizeCapError advising Monte Carlo estimation. The labeling is
+    called when ``atomic_props`` is read, never by ``build_dtmc`` itself.
     """
     policy = _normalize_policy(input_policy)
     _require_exactly_expandable(ma)
     props_fn, vocabulary = labeling or builtin_labeling(ma)
     store = _expand_chain(ma, policy, bound, lattice0, successor_cap)
-    names = list(map(_name, range(len(store.keys))))
-    configs = list(map(store.make_config, store.keys))
-    rows = {}
-    for index, sid in enumerate(names):
+
+    def row(index: int) -> tuple[tuple[str, float], ...]:
         probs, targets = store.edges(index)
-        rows[sid] = tuple(zip(map(names.__getitem__, targets), probs))
+        return tuple(zip(map(_name, targets), probs))
+
     return Dtmc(
-        states=dict(zip(names, configs)),
+        states=_StoreView(store, store.config),
         initial="s0",
-        rows=rows,
-        atomic_props=dict(zip(names, map(props_fn, configs))),
+        rows=_StoreView(store, row),
+        atomic_props=_StoreView(store, lambda i: props_fn(store.config(i))),
         vocabulary=vocabulary,
         metadata={"model": ma.name, "policy": policy},
     )
+
+
+def _chain_arrays(store: _Store, props: Iterable[frozenset[str]], pred: Pred) -> tuple[np.ndarray, ...]:
+    """A chain's target mask (``pred`` on ``props``, in index order), offsets, successors and probabilities."""
+    import numpy as np
+
+    target = np.fromiter((eval_predicate(pred, p) for p in props), dtype=bool, count=len(store.keys))
+    offsets = np.array(store.offsets, dtype=np.intp)
+    successors = np.array(store.targets, dtype=np.intp)
+    return target, offsets, successors, np.array(store.labels, dtype=float)
 
 
 def reach_probability_exact(
@@ -790,48 +804,37 @@ def reach_probability_exact(
 
     Unbounded reachability iterates to the least fixpoint (max-norm change
     below ``tol``); a ``horizon`` computes the exact probability of hitting
-    the target within that many steps. The rows of non-target states are
-    laid out once as edge arrays (CSR order), and a sweep sums each row's
+    the target within that many steps. The edges of non-target states are
+    taken from the chain's store in CSR order, and a sweep sums each row's
     ``prob * x[successor]`` terms with ``np.bincount`` in row order, the
-    order a per-state loop adds them in.
+    order a per-state loop adds them in. The initial state is index 0, as
+    ``_explore`` numbers it; each state is labeled once.
     """
     import numpy as np
 
     _require_horizon(horizon)
     pred = _as_predicate(target)
     check_vocabulary(pred, dtmc.vocabulary)
-    order = list(dtmc.states)
-    index = {sid: i for i, sid in enumerate(order)}
-    is_target = np.array([eval_predicate(pred, dtmc.atomic_props[sid]) for sid in order], dtype=bool)
-    row_of_edge: list[int] = []
-    col: list[int] = []
-    weight: list[float] = []
-    for i, sid in enumerate(order):
-        if is_target[i]:
-            continue
-        for tid, prob in dtmc.rows.get(sid, ()):
-            row_of_edge.append(i)
-            col.append(index[tid])
-            weight.append(prob)
-    rows = np.array(row_of_edge, dtype=np.intp)
-    cols = np.array(col, dtype=np.intp)
-    probs = np.array(weight, dtype=float)
+    is_target, offsets, cols, probs = _chain_arrays(dtmc.rows.store, dtmc.atomic_props.values(), pred)
+    n = len(is_target)
+    rows = np.repeat(np.arange(n), np.diff(offsets))
+    keep = ~is_target[rows]
+    rows, cols, probs = rows[keep], cols[keep], probs[keep]
     x = is_target.astype(float)
-    start = index[dtmc.initial]
 
     def sweep(values: np.ndarray) -> tuple[np.ndarray, float]:
-        new = np.bincount(rows, weights=probs * values[cols], minlength=len(order))
+        new = np.bincount(rows, weights=probs * values[cols], minlength=n)
         new[is_target] = 1.0
         return new, float(np.max(np.abs(new - values)))
 
-    stats = {"states": len(order), "transitions": dtmc.transition_count}
+    stats = {"states": n, "transitions": dtmc.transition_count}
     if horizon is not None:
         for _ in range(horizon):
             x, _ = sweep(x)
         stats["iterations"] = horizon
         return CheckResult(
             "probability",
-            probability=float(x[start]),
+            probability=float(x[0]),
             method="exact-value-iteration",
             error_bound=0.0,
             stats=stats,
@@ -843,7 +846,7 @@ def reach_probability_exact(
             stats["iterations"] = iteration
             return CheckResult(
                 "probability",
-                probability=float(x[start]),
+                probability=float(x[0]),
                 method="exact-value-iteration",
                 error_bound=residual,
                 stats=stats,
@@ -943,12 +946,9 @@ def _mc_chain(ma, policy, pred, horizon, trials, seed, bound, props_fn) -> int:
     import numpy as np
 
     store = _expand_chain(ma, policy, bound, horizon=horizon)
-    target = np.array([eval_predicate(pred, props_fn(cfg)) for cfg in map(store.make_config, store.keys)],
-                      dtype=bool)
-    offsets = np.array(store.offsets, dtype=np.intp)
+    target, offsets, successors, _ = _chain_arrays(store, map(props_fn, map(store.make_config, store.keys)), pred)
     starts, ends = offsets[:-1], offsets[1:]
     lengths = ends - starts
-    successors = np.array(store.targets, dtype=np.intp)
     cumulative = np.fromiter(
         itertools.chain.from_iterable(
             itertools.accumulate(store.edges(i)[0]) for i in range(len(store.keys))

@@ -133,6 +133,16 @@ def _resolve_model(doc, name: str):
     return hits[0]
 
 
+def _composite(doc, name: str, what: str) -> MimicAutomaton:
+    """The named ``ma``, or a ``dhr``'s automaton; any other kind is a usage error."""
+    model = _resolve_model(doc, name)
+    if isinstance(model, DhrStructure):
+        model = model.automaton
+    if not isinstance(model, MimicAutomaton):
+        raise _UsageError(f"{name!r} is not {what} (expected ma or dhr)")
+    return model
+
+
 def _read_input(spec: str, per_line_blocks: bool):
     """A word (single-character symbols) or @file content.
 
@@ -365,11 +375,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_check(args) -> int:
     doc = _load(args.files)
-    model = _resolve_model(doc, args.model)
-    if isinstance(model, DhrStructure):
-        model = model.automaton
-    if not isinstance(model, MimicAutomaton):
-        raise _UsageError(f"{args.model!r} is not a checkable model (expected ma or dhr)")
+    model = _composite(doc, args.model, "a checkable model")
     prop = doc.properties.get(args.property_name)
     if prop is None:
         raise _UsageError(f"no property named {args.property_name!r}")
@@ -421,11 +427,7 @@ def _cmd_dhr(args) -> int:
 
 def _cmd_detect(args) -> int:
     doc = _load(args.files)
-    model = _resolve_model(doc, args.model)
-    if isinstance(model, DhrStructure):
-        model = model.automaton
-    if not isinstance(model, MimicAutomaton):
-        raise _UsageError(f"{args.model!r} is not a scannable model (expected ma or dhr)")
+    model = _composite(doc, args.model, "a scannable model")
     signatures = load_signatures(args.signatures)
     report = detect(model, _default_universe(model), signatures, bound=args.bound)
     matched = report.matched
@@ -461,8 +463,8 @@ def _cmd_detect(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     doc = _load(args.files)
-    model = _resolve_model(doc, args.model)
     if args.raw_ca:
+        model = _resolve_model(doc, args.model)
         if isinstance(model, MimicAutomaton):
             ca = model.ca_set[model.root().ca]
         elif isinstance(model, DhrStructure):
@@ -473,10 +475,7 @@ def _cmd_export_dot(args) -> int:
             raise _UsageError(f"{args.model!r} has no lattice rule to export")
         text = ca_graph_dot(ca)
     else:
-        if isinstance(model, DhrStructure):
-            model = model.automaton
-        if not isinstance(model, MimicAutomaton):
-            raise _UsageError(f"{args.model!r} is not flattenable (expected ma or dhr)")
+        model = _composite(doc, args.model, "flattenable")
         if has_randomness(model):
             dtmc = build_dtmc(model, _default_universe(model)[0])
             text = dtmc_to_dot(dtmc)

@@ -66,14 +66,9 @@ class SaUnit:
 
 @dataclass(frozen=True)
 class HaUnit:
-    """A cell hosting a hierarchical automaton.
-
-    ``path`` is reserved for routing input below the root and must currently
-    be empty (the whole automaton receives the input).
-    """
+    """A cell hosting a hierarchical automaton; the whole automaton receives the input."""
 
     ha: str
-    path: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -267,11 +262,8 @@ def validate_ma(ma: MimicAutomaton) -> list[Violation]:
                 report.append(Violation("cell-map-domain", subject, f"{q!r} is not a cell state"))
             if isinstance(unit, SaUnit) and unit.sa not in ma.sa_set:
                 report.append(Violation("unit-membership", subject, f"machine {unit.sa!r} not in sa_set"))
-            elif isinstance(unit, HaUnit):
-                if unit.ha not in ma.ha_set:
-                    report.append(Violation("unit-membership", subject, f"hierarchy {unit.ha!r} not in ha_set"))
-                if unit.path:
-                    report.append(Violation("ha-unit-path", subject, "path routing is reserved and must be empty"))
+            elif isinstance(unit, HaUnit) and unit.ha not in ma.ha_set:
+                report.append(Violation("unit-membership", subject, f"hierarchy {unit.ha!r} not in ha_set"))
             elif isinstance(unit, NestedUnit) and unit.binding not in ma.bindings:
                 report.append(Violation("unit-membership", subject, f"binding {unit.binding!r} unknown"))
         if binding.seed is not None:

@@ -26,7 +26,6 @@ if TYPE_CHECKING:
 from .cellular import (
     AnyCellular,
     CellState,
-    CellularAutomaton,
     Lattice,
     ProbabilisticCellularAutomaton,
 )
@@ -280,34 +279,19 @@ def _widen_scheduler(scheduler: AnyCellular, slots: Iterable[int]) -> AnyCellula
             f"widened rule table needs {entries} entries (cap {WIDEN_TABLE_CAP}); "
             "reduce injected slots, states or radius"
         )
-    boundary_value = scheduler.boundary_value
-    if isinstance(scheduler, ProbabilisticCellularAutomaton):
-        rule = {}
-        for nb in itertools.product(states, repeat=size):
-            base_nb = tuple(base_state(q) for q in nb)
-            center = nb[scheduler.radius]
-            rule[nb] = tuple((_lift(s, center), p) for s, p in scheduler.rule[base_nb])
-        return ProbabilisticCellularAutomaton(
-            name=f"{scheduler.name}+faults",
-            cell_states=states,
-            width=scheduler.width,
-            radius=scheduler.radius,
-            boundary=scheduler.boundary,
-            boundary_value=boundary_value,
-            rule=rule,
-        )
+    probabilistic = isinstance(scheduler, ProbabilisticCellularAutomaton)
     rule = {}
     for nb in itertools.product(states, repeat=size):
-        base_nb = tuple(base_state(q) for q in nb)
         center = nb[scheduler.radius]
-        rule[nb] = _lift(scheduler.rule[base_nb], center)
-    return CellularAutomaton(
+        entry = scheduler.rule[tuple(base_state(q) for q in nb)]
+        rule[nb] = tuple((_lift(s, center), p) for s, p in entry) if probabilistic else _lift(entry, center)
+    return type(scheduler)(
         name=f"{scheduler.name}+faults",
         cell_states=states,
         width=scheduler.width,
         radius=scheduler.radius,
         boundary=scheduler.boundary,
-        boundary_value=boundary_value,
+        boundary_value=scheduler.boundary_value,
         rule=rule,
     )
 

@@ -63,7 +63,7 @@ from .dhr import (
     validate_dhr,
     validate_serial,
 )
-from .errors import MimicError, PropertyError
+from .errors import MimicError, PropertyError, Violation
 from .hierarchical import HierarchicalAutomaton, validate_ha
 from .props import parse_predicate, render_predicate
 from .sequential import SequentialAutomaton, validate_sa
@@ -798,6 +798,8 @@ def _build_property(b: _Block, doc: ModelDocument) -> Property | None:
         if pattern is None:
             b.err(f"unknown pattern machine {pattern_name!r}")
             return None
+        if not pattern.finals:  # as a signature's: no bad prefix could ever match
+            b.report_violations([Violation("matchable", b.name, "pattern has no final states")])
     else:
         pred_f = b.take("predicate", required=True)
         if pred_f is None:

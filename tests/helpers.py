@@ -153,6 +153,14 @@ def flip_ma():
     return MimicAutomaton("flip_ma", {"idle": sa}, {"flip": pca}, {}, {"b": binding}, "b")
 
 
+def uniform_idle_ma():
+    """Three uniform-rule cells over 0, 1 and 2, each hosting a two-state idler: a 216-state chain."""
+    idle = make_sa("idle", ("s", "t"), "s", ("s",), ("a",), delta=[("s", "a", "t"), ("t", "a", "s")])
+    pca = uniform_pca("u3", width=3, states=("0", "1", "2"))
+    b = Binding("b", MODE_SA_FROM_CA, "u3", {q: SaUnit("idle") for q in "012"}, seed=("0", "0", "0"))
+    return MimicAutomaton("m", {"idle": idle}, {"u3": pca}, {}, {"b": b}, "b")
+
+
 def echo_dhr(name="echo3", scheduler=None, quorum=2):
     executors = (echo_sa("e0", 1), echo_sa("e1", 2), echo_sa("e2", 3))
     scheduler = scheduler or identity_ca("ident3", width=3, states=("0", "1", "2"))

@@ -123,6 +123,47 @@ def test_detect_search_over_the_bound_is_resource_error(capsys):
     assert "state bound 1 exceeded" in err
 
 
+NEVER_ONE = """
+sa never1 {
+  states: w seen
+  initial: w
+  inputs: 1
+  outputs: 1
+  partial: true
+  delta: w 1 -> seen / 1
+  delta: seen 1 -> seen / 1
+}
+
+property saw_never {
+  kind: bad_prefix
+  pattern: never1
+}
+"""
+
+
+def test_bad_prefix_pattern_without_finals_exits_three_in_validate_and_check(capsys, tmp_path):
+    model = tmp_path / "parity_never.ma"
+    model.write_text((MODELS / "parity.ma").read_text() + NEVER_ONE)
+    for argv in (["validate", str(model)],
+                 ["check", str(model), "--model", "parity_ma", "--property", "saw_never"]):
+        code, out, err = run(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert "property saw_never: [matchable] saw_never: pattern has no final states" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--property", "true_inv"], "'parity' is not a checkable model (expected ma or dhr)"),
+    (["detect", "--signatures", SIG], "'parity' is not a scannable model (expected ma or dhr)"),
+    (["export-dot", "--out", "unused.dot"], "'parity' is not flattenable (expected ma or dhr)"),
+])
+def test_composite_commands_reject_a_plain_machine(capsys, argv, message):
+    code, out, err = run(capsys, [argv[0], PARITY, "--model", "parity", *argv[1:]])
+    assert code == 3
+    assert out == ""
+    assert err == f"ma: error: {message}\n"
+
+
 @pytest.mark.parametrize("model, want", [("rogue3", 1), ("const3", 0)])
 def test_bad_prefix_check_gives_detect_s_witness_and_stats(capsys, tmp_path, model, want):
     prop = tmp_path / "saw_b.ma"

@@ -36,10 +36,12 @@ from mimic_automata import (
     ma_initial,
     ma_run,
     point_mass_pca,
+    reach_probability_exact,
     strip_clocks,
 )
 from mimic_automata.checker import Action, _observable_output, builtin_labeling
 from mimic_automata.composition import _stepper, has_randomness
+from mimic_automata.dot import dtmc_to_dot
 
 from helpers import (
     ALPHABET,
@@ -52,6 +54,7 @@ from helpers import (
     make_sa,
     plain,
     rotate_ca,
+    uniform_idle_ma,
     x11_parity_ma,
 )
 from reference_interpreter import ref_reachable
@@ -173,22 +176,35 @@ NOT_NAMES = ["s240", "s01", "s00", "x", 0, 1, "s", "s-1", "s+1", " s1", "s1 ", "
              "S1", None, ("s", 1)]
 
 
-@pytest.mark.parametrize("field", ["states", "transitions", "atomic_props"])
-def test_flatten_views_behave_as_dicts(field):
-    ts = flatten(x11_parity_ma(), [("0",), ("1",)])
-    view = getattr(ts, field)
+def x11_graph():
+    return flatten(x11_parity_ma(), [("0",), ("1",)])
+
+
+def uniform_chain():
+    return build_dtmc(uniform_idle_ma(), ("a",))
+
+
+@pytest.mark.parametrize("build, field, edges, size, transitions", [
+    *(pytest.param(x11_graph, field, "transitions", 240, 480, id=field)
+      for field in ("states", "transitions", "atomic_props")),
+    *(pytest.param(uniform_chain, field, "rows", 216, 5832, id=f"chain-{field}")
+      for field in ("states", "rows", "atomic_props")),
+])
+def test_flatten_views_behave_as_dicts(build, field, edges, size, transitions):
+    graph = build()
+    view = getattr(graph, field)
     copy = dict(view)
-    assert len(view) == len(copy) == 240
-    assert list(view) == list(view.keys()) == list(copy) == [f"s{i}" for i in range(240)]
+    assert len(view) == len(copy) == size
+    assert list(view) == list(view.keys()) == list(copy) == [f"s{i}" for i in range(size)]
     assert list(view.values()) == list(copy.values())
     assert list(view.items()) == list(copy.items())
     assert view == copy and copy == view and not view != copy
     assert view != {**copy, "s0": "other"} and view != {}
-    assert view == getattr(flatten(x11_parity_ma(), [("0",), ("1",)]), field)
-    for name in ("s0", "s17", "s239"):
+    assert view == getattr(build(), field)
+    for name in ("s0", "s17", f"s{size - 1}"):
         assert name in view
         assert view[name] == view.get(name) == view.get(name, "absent") == copy[name]
-    for key in NOT_NAMES:
+    for key in [f"s{size}", *NOT_NAMES]:
         assert key not in view and key not in copy
         assert view.get(key) is None and view.get(key, "absent") == "absent"
         with pytest.raises(KeyError):
@@ -197,7 +213,7 @@ def test_flatten_views_behave_as_dicts(field):
             copy[key]
     with pytest.raises(TypeError):
         view["s0"] = copy["s0"]
-    assert ts.transition_count == sum(len(edges) for edges in ts.transitions.values()) == 480
+    assert graph.transition_count == sum(len(row) for row in getattr(graph, edges).values()) == transitions
 
 
 def counting_labeling(ma):
@@ -242,6 +258,17 @@ def test_detect_on_a_voted_structure_never_labels():
     assert [r.matched for r in report.results] == [True]
     assert report.stats == {"states": len(ts.states), "transitions": ts.transition_count}
     assert calls == []
+
+
+def test_chain_is_labeled_only_by_the_exact_solver_once_per_state():
+    ma = uniform_idle_ma()
+    labeling, calls = counting_labeling(ma)
+    dtmc = build_dtmc(ma, ("a",), labeling=labeling)
+    dtmc_to_dot(dtmc)
+    assert calls == []
+    result = reach_probability_exact(dtmc, "lattice_has(2) and not lattice_has(0)")
+    assert result.probability == pytest.approx(1.0)
+    assert calls == list(dtmc.states.values())  # once per state, in index order
 
 
 ALL_BLOCKS = [("a",), ("b",), ("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
