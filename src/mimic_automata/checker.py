@@ -451,15 +451,19 @@ def _mode2_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tupl
     """``_explore`` successors of ``ca_from_sa`` states: one ``_stepper`` step per entry.
 
     No unit runs and fresh units start at clock 0, so the successor's
-    fields are already clock-stripped.
+    fields are already clock-stripped; each (entry, output) is one Action.
     """
     step = _stepper(ma, binding, depth=1)
+    actions = [(entry, {}) for entry in universe]  # per entry: output -> Action
 
     def successors(sid: int, key: tuple, depth: int):
         cfg = _flat_config(key)
-        for entry in universe:
+        for entry, table in actions:
             nxt, _, _, _, output = step(cfg, entry, None)
-            yield Action(entry, output), (nxt.lattice, nxt.unit_states, nxt.outer_state)
+            action = table.get(output)
+            if action is None:
+                action = table[output] = Action(entry, output)
+            yield action, (nxt.lattice, nxt.unit_states, nxt.outer_state)
 
     return successors
 
@@ -492,7 +496,28 @@ def _bfs_search(start, successors, want, bound: float = math.inf) -> tuple[objec
     return None, parents
 
 
-def _path_to(goal, parents: dict) -> Path:
+def _graph(ts: TransitionSystem) -> tuple[object, Callable, Callable, Callable]:
+    """``(start, successors, props, name)`` of ``ts`` for ``_bfs_search``.
+
+    On ``flatten``'s views the nodes are store indices: successors are the
+    CSR slices, propositions the view's ``value(i)``, and ``name`` makes the
+    ``s<i>`` names, for a returned path only. Plain-dict systems (hand-built,
+    ``product``) use their names as nodes.
+    """
+    if isinstance(ts.transitions, _StoreView) and isinstance(ts.atomic_props, _StoreView):
+        store = ts.transitions.store
+        offsets, targets, labels = store.offsets, store.targets, store.labels
+
+        def successors(index: int):
+            lo, hi = offsets[index], offsets[index + 1]
+            return zip(labels[lo:hi], targets[lo:hi])
+
+        return ts.transitions._index(ts.initial), successors, ts.atomic_props.value, _name
+    return ts.initial, lambda sid: ts.transitions.get(sid, ()), ts.atomic_props.__getitem__, lambda sid: sid
+
+
+def _path_to(goal, parents: dict, name: Callable) -> Path:
+    """The path of ``name(node)``s from the search's start to ``goal``."""
     states = [goal]
     actions: list[Action] = []
     while (link := parents[states[-1]]) is not None:
@@ -501,16 +526,16 @@ def _path_to(goal, parents: dict) -> Path:
         states.append(parent)
     states.reverse()
     actions.reverse()
-    return Path(tuple(states), tuple(actions))
+    return Path(tuple(map(name, states)), tuple(actions))
 
 
 def _search_states(ts: TransitionSystem, target: Pred | str, holds: bool) -> tuple[Path | None, dict]:
     """Shortest path to the first state where ``target`` is ``holds`` (or None), and the stats."""
     pred = _as_predicate(target)
     check_vocabulary(pred, ts.vocabulary)
-    hit, parents = _bfs_search(ts.initial, lambda sid: ts.transitions.get(sid, ()),
-                               lambda sid: eval_predicate(pred, ts.atomic_props[sid]) == holds)
-    path = None if hit is None else _path_to(hit, parents)
+    start, successors, props, name = _graph(ts)
+    hit, parents = _bfs_search(start, successors, lambda node: eval_predicate(pred, props(node)) == holds)
+    path = None if hit is None else _path_to(hit, parents, name)
     return path, {"states": len(ts.states), "transitions": ts.transition_count}
 
 
@@ -633,22 +658,51 @@ def _monitor_witness(
     """
     alphabet = set(pattern.input_alphabet)
     moves = pattern.transitions
+    base, base_successors, _, name = _graph(ts)
 
     def successors(node):
         sid, pat = node
-        for action, tid in ts.transitions.get(sid, ()):
+        for action, tid in base_successors(sid):
             label = labels.get(action)
             if label is None:
                 label = labels[action] = action.label()
             # monitor convention, as in ``product``: unmentioned labels self-loop
             yield action, (tid, moves.get((pat, label), pat) if label in alphabet else pat)
 
-    start = (ts.initial, pattern.initial)
+    start = (base, pattern.initial)
     hit, parents = _bfs_search(start, successors, lambda node: node[1] in pattern.finals, bound)
-    if hit is None:
-        return None
-    path = _path_to(hit, parents)
-    return Path(tuple(sid for sid, _ in path.states), path.actions)
+    return None if hit is None else _path_to(hit, parents, lambda node: name(node[0]))
+
+
+def _unmatchable(ts: TransitionSystem, labels: dict[Action, str], bound: float):
+    """A test of the monitors ``_monitor_witness`` would search to None within ``bound``.
+
+    Each distinct Action on an edge of ``ts`` is labelled once, through the
+    ``labels`` memo. A monitor passes when the states it reaches from its
+    initial state on those labels (unmentioned labels self-loop) hold no
+    final state and ``len(ts.states)`` times their number is at most
+    ``bound``: every pair the search could visit lies within them.
+    """
+    if isinstance(ts.transitions, _StoreView):
+        actions = ts.transitions.store.labels
+    else:
+        actions = [action for edges in ts.transitions.values() for action, _ in edges]
+    emitted = set()
+    for action in dict(zip(map(id, actions), actions)).values():  # the Actions are shared objects
+        label = labels.get(action)
+        if label is None:
+            label = labels[action] = action.label()
+        emitted.add(label)
+
+    def unmatchable(pattern: SequentialAutomaton) -> bool:
+        usable = emitted.intersection(pattern.input_alphabet)
+        reach, frontier = set(), {pattern.initial}
+        while frontier:
+            reach |= frontier
+            frontier = {pattern.transitions.get((q, label), q) for q in frontier for label in usable} - reach
+        return reach.isdisjoint(pattern.finals) and len(ts.states) * len(reach) <= bound
+
+    return unmatchable
 
 
 # ---------------------------------------------------------------------------
@@ -1088,7 +1142,9 @@ def check_property(
             return CheckResult("violated", stats=result.stats)  # the witness is a shortest one
         return result
     if prop.kind == BAD_PREFIX:
-        witness = _monitor_witness(ts, prop.pattern, {}, bound)
+        labels: dict[Action, str] = {}
+        unmatchable = _unmatchable(ts, labels, bound)(prop.pattern)
+        witness = None if unmatchable else _monitor_witness(ts, prop.pattern, labels, bound)
         stats = {"states": len(ts.states), "transitions": ts.transition_count, "pattern": prop.pattern.name}
         if witness is None:
             return CheckResult("holds", stats=stats)

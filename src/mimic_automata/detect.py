@@ -4,8 +4,15 @@ A signature is a bad-prefix monitor: a pattern machine over observable action
 labels whose final states mark a hit. Detection flattens the model once, then
 searches each signature's (state, monitor state) pairs breadth-first on the
 fly, without building a product graph, and stops at the first final pair; a
-match comes with a shortest witness trace that replays on the model. Each
-action's label is computed once for all signatures.
+match comes with a shortest witness trace that replays on the model. The
+search runs on the flattened store's indices and names only the witness.
+Each action's label is computed once for all signatures.
+
+A signature is not searched when the monitor states reachable on the labels
+the model emits hold no final state and the flattened states times those
+monitor states are at most ``bound``: every pair the search could visit lies
+within that set, so it would find nothing and stay within the bound, and the
+report (no witness, the same ``stats``) is the search's own.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .checker import DEFAULT_FLATTEN_BOUND, Path, TransitionSystem, _monitor_witness, flatten
+from .checker import DEFAULT_FLATTEN_BOUND, Path, TransitionSystem, _monitor_witness, _unmatchable, flatten
 from .composition import MimicAutomaton
 from .errors import ModelValidationError, Violation
 from .sequential import SequentialAutomaton, validate_sa
@@ -79,9 +86,10 @@ def detect(
     if ts is None:
         ts = flatten(ma, input_universe, bound=bound)
     labels: dict = {}  # one label per distinct action, shared by every signature
+    unmatchable = _unmatchable(ts, labels, bound)
     results = []
     for sig in signatures:
-        witness = _monitor_witness(ts, sig.pattern, labels, bound)
+        witness = None if unmatchable(sig.pattern) else _monitor_witness(ts, sig.pattern, labels, bound)
         results.append(SignatureResult(sig.id, sig.severity, witness is not None, witness))
     return DetectionReport(
         model=ma.name,
@@ -92,8 +100,9 @@ def detect(
 
 def load_signatures(paths: Iterable[str]) -> list[Signature]:
     """Parse signature documents; duplicate identifiers are rejected, naming both files."""
-    from .modelfile import parse_files
+    from .modelfile import _require_path_list, parse_files
 
+    _require_path_list(paths)
     doc, diagnostics = parse_files(list(paths))
     if diagnostics:
         from .errors import ModelFormatError

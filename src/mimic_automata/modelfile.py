@@ -1060,6 +1060,7 @@ def parse(text: str, file: str = "<string>") -> tuple[ModelDocument, list[Diagno
 
 def parse_files(paths: list[str]) -> tuple[ModelDocument, list[Diagnostic]]:
     """Parse and merge several documents into one namespace."""
+    _require_path_list(paths)
     all_blocks: list[RawBlock] = []
     diagnostics: list[Diagnostic] = []
     for path in paths:
@@ -1074,6 +1075,11 @@ def parse_files(paths: list[str]) -> tuple[ModelDocument, list[Diagnostic]]:
         diagnostics.extend(diags)
     doc, more = build_document(all_blocks)
     return doc, diagnostics + more
+
+
+def _require_path_list(paths) -> None:
+    if isinstance(paths, (str, bytes)):  # iterating one path would read each character as a file
+        raise TypeError(f"expected a list of paths, got the {type(paths).__name__} {paths!r}")
 
 
 def serialize(doc: ModelDocument) -> str:

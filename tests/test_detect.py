@@ -1,3 +1,4 @@
+import collections
 import importlib
 import itertools
 import random
@@ -8,13 +9,17 @@ import pytest
 import mimic_automata.checker as checker
 from mimic_automata import (
     MODE_CA_FROM_SA,
+    CheckResult,
+    DetectionReport,
     DhrStructure,
     ExplosionError,
     ModelFormatError,
     Property,
     Signature,
+    TransitionSystem,
     VoterPolicy,
     build_dhr,
+    check_invariant,
     check_property,
     check_reach,
     detect,
@@ -398,3 +403,159 @@ def test_package_detect_name_is_the_function_not_the_module():
     module = importlib.import_module("mimic_automata.detect")
     assert isinstance(module, types.ModuleType)
     assert mimic_automata.detect is bound is module.detect is detect
+
+
+# --- search by store index against search by name ---------------------------
+
+def plain_copy(ts):
+    """The same system with plain dicts in place of ``flatten``'s views: searched by name."""
+    return TransitionSystem(dict(ts.states), ts.initial, dict(ts.transitions), dict(ts.atomic_props),
+                            ts.vocabulary, ts.metadata)
+
+
+def test_search_by_index_equals_search_by_name():
+    rnd = random.Random(2002)
+    seen = collections.Counter()
+    for ma, universe, lattice0 in oracle_cases():
+        ts = flatten(ma, universe, lattice0=lattice0)
+        copy = plain_copy(ts)
+        for prop in rnd.sample(sorted(ts.vocabulary), min(3, len(ts.vocabulary))):
+            for check, target in ((check_invariant, f"not {prop}"), (check_reach, prop),
+                                  (check_invariant, f"{prop} or not {prop}")):
+                result = check(ts, target)
+                assert result == check(copy, target), (ma.name, target)
+                seen[check.__name__, result.verdict] += 1
+        labels = emitted_labels(ts)
+        for i in range(3):
+            pattern = random_monitor(rnd, labels, f"mon{i}")
+            witness = _monitor_witness(ts, pattern, {})
+            assert witness == _monitor_witness(copy, pattern, {}), (ma.name, pattern)
+            seen["monitor", witness is not None] += 1
+    assert len(seen) == 6 and min(seen.values()) >= 5, seen
+
+
+def test_a_search_over_flatten_names_only_the_returned_path(monkeypatch):
+    ts = flatten(x11_parity_ma(), [("0",), ("1",)])
+    named = []
+
+    def counted_name(index):
+        named.append(index)
+        return f"s{index}"
+
+    monkeypatch.setattr(checker, "_name", counted_name)
+    result = check_invariant(ts, "not cell3_state(odd)")
+    assert result.verdict == "violated"
+    assert [f"s{i}" for i in named] == list(result.counterexample.states)
+    assert len(ts.states) == 240 > len(named) > 1
+
+
+# --- skipping monitors that the emitted labels cannot move into a final state --
+
+NEVER = ("never_emitted", "also_never")
+
+
+def skip_monitors(rnd, labels, name):
+    """Monitors the emitted-label rule decides, and monitors it must leave to the search.
+
+    One reads only labels never emitted; one reaches its final state only
+    through such a label, with several states reachable on emitted ones;
+    one starts final; and one moves on emitted labels, with finals that
+    are reachable on them or not.
+    """
+    states = ("m0", "m1", "m2", "m3")
+    inner = states[:3]
+    delta = [(q, sym, rnd.choice(inner)) for q in inner for sym in labels if rnd.random() < 0.6]
+    disjoint = make_sa(f"{name}_disjoint", states[:2], "m0", ("m1",), NEVER,
+                       delta=[("m0", NEVER[0], "m1"), ("m1", NEVER[1], "m0")], partial=True)
+    behind = make_sa(f"{name}_behind", states, "m0", ("m3",), [*labels, *NEVER],
+                     delta=[*delta, (rnd.choice(inner), NEVER[0], "m3")], partial=True)
+    starts_final = make_sa(f"{name}_final", inner, "m0", ("m0",), [*labels, NEVER[0]],
+                           delta=delta, partial=True)
+    finals = tuple(q for q in states[1:] if rnd.random() < 0.4) or ("m3",)
+    moving = make_sa(f"{name}_moving", states, "m0", finals, [*labels, NEVER[0]],
+                     delta=[(q, sym, rnd.choice(states)) for q in states for sym in labels if rnd.random() < 0.5],
+                     partial=True)
+    return [disjoint, behind, starts_final, moving]
+
+
+def monitor_reach(pattern, labels):
+    """Monitor states reachable from the initial one on ``labels``, under the monitor convention."""
+    reach, frontier = {pattern.initial}, [pattern.initial]
+    while frontier:
+        frontier = [monitor_step(pattern, state, label) for state in frontier for label in labels]
+        frontier = [state for state in frontier if state not in reach]
+        reach.update(frontier)
+    return reach
+
+
+def search_outcome(search, *args, **kwargs):
+    """The witness or ``("raised", bound, frontier)`` of one search."""
+    try:
+        return search(*args, **kwargs)
+    except ExplosionError as exc:
+        return ("raised", exc.bound, exc.frontier)
+
+
+def test_skipped_monitors_give_the_product_verdict_and_the_same_bound_errors(monkeypatch):
+    searches = []
+    real_search = checker._bfs_search
+
+    def counted_search(*args, **kwargs):
+        searches.append(args)
+        return real_search(*args, **kwargs)
+
+    monkeypatch.setattr(checker, "_bfs_search", counted_search)
+    rnd = random.Random(2003)
+    seen = collections.Counter()
+    for ma, universe, lattice0 in oracle_cases()[::3]:
+        ts = flatten(ma, universe, lattice0=lattice0)
+        labels = emitted_labels(ts)
+        monitors = skip_monitors(rnd, labels, ma.name)
+        signatures = [Signature(m.name, "skip", m) for m in monitors]
+        report = detect(ma, universe, signatures, ts=ts)
+        assert [r.witness for r in report.results] == [product_witness(ts, m) for m in monitors]
+        for pattern in monitors:
+            reach = monitor_reach(pattern, labels)
+            pairs = len(product(ts, pattern).states)
+            bounds = {1, pairs - 1, pairs, len(ts.states) * len(reach) - 1, len(ts.states) * len(reach)}
+            for bound in sorted(b for b in bounds if b >= 1):
+                want = search_outcome(_monitor_witness, ts, pattern, {}, bound)
+                del searches[:]
+                got = search_outcome(detect, ma, universe, [Signature("s", "skip", pattern)], bound, ts=ts)
+                if isinstance(got, DetectionReport):
+                    got = got.results[0].witness
+                assert got == want, (ma.name, pattern.name, bound)
+                skipped = not searches
+                seen["skipped" if skipped else ("raised" if isinstance(want, tuple) else "searched")] += 1
+                if skipped:
+                    assert reach.isdisjoint(pattern.finals) and len(ts.states) * len(reach) <= bound
+                if bound >= len(ts.states):  # check's flatten stays within the bound
+                    prop = Property("p", "bad_prefix", pattern=pattern)
+                    result = search_outcome(check_property, ma, prop, universe, bound=bound, lattice0=lattice0)
+                    if isinstance(result, CheckResult):
+                        assert result.stats == {**report.stats, "pattern": pattern.name}
+                        result = result.counterexample
+                    assert result == want, (ma.name, pattern.name, bound)
+            seen["several reachable"] += len(reach) > 1 and reach.isdisjoint(pattern.finals)
+    assert len(seen) == 4 and min(seen.values()) >= 5, seen
+
+
+def test_a_signature_over_labels_never_emitted_makes_no_search(monkeypatch):
+    ma = build_dhr(rogue_dhr())
+    ts = flatten(ma, UNIVERSE)
+    calls = []
+    real_search = checker._bfs_search
+    monkeypatch.setattr(checker, "_bfs_search", lambda *args: calls.append(args) or real_search(*args))
+    never = make_sa("never", ("w", "m"), "w", ("m",), ("C",), delta=[("w", "C", "m")], partial=True)
+    report = detect(ma, UNIVERSE, [Signature("emits_c", "never voted", never)], ts=ts)
+    assert report.results[0].matched is False and calls == []
+    result = check_property(ma, Property("p", "bad_prefix", pattern=never), UNIVERSE)
+    assert result.verdict == "holds" and calls == []
+    report = detect(ma, UNIVERSE, [emits_b_signature()], ts=ts)
+    assert report.results[0].matched is True and len(calls) == 1
+
+
+@pytest.mark.parametrize("paths", ["sigs.ma", b"sigs.ma"])
+def test_load_signatures_refuses_a_bare_path(paths):
+    with pytest.raises(TypeError, match="list of paths"):
+        load_signatures(paths)

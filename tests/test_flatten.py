@@ -139,6 +139,19 @@ def test_flatten_matches_single_step_on_every_generated_flavor():
     assert seen == {"plain", "ha", "nested1", "nested2", "mode2"}
 
 
+def test_ca_from_sa_flatten_builds_one_action_per_entry_and_output():
+    checked = 0
+    for seed in range(60):
+        ma, lattice0, _ = gen_instance(random.Random(seed))
+        if ma.root().mode != MODE_CA_FROM_SA:
+            continue
+        ts = flatten(ma, generated_universe(ma), lattice0=lattice0)
+        actions = ts.transitions.store.labels
+        assert len({id(action) for action in actions}) == len(set(actions)), f"seed {seed}"
+        checked += 1
+    assert checked >= 5
+
+
 def single_step_graph(ma, universe, lattice0):
     """The single step's BFS graph as plain dicts: states, rows and propositions by name."""
     start = strip_clocks(ma_initial(ma, lattice0))

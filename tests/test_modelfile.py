@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mimic_automata.modelfile import ModelDocument, parse, parse_files, serialize
@@ -140,6 +141,12 @@ def test_duplicate_block_names_mention_both_files(tmp_path):
     b.write_text(PARITY_BLOCK)
     _, diags = parse_files([str(a), str(b)])
     assert any("a.ma" in d.message and "b.ma" == d.file[-4:] for d in diags)
+
+
+@pytest.mark.parametrize("paths", ["model.ma", b"model.ma"])
+def test_parse_files_refuses_a_bare_path(paths):
+    with pytest.raises(TypeError, match="list of paths"):
+        parse_files(paths)
 
 
 def test_block_order_does_not_matter():
