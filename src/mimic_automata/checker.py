@@ -419,12 +419,14 @@ def _mode1_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tupl
     """``_explore`` successors of ``sa_from_ca`` states: the single macro step, stripped, per entry.
 
     Each lattice steps once, after its first entry's runs, where the single
-    step fails; each (entry, per-cell output words) is one Action.
+    step fails; each (entry, observable output) is one Action, found through
+    its (entry, per-cell output words).
     """
     ca = ma.ca_set[binding.ca]
     run, rebind = _unit_tables(ma, binding, 1, canonical=True)
     steps: dict = {}  # lattice -> successor lattice
     actions = [(entry, {}) for entry in universe]  # per entry: per-cell output words -> Action
+    interned: dict[Action, Action] = {}  # different words can vote one output
 
     def successors(sid: int, key: tuple, depth: int):
         lattice, unit_states, outer_state = key
@@ -441,7 +443,8 @@ def _mode1_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tupl
             words = tuple(words)
             action = table.get(words)
             if action is None:
-                action = table[words] = Action(entry, _observable_output(ma, words))
+                action = Action(entry, _observable_output(ma, words))
+                action = table[words] = interned.setdefault(action, action)
             yield action, (after, tuple(ran), outer_state)
 
     return successors

@@ -109,23 +109,44 @@ class ModelDocument:
 Token = tuple[str, int, bool]  # (text, column, quoted): plain tuples keep large documents cheap
 
 
-def _texts(tokens: list[Token]) -> list[str]:
-    return [text for text, _, _ in tokens]
+class RawValue:
+    """One field value or rule-table entry: its token ``texts``, and ``tokens`` with columns.
 
+    A value holding none of ``" # { } :`` can produce no diagnostic, so
+    scanning only splits it and its ``tokens`` are made by ``_tokenize`` when
+    first read, which a builder does only to place a diagnostic. Any other
+    value is tokenized as it is scanned, so scan diagnostics keep their order.
+    """
 
-@dataclass
-class RawField:
-    name: str
-    sub: str | None
-    tokens: list[Token]
-    raw_rest: str
-    line: int
-    col: int
-    entries: list[tuple[list[Token], int]] = dc_field(default_factory=list)
+    __slots__ = ("texts", "line", "_text", "_col", "_tokens")
+
+    def __init__(self, text: str, line: int, col: int, diagnostics: list[Diagnostic], file: str):
+        self.line = line
+        if '"' in text or "#" in text or "{" in text or "}" in text or ":" in text:
+            self._tokens = _tokenize(text, line, col, diagnostics, file)
+            self.texts = [token[0] for token in self._tokens]
+        else:
+            self.texts = text.split()
+            self._text, self._col, self._tokens = text, col, None
 
     @property
-    def texts(self) -> list[str]:
-        return _texts(self.tokens)
+    def tokens(self) -> list[Token]:
+        if self._tokens is None:
+            self._tokens = _tokenize(self._text, self.line, self._col, [], "")
+        return self._tokens
+
+
+class RawField(RawValue):
+    """A ``name [sub]: value`` line; ``col`` is the column of its name, ``entries``
+    the ``RawValue`` lines of a table."""
+
+    __slots__ = ("name", "sub", "raw_rest", "col", "entries")
+
+    def __init__(self, name: str, sub: str | None, rest: str, line: int, col: int, rest_col: int,
+                 diagnostics: list[Diagnostic], file: str):
+        super().__init__(rest, line, rest_col, diagnostics, file)
+        self.name, self.sub, self.raw_rest, self.col = name, sub, rest.strip(), col
+        self.entries: list[RawValue] = []
 
 
 @dataclass
@@ -201,15 +222,13 @@ def scan(text: str, file: str = "<string>") -> tuple[list[RawBlock], list[Diagno
         if match is not None:
             name, sub, rest = match.group(1), match.group(2), match.group(3)
             rest_col = indent + len(stripped) - len(rest) + 1
-            tokens = _tokenize(rest, line_no, rest_col, diagnostics, file)
-            field = RawField(name, sub, tokens, rest.strip(), line_no, indent + 1)
+            field = RawField(name, sub, rest, line_no, indent + 1, rest_col, diagnostics, file)
             current.fields.append(field)
             table = field if sub == "table" else None
             continue
 
         if table is not None:
-            tokens = _tokenize(stripped, line_no, indent + 1, diagnostics, file)
-            table.entries.append((tokens, line_no))
+            table.entries.append(RawValue(stripped, line_no, indent + 1, diagnostics, file))
             continue
 
         diagnostics.append(
@@ -316,7 +335,7 @@ class _Block:
         field = self.take(name, required=required)
         if field is None:
             return None
-        if len(field.tokens) != 1:
+        if len(field.texts) != 1:
             self.err(f"field {name!r} expects exactly one value", field.line, field.col)
             return None
         return field.texts[0]
@@ -325,14 +344,14 @@ class _Block:
         field = self.take(name)
         if field is None:
             return default
-        if len(field.tokens) != 1:
+        if len(field.texts) != 1:
             self.err(f"field {name!r} expects one integer", field.line, field.col)
             return default
-        text, col, _ = field.tokens[0]
+        text = field.texts[0]
         try:
             return int(text)
         except ValueError:
-            self.err(f"field {name!r}: {text!r} is not an integer", field.line, col)
+            self.err(f"field {name!r}: {text!r} is not an integer", field.line, field.tokens[0][1])
             return default
 
     def at_least_zero(self, name: str, value: int | None) -> bool:
@@ -340,8 +359,7 @@ class _Block:
         if value is None or value >= 0:
             return True
         field = self.groups[name][0]
-        _, col, _ = field.tokens[0]
-        self.err(f"field {name!r} must be >= 0, got {value}", field.line, col)
+        self.err(f"field {name!r} must be >= 0, got {value}", field.line, field.tokens[0][1])
         return False
 
     def words(self, name: str) -> tuple[tuple[str, ...], ...] | None:
@@ -376,6 +394,7 @@ def _build_sa(b: _Block, doc: ModelDocument) -> SequentialAutomaton | None:
 
     transitions = {}
     out_map = {}
+    state_set, input_set, output_set = set(states), set(inputs), set(outputs)
     for f in b.take_all("delta"):
         texts = f.texts
         shape_ok = (
@@ -386,15 +405,15 @@ def _build_sa(b: _Block, doc: ModelDocument) -> SequentialAutomaton | None:
         if not shape_ok:
             b.err("delta expects '<state> <sym> -> <state> [/ <out>]'", f.line, f.col)
             continue
-        (src, src_col, _), (sym, sym_col, _), _, (dst, dst_col, _) = f.tokens[:4]
+        src, sym, _, dst = texts[:4]
         out = texts[5] if len(texts) == 6 else sym
-        if src not in states:
-            b.err(f"delta source {src!r} is not a state", f.line, src_col)
-        if sym not in inputs:
-            b.err(f"delta symbol {sym!r} is not in the input alphabet", f.line, sym_col)
-        if dst not in states:
-            b.err(f"delta target {dst!r} is not a state", f.line, dst_col)
-        if out not in outputs:
+        if src not in state_set:
+            b.err(f"delta source {src!r} is not a state", f.line, f.tokens[0][1])
+        if sym not in input_set:
+            b.err(f"delta symbol {sym!r} is not in the input alphabet", f.line, f.tokens[1][1])
+        if dst not in state_set:
+            b.err(f"delta target {dst!r} is not a state", f.line, f.tokens[3][1])
+        if out not in output_set:
             b.err(f"delta output {out!r} is not in the output alphabet", f.line, f.col)
         if (src, sym) in transitions:
             b.err(f"duplicate delta for ({src}, {sym})", f.line, f.col)
@@ -460,14 +479,14 @@ def _build_ca(b: _Block, doc: ModelDocument) -> CellularAutomaton | None:
     elif table_f is not None:
         rule = {}
         size = 2 * radius + 1
-        for tokens, line in table_f.entries:
-            texts = _texts(tokens)
+        for entry in table_f.entries:
+            texts, line = entry.texts, entry.line
             if "->" not in texts or texts.index("->") != size or len(texts) != size + 2:
                 b.err(f"rule entry expects {size} states, '->', one state", line)
                 continue
             neighborhood = tuple(texts[:size])
             if neighborhood in rule:
-                b.err(f"duplicate rule for {neighborhood}", line, tokens[0][1])
+                b.err(f"duplicate rule for {neighborhood}", line, entry.tokens[0][1])
             rule[neighborhood] = texts[size + 1]
     else:
         b.err(f"ca {b.name}: missing 'rule expr:' or 'rule table:'")
@@ -498,8 +517,8 @@ def _build_pca(b: _Block, doc: ModelDocument) -> ProbabilisticCellularAutomaton 
         return None
     size = 2 * radius + 1
     rule = {}
-    for tokens, line in table_f.entries:
-        texts = _texts(tokens)
+    for entry in table_f.entries:
+        texts, line = entry.texts, entry.line
         if len(texts) < size + 2 or texts[size] != "->":
             b.err(f"rule entry expects {size} states, '->', then state@prob pairs", line)
             continue
@@ -520,7 +539,7 @@ def _build_pca(b: _Block, doc: ModelDocument) -> ProbabilisticCellularAutomaton 
                 break
         if ok:
             if neighborhood in rule:
-                b.err(f"duplicate rule for {neighborhood}", line, tokens[0][1])
+                b.err(f"duplicate rule for {neighborhood}", line, entry.tokens[0][1])
             rule[neighborhood] = tuple(pairs)
 
     pca = ProbabilisticCellularAutomaton(
@@ -547,10 +566,10 @@ def _build_ha(b: _Block, doc: ModelDocument) -> HierarchicalAutomaton | None:
     if members_f is None or root is None:
         return None
     members = []
-    for text, col, _ in members_f.tokens:
+    for i, text in enumerate(members_f.texts):
         sa = doc.sas.get(text)
         if sa is None:
-            b.err(f"unknown machine {text!r}", members_f.line, col)
+            b.err(f"unknown machine {text!r}", members_f.line, members_f.tokens[i][1])
             return None
         members.append(sa)
     gamma = {}
@@ -584,15 +603,15 @@ def _build_readout(b: _Block) -> Readout | None:
         b.err("readout expr expects 'cell <index>' or 'parity <state>'", expr_f.line, expr_f.col)
         return None
     table = {}
-    for tokens, line in table_f.entries:
-        texts = _texts(tokens)
+    for entry in table_f.entries:
+        texts, line = entry.texts, entry.line
         if "->" not in texts or texts.index("->") != len(texts) - 2:
             b.err("readout entry expects '<lattice> -> <symbol>'", line)
             continue
         arrow = texts.index("->")
         lattice = tuple(texts[:arrow])
         if lattice in table:
-            b.err(f"duplicate readout for {lattice}", line, tokens[0][1])
+            b.err(f"duplicate readout for {lattice}", line, entry.tokens[0][1])
         table[lattice] = texts[arrow + 1]
     return Readout(kind="table", table=table)
 
@@ -685,12 +704,12 @@ def _build_ma(b: _Block, doc: ModelDocument) -> MimicAutomaton | None:
         out = {}
         if f is None:
             return out
-        for text, col, _ in f.tokens:
+        for i, text in enumerate(f.texts):
             obj = source.get(text)
             if obj is None and extra is not None:
                 obj = extra.get(text)
             if obj is None:
-                b.err(f"unknown reference {text!r} in {field_name!r}", f.line, col)
+                b.err(f"unknown reference {text!r} in {field_name!r}", f.line, f.tokens[i][1])
                 continue
             out[text] = obj
         return out
@@ -738,10 +757,10 @@ def _build_dhr(b: _Block, doc: ModelDocument) -> DhrStructure | None:
     if executors_f is None or scheduler_name is None or width is None:
         return None
     executors = []
-    for text, col, _ in executors_f.tokens:
+    for i, text in enumerate(executors_f.texts):
         sa = doc.sas.get(text)
         if sa is None:
-            b.err(f"unknown executor {text!r}", executors_f.line, col)
+            b.err(f"unknown executor {text!r}", executors_f.line, executors_f.tokens[i][1])
             return None
         executors.append(sa)
     scheduler = doc.cellular(scheduler_name)
@@ -766,10 +785,10 @@ def _build_serial(b: _Block, doc: ModelDocument) -> SerialDhr | None:
     if stages_f is None:
         return None
     stages = []
-    for text, col, _ in stages_f.tokens:
+    for i, text in enumerate(stages_f.texts):
         dhr = doc.dhrs.get(text)
         if dhr is None:
-            b.err(f"unknown stage {text!r}", stages_f.line, col)
+            b.err(f"unknown stage {text!r}", stages_f.line, stages_f.tokens[i][1])
             return None
         stages.append(dhr)
     serial = SerialDhr(name=b.name, stages=tuple(stages))
@@ -1067,7 +1086,7 @@ def parse_files(paths: list[str]) -> tuple[ModelDocument, list[Diagnostic]]:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:  # the decode error names the byte
             diagnostics.append(Diagnostic(str(path), 1, 1, f"cannot read file: {exc}"))
             continue
         blocks, diags = scan(text, str(path))

@@ -85,7 +85,17 @@ def validate_sa(sa: SequentialAutomaton) -> list[Violation]:
         report.append(Violation("unique-symbols", sa.name, "duplicate input symbols"))
     outputs = set(sa.output_alphabet)
 
-    for (state, symbol), target in sorted(sa.transitions.items()):
+    # one unsorted pass: the sorted loops below run only to report a violation
+    transitions, emitted = sa.transitions, sa.outputs
+    sources, symbols = zip(*transitions) if transitions else ((), ())
+    clean = (
+        transitions.keys() == emitted.keys()
+        and states.issuperset(sources)
+        and inputs.issuperset(symbols)
+        and states.issuperset(transitions.values())
+        and outputs.issuperset(emitted.values())
+    )
+    for (state, symbol), target in () if clean else sorted(transitions.items()):
         subject = f"({state},{symbol})"
         if state not in states:
             report.append(Violation("transition-domain", subject, "source state unknown"))
@@ -93,21 +103,22 @@ def validate_sa(sa: SequentialAutomaton) -> list[Violation]:
             report.append(Violation("transition-domain", subject, "input symbol unknown"))
         if target not in states:
             report.append(Violation("transition-target", subject, f"target {target!r} not in states"))
-    for (state, symbol), out in sorted(sa.outputs.items()):
+    for (state, symbol), out in () if clean else sorted(emitted.items()):
         subject = f"({state},{symbol})"
         if (state, symbol) not in sa.transitions:
             report.append(Violation("output-domain", subject, "output without matching transition"))
         if out not in outputs:
             report.append(Violation("output-range", subject, f"output {out!r} not in output alphabet"))
 
-    if not sa.allow_partial:
+    total = clean and len(transitions) == len(states) * len(inputs)  # keys are then states x inputs
+    if not sa.allow_partial and not total:
         for state in sa.states:
             for symbol in sa.input_alphabet:
                 if (state, symbol) not in sa.transitions:
                     report.append(
                         Violation("totality", f"({state},{symbol})", "missing transition")
                     )
-    for key in sorted(sa.transitions):
+    for key in () if clean else sorted(transitions):
         if key not in sa.outputs:
             report.append(Violation("output-totality", f"({key[0]},{key[1]})", "missing output"))
     return report

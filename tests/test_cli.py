@@ -35,6 +35,16 @@ def test_validate_reports_diagnostics_on_stderr(capsys, tmp_path):
     assert out == ""
 
 
+def test_validate_reports_a_file_that_is_not_utf8_and_reads_the_others(capsys, tmp_path):
+    bad = tmp_path / "bad.ma"
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, ["validate", str(bad), PARITY])
+    assert code == 3
+    assert err.splitlines() == [f"{bad}:1:1: cannot read file: 'utf-8' codec can't decode byte 0xff "
+                                "in position 0: invalid start byte"]
+    assert out == ""
+
+
 def test_check_violated_exits_one_and_matches_golden(capsys):
     code, out, _ = run(capsys, ["check", PARITY, "--model", "parity_ma",
                                 "--property", "even_always", "--format", "json"])

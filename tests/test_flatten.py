@@ -152,6 +152,21 @@ def test_ca_from_sa_flatten_builds_one_action_per_entry_and_output():
     assert checked >= 5
 
 
+def test_sa_from_ca_flatten_builds_one_action_per_entry_and_observable_output():
+    voted = generated_dhr(0).automaton  # different per-cell words often vote one output
+    actions = flatten(voted, [("a",), ("b",), ("a", "b"), ("b", "b")]).transitions.store.labels
+    assert (len(actions), len({id(action) for action in actions}), len(set(actions))) == (44, 10, 10)
+    checked = 0
+    for seed in range(60):
+        ma, lattice0, _ = gen_instance(random.Random(seed))
+        if ma.root().mode != MODE_SA_FROM_CA:
+            continue
+        actions = flatten(ma, generated_universe(ma), lattice0=lattice0).transitions.store.labels
+        assert len({id(action) for action in actions}) == len(set(actions)), f"seed {seed}"
+        checked += 1
+    assert checked >= 20
+
+
 def single_step_graph(ma, universe, lattice0):
     """The single step's BFS graph as plain dicts: states, rows and propositions by name."""
     start = strip_clocks(ma_initial(ma, lattice0))

@@ -3,7 +3,21 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mimic_automata.modelfile import ModelDocument, parse, parse_files, serialize
+import mimic_automata.sequential as sequential
+from mimic_automata import modelfile
+from mimic_automata.detect import load_signatures
+from mimic_automata.errors import ModelFormatError
+from mimic_automata.modelfile import (
+    _BEFORE_COMMENT_RE,
+    _FIELD_RE,
+    ModelDocument,
+    RawValue,
+    _tokenize,
+    parse,
+    parse_files,
+    scan,
+    serialize,
+)
 from mimic_automata.props import parse_predicate, render_predicate
 
 from helpers import MODELS, SIGNATURES, gen_document
@@ -147,6 +161,19 @@ def test_duplicate_block_names_mention_both_files(tmp_path):
 def test_parse_files_refuses_a_bare_path(paths):
     with pytest.raises(TypeError, match="list of paths"):
         parse_files(paths)
+
+
+def test_a_file_that_is_not_utf8_is_a_diagnostic_and_the_others_still_parse(tmp_path):
+    bad = tmp_path / "bad.ma"
+    bad.write_bytes(b"\xff\xfe")
+    good = tmp_path / "good.ma"
+    good.write_text(PARITY_BLOCK)
+    doc, diags = parse_files([str(bad), str(good)])
+    assert [(d.file, d.line, d.col) for d in diags] == [(str(bad), 1, 1)]
+    assert diags[0].message.startswith("cannot read file") and "0xff" in diags[0].message
+    assert "parity" in doc.sas
+    with pytest.raises(ModelFormatError, match="0xff"):
+        load_signatures([str(bad), str(SIGNATURES / "emits_b.ma")])
 
 
 def test_block_order_does_not_matter():
@@ -322,6 +349,127 @@ def test_empty_document_serializes_to_empty():
     doc, diags = parse("")
     assert doc == ModelDocument()
     assert diags == []
+
+
+# --- lazy tokens ---------------------------------------------------------------
+
+PIECES = ["ab", "s0_1", "x", "->", "@", "/", "0.25", " ", "  ", "\t", "\u00a0", "\u2003",
+          '"', '"ab"', "{", "}", ":", "#"]
+
+
+def random_line(rnd: random.Random, pieces=PIECES) -> str:
+    return "".join(rnd.choice(pieces) for _ in range(rnd.randint(0, 8)))
+
+
+def eager(text: str, line: int, col: int):
+    diagnostics = []
+    return _tokenize(text, line, col, diagnostics, "f.ma"), diagnostics
+
+
+def assert_same_as_eager(value, expected_tokens, expected_diagnostics, diagnostics):
+    assert value.texts == [text for text, _, _ in expected_tokens]
+    assert value.tokens == expected_tokens
+    assert diagnostics == expected_diagnostics
+
+
+def test_lazy_tokens_equal_eager_tokens_on_random_values():
+    rnd = random.Random(15)
+    for _ in range(3000):
+        line = random_line(rnd, PIECES + ["\x1c"])
+        diagnostics = []
+        value = RawValue(line, 7, 5, diagnostics, "f.ma")
+        assert_same_as_eager(value, *eager(line, 7, 5), diagnostics)
+
+
+def test_lazy_tokens_equal_eager_tokens_through_scan():
+    # '\x1c' ends a line for str.splitlines, so only a direct call sees it inside a value
+    rnd = random.Random(16)
+    entries = 0
+    for _ in range(3000):
+        line = random_line(rnd)
+        value = _BEFORE_COMMENT_RE.match(line).group()  # what is left of the line after its comment
+        blocks, diagnostics = scan(f"sa x {{\n  states: {line}\n}}\n", "f.ma")
+        assert_same_as_eager(blocks[0].fields[0], *eager(value, 2, 11), diagnostics)
+
+        if _FIELD_RE.match(value.strip()) or value.strip() in ("", "}"):
+            continue  # scanned as a field, a blank line or the block's end, not as an entry
+        blocks, diagnostics = scan(f"ca x {{\n  rule table:\n    {line}\n}}\n", "f.ma")
+        (entry,) = blocks[0].fields[0].entries
+        assert entry.line == 3
+        assert_same_as_eager(entry, *eager(value, 3, 5), diagnostics)
+        entries += 1
+    assert entries > 1000
+
+
+def test_lazy_tokens_equal_eager_tokens_on_generated_documents():
+    for seed in range(20):
+        text = serialize(gen_document(random.Random(seed)))
+        lines = text.splitlines()
+        blocks, diagnostics = scan(text, "f.ma")
+        assert diagnostics == []
+        for block in blocks:
+            for field in block.fields:
+                source = lines[field.line - 1]
+                colon = source.index(":")
+                assert_same_as_eager(field, *eager(source[colon + 1:], field.line, colon + 2), [])
+                for entry in field.entries:
+                    assert_same_as_eager(entry, *eager(lines[entry.line - 1], entry.line, 1), [])
+
+
+PLAIN_DOCUMENT = PARITY_BLOCK + """
+ca c {
+  cell_states: 0 1
+  width: 2
+  radius: 1
+  boundary: fixed 0
+  rule table:
+""" + "".join(f"    {a} {b} {c} -> {int(a) ^ int(c)}\n" for a in "01" for b in "01" for c in "01") + """}
+
+binding b {
+  mode: sa_from_ca
+  ca: c
+  seed: 0 1
+  cell_map: 0 -> sa parity
+  cell_map: 1 -> sa parity
+}
+
+ma m {
+  sas: parity
+  cas: c
+  bindings: b
+  root_binding: b
+}
+"""
+
+
+def test_plain_values_are_never_tokenized(monkeypatch):
+    calls = []
+    monkeypatch.setattr(modelfile, "_tokenize", lambda *args: calls.append(args) or _tokenize(*args))
+    blocks, diagnostics = scan(PLAIN_DOCUMENT)
+    assert diagnostics == [] and len(blocks) == 4 and calls == []
+    doc, diagnostics = parse(PLAIN_DOCUMENT)
+    assert diagnostics == [] and "m" in doc.mas and calls == []
+    # a diagnostic on a plain value places its column through _tokenize
+    _, diagnostics = parse(PLAIN_DOCUMENT.replace("delta: odd 0 -> odd / 0", "delta: odd 0 -> oops / 0"))
+    assert [(d.line, d.col) for d in diagnostics[:1]] == [(10, 19)] and len(calls) == 1
+
+
+def test_a_valid_sa_is_validated_without_sorting_its_transitions(monkeypatch):
+    sorted_args = []
+    monkeypatch.setattr(sequential, "sorted", lambda items: sorted_args.append(items) or sorted(items),
+                        raising=False)
+    doc, diagnostics = parse(PARITY_BLOCK)
+    assert diagnostics == [] and "parity" in doc.sas
+    assert sorted_args == [frozenset({"even"})]  # the finals only
+    _, diagnostics = parse(PARITY_BLOCK.replace("delta: odd 1 -> even / 1\n", ""))
+    assert [d.message for d in diagnostics] == ["sa parity: [totality] (odd,1): missing transition"]
+    assert len(sorted_args) == 2  # a missing transition needs no sorted loop
+    _, diagnostics = parse(PARITY_BLOCK.replace("odd 1 -> even / 1", "odd 1 -> even / 2"))
+    assert [d.message for d in diagnostics] == [
+        "delta output '2' is not in the output alphabet",
+        "sa parity: [output-range] (odd,1): output '2' not in output alphabet",
+    ]
+    assert len(sorted_args) == 6  # the finals, then the three sorted loops that find the report
 
 
 # --- predicate expression round-trips ----------------------------------------

@@ -1,8 +1,11 @@
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from mimic_automata import InputRejectedError, sa_run, sa_step, validate_sa
-from helpers import make_sa, parity_sa
+from helpers import gen_sa, make_sa, parity_sa
 
 
 def test_step_parity_table():
@@ -73,6 +76,40 @@ def test_validation_flags_bad_targets_and_memberships():
     assert "finals-membership" in kinds
     assert "transition-target" in kinds
     assert "output-range" in kinds
+
+
+def _edit(transitions, outputs, key, target, output):
+    """Copies of both maps with ``key`` set to ``target``/``output``, or removed where None."""
+    transitions, outputs = dict(transitions), dict(outputs)
+    transitions.pop(key, None)
+    outputs.pop(key, None)
+    if target is not None:
+        transitions[key] = target
+    if output is not None:
+        outputs[key] = output
+    return transitions, outputs
+
+
+EDITS = {  # name -> the invariant it breaks, and the edit of (transitions, outputs, an existing key)
+    "target": ("transition-target", lambda t, o, k: _edit(t, o, k, "zz", o[k])),
+    "output": ("output-range", lambda t, o, k: _edit(t, o, k, t[k], "zz")),
+    "no-output": ("output-totality", lambda t, o, k: _edit(t, o, k, t[k], None)),
+    "no-transition": ("output-domain", lambda t, o, k: _edit(t, o, (k[0], "zz"), None, "x")),
+    "source": ("transition-domain", lambda t, o, k: _edit(t, o, ("zz", k[1]), t[k], o[k])),
+    "symbol": ("transition-domain", lambda t, o, k: _edit(t, o, (k[0], "zz"), t[k], o[k])),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(EDITS))
+def test_validation_finds_each_transition_and_output_violation(edit):
+    invariant, apply = EDITS[edit]
+    for seed in range(20):
+        sa = gen_sa(random.Random(seed), "g")
+        assert validate_sa(sa) == []
+        key = random.Random(seed).choice(sorted(sa.transitions))
+        transitions, outputs = apply(sa.transitions, sa.outputs, key)
+        report = validate_sa(dataclasses.replace(sa, transitions=transitions, outputs=outputs))
+        assert invariant in [v.invariant for v in report], f"seed {seed}"
 
 
 @st.composite
