@@ -25,7 +25,6 @@ from .cellular import (
     DEFAULT_SUCCESSOR_CAP,
     Lattice,
     ProbabilisticCellularAutomaton,
-    ca_step,
     pca_step_distribution,
     validate_ca,
     validate_pca,
@@ -422,22 +421,17 @@ def _mode1_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tupl
     step fails; each (entry, observable output) is one Action, found through
     its (entry, per-cell output words).
     """
-    ca = ma.ca_set[binding.ca]
-    run, rebind = _unit_tables(ma, binding, 1, canonical=True)
-    steps: dict = {}  # lattice -> successor lattice
+    run, _, advance = _unit_tables(ma, binding, 1, canonical=True)
     actions = [(entry, {}) for entry in universe]  # per entry: per-cell output words -> Action
     interned: dict[Action, Action] = {}  # different words can vote one output
 
     def successors(sid: int, key: tuple, depth: int):
         lattice, unit_states, outer_state = key
-        after = steps.get(lattice)
         fresh = None
         for entry, table in actions:
             ran, words = run(lattice, unit_states, entry, None)
             if fresh is None:  # after the first entry's runs, where the single step fails
-                if after is None:
-                    after = steps[lattice] = ca_step(ca, lattice)
-                fresh = rebind(lattice, after)
+                after, fresh = advance(lattice)
             for i, unit_state in fresh:
                 ran[i] = unit_state
             words = tuple(words)
@@ -772,7 +766,7 @@ def _expand_chain(
         ma_initial(ma, lattice0 if lattice0 is not None else binding_seed(ma, binding))
     )
     outer = start.outer_state
-    run, rebind = _unit_tables(ma, binding, 1, canonical=True)
+    run, rebind, _ = _unit_tables(ma, binding, 1, canonical=True)
     # lattice -> ([[successor lattice, probability, fresh units once rebound], ...], their sum)
     dists: dict = {}
 

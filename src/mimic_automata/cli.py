@@ -414,14 +414,18 @@ def _cmd_dhr(args) -> int:
         model = inject_fault(model, slot, faulty)
     schedule = _read_input(args.input, per_line_blocks=True)
     reports = dhr_run(model, schedule, seed=args.seed)
+    texts: dict = {}  # everything of a report but its input -> its text
     for i, rep in enumerate(reports):
-        voted = "".join(rep.voted_output) if rep.voted_output is not None else "<abstain>"
-        slots = " ".join("".join(w) for w in rep.per_slot_outputs)
-        print(
-            f"tick {i}: input {''.join(rep.input_block)!r} slots [{slots}] "
-            f"voted {voted!r} dissenters {sorted(rep.dissenters)} "
-            f"lattice {list(rep.lattice_before)} -> {list(rep.lattice_after)}"
-        )
+        key = (rep.per_slot_outputs, rep.voted_output, rep.dissenters, rep.lattice_before, rep.lattice_after)
+        text = texts.get(key)
+        if text is None:
+            voted = "".join(rep.voted_output) if rep.voted_output is not None else "<abstain>"
+            slots = " ".join("".join(w) for w in rep.per_slot_outputs)
+            text = texts[key] = (
+                f"slots [{slots}] voted {voted!r} dissenters {sorted(rep.dissenters)} "
+                f"lattice {list(rep.lattice_before)} -> {list(rep.lattice_after)}"
+            )
+        print(f"tick {i}: input {''.join(rep.input_block)!r} {text}")
     return EXIT_OK
 
 

@@ -449,7 +449,7 @@ def _fresh_units(
 
 
 def _unit_tables(ma: MimicAutomaton, binding: Binding, depth: int, canonical: bool):
-    """``run`` and ``rebind``: the ``sa_from_ca`` unit runs of one call, memoised.
+    """``run``, ``rebind`` and ``advance``: the ``sa_from_ca`` work of one call, memoised.
 
     ``run(lattice, unit_states, block, rng)`` gives the frozen lattice's
     final unit states and per-cell ``RunResult``s (output words when
@@ -458,26 +458,47 @@ def _unit_tables(ma: MimicAutomaton, binding: Binding, depth: int, canonical: bo
     every time without a lookup, unless ``canonical``: then states are
     clock-stripped, nested runs memoised and their finals stripped. Cells
     run in index order, a run that raises is never stored, and an unmapped
-    cell state raises its ``KeyError`` at its own cell. ``rebind(lattice,
-    after)`` gives the ``_fresh_units`` of a lattice step, once per pair.
+    cell state raises its ``KeyError`` at its own cell. Unless
+    ``canonical``, a binding with no nested unit and a deterministic lattice
+    keeps each (lattice, block)'s per-cell tables, and a tick whose every
+    cell hits its table is answered in one pass of lookups.
+    ``rebind(lattice, after)`` gives the ``_fresh_units`` of a lattice step,
+    once per pair. ``advance(lattice)`` gives a deterministic lattice's
+    ``ca_step`` successor and its ``rebind``, once per lattice; a step that
+    raises is never stored.
     """
+    ca = ma.ca_set[binding.ca]
     unit_ids: dict = {}  # distinct units in first-seen order
     uid_of = {q: unit_ids.setdefault(unit, len(unit_ids)) for q, unit in binding.cell_map.items()}
     units = list(unit_ids)
     unmapped = len(units)  # the unit id of an unmapped cell state: its table stays empty
     memoised = [canonical or not isinstance(unit, NestedUnit) for unit in units] + [True]
+    # a sampled lattice seldom recurs, so its ticks would mostly miss
+    by_lookup = not canonical and all(memoised) and not isinstance(ca, ProbabilisticCellularAutomaton)
     runs: dict = {}  # block -> [unit id] -> unit state -> (final state, RunResult or output word), or None
     unit_ids_of: dict = {}  # lattice -> unit id per cell
+    cell_tables: dict = {}  # (lattice, block) -> each cell's table in runs[block], when by_lookup
     fresh_of: dict = {}  # (lattice, successor lattice) -> fresh units
+    moves: dict = {}  # lattice -> (its ca_step successor, the successor's fresh units)
+    lattices: dict = {}  # lattice -> the equal lattice that advance hands out, so lookups hit by identity
     steppers: dict = {}  # nested binding name -> its stepper
 
     def run(lattice: Lattice, unit_states: tuple, block: Word, rng: np.random.Generator | None):
+        if by_lookup:
+            per_cell_tables = cell_tables.get((lattice, block))
+            if per_cell_tables is not None:
+                hits = list(map(dict.get, per_cell_tables, unit_states))
+                if hits and None not in hits:
+                    ran, per_cell = zip(*hits)
+                    return list(ran), per_cell
         uids = unit_ids_of.get(lattice)
         if uids is None:
             uids = unit_ids_of[lattice] = tuple(uid_of.get(q, unmapped) for q in lattice)
         tables = runs.get(block)
         if tables is None:
             tables = runs[block] = [{} if memo else None for memo in memoised]
+        if by_lookup:
+            cell_tables[(lattice, block)] = [tables[uid] for uid in uids]
         ran = []
         per_cell = []
         for uid, state in zip(uids, unit_states):
@@ -505,7 +526,16 @@ def _unit_tables(ma: MimicAutomaton, binding: Binding, depth: int, canonical: bo
             fresh = fresh_of[(lattice, after)] = _fresh_units(ma, binding, lattice, after, depth)
         return fresh
 
-    return run, rebind
+    def advance(lattice: Lattice) -> tuple[Lattice, tuple[tuple[int, object], ...]]:
+        move = moves.get(lattice)
+        if move is None:
+            lattices.setdefault(lattice, lattice)
+            after = ca_step(ca, lattice)
+            after = lattices.setdefault(after, after)
+            move = moves[lattice] = (after, rebind(lattice, after))
+        return move
+
+    return run, rebind, advance
 
 
 def _stepper(ma: MimicAutomaton, binding: Binding, depth: int):
@@ -513,10 +543,12 @@ def _stepper(ma: MimicAutomaton, binding: Binding, depth: int):
 
     An entry is an input block (``sa_from_ca``) or an inner seed lattice
     (``ca_from_sa``). ``step`` returns the next configuration and the last
-    four fields of a ``MacroTick``, from one ``_unit_tables`` for all steps.
+    four fields of a ``MacroTick``, from one ``_unit_tables`` for all steps:
+    a deterministic lattice steps once per distinct lattice, a probabilistic
+    one once per tick, and an inner run happens once per distinct seed.
     """
     ca = ma.ca_set[binding.ca]
-    run, rebind = _unit_tables(ma, binding, depth, canonical=False)
+    run, rebind, advance = _unit_tables(ma, binding, depth, canonical=False)
 
     if binding.mode == MODE_SA_FROM_CA:
         probabilistic = isinstance(ca, ProbabilisticCellularAutomaton)
@@ -528,9 +560,10 @@ def _stepper(ma: MimicAutomaton, binding: Binding, depth: int):
                 if rng is None:
                     raise MimicError(f"{binding.name}: probabilistic lattice step needs a random stream")
                 after = pca_step(ca, lattice, rng)
+                fresh = rebind(lattice, after)
             else:
-                after = ca_step(ca, lattice)
-            for i, unit_state in rebind(lattice, after):
+                after, fresh = advance(lattice)
+            for i, unit_state in fresh:
                 ran[i] = unit_state
             new_cfg = MimicConfiguration(after, ran, cfg.macro_clock + 1, cfg.outer_state)
             return new_cfg, tuple(results), None, None, results[0].output_word if results else ()
@@ -539,9 +572,12 @@ def _stepper(ma: MimicAutomaton, binding: Binding, depth: int):
 
     outer = ma.sa_set[binding.outer_sa]
     alphabet = set(outer.input_alphabet)
+    inner_runs: dict = {}  # seed lattice -> its ca_run
 
     def step(cfg: MimicConfiguration, seed_lattice: Lattice, rng: np.random.Generator | None):
-        inner = ca_run(ca, seed_lattice, binding.t_max)
+        inner = inner_runs.get(seed_lattice)
+        if inner is None:
+            inner = inner_runs[seed_lattice] = ca_run(ca, seed_lattice, binding.t_max)
         final = inner.trace[-1]
         symbol = binding.readout.apply(final)
         if symbol not in alphabet:

@@ -355,17 +355,19 @@ def _dhr_ticker(ma: MimicAutomaton, voter: VoterPolicy):
     votes: dict = {}  # slot words -> (voted word, dissenters)
     bases: dict = {}  # lattice -> untagged lattice
 
+    def untagged(lattice: Lattice) -> Lattice:
+        base = bases.get(lattice)
+        if base is None:
+            base = bases[lattice] = tuple(map(base_state, lattice))
+        return base
+
     def tick(cfg: MimicConfiguration, block: Word, rng: np.random.Generator | None):
         new_cfg, per_cell, _, _, _ = step(cfg, block, rng)
-        after = new_cfg.lattice
         words = tuple(r.output_word for r in per_cell)
         outcome = votes.get(words)
         if outcome is None:
             outcome = votes[words] = vote(voter, words)
-        for lattice in (cfg.lattice, after):
-            if lattice not in bases:
-                bases[lattice] = tuple(base_state(q) for q in lattice)
-        report = DhrStepReport(block, words, outcome[0], outcome[1], bases[cfg.lattice], bases[after])
+        report = DhrStepReport(block, words, *outcome, untagged(cfg.lattice), untagged(new_cfg.lattice))
         return new_cfg, report
 
     return tick

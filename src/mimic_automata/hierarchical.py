@@ -42,15 +42,6 @@ class HierarchicalAutomaton:
         return {sa.name: sa for sa in self.sas}
 
     @cached_property
-    def parent(self) -> dict[str, tuple[str, State]]:
-        """Child machine name -> the (machine, state) pair refining into it."""
-        out: dict[str, tuple[str, State]] = {}
-        for key, children in self.gamma.items():
-            for child in children:
-                out.setdefault(child, key)
-        return out
-
-    @cached_property
     def depth(self) -> dict[str, int]:
         out = {self.root: 0}
         frontier = [self.root]

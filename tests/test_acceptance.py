@@ -28,7 +28,7 @@ from mimic_automata import (
     strip_clocks,
     validate_ma,
 )
-from mimic_automata.cellular import builtin_rule_table
+from mimic_automata.cellular import ProbabilisticCellularAutomaton, builtin_rule_table
 from mimic_automata.checker import builtin_labeling
 from mimic_automata.cli import main as cli_main
 from mimic_automata.modelfile import parse, parse_files, serialize
@@ -51,7 +51,7 @@ from helpers import (
     uniform_pca,
     xor_ca,
 )
-from reference_interpreter import ref_run
+from reference_interpreter import ref_ca_step, ref_run
 from test_detect import const_dhr, emits_b_signature
 
 
@@ -108,24 +108,33 @@ def test_criterion_2_synchrony():
         for _ in range(300):
             ma, lattice0, schedule = gen_instance(rnd)
             root_ca = ma.ca_set[ma.root().ca]
-            counter = {"phi": 0}
+            stepped, sampled = [], []  # the lattices the root's ca_step and pca_step were called on
 
-            def counting_ca(ca, lattice, _root=root_ca, _c=counter):
+            def counting_ca(ca, lattice, _root=root_ca, _calls=stepped):
                 if ca is _root:
-                    _c["phi"] += 1
+                    _calls.append(lattice)
                 return real_ca_step(ca, lattice)
 
-            def counting_pca(pca, lattice, rng, _root=root_ca, _c=counter):
+            def counting_pca(pca, lattice, rng, _root=root_ca, _calls=sampled):
                 if pca is _root:
-                    _c["phi"] += 1
+                    _calls.append(lattice)
                 return real_pca_step(pca, lattice, rng)
 
             composition.ca_step = counting_ca
             composition.pca_step = counting_pca
-            final, _ = ma_run(ma, ma_initial(ma, lattice0), schedule)
+            final, trace = ma_run(ma, ma_initial(ma, lattice0), schedule)
             assert final.macro_clock == len(schedule), "macro clock must equal schedule length"
             if ma.root().mode == "sa_from_ca":
-                assert counter["phi"] == len(schedule), "exactly one lattice step per tick"
+                if isinstance(root_ca, ProbabilisticCellularAutomaton):
+                    assert len(sampled) == len(schedule), "exactly one sampled lattice step per tick"
+                else:
+                    for tick in trace:
+                        assert tick.lattice_after == ref_ca_step(root_ca, tick.lattice_before), \
+                            "every tick is exactly one lattice step"
+                    befores = {tick.lattice_before for tick in trace}
+                    assert len(stepped) == len(set(stepped)) == len(befores), \
+                        "one lattice step per distinct lattice"
+                    assert set(stepped) == befores
             checked += 1
     finally:
         composition.ca_step = real_ca_step

@@ -293,6 +293,7 @@ def reference_sweeps(dtmc, target, tol=checker.DEFAULT_TOL, max_iter=checker.DEF
     order = list(dtmc.states)
     is_target = {sid: eval_predicate(pred, dtmc.atomic_props[sid]) for sid in order}
     x = {sid: 1.0 if is_target[sid] else 0.0 for sid in order}
+    rows = dict(dtmc.rows)  # the view rebuilds a row on every read
 
     def sweep(values):
         new, residual = {}, 0.0
@@ -301,7 +302,7 @@ def reference_sweeps(dtmc, target, tol=checker.DEFAULT_TOL, max_iter=checker.DEF
                 new[sid] = 1.0
                 continue
             total = 0.0
-            for tid, prob in dtmc.rows.get(sid, ()):
+            for tid, prob in rows.get(sid, ()):
                 total += prob * values[tid]
             new[sid] = total
             residual = max(residual, abs(total - values[sid]))

@@ -140,6 +140,17 @@ def test_invariant_violated_with_length_one_counterexample():
     assert replay_path(parity_ma(), ts, result.counterexample)
 
 
+def test_replay_path_rejects_a_wrong_start_a_changed_output_and_a_wrong_hop():
+    ma = parity_ma()
+    ts = flatten(ma, UNIVERSE)
+    path = Path(("s0", "s1", "s1"), (Action(("1",), ("1",)), Action(("0",), ("0",))))
+    assert replay_path(ma, ts, path)
+    assert not replay_path(ma, ts, Path(("s1",) + path.states[1:], path.actions))
+    changed = (Action(("1",), ("0",)), path.actions[1])
+    assert not replay_path(ma, ts, Path(path.states, changed))
+    assert not replay_path(ma, ts, Path(("s0", "s1", "s0"), path.actions))
+
+
 def test_invariant_ignores_unreachable_states():
     # lattice value 1 is never reached under the identity rule from seed 0
     ts = flatten(parity_ma(), UNIVERSE)

@@ -1,9 +1,12 @@
+import itertools
 import json
 
 import pytest
 
 import mimic_automata.cli as cli
+from mimic_automata import dhr_run, inject_fault
 from mimic_automata.cli import main
+from mimic_automata.modelfile import parse_files
 
 from helpers import DATA, MODELS, SIGNATURES
 
@@ -245,6 +248,49 @@ def test_dhr_run_with_injection(capsys, tmp_path):
                                 "--input", f"@{sched}", "--inject", "1:flipper"])
     assert code == 0
     assert "dissenters [1]" in out
+
+
+def test_dhr_prints_every_tick_as_its_own_report_formatted_alone(capsys, tmp_path):
+    rule = "\n".join(f"    {l} {c} {r} -> {l}" for l, c, r in itertools.product("012", repeat=3))
+    model = tmp_path / "rotating.ma"
+    model.write_text((MODELS / "dhr_echo.ma").read_text() + f"""
+ca rot3 {{
+  cell_states: 0 1 2
+  width: 3
+  radius: 1
+  boundary: periodic
+  rule table:
+{rule}
+}}
+
+dhr rotating {{
+  executors: e0 e1 e2
+  scheduler: rot3
+  width: 3
+  initial_lattice: 0 1 2
+}}
+""")
+    schedule = ["".join(block) for n in (1, 2) for block in itertools.product("ab", repeat=n)] * 8
+    sched = tmp_path / "sched.txt"
+    sched.write_text("\n".join(schedule) + "\n")
+    code, out, _ = run(capsys, ["dhr", str(model), "--model", "rotating", "--input", f"@{sched}",
+                                "--inject", "1:flipper"])
+    assert code == 0
+    doc, diagnostics = parse_files([str(model)])
+    assert diagnostics == []
+    reports = dhr_run(inject_fault(doc.dhrs["rotating"], 1, doc.sas["flipper"]), schedule)
+    expected = []
+    for i, rep in enumerate(reports):
+        voted = "".join(rep.voted_output) if rep.voted_output is not None else "<abstain>"
+        slots = " ".join("".join(w) for w in rep.per_slot_outputs)
+        expected.append(
+            f"tick {i}: input {''.join(rep.input_block)!r} slots [{slots}] "
+            f"voted {voted!r} dissenters {sorted(rep.dissenters)} "
+            f"lattice {list(rep.lattice_before)} -> {list(rep.lattice_after)}"
+        )
+    assert out.splitlines() == expected
+    assert len({line.split(" ", 4)[4] for line in expected}) < len(expected)  # some ticks repeat a report
+    assert len({rep.lattice_before for rep in reports}) == 3
 
 
 def test_detect_healthy_exits_zero(capsys):

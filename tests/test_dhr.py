@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -19,11 +20,13 @@ from mimic_automata import (
     validate_ma,
     vote,
 )
-from mimic_automata.dhr import FaultTagged, validate_serial
+from mimic_automata.dhr import FaultTagged, validate_dhr, validate_serial
+from mimic_automata.modelfile import parse
 
 from mimic_automata import sa_run
 
 from helpers import (
+    MODELS,
     echo_dhr,
     echo_sa,
     flipper_sa,
@@ -251,6 +254,30 @@ def test_serial_abstention_aborts():
     assert len(reports) == 1
     assert reports[0].voted_output is None
     assert reports[0].per_slot_outputs == (("b", "b"), ("a", "a"), ("a", "b"))
+
+
+@pytest.mark.parametrize("old, new, invariant", [
+    ("quorum: 2", "quorum: 4", "quorum-range"),
+    ("quorum: 2", "quorum: 0", "quorum-range"),
+    ("initial_lattice: 0 1 2", "initial_lattice: 0 1", "initial-lattice-width"),
+    ("initial_lattice: 0 1 2", "initial_lattice: 0 1 7", "initial-lattice-range"),
+])
+def test_text_format_reports_dhr_quorum_and_initial_lattice_violations(old, new, invariant):
+    text = (MODELS / "dhr_echo.ma").read_text()
+    assert old in text
+    _, diagnostics = parse(text.replace(old, new))
+    assert any(f"[{invariant}]" in str(diag) for diag in diagnostics)
+
+
+@pytest.mark.parametrize("slot, faulty, invariant", [
+    (3, flipper_sa(), "override-slot"),
+    (0, make_sa("alien", ("s",), "s", (), ("z",), delta=[("s", "z", "s")]), "override-alphabets"),
+])
+def test_validate_dhr_reports_overrides_that_inject_fault_refuses(slot, faulty, invariant):
+    structure = replace(echo_dhr(), overrides={slot: faulty})
+    assert [v.invariant for v in validate_dhr(structure)] == [invariant]
+    with pytest.raises(ModelValidationError):
+        structure.check()
 
 
 def test_single_stage_serial_rejected():

@@ -362,7 +362,7 @@ def test_flatten_matches_single_step_on_voted_structures(structure):
 
 def test_flatten_runs_each_unit_once_and_steps_each_lattice_once(monkeypatch):
     runs, steps = [], []
-    run_unit, ca_step = composition._run_unit, checker.ca_step
+    run_unit, ca_step = composition._run_unit, composition.ca_step
 
     def counting_run(ma, unit, state, block, *rest):
         runs.append((unit, state, block))
@@ -373,7 +373,7 @@ def test_flatten_runs_each_unit_once_and_steps_each_lattice_once(monkeypatch):
         return ca_step(ca, lattice)
 
     monkeypatch.setattr(composition, "_run_unit", counting_run)
-    monkeypatch.setattr(checker, "ca_step", counting_step)
+    monkeypatch.setattr(composition, "ca_step", counting_step)
     ma = x11_parity_ma()
     ts = flatten(ma, [("0",), ("1",)])
     assert len(ts.states) == 240

@@ -4,7 +4,8 @@
 ``replay_path`` hold one ``_stepper`` per call, for either mode: it runs
 each (unit, unit state, block) of a plain or hierarchical unit once, builds
 the fresh units of each (lattice, successor lattice) once, builds each
-nested binding's stepper once, and still steps the lattice exactly once per
+nested binding's stepper once, steps each deterministic lattice and runs
+each inner seed lattice once, and samples a probabilistic lattice once per
 tick. These tests fold the reference interpreter's tick over long schedules
 and require every tick and the final configuration, clocks included; they
 count the work, pin the first error, and check the padded
@@ -260,7 +261,7 @@ def test_seeded_pca_runs_equal_a_neighborhood_of_reference():
         assert final == cfg, f"seed {seed}"
 
 
-def test_each_pure_run_happens_once_and_the_lattice_steps_every_tick(monkeypatch):
+def test_each_pure_run_happens_once_and_each_lattice_steps_once(monkeypatch):
     ma = x11_parity_ma()
     binding = ma.root()
     schedule = long_schedule(random.Random(5), ticks=200)
@@ -296,9 +297,66 @@ def test_each_pure_run_happens_once_and_the_lattice_steps_every_tick(monkeypatch
     assert final.macro_clock == len(schedule)
     assert len(runs) == len(set(runs)) == len(triples) < len(schedule) * 11 // 10
     assert set(runs) == triples
-    assert len(steps) == len(schedule)
+    assert len(steps) == len(set(steps)) == len({tick.lattice_before for tick in trace})
     assert len(rebinds) == len(set(rebinds)) == len(pairs)
     assert plain(final) == plain(cfg)
+
+
+def test_steps_and_inner_runs_happen_once_per_lattice_and_samples_once_per_tick(monkeypatch):
+    calls = {"ca_step": [], "ca_run": [], "pca_step": []}  # per function: (automaton, lattice) per call
+    real = {name: getattr(composition, name) for name in calls}
+
+    def counting(name):
+        def call(ca, lattice, *rest):
+            calls[name].append((ca.name, lattice))
+            return real[name](ca, lattice, *rest)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(composition, name, counting(name))
+    flavors = set()
+    for seed in range(80):
+        rnd = random.Random(seed)
+        ma, lattice0, _ = gen_instance(rnd)
+        binding = ma.root()
+        if binding.mode == MODE_SA_FROM_CA:
+            schedule = long_schedule(rnd, ticks=40)
+        else:  # seed lattices drawn from a few, so most repeat
+            seeds = [tuple(rnd.choice(ALPHABET) for _ in binding.seed) for _ in range(3)]
+            schedule = [rnd.choice(seeds) for _ in range(40)]
+        for lattice_calls in calls.values():
+            lattice_calls.clear()
+        try:
+            _, trace = ma_run(ma, ma_initial(ma, lattice0), schedule)
+        except (KeyError, InputRejectedError):
+            continue
+        flavors.add(binding.mode)
+        # every binding has its own automaton and each run holds one stepper per binding
+        assert len(calls["ca_step"]) == len(set(calls["ca_step"])), f"seed {seed}"
+        assert len(calls["ca_run"]) == len(set(calls["ca_run"])), f"seed {seed}"
+        assert calls["pca_step"] == []
+        if binding.mode == MODE_SA_FROM_CA:
+            root = [lattice for ca, lattice in calls["ca_step"] if ca == binding.ca]
+            assert set(root) == {tick.lattice_before for tick in trace}, f"seed {seed}"
+        else:
+            assert {lattice for ca, lattice in calls["ca_run"] if ca == binding.ca} == set(schedule)
+            assert len(set(schedule)) < len(schedule)
+    assert flavors == {MODE_SA_FROM_CA, MODE_CA_FROM_SA}
+
+    sampled = 0
+    for seed in range(20):
+        rnd = random.Random(seed)
+        ma, lattice0 = gen_pca_instance(rnd)
+        schedule = long_schedule(rnd, ticks=40)
+        calls["pca_step"].clear()
+        try:
+            _, trace = ma_run(ma, ma_initial(ma, lattice0), schedule, seed=seed)
+        except (KeyError, InputRejectedError):
+            continue
+        assert calls["pca_step"] == [(ma.root().ca, tick.lattice_before) for tick in trace], f"seed {seed}"
+        sampled += 1
+    assert sampled >= 10
 
 
 def test_nested_units_run_every_tick_and_votes_happen_once_per_word_tuple(monkeypatch):
