@@ -458,14 +458,11 @@ def _unit_tables(ma: MimicAutomaton, binding: Binding, depth: int, canonical: bo
     every time without a lookup, unless ``canonical``: then states are
     clock-stripped, nested runs memoised and their finals stripped. Cells
     run in index order, a run that raises is never stored, and an unmapped
-    cell state raises its ``KeyError`` at its own cell. Unless
-    ``canonical``, a binding with no nested unit and a deterministic lattice
-    keeps each (lattice, block)'s per-cell tables, and a tick whose every
-    cell hits its table is answered in one pass of lookups.
-    ``rebind(lattice, after)`` gives the ``_fresh_units`` of a lattice step,
-    once per pair. ``advance(lattice)`` gives a deterministic lattice's
-    ``ca_step`` successor and its ``rebind``, once per lattice; a step that
-    raises is never stored.
+    cell state raises its ``KeyError`` at its own cell. ``rebind(lattice,
+    after)`` gives the ``_fresh_units`` of a lattice step, once per pair.
+    ``advance(lattice)`` gives a deterministic lattice's ``ca_step``
+    successor and its ``rebind``, once per lattice; a step that raises is
+    never stored.
     """
     ca = ma.ca_set[binding.ca]
     unit_ids: dict = {}  # distinct units in first-seen order
@@ -473,32 +470,19 @@ def _unit_tables(ma: MimicAutomaton, binding: Binding, depth: int, canonical: bo
     units = list(unit_ids)
     unmapped = len(units)  # the unit id of an unmapped cell state: its table stays empty
     memoised = [canonical or not isinstance(unit, NestedUnit) for unit in units] + [True]
-    # a sampled lattice seldom recurs, so its ticks would mostly miss
-    by_lookup = not canonical and all(memoised) and not isinstance(ca, ProbabilisticCellularAutomaton)
     runs: dict = {}  # block -> [unit id] -> unit state -> (final state, RunResult or output word), or None
     unit_ids_of: dict = {}  # lattice -> unit id per cell
-    cell_tables: dict = {}  # (lattice, block) -> each cell's table in runs[block], when by_lookup
     fresh_of: dict = {}  # (lattice, successor lattice) -> fresh units
     moves: dict = {}  # lattice -> (its ca_step successor, the successor's fresh units)
-    lattices: dict = {}  # lattice -> the equal lattice that advance hands out, so lookups hit by identity
     steppers: dict = {}  # nested binding name -> its stepper
 
     def run(lattice: Lattice, unit_states: tuple, block: Word, rng: np.random.Generator | None):
-        if by_lookup:
-            per_cell_tables = cell_tables.get((lattice, block))
-            if per_cell_tables is not None:
-                hits = list(map(dict.get, per_cell_tables, unit_states))
-                if hits and None not in hits:
-                    ran, per_cell = zip(*hits)
-                    return list(ran), per_cell
         uids = unit_ids_of.get(lattice)
         if uids is None:
             uids = unit_ids_of[lattice] = tuple(uid_of.get(q, unmapped) for q in lattice)
         tables = runs.get(block)
         if tables is None:
             tables = runs[block] = [{} if memo else None for memo in memoised]
-        if by_lookup:
-            cell_tables[(lattice, block)] = [tables[uid] for uid in uids]
         ran = []
         per_cell = []
         for uid, state in zip(uids, unit_states):
@@ -529,9 +513,7 @@ def _unit_tables(ma: MimicAutomaton, binding: Binding, depth: int, canonical: bo
     def advance(lattice: Lattice) -> tuple[Lattice, tuple[tuple[int, object], ...]]:
         move = moves.get(lattice)
         if move is None:
-            lattices.setdefault(lattice, lattice)
             after = ca_step(ca, lattice)
-            after = lattices.setdefault(after, after)
             move = moves[lattice] = (after, rebind(lattice, after))
         return move
 

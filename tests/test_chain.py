@@ -294,18 +294,21 @@ def reference_sweeps(dtmc, target, tol=checker.DEFAULT_TOL, max_iter=checker.DEF
     is_target = {sid: eval_predicate(pred, dtmc.atomic_props[sid]) for sid in order}
     x = {sid: 1.0 if is_target[sid] else 0.0 for sid in order}
     rows = dict(dtmc.rows)  # the view rebuilds a row on every read
+    plan = [(sid, None if is_target[sid] else rows.get(sid, ())) for sid in order]  # None: a target
 
     def sweep(values):
         new, residual = {}, 0.0
-        for sid in order:
-            if is_target[sid]:
+        for sid, row in plan:
+            if row is None:
                 new[sid] = 1.0
                 continue
             total = 0.0
-            for tid, prob in rows.get(sid, ()):
+            for tid, prob in row:
                 total += prob * values[tid]
             new[sid] = total
-            residual = max(residual, abs(total - values[sid]))
+            change = abs(total - values[sid])
+            if change > residual:
+                residual = change
         return new, residual
 
     if horizon is not None:
