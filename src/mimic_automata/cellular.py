@@ -9,8 +9,9 @@ majority) are expanded at construction time.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Mapping
+from typing import TYPE_CHECKING, Hashable, Mapping, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -253,25 +254,83 @@ def ca_run(ca: CellularAutomaton, lattice: Lattice, t_max: int = DEFAULT_STEP_CA
     return CaRun(tuple(trace), STEP_CAP)
 
 
-def pca_step(pca: ProbabilisticCellularAutomaton, lattice: Lattice, rng: np.random.Generator) -> Lattice:
-    """Sample one synchronous update; each cell draws one uniform, in index order."""
-    _require_width(pca, lattice)
-    rule = pca.rule
+class PcaRows(NamedTuple):
+    """One lattice's sampling rows, per cell in index order, as ``pca_rows`` builds them.
+
+    ``cells[i]`` is cell ``i``'s neighborhood row ``(states, sums)``:
+    ``states`` lists its successor states with the last one repeated, and
+    ``sums`` the running maximum of their left-to-right cumulative
+    probabilities, so ``states[bisect_right(sums, u)]`` is the first
+    successor whose sum exceeds ``u``, or the last one. (For a checked rule
+    the maximum is the sum itself; it keeps the search exact on a rule whose
+    sums fall or are NaN.) ``hole`` is the neighborhood of the first cell
+    the rule has no entry for, or None; the rows then stop at it.
+    """
+
+    cells: tuple
+    hole: tuple | None
+
+
+def pca_rows(pca: ProbabilisticCellularAutomaton, lattice: Lattice, table: dict | None = None) -> PcaRows:
+    """The lattice's ``PcaRows``; ``table`` maps each neighborhood to its row, built once into it."""
+    table = {} if table is None else table
     padded = _padded(pca, lattice)
     size = 2 * pca.radius + 1
-    result = []
+    cells = []
     for i in range(len(lattice)):
-        pairs = rule[padded[i:i + size]]
-        u = rng.random()
-        acc = 0.0
-        chosen = pairs[-1][0]
-        for state, prob in pairs:
-            acc += prob
-            if u < acc:
-                chosen = state
-                break
-        result.append(chosen)
-    return tuple(result)
+        neighborhood = padded[i:i + size]
+        row = table.get(neighborhood)
+        if row is None:
+            pairs = pca.rule.get(neighborhood)
+            if pairs is None:
+                return PcaRows(tuple(cells), neighborhood)
+            states = tuple([state for state, _ in pairs])
+            running = itertools.accumulate([prob for _, prob in pairs])
+            row = table[neighborhood] = (states + states[-1:], list(itertools.accumulate(running, max)))
+        cells.append(row)
+    return PcaRows(tuple(cells), None)
+
+
+def pca_sample(rows: PcaRows, rng: np.random.Generator) -> Lattice:
+    """Sample a lattice from its rows: one ``rng.random`` call draws a uniform per row, in cell order.
+
+    A rule hole raises its ``KeyError`` after the draw, so exactly the
+    uniforms of the cells before it are drawn.
+    """
+    uniforms = rng.random(len(rows.cells)).tolist()
+    after = tuple([states[bisect_right(sums, u)] for (states, sums), u in zip(rows.cells, uniforms)])
+    if rows.hole is not None:
+        raise KeyError(rows.hole)
+    return after
+
+
+def pca_step(pca: ProbabilisticCellularAutomaton, lattice: Lattice, rng: np.random.Generator) -> Lattice:
+    """Sample one synchronous update; each cell draws one uniform, in index order.
+
+    Cell ``i`` takes the first successor whose cumulative probability
+    exceeds its uniform, or the last successor when none does.
+    """
+    _require_width(pca, lattice)
+    return pca_sample(pca_rows(pca, lattice), rng)
+
+
+def pca_sampler(pca: ProbabilisticCellularAutomaton):
+    """``step(lattice, rng)``, equal to ``pca_step``, for many steps of one automaton.
+
+    It builds each distinct lattice's rows, and each neighborhood's row,
+    once for its own lifetime, then draws once per call.
+    """
+    rows_of: dict = {}  # lattice -> its PcaRows
+    table: dict = {}  # neighborhood -> its row
+
+    def step(lattice: Lattice, rng: np.random.Generator) -> Lattice:
+        rows = rows_of.get(lattice)
+        if rows is None:
+            _require_width(pca, lattice)
+            rows = rows_of[lattice] = pca_rows(pca, lattice, table)
+        return pca_sample(rows, rng)
+
+    return step
 
 
 def pca_step_distribution(

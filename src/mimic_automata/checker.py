@@ -431,7 +431,7 @@ def _mode1_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tupl
         for entry, table in actions:
             ran, words = run(lattice, unit_states, entry, None)
             if fresh is None:  # after the first entry's runs, where the single step fails
-                after, fresh = advance(lattice)
+                after, fresh = advance(lattice, None)
             for i, unit_state in fresh:
                 ran[i] = unit_state
             words = tuple(words)
@@ -844,6 +844,32 @@ def _chain_arrays(store: _Store, props: Iterable[frozenset[str]], pred: Pred) ->
     return target, offsets, successors, np.array(store.labels, dtype=float)
 
 
+def _reaching(is_target: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Mask of the states with a path to a target state over the edges ``rows[e] -> cols[e]``.
+
+    Its complement is prob0, the states that reach the target with
+    probability 0 (Baier & Katoen, *Principles of Model Checking*, §10.1).
+    One backward search from the targets reads each edge at most once, so
+    it is linear in the edges whatever the chain's depth.
+    """
+    import numpy as np
+
+    order = np.argsort(cols)
+    preds = rows[order].tolist()  # predecessors grouped by successor
+    starts = np.zeros(len(is_target) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cols, minlength=len(is_target)), out=starts[1:])
+    starts = starts.tolist()
+    reached = is_target.tolist()
+    pending = np.flatnonzero(is_target).tolist()
+    while pending:
+        state = pending.pop()
+        for pred in preds[starts[state]:starts[state + 1]]:
+            if not reached[pred]:
+                reached[pred] = True
+                pending.append(pred)
+    return np.array(reached, dtype=bool)
+
+
 def reach_probability_exact(
     dtmc: Dtmc,
     target: Pred | str,
@@ -858,8 +884,12 @@ def reach_probability_exact(
     the target within that many steps. The edges of non-target states are
     taken from the chain's store in CSR order, and a sweep sums each row's
     ``prob * x[successor]`` terms with ``np.bincount`` in row order, the
-    order a per-state loop adds them in. The initial state is index 0, as
-    ``_explore`` numbers it; each state is labeled once.
+    order a per-state loop adds them in. States that cannot reach the
+    target (``_reaching``) and every edge into them are left out: their
+    values stay 0.0 and each dropped term is ``+0.0``, so every sum, the
+    residual and the iteration count are bit-identical to the full sweep.
+    The initial state is index 0, as ``_explore`` numbers it; each state
+    is labeled once.
     """
     import numpy as np
 
@@ -869,19 +899,20 @@ def reach_probability_exact(
     is_target, offsets, cols, probs = _chain_arrays(dtmc.rows.store, dtmc.atomic_props.values(), pred)
     n = len(is_target)
     rows = np.repeat(np.arange(n), np.diff(offsets))
-    keep = ~is_target[rows]
+    keep = ~is_target[rows] & _reaching(is_target, rows, cols)[cols]
     rows, cols, probs = rows[keep], cols[keep], probs[keep]
+    targets = np.flatnonzero(is_target)
     x = is_target.astype(float)
 
-    def sweep(values: np.ndarray) -> tuple[np.ndarray, float]:
+    def sweep(values: np.ndarray) -> np.ndarray:
         new = np.bincount(rows, weights=probs * values[cols], minlength=n)
-        new[is_target] = 1.0
-        return new, float(np.max(np.abs(new - values)))
+        new[targets] = 1.0
+        return new
 
     stats = {"states": n, "transitions": dtmc.transition_count}
     if horizon is not None:
         for _ in range(horizon):
-            x, _ = sweep(x)
+            x = sweep(x)
         stats["iterations"] = horizon
         return CheckResult(
             "probability",
@@ -892,7 +923,9 @@ def reach_probability_exact(
         )
 
     for iteration in range(1, max_iter + 1):
-        x, residual = sweep(x)
+        new = sweep(x)
+        residual = float(np.max(np.abs(new - x)))
+        x = new
         if residual < tol:
             stats["iterations"] = iteration
             return CheckResult(
@@ -991,23 +1024,34 @@ def _mc_chain(ma, policy, pred, horizon, trials, seed, bound, props_fn) -> int:
     Each step draws one uniform per live trial, in trial order, and moves it
     to the first successor whose cumulative row probability exceeds the
     uniform (``searchsorted(side="right")`` on the row, clipped to its last
-    entry). The search runs for all live trials at once, as a binary search
-    within each trial's row of one flat cumulative array.
+    entry). The search runs for all live trials at once over one flat
+    cumulative array in which every row is followed by a ``+inf`` sentinel:
+    ``pos``, the last entry known to be ``<= u`` (or the slot before the
+    row), moves by power-of-two steps while the entry it lands on is still
+    ``<= u``. A step past the row is clipped to its sentinel, which no
+    uniform passes, so it never leaves the row. The successor array has the
+    row's last successor in the sentinel's slot: that is the clip. The
+    steps add up to at least the longest row's length minus one: once
+    ``pos`` passes a row's second-to-last entry, its last successor is the
+    answer whatever the last entry holds.
     """
     import numpy as np
 
     store = _expand_chain(ma, policy, bound, horizon=horizon)
     target, offsets, successors, _ = _chain_arrays(store, map(props_fn, map(store.make_config, store.keys)), pred)
-    starts, ends = offsets[:-1], offsets[1:]
-    lengths = ends - starts
+    n_states = len(store.keys)
+    lengths = np.diff(offsets)
+    ends = offsets[1:] + np.arange(n_states)  # each row's sentinel slot in the padded arrays
     cumulative = np.fromiter(
         itertools.chain.from_iterable(
-            itertools.accumulate(store.edges(i)[0]) for i in range(len(store.keys))
+            itertools.chain(itertools.accumulate(store.edges(i)[0]), (math.inf,)) for i in range(n_states)
         ),
         dtype=float,
-        count=len(store.targets),
+        count=len(store.targets) + n_states,
     )
-    rounds = int(lengths.max()).bit_length()  # halvings that empty the longest row's interval
+    padded = np.insert(successors, offsets[1:], successors[offsets[1:] - 1])  # the last successor again
+    before = offsets[:-1] + np.arange(n_states) - 1  # the slot before each row
+    steps = [1 << k for k in reversed(range((int(lengths.max()) - 1).bit_length()))]
 
     hits = 0
     done = 0
@@ -1024,16 +1068,12 @@ def _mc_chain(ma, policy, pred, horizon, trials, seed, bound, props_fn) -> int:
                 break
             u = gen.random(count)
             cur_alive = cur[alive]
-            lo = starts[cur_alive]
-            hi = ends[cur_alive]
-            last = hi - 1
-            for _ in range(rounds):
-                mid = (lo + hi) >> 1
-                open_ = lo < hi
-                right = open_ & (cumulative[np.minimum(mid, len(cumulative) - 1)] <= u)
-                lo = np.where(right, mid + 1, lo)
-                hi = np.where(open_ & ~right, mid, hi)
-            nxt = successors[np.minimum(lo, last)]
+            pos = before[cur_alive]
+            end = ends[cur_alive]
+            for step in steps:
+                probe = np.minimum(pos + step, end)
+                pos = np.where(cumulative[probe] <= u, probe, pos)
+            nxt = padded[pos + 1]
             cur[alive] = nxt
             hit[alive] = target[nxt]
         hits += int(hit.sum())

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .cellular import CellularAutomaton, ProbabilisticCellularAutomaton, ca_run, pca_step
+from .cellular import CellularAutomaton, ProbabilisticCellularAutomaton, ca_run, pca_sampler
 from .checker import (
     CheckResult,
     DEFAULT_FLATTEN_BOUND,
@@ -231,6 +231,12 @@ def _report(result: CheckResult, fmt: str, extra: dict | None = None) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
+def _require_seed(args) -> None:
+    """Reject a negative ``--seed`` before any file is read, whatever the model kind."""
+    if args.seed is not None and args.seed < 0:
+        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
+
+
 def _cmd_validate(args) -> int:
     doc, diagnostics = parse_files(list(args.files))
     for diag in diagnostics:
@@ -256,13 +262,28 @@ def _simulate_ma(ma: MimicAutomaton, args):
                    f", output {_word_text(tick.output)!r}")
 
     def result():
+        lists: dict = {}  # lattice -> its list of cell texts, one list shared by every tick showing it
+        texts: dict = {}  # word -> its text
+
+        def listed(lattice) -> list[str]:
+            cells = lists.get(lattice)
+            if cells is None:
+                cells = lists[lattice] = [str(q) for q in lattice]
+            return cells
+
+        def text(word) -> str:
+            joined = texts.get(word)
+            if joined is None:
+                joined = texts[word] = _word_text(word)
+            return joined
+
         ticks = [
             {
                 "index": tick.index,
-                "input": _word_text(tick.macro_input),
-                "lattice_before": [str(q) for q in tick.lattice_before],
-                "lattice_after": [str(q) for q in tick.lattice_after],
-                "output": _word_text(tick.output),
+                "input": text(tick.macro_input),
+                "lattice_before": listed(tick.lattice_before),
+                "lattice_after": listed(tick.lattice_after),
+                "output": text(tick.output),
             }
             for tick in trace
         ]
@@ -323,8 +344,9 @@ def _simulate_ca(model: CellularAutomaton, args):
 def _simulate_pca(model: ProbabilisticCellularAutomaton, args):
     trace = [_read_lattice(model, args.input)]
     rng = master_stream(args.seed)
+    step = pca_sampler(model)
     for _ in range(args.steps):
-        trace.append(pca_step(model, trace[-1], rng))
+        trace.append(step(trace[-1], rng))
 
     def lines():
         yield f"model: {model.name}"
@@ -346,6 +368,7 @@ _SIMULATORS = (
 def _cmd_simulate(args) -> int:
     if args.steps < 0:
         raise _UsageError(f"--steps must be >= 0, got {args.steps}")
+    _require_seed(args)
     doc = _load(args.files)
     model = _resolve_model(doc, args.model)
     simulate = next((fn for kind, fn in _SIMULATORS if isinstance(model, kind)), None)
@@ -374,6 +397,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    _require_seed(args)
     doc = _load(args.files)
     model = _composite(doc, args.model, "a checkable model")
     prop = doc.properties.get(args.property_name)
@@ -396,6 +420,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_dhr(args) -> int:
+    _require_seed(args)
     doc = _load(args.files)
     model = _resolve_model(doc, args.model)
     if not isinstance(model, (DhrStructure, SerialDhr)):

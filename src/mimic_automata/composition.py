@@ -35,7 +35,7 @@ from .cellular import (
     ProbabilisticCellularAutomaton,
     ca_run,
     ca_step,
-    pca_step,
+    pca_sampler,
 )
 from .errors import (
     DimensionError,
@@ -460,9 +460,10 @@ def _unit_tables(ma: MimicAutomaton, binding: Binding, depth: int, canonical: bo
     run in index order, a run that raises is never stored, and an unmapped
     cell state raises its ``KeyError`` at its own cell. ``rebind(lattice,
     after)`` gives the ``_fresh_units`` of a lattice step, once per pair.
-    ``advance(lattice)`` gives a deterministic lattice's ``ca_step``
-    successor and its ``rebind``, once per lattice; a step that raises is
-    never stored.
+    ``advance(lattice, rng)`` gives the lattice step's successor and its
+    ``rebind``: a deterministic lattice's ``ca_step`` once per lattice (a
+    step that raises is never stored), a probabilistic one's sample every
+    call, from one ``pca_sampler`` that builds each lattice's rows once.
     """
     ca = ma.ca_set[binding.ca]
     unit_ids: dict = {}  # distinct units in first-seen order
@@ -510,7 +511,18 @@ def _unit_tables(ma: MimicAutomaton, binding: Binding, depth: int, canonical: bo
             fresh = fresh_of[(lattice, after)] = _fresh_units(ma, binding, lattice, after, depth)
         return fresh
 
-    def advance(lattice: Lattice) -> tuple[Lattice, tuple[tuple[int, object], ...]]:
+    if isinstance(ca, ProbabilisticCellularAutomaton):
+        sample = pca_sampler(ca)
+
+        def advance(lattice: Lattice, rng: np.random.Generator | None):
+            if rng is None:
+                raise MimicError(f"{binding.name}: probabilistic lattice step needs a random stream")
+            after = sample(lattice, rng)
+            return after, rebind(lattice, after)
+
+        return run, rebind, advance
+
+    def advance(lattice: Lattice, rng: np.random.Generator | None):
         move = moves.get(lattice)
         if move is None:
             after = ca_step(ca, lattice)
@@ -527,24 +539,18 @@ def _stepper(ma: MimicAutomaton, binding: Binding, depth: int):
     (``ca_from_sa``). ``step`` returns the next configuration and the last
     four fields of a ``MacroTick``, from one ``_unit_tables`` for all steps:
     a deterministic lattice steps once per distinct lattice, a probabilistic
-    one once per tick, and an inner run happens once per distinct seed.
+    one builds its rows once per distinct lattice and draws once per tick,
+    and an inner run happens once per distinct seed.
     """
     ca = ma.ca_set[binding.ca]
     run, rebind, advance = _unit_tables(ma, binding, depth, canonical=False)
 
     if binding.mode == MODE_SA_FROM_CA:
-        probabilistic = isinstance(ca, ProbabilisticCellularAutomaton)
 
         def step(cfg: MimicConfiguration, block: Word, rng: np.random.Generator | None):
             lattice = cfg.lattice
             ran, results = run(lattice, cfg.unit_states, block, rng)
-            if probabilistic:
-                if rng is None:
-                    raise MimicError(f"{binding.name}: probabilistic lattice step needs a random stream")
-                after = pca_step(ca, lattice, rng)
-                fresh = rebind(lattice, after)
-            else:
-                after, fresh = advance(lattice)
+            after, fresh = advance(lattice, rng)
             for i, unit_state in fresh:
                 ran[i] = unit_state
             new_cfg = MimicConfiguration(after, ran, cfg.macro_clock + 1, cfg.outer_state)

@@ -471,8 +471,8 @@ def _build_ca(b: _Block, doc: ModelDocument) -> CellularAutomaton | None:
             b.err("rule expr expects one of " + "|".join(BUILTIN_RULES), expr_f.line, expr_f.col)
             return None
         rule_expr = names[0]
-        try:
-            rule = builtin_rule_table(rule_expr, cell_states, radius)
+        try:  # a negative radius has no neighborhoods; validate_ca reports it
+            rule = builtin_rule_table(rule_expr, cell_states, radius) if radius >= 0 else {}
         except MimicError as exc:
             b.err(str(exc), expr_f.line, expr_f.col)
             return None

@@ -9,6 +9,7 @@ import random
 import time
 from functools import wraps
 
+import mimic_automata.cellular as cellular
 import mimic_automata.composition as composition
 from mimic_automata import (
     build_dtmc,
@@ -35,6 +36,7 @@ from mimic_automata.modelfile import parse, parse_files, serialize
 from mimic_automata.props import eval_predicate, parse_predicate
 
 from helpers import (
+    ALPHABET,
     DATA,
     MODELS,
     SIGNATURES,
@@ -44,6 +46,7 @@ from helpers import (
     flipper_sa,
     gen_document,
     gen_instance,
+    gen_pca_instance,
     identity_ca,
     parity_ma,
     plain,
@@ -102,44 +105,63 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_synchrony():
     rnd = random.Random(2187)
     real_ca_step = composition.ca_step
-    real_pca_step = composition.pca_step
-    checked = 0
+    real_pca_rows, real_pca_sample = cellular.pca_rows, cellular.pca_sample
+    pca_rnd = random.Random(2188)
+    instances = itertools.chain(
+        (gen_instance(rnd) for _ in range(300)),
+        # the generated instances have deterministic roots: 40 more with a random PCA root
+        ((*gen_pca_instance(pca_rnd), [(pca_rnd.choice(ALPHABET),)] * 30) for _ in range(40)),
+    )
+    checked = sampled_runs = 0
     try:
-        for _ in range(300):
-            ma, lattice0, schedule = gen_instance(rnd)
+        for ma, lattice0, schedule in instances:
             root_ca = ma.ca_set[ma.root().ca]
-            stepped, sampled = [], []  # the lattices the root's ca_step and pca_step were called on
+            stepped, rowed = [], []  # the lattices the root's ca_step and pca_rows were called on
+            root_rows, sampled = [], []  # the rows pca_rows built for the root; the rows each draw used
 
             def counting_ca(ca, lattice, _root=root_ca, _calls=stepped):
                 if ca is _root:
                     _calls.append(lattice)
                 return real_ca_step(ca, lattice)
 
-            def counting_pca(pca, lattice, rng, _root=root_ca, _calls=sampled):
+            def counting_rows(pca, lattice, *rest, _root=root_ca, _calls=rowed, _built=root_rows):
+                rows = real_pca_rows(pca, lattice, *rest)
                 if pca is _root:
                     _calls.append(lattice)
-                return real_pca_step(pca, lattice, rng)
+                    _built.append(rows)
+                return rows
+
+            def counting_sample(rows, rng, _calls=sampled):
+                _calls.append(rows)
+                return real_pca_sample(rows, rng)
 
             composition.ca_step = counting_ca
-            composition.pca_step = counting_pca
+            cellular.pca_rows = counting_rows
+            cellular.pca_sample = counting_sample
             final, trace = ma_run(ma, ma_initial(ma, lattice0), schedule)
             assert final.macro_clock == len(schedule), "macro clock must equal schedule length"
             if ma.root().mode == "sa_from_ca":
+                befores = {tick.lattice_before for tick in trace}
                 if isinstance(root_ca, ProbabilisticCellularAutomaton):
-                    assert len(sampled) == len(schedule), "exactly one sampled lattice step per tick"
+                    draws = [rows for rows in sampled if any(rows is built for built in root_rows)]
+                    assert len(draws) == len(schedule), "exactly one sampled lattice step per tick"
+                    assert len(rowed) == len(set(rowed)) == len(befores), \
+                        "sampling rows built once per distinct lattice"
+                    assert set(rowed) == befores
+                    sampled_runs += 1
                 else:
                     for tick in trace:
                         assert tick.lattice_after == ref_ca_step(root_ca, tick.lattice_before), \
                             "every tick is exactly one lattice step"
-                    befores = {tick.lattice_before for tick in trace}
                     assert len(stepped) == len(set(stepped)) == len(befores), \
                         "one lattice step per distinct lattice"
                     assert set(stepped) == befores
             checked += 1
     finally:
         composition.ca_step = real_ca_step
-        composition.pca_step = real_pca_step
-    return f"{checked} runs, zero violations"
+        cellular.pca_rows, cellular.pca_sample = real_pca_rows, real_pca_sample
+    assert sampled_runs == 40
+    return f"{checked} runs ({sampled_runs} sampled), zero violations"
 
 
 @criterion(3, "lattice rule correctness")

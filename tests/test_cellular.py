@@ -135,6 +135,15 @@ def test_validate_flags_incomplete_rule():
     assert any(v.invariant == "rule-totality" for v in report)
 
 
+def test_validate_flags_an_unknown_boundary_kind_built_in_the_library():
+    # the text format builds only periodic and fixed boundaries
+    ca = CellularAutomaton("wrap", ("0", "1"), 2, 1, boundary="wrap", rule=identity_ca(width=2).rule)
+    pca = ProbabilisticCellularAutomaton("wrap", ("0", "1"), 2, 1, boundary="wrap",
+                                         rule=uniform_pca("u", width=2).rule)
+    for report in (validate_ca(ca), validate_pca(pca)):
+        assert [str(v) for v in report] == ["[boundary-kind] wrap: unknown boundary 'wrap'"]
+
+
 # --- probabilistic ----------------------------------------------------------
 
 def test_point_mass_behaves_deterministically():

@@ -11,6 +11,7 @@ hits.
 
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -332,7 +333,21 @@ def assert_sweeps_are_reference(dtmc, target, **kwargs):
     assert type(got.probability) is float and type(got.error_bound) is float
 
 
+def reference_prob0(dtmc, target):
+    """The states that cannot reach a target state, by iterating predecessors to a fixpoint."""
+    pred = parse_predicate(target)
+    rows = dict(dtmc.rows)
+    reaching = {sid for sid in rows if eval_predicate(pred, dtmc.atomic_props[sid])}
+    grown = True
+    while grown:
+        before = len(reaching)
+        reaching |= {sid for sid, row in rows.items() if any(tid in reaching for tid, _ in row)}
+        grown = len(reaching) > before
+    return set(rows) - reaching
+
+
 def test_sweeps_match_the_per_state_loop_bit_for_bit():
+    pruned_states = pruned_edges = pruned_chains = 0
     for seed, ma, lattice0, policies in generated(40):
         rnd = random.Random(1000 + seed)
         dtmc = build_dtmc(ma, policies[1], lattice0=lattice0)
@@ -340,11 +355,78 @@ def test_sweeps_match_the_per_state_loop_bit_for_bit():
         for target in rnd.sample(atoms, min(3, len(atoms))):
             assert_sweeps_are_reference(dtmc, target, max_iter=3_000)
             assert_sweeps_are_reference(dtmc, target, horizon=rnd.randint(0, 30))
+            # the sweeps leave out these states and every edge into them
+            prob0 = reference_prob0(dtmc, target)
+            into = sum(tid in prob0 for sid, row in dtmc.rows.items() if sid not in prob0 for tid, _ in row)
+            pruned_states += len(prob0)
+            pruned_edges += into
+            pruned_chains += bool(prob0) and into > 0
+    assert pruned_chains >= 10 and pruned_states >= 1_000 and pruned_edges >= 500  # 17, 2,600 and 848
     ma, props = corpus_flip()
     dtmc = build_dtmc(ma, ("a",))
     for name in ("hit_one", "hit_one_unbounded"):
         assert_sweeps_are_reference(dtmc, "lattice_has(1)", horizon=props[name].horizon)
     assert_sweeps_are_reference(dtmc, "lattice_has(1)", tol=1e-12, max_iter=3)  # ConvergenceError
+
+
+def test_an_unreachable_target_has_probability_zero_after_one_sweep():
+    # every state is prob0, so every edge is left out of the sweeps
+    absorbed = build_dtmc(flip_ma(), ("a",), lattice0=("1",))  # 1 is absorbing
+    assert reference_prob0(absorbed, "lattice_has(0)") == set(absorbed.states)
+    contradiction = build_dtmc(flip_ma(), ("a",))
+    for dtmc, target in ((absorbed, "lattice_has(0)"), (contradiction, "lattice_has(0) and lattice_has(1)")):
+        assert_sweeps_are_reference(dtmc, target)
+        assert_sweeps_are_reference(dtmc, target, horizon=5)
+        result = reach_probability_exact(dtmc, target)
+        assert (result.probability, result.error_bound, result.stats["iterations"]) == (0.0, 0.0, 1)
+
+
+def path_ma(length):
+    """A flip cell whose state 0 hosts a ``length``-state counter and 1 a sink.
+
+    Each tick the counter moves on with probability one half and the cell
+    is absorbed into the sink otherwise, so the chain is a path of
+    ``length`` states, each with an edge to the one prob0 state.
+    """
+    counter = make_sa("count", [f"c{i}" for i in range(length)], "c0", ("c0",), ("a",),
+                      delta=[(f"c{i}", "a", f"c{min(i + 1, length - 1)}") for i in range(length)])
+    sink = make_sa("sink", ("s",), "s", ("s",), ("a",), delta=[("s", "a", "s")])
+    b = Binding("b", MODE_SA_FROM_CA, "flip", {"0": SaUnit("count"), "1": SaUnit("sink")}, seed=("0",))
+    return MimicAutomaton("path", {"count": counter, "sink": sink}, {"flip": flip_pca()}, {}, {"b": b}, "b")
+
+
+def test_sweeps_on_a_path_chain_and_a_linear_backward_search(monkeypatch):
+    length = 300
+    dtmc = build_dtmc(path_ma(length), ("a",))
+    target = f"cell0_state(c{length - 1})"
+    assert len(dtmc.states) == length + 1
+    assert reference_prob0(dtmc, target) == {"s2"}  # the sink, found second
+    swept = []  # the edge count of every sweep
+    bincount = np.bincount
+
+    def counting(rows, *args, **kwargs):
+        swept.append(len(rows))
+        return bincount(rows, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counting)
+    assert_sweeps_are_reference(dtmc, target, max_iter=3_000)
+    monkeypatch.undo()
+    # only the path's edges: not the target's or the sink's self-loop, nor the edges into the sink
+    assert set(swept[1:]) == {length - 1}  # the first call builds the backward search's offsets
+    assert_sweeps_are_reference(dtmc, target, horizon=length + 5)
+    assert reach_probability_exact(dtmc, target, horizon=length + 5).probability == 0.5 ** (length - 1)
+
+    # a 200,000-state path is 200,000 levels deep: a search that paid for
+    # every state (or even a numpy call) per level would take seconds to minutes
+    n = 200_000
+    rows = np.arange(n - 1)
+    last, first = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    last[-1] = first[0] = True
+    started = time.perf_counter()
+    reached = checker._reaching(last, rows, rows + 1)
+    assert time.perf_counter() - started < 1.0
+    assert reached.all()
+    assert np.flatnonzero(checker._reaching(first, rows, rows + 1)).tolist() == [0]  # edges point forward
 
 
 def test_sweeps_on_a_uniform_chain_with_inexact_floats():
@@ -457,6 +539,26 @@ def test_sampler_breaks_ties_like_searchsorted_right(monkeypatch):
             want = reference_hits(ma, ("a",), "lattice_has(1)", horizon, trials, 2, stream=BoundaryStream)
             assert result.stats["hits"] == want[0]
     assert reach_probability_mc(flip_ma(), ("a",), "lattice_has(1)", 1, trials=1, seed=0).stats["hits"] == 1
+
+
+@pytest.mark.parametrize("states, width, longest", [
+    (4, 1, 4), (5, 1, 5), (2, 3, 8), (3, 2, 9), (2, 1, 2), (3, 1, 3),
+])
+def test_sampler_on_rows_of_a_power_of_two_entries_and_one_more(monkeypatch, states, width, longest):
+    # the search takes just enough power-of-two steps for the longest row
+    qs = tuple(str(i) for i in range(states))
+    idle = make_sa("idle", ("s", "t"), "s", ("s",), ("a",), delta=[("s", "a", "t"), ("t", "a", "s")])
+    b = Binding("b", MODE_SA_FROM_CA, "u", {q: SaUnit("idle") for q in qs}, seed=("0",) * width)
+    pca = uniform_pca("u", width=width, states=qs)
+    ma = MimicAutomaton("m", {"idle": idle}, {"u": pca}, {}, {"b": b}, "b")
+    assert max(len(row) for row in build_dtmc(ma, ("a",)).rows.values()) == longest
+    target = f"lattice_has({qs[-1]}) and cell0_state(t)"
+    for stream in (derive_stream, BoundaryStream):  # quarters and eighths tie with BoundaryStream's values
+        monkeypatch.setattr(checker, "derive_stream", stream)
+        for horizon, trials, mc_seed in ((1, 40, 3), (5, 3_000, 4)):
+            result = reach_probability_mc(ma, ("a",), target, horizon, trials=trials, seed=mc_seed)
+            want = reference_hits(ma, ("a",), target, horizon, trials, mc_seed, stream=stream)[0]
+            assert result.stats["hits"] == want, f"{stream.__name__}, horizon {horizon}"
 
 
 # --- Monte Carlo fallback ----------------------------------------------------

@@ -218,6 +218,17 @@ def test_simulate_json_shape_and_trace_file(capsys, tmp_path):
     assert len(saved["ticks"]) == 2
 
 
+def test_simulate_json_shares_one_list_per_distinct_lattice_and_one_text_per_word():
+    doc, _ = parse_files([FLIP])
+    args = cli._build_parser().parse_args(["simulate", FLIP, "--model", "flip_ma", "--input", "a",
+                                           "--steps", "40", "--seed", "3", "--format", "json"])
+    ticks = cli._simulate_ma(doc.mas["flip_ma"], args)[1]()["ticks"]
+    lists = {id(tick[key]) for tick in ticks for key in ("lattice_before", "lattice_after")}
+    assert len(lists) == len({tuple(tick["lattice_before"]) for tick in ticks} |
+                             {tuple(tick["lattice_after"]) for tick in ticks}) == 2
+    assert len({id(tick["input"]) for tick in ticks}) == 1
+
+
 def test_simulate_plain_sa_and_ca(capsys):
     code, out, _ = run(capsys, ["simulate", PARITY, "--model", "parity",
                                 "--input", "101", "--steps", "0"])
@@ -431,6 +442,40 @@ def test_simulate_rejects_negative_steps(capsys, path, model, word):
     assert code == 3
     assert out == ""
     assert err == "ma: error: --steps must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("path, model, word", [
+    (PARITY, "parity_ma", "1"),  # ma
+    (FLIP, "flip_ma", "a"),  # ma with a probabilistic lattice
+    (DHR, "echo3", "a"),  # dhr
+    (FLIP, "flip", "0"),  # pca
+    (PARITY, "ident1", "0"),  # ca
+    (PARITY, "parity", "1"),  # sa
+])
+def test_simulate_rejects_a_negative_seed(capsys, path, model, word):
+    # rejected before any file is read: a pca run used to fail inside numpy,
+    # and the deterministic kinds ignored the seed and exited 0
+    code, out, err = run(capsys, ["simulate", path, "--model", model,
+                                  "--input", word, "--steps", "2", "--seed", "-1"])
+    assert (code, out, err) == (3, "", "ma: error: --seed must be >= 0, got -1\n")
+
+
+@pytest.mark.parametrize("path, model, prop, extra", [
+    (PARITY, "parity_ma", "even_always", []),  # flattened: the seed is never used
+    (FLIP, "flip_ma", "hit_one", []),  # exact chain
+    (FLIP, "flip_ma", "hit_one", ["--trials", "100"]),  # Monte Carlo
+    ("/nonexistent/model.ma", "flip_ma", "hit_one", ["--trials", "100"]),  # before any file is read
+])
+def test_check_rejects_a_negative_seed(capsys, path, model, prop, extra):
+    code, out, err = run(capsys, ["check", path, "--model", model, "--property", prop,
+                                  *extra, "--seed", "-1"])
+    assert (code, out, err) == (3, "", "ma: error: --seed must be >= 0, got -1\n")
+
+
+@pytest.mark.parametrize("model", ["echo3", "nonexistent"])
+def test_dhr_rejects_a_negative_seed(capsys, model):
+    code, out, err = run(capsys, ["dhr", DHR, "--model", model, "--input", "a", "--seed", "-1"])
+    assert (code, out, err) == (3, "", "ma: error: --seed must be >= 0, got -1\n")
 
 
 @pytest.mark.parametrize("message", ["boom", "two\nlines"])

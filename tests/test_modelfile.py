@@ -306,6 +306,44 @@ def test_readout_table_totality_is_validated():
     assert any("readout-totality" in d.message for d in diags)
 
 
+def test_a_readout_table_over_4096_lattices_is_refused():
+    # 2 states on 13 cells: 8,192 lattices, too many to list
+    text = MODE2_TABLE_DOC.replace("  width: 2\n", "  width: 13\n")
+    text = text.replace("  seed: 0 1\n", "  seed:" + " 0" * 13 + "\n")
+    _, diags = parse(text)
+    violation = "[readout-table-size] binding stepper: 8192 lattices; use a cell or parity readout"
+    assert [d.message for d in diags] == [f"binding stepper: {violation}", f"ma stepper_ma: {violation}"]
+
+
+LATTICE_BLOCK = """
+{kind} c {{
+  cell_states: 0 1
+  width: 2
+  radius: 1
+  boundary: periodic
+  {rule}
+}}
+"""
+RULES = {"ca": "rule expr: identity", "pca": "rule table:\n    0 0 0 -> 0@1"}
+
+
+@pytest.mark.parametrize("kind", ["ca", "pca"])
+@pytest.mark.parametrize("line, value, violation", [
+    ("width: 2", "width: 0", "[width-positive] c: width 0 must be >= 1"),
+    ("radius: 1", "radius: 0", "[radius-positive] c: radius 0 must be >= 1"),
+    # a builtin rule used to be expanded first, and itertools refused the
+    # negative repeat without naming a file or line
+    ("radius: 1", "radius: -1", "[radius-positive] c: radius -1 must be >= 1"),
+    ("cell_states: 0 1", "cell_states: 0 1 0", "[unique-cell-states] c: duplicate cell states"),
+    ("boundary: periodic", "boundary: fixed 2", "[boundary-value] c: fixed value '2' not a cell state"),
+])
+def test_lattice_shape_checks_are_reported_through_the_text_format(kind, line, value, violation):
+    text = LATTICE_BLOCK.format(kind=kind, rule=RULES[kind]).replace(line, value)
+    _, diags = parse(text)
+    shape = [d for d in diags if d.message.startswith(f"{kind} c: [")]
+    assert [(d.line, d.message) for d in shape] == [(2, f"{kind} c: {violation}")]
+
+
 def test_a_repeated_table_line_is_reported_at_that_line():
     text = MODE2_TABLE_DOC.replace("    1 1 -> 0\n", "    1 1 -> 0\n    1 1 -> 1\n")
     _, diags = parse(text, "r.ma")

@@ -5,11 +5,12 @@
 each (unit, unit state, block) of a plain or hierarchical unit once, builds
 the fresh units of each (lattice, successor lattice) once, builds each
 nested binding's stepper once, steps each deterministic lattice and runs
-each inner seed lattice once, and samples a probabilistic lattice once per
-tick. These tests fold the reference interpreter's tick over long schedules
-and require every tick and the final configuration, clocks included; they
-count the work, pin the first error, and check the padded
-``ca_step``/``pca_step`` against the ``neighborhood_of`` form.
+each inner seed lattice once, builds each probabilistic lattice's sampling
+rows once and draws once per tick. These tests fold the reference
+interpreter's tick over long schedules and require every tick and the
+final configuration, clocks included; they count the work, pin the first
+error, and check the padded ``ca_step``/``pca_step`` against the
+``neighborhood_of`` form.
 """
 
 import itertools
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mimic_automata.cellular as cellular
 import mimic_automata.composition as composition
 import mimic_automata.dhr as dhr
 from mimic_automata import (
@@ -303,8 +305,15 @@ def test_each_pure_run_happens_once_and_each_lattice_steps_once(monkeypatch):
 
 
 def test_steps_and_inner_runs_happen_once_per_lattice_and_samples_once_per_tick(monkeypatch):
-    calls = {"ca_step": [], "ca_run": [], "pca_step": []}  # per function: (automaton, lattice) per call
-    real = {name: getattr(composition, name) for name in calls}
+    calls = {"ca_step": [], "ca_run": [], "pca_rows": []}  # per function: (automaton, lattice) per call
+    modules = {"ca_step": composition, "ca_run": composition, "pca_rows": cellular}
+    real = {name: getattr(modules[name], name) for name in calls}
+    draws = []  # the rows of each pca_sample call
+    real_sample = cellular.pca_sample
+
+    def counting_sample(rows, rng):
+        draws.append(rows)
+        return real_sample(rows, rng)
 
     def counting(name):
         def call(ca, lattice, *rest):
@@ -314,7 +323,8 @@ def test_steps_and_inner_runs_happen_once_per_lattice_and_samples_once_per_tick(
         return call
 
     for name in calls:
-        monkeypatch.setattr(composition, name, counting(name))
+        monkeypatch.setattr(modules[name], name, counting(name))
+    monkeypatch.setattr(cellular, "pca_sample", counting_sample)
     flavors = set()
     for seed in range(80):
         rnd = random.Random(seed)
@@ -335,7 +345,7 @@ def test_steps_and_inner_runs_happen_once_per_lattice_and_samples_once_per_tick(
         # every binding has its own automaton and each run holds one stepper per binding
         assert len(calls["ca_step"]) == len(set(calls["ca_step"])), f"seed {seed}"
         assert len(calls["ca_run"]) == len(set(calls["ca_run"])), f"seed {seed}"
-        assert calls["pca_step"] == []
+        assert calls["pca_rows"] == draws == []
         if binding.mode == MODE_SA_FROM_CA:
             root = [lattice for ca, lattice in calls["ca_step"] if ca == binding.ca]
             assert set(root) == {tick.lattice_before for tick in trace}, f"seed {seed}"
@@ -349,12 +359,16 @@ def test_steps_and_inner_runs_happen_once_per_lattice_and_samples_once_per_tick(
         rnd = random.Random(seed)
         ma, lattice0 = gen_pca_instance(rnd)
         schedule = long_schedule(rnd, ticks=40)
-        calls["pca_step"].clear()
+        calls["pca_rows"].clear()
+        draws.clear()
         try:
             _, trace = ma_run(ma, ma_initial(ma, lattice0), schedule, seed=seed)
         except (KeyError, InputRejectedError):
             continue
-        assert calls["pca_step"] == [(ma.root().ca, tick.lattice_before) for tick in trace], f"seed {seed}"
+        befores = [(ma.root().ca, tick.lattice_before) for tick in trace]
+        assert calls["pca_rows"] == list(dict.fromkeys(befores)), f"seed {seed}"  # first-seen order
+        assert len(draws) == len(trace), f"seed {seed}"
+        assert len(set(befores)) < len(befores)
         sampled += 1
     assert sampled >= 10
 
@@ -503,6 +517,20 @@ def outcome(fn, *args):
         return fn(*args)
     except KeyError as exc:
         return ("KeyError", exc.args)
+
+
+def test_pca_step_scans_an_unchecked_rule_like_the_reference():
+    # a negative or NaN probability makes the sums fall or stay NaN; each
+    # cell still takes the first successor whose sum exceeds its uniform
+    rows = [(("0", 0.5), ("1", -0.3), ("2", 0.8)), (("0", 0.2), ("1", float("nan")), ("2", 0.8)),
+            (("0", float("nan")), ("1", 1.0)), (("0", 0.3), ("1", 0.3), ("2", -0.2), ("0", 0.6))]
+    for row in rows:
+        pca = ProbabilisticCellularAutomaton("p", ("0", "1", "2"), 3, 1,
+                                             rule={nb: row for nb in itertools.product("012", repeat=3)})
+        for seed in range(60):
+            lattice = tuple(random.Random(seed).choice("012") for _ in range(3))
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert pca_step(pca, lattice, rng) == ref_pca_step(pca, lattice, ref_rng), (row, seed)
 
 
 @settings(max_examples=300, deadline=None)
