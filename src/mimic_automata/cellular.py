@@ -168,6 +168,8 @@ def validate_pca(pca: ProbabilisticCellularAutomaton) -> list[Violation]:
                 report.append(
                     Violation("probability-sign", repr(neighborhood), f"negative probability {prob}")
                 )
+            elif prob != prob:  # NaN fails every comparison, the sign's and the sum's too
+                report.append(Violation("probability-nan", repr(neighborhood), "probability is not a number"))
             total += prob
         if abs(total - 1.0) > PROB_TOL:
             report.append(

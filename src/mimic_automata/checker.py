@@ -81,13 +81,20 @@ def render_word(word: Word | None) -> str:
 
 @dataclass(frozen=True)
 class Action:
-    """One macro transition label: the macro input and the observable output."""
+    """One macro transition label: the macro input and the observable output.
+
+    The output's label text is rendered once, when the Action is built, and
+    kept outside the fields: equality, hash and repr read the two fields only.
+    """
 
     macro_input: tuple
     output: Word | None
 
+    def __post_init__(self):
+        object.__setattr__(self, "_label", render_word(self.output))
+
     def label(self) -> str:
-        return render_word(self.output)
+        return self._label
 
 
 @dataclass(frozen=True)
@@ -493,24 +500,20 @@ def _bfs_search(start, successors, want, bound: float = math.inf) -> tuple[objec
     return None, parents
 
 
-def _graph(ts: TransitionSystem) -> tuple[object, Callable, Callable, Callable]:
-    """``(start, successors, props, name)`` of ``ts`` for ``_bfs_search``.
+def _graph(ts: TransitionSystem) -> tuple[_Store, Callable, Callable]:
+    """``(store, props, name)`` of ``ts``: a ``_Store`` whose index 0 is ``ts.initial``.
 
-    On ``flatten``'s views the nodes are store indices: successors are the
-    CSR slices, propositions the view's ``value(i)``, and ``name`` makes the
-    ``s<i>`` names, for a returned path only. Plain-dict systems (hand-built,
-    ``product``) use their names as nodes.
+    ``flatten``'s views already hold one, and ``name`` makes the ``s<i>``
+    names, for a returned path only. A plain-dict system (hand-built,
+    ``product``) is first interned by name through ``_explore``,
+    breadth-first from ``ts.initial``, and ``name`` gives the names back.
+    ``props(index)`` is the state's propositions.
     """
-    if isinstance(ts.transitions, _StoreView) and isinstance(ts.atomic_props, _StoreView):
-        store = ts.transitions.store
-        offsets, targets, labels = store.offsets, store.targets, store.labels
-
-        def successors(index: int):
-            lo, hi = offsets[index], offsets[index + 1]
-            return zip(labels[lo:hi], targets[lo:hi])
-
-        return ts.transitions._index(ts.initial), successors, ts.atomic_props.value, _name
-    return ts.initial, lambda sid: ts.transitions.get(sid, ()), ts.atomic_props.__getitem__, lambda sid: sid
+    rows, props = ts.transitions, ts.atomic_props
+    if isinstance(rows, _StoreView) and isinstance(props, _StoreView) and ts.initial == "s0":
+        return rows.store, props.value, _name
+    store = _explore(ts.initial, ts.states.__getitem__, lambda _, sid, __: rows.get(sid, ()), math.inf)
+    return store, lambda index: props[store.keys[index]], store.keys.__getitem__
 
 
 def _path_to(goal, parents: dict, name: Callable) -> Path:
@@ -530,8 +533,10 @@ def _search_states(ts: TransitionSystem, target: Pred | str, holds: bool) -> tup
     """Shortest path to the first state where ``target`` is ``holds`` (or None), and the stats."""
     pred = _as_predicate(target)
     check_vocabulary(pred, ts.vocabulary)
-    start, successors, props, name = _graph(ts)
-    hit, parents = _bfs_search(start, successors, lambda node: eval_predicate(pred, props(node)) == holds)
+    store, props, name = _graph(ts)
+    hit, parents = _bfs_search(
+        0, lambda index: zip(*store.edges(index)), lambda index: eval_predicate(pred, props(index)) == holds
+    )
     path = None if hit is None else _path_to(hit, parents, name)
     return path, {"states": len(ts.states), "transitions": ts.transition_count}
 
@@ -638,10 +643,7 @@ def product(
 
 
 def _monitor_witness(
-    ts: TransitionSystem,
-    pattern: SequentialAutomaton,
-    labels: dict[Action, str],
-    bound: int = DEFAULT_FLATTEN_BOUND,
+    ts: TransitionSystem, pattern: SequentialAutomaton, bound: int = DEFAULT_FLATTEN_BOUND
 ) -> Path | None:
     """Shortest base-state path driving the monitor into a final state, or None.
 
@@ -650,46 +652,34 @@ def _monitor_witness(
     only on that pair, so the pairs are visited in the product's discovery
     order and the path is the product's witness mapped to its base states.
     It stops at the first final pair and builds no product states, rows or
-    propositions. ``labels`` memoises ``Action.label`` and may be shared
-    across patterns. Holding more than ``bound`` pairs raises ExplosionError.
+    propositions. Holding more than ``bound`` pairs raises ExplosionError.
     """
     alphabet = set(pattern.input_alphabet)
     moves = pattern.transitions
-    base, base_successors, _, name = _graph(ts)
+    store, _, name = _graph(ts)
 
     def successors(node):
         sid, pat = node
-        for action, tid in base_successors(sid):
-            label = labels.get(action)
-            if label is None:
-                label = labels[action] = action.label()
+        labels, targets = store.edges(sid)
+        for action, tid in zip(labels, targets):
+            label = action.label()
             # monitor convention, as in ``product``: unmentioned labels self-loop
             yield action, (tid, moves.get((pat, label), pat) if label in alphabet else pat)
 
-    start = (base, pattern.initial)
-    hit, parents = _bfs_search(start, successors, lambda node: node[1] in pattern.finals, bound)
+    hit, parents = _bfs_search((0, pattern.initial), successors, lambda node: node[1] in pattern.finals, bound)
     return None if hit is None else _path_to(hit, parents, lambda node: name(node[0]))
 
 
-def _unmatchable(ts: TransitionSystem, labels: dict[Action, str], bound: float):
+def _unmatchable(ts: TransitionSystem, bound: float):
     """A test of the monitors ``_monitor_witness`` would search to None within ``bound``.
 
-    Each distinct Action on an edge of ``ts`` is labelled once, through the
-    ``labels`` memo. A monitor passes when the states it reaches from its
-    initial state on those labels (unmentioned labels self-loop) hold no
-    final state and ``len(ts.states)`` times their number is at most
+    A monitor passes when the states it reaches from its initial state on
+    the labels of the reachable edges (unmentioned labels self-loop) hold no
+    final state and the reachable states times their number is at most
     ``bound``: every pair the search could visit lies within them.
     """
-    if isinstance(ts.transitions, _StoreView):
-        actions = ts.transitions.store.labels
-    else:
-        actions = [action for edges in ts.transitions.values() for action, _ in edges]
-    emitted = set()
-    for action in dict(zip(map(id, actions), actions)).values():  # the Actions are shared objects
-        label = labels.get(action)
-        if label is None:
-            label = labels[action] = action.label()
-        emitted.add(label)
+    store = _graph(ts)[0]
+    emitted = {action.label() for action in store.labels}
 
     def unmatchable(pattern: SequentialAutomaton) -> bool:
         usable = emitted.intersection(pattern.input_alphabet)
@@ -697,7 +687,7 @@ def _unmatchable(ts: TransitionSystem, labels: dict[Action, str], bound: float):
         while frontier:
             reach |= frontier
             frontier = {pattern.transitions.get((q, label), q) for q in frontier for label in usable} - reach
-        return reach.isdisjoint(pattern.finals) and len(ts.states) * len(reach) <= bound
+        return reach.isdisjoint(pattern.finals) and len(store.keys) * len(reach) <= bound
 
     return unmatchable
 
@@ -893,6 +883,8 @@ def reach_probability_exact(
     """
     import numpy as np
 
+    if not (math.isfinite(tol) and tol > 0):  # a residual is never below 0 or NaN
+        raise ValueError(f"tol must be a finite number > 0, got {tol}")
     _require_horizon(horizon)
     pred = _as_predicate(target)
     check_vocabulary(pred, dtmc.vocabulary)
@@ -1179,9 +1171,8 @@ def check_property(
             return CheckResult("violated", stats=result.stats)  # the witness is a shortest one
         return result
     if prop.kind == BAD_PREFIX:
-        labels: dict[Action, str] = {}
-        unmatchable = _unmatchable(ts, labels, bound)(prop.pattern)
-        witness = None if unmatchable else _monitor_witness(ts, prop.pattern, labels, bound)
+        unmatchable = _unmatchable(ts, bound)(prop.pattern)
+        witness = None if unmatchable else _monitor_witness(ts, prop.pattern, bound)
         stats = {"states": len(ts.states), "transitions": ts.transition_count, "pattern": prop.pattern.name}
         if witness is None:
             return CheckResult("holds", stats=stats)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .cellular import CellularAutomaton, ProbabilisticCellularAutomaton, ca_run, pca_sampler
@@ -398,6 +399,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_check(args) -> int:
     _require_seed(args)
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise _UsageError(f"--tol must be a finite number > 0, got {args.tol}")
     doc = _load(args.files)
     model = _composite(doc, args.model, "a checkable model")
     prop = doc.properties.get(args.property_name)

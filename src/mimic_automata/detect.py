@@ -6,7 +6,7 @@ searches each signature's (state, monitor state) pairs breadth-first on the
 fly, without building a product graph, and stops at the first final pair; a
 match comes with a shortest witness trace that replays on the model. The
 search runs on the flattened store's indices and names only the witness.
-Each action's label is computed once for all signatures.
+Each action carries its label, rendered once when the action is built.
 
 A signature is not searched when the monitor states reachable on the labels
 the model emits hold no final state and the flattened states times those
@@ -85,11 +85,10 @@ def detect(
     """
     if ts is None:
         ts = flatten(ma, input_universe, bound=bound)
-    labels: dict = {}  # one label per distinct action, shared by every signature
-    unmatchable = _unmatchable(ts, labels, bound)
+    unmatchable = _unmatchable(ts, bound)
     results = []
     for sig in signatures:
-        witness = None if unmatchable(sig.pattern) else _monitor_witness(ts, sig.pattern, labels, bound)
+        witness = None if unmatchable(sig.pattern) else _monitor_witness(ts, sig.pattern, bound)
         results.append(SignatureResult(sig.id, sig.severity, witness is not None, witness))
     return DetectionReport(
         model=ma.name,

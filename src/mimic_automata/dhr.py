@@ -398,13 +398,8 @@ def dhr_run(
     emitting its abstention report.
     """
     if isinstance(target, SerialDhr):
-        _, ticks = serial_run(target, schedule, seed=seed)
-        reports: list[DhrStepReport] = []
-        for tick in ticks:
-            reports.append(tick.stage_reports[-1])
-            if tick.aborted_at is not None:
-                break
-        return reports
+        _, ticks = serial_run(target, schedule, seed=seed)  # it stops after an aborted tick
+        return [tick.stage_reports[-1] for tick in ticks]
     ma = target.automaton
     rng = master_stream(seed) if has_randomness(ma) else None
     cfg = dhr_initial(target)

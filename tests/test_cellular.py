@@ -213,6 +213,15 @@ def test_validate_flags_bad_normalization():
     assert any(v.invariant == "normalization" for v in report)
 
 
+def test_validate_flags_a_nan_probability_at_its_neighborhood():
+    # NaN is neither negative nor off the sum's tolerance: every comparison with it is false
+    rule = {nb: (("0", 0.5), ("1", 0.5)) for nb in itertools.product("01", repeat=3)}
+    rule["0", "1", "0"] = (("0", float("nan")), ("1", 1.0))
+    pca = ProbabilisticCellularAutomaton("nan", ("0", "1"), 2, 1, rule=rule)
+    report = validate_pca(pca)
+    assert [(v.invariant, v.subject) for v in report] == [("probability-nan", repr(("0", "1", "0")))]
+
+
 @given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from("01"), min_size=3, max_size=3))
 def test_distribution_sums_to_one_on_reachable_lattices(seed, cells):
     pca = uniform_pca(width=3)

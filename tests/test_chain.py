@@ -625,3 +625,12 @@ def test_mc_unit_error_during_expansion_propagates(monkeypatch):
     result = reach_probability_mc(ma, ("a",), "lattice_has(1)", 1, trials=100, seed=1)
     assert result.method == "monte-carlo"
     assert result.stats["hits"] == reference_hits(ma, ("a",), "lattice_has(1)", 1, 100, 1)[0]
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("horizon", [None, 3])
+def test_exact_reach_rejects_a_tol_that_is_not_a_finite_positive_number(tol, horizon):
+    # a tol of 0 or below is never met, even by an exact fixpoint: the sweeps ran to max_iter
+    dtmc = build_dtmc(flip_ma(), ("a",))
+    with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+        reach_probability_exact(dtmc, "lattice_has(1)", tol=tol, horizon=horizon)

@@ -4,9 +4,10 @@ import json
 import pytest
 
 import mimic_automata.cli as cli
-from mimic_automata import dhr_run, inject_fault
+from mimic_automata import dhr_run, inject_fault, pca_step
 from mimic_automata.cli import main
 from mimic_automata.modelfile import parse_files
+from mimic_automata.rng import master_stream
 
 from helpers import DATA, MODELS, SIGNATURES
 
@@ -46,6 +47,17 @@ def test_validate_reports_a_file_that_is_not_utf8_and_reads_the_others(capsys, t
     assert err.splitlines() == [f"{bad}:1:1: cannot read file: 'utf-8' codec can't decode byte 0xff "
                                 "in position 0: invalid start byte"]
     assert out == ""
+
+
+def test_validate_and_simulate_reject_a_nan_probability_at_its_block(capsys, tmp_path):
+    text = (MODELS / "flip.ma").read_text()
+    model = tmp_path / "nan.ma"
+    model.write_text(text.replace("0 0 0 -> 0@0.5 1@0.5", "0 0 0 -> 0@nan 1@1.0"))
+    line = text.splitlines().index("pca flip {") + 1
+    diagnostic = f"{model}:{line}:1: pca flip: [probability-nan] ('0', '0', '0'): probability is not a number\n"
+    assert run(capsys, ["validate", str(model)]) == (3, "", diagnostic)
+    assert run(capsys, ["simulate", str(model), "--model", "flip", "--input", "0", "--steps", "3"]) == (
+        3, "", diagnostic)
 
 
 def test_check_violated_exits_one_and_matches_golden(capsys):
@@ -246,6 +258,65 @@ def test_simulate_seeded_pca_is_reproducible(capsys):
     _, out1, _ = run(capsys, args)
     _, out2, _ = run(capsys, args)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("quorum", [2, 3])  # a flipped slot: outvoted, or the vote abstains
+def test_simulate_dhr_reports_each_tick_of_dhr_run(capsys, tmp_path, quorum):
+    model = tmp_path / "faulty.ma"
+    model.write_text((MODELS / "dhr_echo.ma").read_text() + f"""
+dhr faulty {{
+  executors: e0 e1 flipper
+  scheduler: ident3
+  width: 3
+  voter: strict_majority
+  quorum: {quorum}
+  initial_lattice: 0 1 2
+}}
+""")
+    doc, diagnostics = parse_files([str(model)])
+    assert diagnostics == []
+    reports = dhr_run(doc.dhrs["faulty"], [("a", "b")] * 4)
+    ticks = [{"index": i, "voted": "".join(rep.voted_output) if rep.voted_output is not None else "<abstain>",
+              "dissenters": sorted(rep.dissenters)} for i, rep in enumerate(reports)]
+    assert {tick["voted"] for tick in ticks} == {"ab" if quorum == 2 else "<abstain>"}
+    args = ["simulate", str(model), "--model", "faulty", "--input", "ab", "--steps", "4"]
+    code, out, err = run(capsys, args)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["model: faulty", *(f"tick {t['index']}: voted {t['voted']!r}, "
+                                                   f"dissenters {t['dissenters']}" for t in ticks)]
+    code, out, err = run(capsys, [*args, "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"] == {"model": "faulty", "ticks": ticks}
+
+
+def test_simulate_bare_pca_is_a_pca_step_loop_on_the_seeded_stream(capsys, tmp_path):
+    rule = "\n".join(f"    {' '.join(nb)} -> 0@0.25 1@0.75" if nb[1] == "0" else f"    {' '.join(nb)} -> 0@0.5 1@0.5"
+                     for nb in itertools.product("01", repeat=3))
+    model = tmp_path / "coin.ma"
+    model.write_text(f"pca coin {{\n  cell_states: 0 1\n  width: 4\n  radius: 1\n  boundary: periodic\n"
+                     f"  rule table:\n{rule}\n}}\n")
+    doc, diagnostics = parse_files([str(model)])
+    assert diagnostics == []
+    rng = master_stream(11)
+    lattices = [("0", "1", "1", "0")]
+    for _ in range(30):
+        lattices.append(pca_step(doc.pcas["coin"], lattices[-1], rng))
+    trace = tmp_path / "trace.json"
+    args = ["simulate", str(model), "--model", "coin", "--input", "0110", "--steps", "30", "--seed", "11"]
+    code, out, err = run(capsys, [*args, "--format", "json", "--trace", str(trace)])
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert result == {"model": "coin", "trace": [list(lattice) for lattice in lattices]}
+    assert json.loads(trace.read_text()) == result
+    assert len(set(lattices)) > 4
+    code, out, err = run(capsys, args)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["model: coin", *(f"t={i}: {list(lat)}" for i, lat in enumerate(lattices))]
+
+
+def test_dhr_rejects_an_inject_slot_that_is_not_a_number(capsys):
+    code, out, err = run(capsys, ["dhr", DHR, "--model", "echo3", "--input", "a", "--inject", "x:foo"])
+    assert (code, out, err) == (3, "", "ma: error: --inject expects SLOT:SA, got 'x:foo'\n")
 
 
 def test_dhr_run_with_injection(capsys, tmp_path):
@@ -470,6 +541,17 @@ def test_check_rejects_a_negative_seed(capsys, path, model, prop, extra):
     code, out, err = run(capsys, ["check", path, "--model", model, "--property", prop,
                                   *extra, "--seed", "-1"])
     assert (code, out, err) == (3, "", "ma: error: --seed must be >= 0, got -1\n")
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("path, model, prop", [
+    (FLIP, "flip_ma", "hit_one_unbounded"),  # exact chain: used to sweep max_iter times, then exit 2
+    (PARITY, "parity_ma", "even_always"),  # flattened: the tol is never used
+    ("/nonexistent/model.ma", "flip_ma", "hit_one"),  # before any file is read
+])
+def test_check_rejects_a_tol_that_is_not_a_finite_positive_number(capsys, path, model, prop, tol):
+    code, out, err = run(capsys, ["check", path, "--model", model, "--property", prop, "--tol", tol])
+    assert (code, out, err) == (3, "", f"ma: error: --tol must be a finite number > 0, got {float(tol)}\n")
 
 
 @pytest.mark.parametrize("model", ["echo3", "nonexistent"])

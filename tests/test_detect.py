@@ -294,12 +294,11 @@ def test_monitor_witness_is_the_product_witness():
         labels = emitted_labels(ts)
         seen["abstain"] += ABSTAIN_LABEL in labels
         monitors = [random_monitor(rnd, labels, f"mon{i}") for i in range(4)]
-        memo = {}  # shared across the monitors, as detect shares it
         expected = []
         checked = []
         for pattern in monitors:
             want = product_witness(ts, pattern)
-            assert _monitor_witness(ts, pattern, memo) == want, (ma.name, pattern)
+            assert _monitor_witness(ts, pattern) == want, (ma.name, pattern)
             # and, independently of either search, a shortest matching run
             if want is None:
                 assert shortest_match_length(ts, pattern) is None
@@ -362,27 +361,25 @@ def test_detect_builds_no_product(monkeypatch):
     assert any(w is not None for *_, witnesses in runs for w in witnesses)
 
 
-class CountingLabels(dict):
-    """A label memo that counts its lookups: one per edge the search reads."""
-
-    lookups = 0
-
-    def get(self, key, default=None):
-        self.lookups += 1
-        return super().get(key, default)
-
-
-def test_a_depth_one_match_reads_fewer_edges_than_the_product_has_states():
+def test_a_depth_one_match_reads_fewer_edges_than_the_product_has_states(monkeypatch):
     ma = x11_parity_ma()
     universe = [("0",), ("1",)]
     ts = flatten(ma, universe)
     first_label = ts.transitions[ts.initial][0][0].label()
     pattern = make_sa("first", ("w", "hit"), "w", ("hit",), (first_label,),
                       delta=[("w", first_label, "hit")], partial=True)
-    memo = CountingLabels()
-    witness = _monitor_witness(ts, pattern, memo)
+    reads = []  # the search reads one label per edge it reads
+    real_label = checker.Action.label
+
+    def counted_label(action):
+        reads.append(action)
+        return real_label(action)
+
+    monkeypatch.setattr(checker.Action, "label", counted_label)
+    witness = _monitor_witness(ts, pattern)
+    monkeypatch.undo()
     assert len(witness) == 1
-    assert memo.lookups == 1  # the initial pair's first edge already matches
+    assert len(reads) == 1  # the initial pair's first edge already matches
     assert len(product(ts, pattern).states) > len(ts.states) >= 240
 
 
@@ -428,8 +425,8 @@ def test_search_by_index_equals_search_by_name():
         labels = emitted_labels(ts)
         for i in range(3):
             pattern = random_monitor(rnd, labels, f"mon{i}")
-            witness = _monitor_witness(ts, pattern, {})
-            assert witness == _monitor_witness(copy, pattern, {}), (ma.name, pattern)
+            witness = _monitor_witness(ts, pattern)
+            assert witness == _monitor_witness(copy, pattern), (ma.name, pattern)
             seen["monitor", witness is not None] += 1
     assert len(seen) == 6 and min(seen.values()) >= 5, seen
 
@@ -519,7 +516,7 @@ def test_skipped_monitors_give_the_product_verdict_and_the_same_bound_errors(mon
             pairs = len(product(ts, pattern).states)
             bounds = {1, pairs - 1, pairs, len(ts.states) * len(reach) - 1, len(ts.states) * len(reach)}
             for bound in sorted(b for b in bounds if b >= 1):
-                want = search_outcome(_monitor_witness, ts, pattern, {}, bound)
+                want = search_outcome(_monitor_witness, ts, pattern, bound)
                 del searches[:]
                 got = search_outcome(detect, ma, universe, [Signature("s", "skip", pattern)], bound, ts=ts)
                 if isinstance(got, DetectionReport):
