@@ -660,8 +660,7 @@ def _monitor_witness(
 
     def successors(node):
         sid, pat = node
-        labels, targets = store.edges(sid)
-        for action, tid in zip(labels, targets):
+        for action, tid in zip(*store.edges(sid)):
             label = action.label()
             # monitor convention, as in ``product``: unmentioned labels self-loop
             yield action, (tid, moves.get((pat, label), pat) if label in alphabet else pat)
