@@ -287,10 +287,12 @@ def flatten(
 
     Every universe entry (an input block in mode ``sa_from_ca``, a seed
     lattice in mode ``ca_from_sa``) is tried from every state. Exceeding
-    ``bound`` states raises ExplosionError with the frontier size. The
-    result's mappings are views over the exploration store, so the labeling
-    is called when ``atomic_props`` is read, never by ``flatten`` itself.
+    ``bound`` states raises ExplosionError with the frontier size, and a
+    bound below 1 raises ValueError. The result's mappings are views over
+    the exploration store, so the labeling is called when ``atomic_props``
+    is read, never by ``flatten`` itself.
     """
+    _require_bound(bound)
     universe = _normalize_universe(input_universe)
     if not universe:
         raise ValueError("input universe must be nonempty")
@@ -694,6 +696,12 @@ def _unmatchable(ts: TransitionSystem, bound: float):
 # ---------------------------------------------------------------------------
 # probabilistic analysis
 
+def _require_bound(bound: int) -> None:
+    """Refuse a state bound below one: no search could hold even its start state."""
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
+
+
 def _require_horizon(horizon: int | None) -> None:
     if horizon is not None and horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
@@ -801,9 +809,11 @@ def build_dtmc(
 
     Each state's row is the product of per-cell rule distributions, so rows
     sum to one up to float error. Exceeding ``successor_cap`` per state
-    raises SizeCapError advising Monte Carlo estimation. The labeling is
-    called when ``atomic_props`` is read, never by ``build_dtmc`` itself.
+    raises SizeCapError advising Monte Carlo estimation, and a ``bound``
+    below 1 raises ValueError. The labeling is called when ``atomic_props``
+    is read, never by ``build_dtmc`` itself.
     """
+    _require_bound(bound)
     policy = _normalize_policy(input_policy)
     _require_exactly_expandable(ma)
     props_fn, vocabulary = labeling or builtin_labeling(ma)

@@ -238,6 +238,12 @@ def _require_seed(args) -> None:
         raise _UsageError(f"--seed must be >= 0, got {args.seed}")
 
 
+def _require_bound(args) -> None:
+    """Reject a ``--bound`` below 1 before any file is read: no search could hold its start state."""
+    if args.bound < 1:
+        raise _UsageError(f"--bound must be >= 1, got {args.bound}")
+
+
 def _cmd_validate(args) -> int:
     doc, diagnostics = parse_files(list(args.files))
     for diag in diagnostics:
@@ -399,6 +405,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_check(args) -> int:
     _require_seed(args)
+    _require_bound(args)
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise _UsageError(f"--tol must be a finite number > 0, got {args.tol}")
     doc = _load(args.files)
@@ -442,22 +449,23 @@ def _cmd_dhr(args) -> int:
         model = inject_fault(model, slot, faulty)
     schedule = _read_input(args.input, per_line_blocks=True)
     reports = dhr_run(model, schedule, seed=args.seed)
-    texts: dict = {}  # everything of a report but its input -> its text
+    texts: dict = {}  # id of a report (ticks with equal outcomes share one) -> its text
+    write = sys.stdout.write
     for i, rep in enumerate(reports):
-        key = (rep.per_slot_outputs, rep.voted_output, rep.dissenters, rep.lattice_before, rep.lattice_after)
-        text = texts.get(key)
+        text = texts.get(id(rep))
         if text is None:
             voted = "".join(rep.voted_output) if rep.voted_output is not None else "<abstain>"
             slots = " ".join("".join(w) for w in rep.per_slot_outputs)
-            text = texts[key] = (
-                f"slots [{slots}] voted {voted!r} dissenters {sorted(rep.dissenters)} "
-                f"lattice {list(rep.lattice_before)} -> {list(rep.lattice_after)}"
+            text = texts[id(rep)] = (
+                f"input {''.join(rep.input_block)!r} slots [{slots}] voted {voted!r} "
+                f"dissenters {sorted(rep.dissenters)} lattice {list(rep.lattice_before)} -> {list(rep.lattice_after)}"
             )
-        print(f"tick {i}: input {''.join(rep.input_block)!r} {text}")
+        write(f"tick {i}: {text}\n")
     return EXIT_OK
 
 
 def _cmd_detect(args) -> int:
+    _require_bound(args)
     doc = _load(args.files)
     model = _composite(doc, args.model, "a scannable model")
     signatures = load_signatures(args.signatures)

@@ -20,7 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .checker import DEFAULT_FLATTEN_BOUND, Path, TransitionSystem, _monitor_witness, _unmatchable, flatten
+from .checker import (
+    DEFAULT_FLATTEN_BOUND,
+    Path,
+    TransitionSystem,
+    _monitor_witness,
+    _require_bound,
+    _unmatchable,
+    flatten,
+)
 from .composition import MimicAutomaton
 from .errors import ModelValidationError, Violation
 from .sequential import SequentialAutomaton, validate_sa
@@ -81,8 +89,9 @@ def detect(
     """Scan a model against a signature set; witnesses are shortest in BFS order.
 
     ``bound`` caps the flatten's states and each signature's search pairs;
-    exceeding it raises ExplosionError.
+    exceeding it raises ExplosionError, and a bound below 1 a ValueError.
     """
+    _require_bound(bound)
     if ts is None:
         ts = flatten(ma, input_universe, bound=bound)
     unmatchable = _unmatchable(ts, bound)

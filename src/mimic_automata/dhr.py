@@ -60,6 +60,15 @@ class FaultTagged:
     base: CellState
     slot: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.base, self.slot)))
+
+    def __hash__(self):  # once per instance: every lattice lookup hashes each tagged cell
+        return self._hash
+
+    def __reduce__(self):  # rebuilt through __init__, so the hash is never carried across processes
+        return FaultTagged, (self.base, self.slot)
+
     def __str__(self):
         return f"{self.base}!f{self.slot}"
 
@@ -346,14 +355,19 @@ def dhr_initial(d: DhrStructure) -> MimicConfiguration:
 
 
 def _dhr_ticker(ma: MimicAutomaton, voter: VoterPolicy):
-    """``tick(cfg, block, rng)``: one step of a ``_stepper``, then the vote and the report.
+    """``tick(cfg, block, rng)``: one step of a ``_stepper``, then the tick's report.
 
-    The vote runs once per distinct tuple of slot words, and fault tags are
-    stripped once per distinct lattice.
+    Ticks with equal outcomes share one frozen report: each (lattice,
+    successor lattice) holds its untagged lattices and a table from (block,
+    slot words) to the report, so a report is built only on a miss. The vote
+    runs once per distinct tuple of slot words, equal dissenter sets are one
+    object, and fault tags are stripped once per distinct lattice.
     """
     step = _stepper(ma, ma.root(), depth=1)
     votes: dict = {}  # slot words -> (voted word, dissenters)
+    shared: dict = {}  # dissenters -> the one equal set that every vote outcome holds
     bases: dict = {}  # lattice -> untagged lattice
+    moves: dict = {}  # (lattice, successor) -> (untagged lattice, untagged successor, {(block, words): report})
 
     def untagged(lattice: Lattice) -> Lattice:
         base = bases.get(lattice)
@@ -363,11 +377,20 @@ def _dhr_ticker(ma: MimicAutomaton, voter: VoterPolicy):
 
     def tick(cfg: MimicConfiguration, block: Word, rng: np.random.Generator | None):
         new_cfg, per_cell, _, _, _ = step(cfg, block, rng)
-        words = tuple(r.output_word for r in per_cell)
-        outcome = votes.get(words)
-        if outcome is None:
-            outcome = votes[words] = vote(voter, words)
-        report = DhrStepReport(block, words, *outcome, untagged(cfg.lattice), untagged(new_cfg.lattice))
+        words = tuple([r.output_word for r in per_cell])
+        lattices = (cfg.lattice, new_cfg.lattice)
+        move = moves.get(lattices)
+        if move is None:
+            move = moves[lattices] = (untagged(cfg.lattice), untagged(new_cfg.lattice), {})
+        before, after, reports = move
+        key = (block, words)
+        report = reports.get(key)
+        if report is None:
+            outcome = votes.get(words)
+            if outcome is None:
+                voted, dissenters = vote(voter, words)
+                outcome = votes[words] = (voted, shared.setdefault(dissenters, dissenters))
+            report = reports[key] = DhrStepReport(block, words, *outcome, before, after)
         return new_cfg, report
 
     return tick

@@ -214,6 +214,18 @@ def test_negative_horizons_are_rejected_by_every_reach_analysis():
     assert reach_probability_exact(dtmc, "lattice_has(1)", horizon=0).probability == 0.0
 
 
+@pytest.mark.parametrize("bound", [0, -5])
+def test_a_bound_below_one_is_rejected_by_flatten_and_build_dtmc(bound):
+    # no search could hold even its start state
+    with pytest.raises(ValueError, match=f"bound must be >= 1, got {bound}"):
+        flatten(parity_ma(), UNIVERSE, bound=bound)
+    with pytest.raises(ValueError, match=f"bound must be >= 1, got {bound}"):
+        build_dtmc(flip_ma(), ("a",), bound=bound)
+    prop = Property("even", "invariant", predicate=parse_predicate("true"))
+    with pytest.raises(ValueError, match=f"bound must be >= 1, got {bound}"):
+        check_property(parity_ma(), prop, UNIVERSE, bound=bound)
+
+
 def test_reach_vocabulary_member_never_assigned_is_unreachable():
     ts = flatten(parity_ma(), UNIVERSE)
     result = check_reach(ts, "lattice_has(1)")

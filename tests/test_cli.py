@@ -319,6 +319,15 @@ def test_dhr_rejects_an_inject_slot_that_is_not_a_number(capsys):
     assert (code, out, err) == (3, "", "ma: error: --inject expects SLOT:SA, got 'x:foo'\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--model", "e0"], "'e0' is not a dhr or serial_dhr"),
+    (["--model", "echo3", "--inject", "1:nosuch"], "--inject: unknown machine 'nosuch'"),
+])
+def test_dhr_usage_errors_exit_three(capsys, argv, message):
+    code, out, err = run(capsys, ["dhr", DHR, "--input", "a", *argv])
+    assert (code, out, err) == (3, "", f"ma: error: {message}\n")
+
+
 def test_dhr_run_with_injection(capsys, tmp_path):
     sched = tmp_path / "sched.txt"
     sched.write_text("ab\na\n")
@@ -370,7 +379,7 @@ dhr rotating {{
             f"voted {voted!r} dissenters {sorted(rep.dissenters)} "
             f"lattice {list(rep.lattice_before)} -> {list(rep.lattice_after)}"
         )
-    assert out.splitlines() == expected
+    assert out == "".join(f"{line}\n" for line in expected)  # byte for byte what one print per tick wrote
     assert len({line.split(" ", 4)[4] for line in expected}) < len(expected)  # some ticks repeat a report
     assert len({rep.lattice_before for rep in reports}) == 3
 
@@ -552,6 +561,27 @@ def test_check_rejects_a_negative_seed(capsys, path, model, prop, extra):
 def test_check_rejects_a_tol_that_is_not_a_finite_positive_number(capsys, path, model, prop, tol):
     code, out, err = run(capsys, ["check", path, "--model", model, "--property", prop, "--tol", tol])
     assert (code, out, err) == (3, "", f"ma: error: --tol must be a finite number > 0, got {float(tol)}\n")
+
+
+@pytest.mark.parametrize("bound", ["0", "-5"])
+@pytest.mark.parametrize("argv", [
+    ["check", PARITY, "--model", "parity_ma", "--property", "even_always"],  # flattened
+    ["check", FLIP, "--model", "flip_ma", "--property", "hit_one_unbounded"],  # exact chain
+    ["check", "/nonexistent/model.ma", "--model", "parity_ma", "--property", "even_always"],
+    ["detect", DETECT, "--model", "const3", "--signatures", SIG],  # one state: used to print clean
+    ["detect", "/nonexistent/model.ma", "--model", "const3", "--signatures", SIG],
+])
+def test_check_and_detect_reject_a_bound_below_one_before_reading_a_file(capsys, argv, bound):
+    code, out, err = run(capsys, [*argv, "--bound", bound])
+    assert (code, out, err) == (3, "", f"ma: error: --bound must be >= 1, got {bound}\n")
+
+
+def test_check_and_detect_accept_a_bound_of_one(capsys):
+    code, out, err = run(capsys, ["detect", DETECT, "--model", "const3", "--signatures", SIG, "--bound", "1"])
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, ["check", PARITY, "--model", "parity_ma", "--property", "even_always",
+                                  "--bound", "1"])
+    assert code == 2 and err.startswith("ma: resource bound: state bound 1 exceeded")
 
 
 @pytest.mark.parametrize("model", ["echo3", "nonexistent"])

@@ -65,6 +65,17 @@ def emits_b_signature():
     return Signature("emits_b", "arbitrated output becomes B", pattern, severity=3)
 
 
+@pytest.mark.parametrize("bound", [0, -1])
+def test_detect_rejects_a_bound_below_one_even_where_no_search_would_reach_it(bound):
+    # const3 flattens to one state, so a bound of 0 was never hit and the scan read clean
+    ma = build_dhr(const_dhr())
+    with pytest.raises(ValueError, match=f"bound must be >= 1, got {bound}"):
+        detect(ma, UNIVERSE, [emits_b_signature()], bound=bound)
+    with pytest.raises(ValueError, match=f"bound must be >= 1, got {bound}"):
+        detect(ma, UNIVERSE, [emits_b_signature()], bound=bound, ts=flatten(ma, UNIVERSE))
+    assert detect(ma, UNIVERSE, [emits_b_signature()], bound=1).matched == ()
+
+
 def test_empty_signature_set_gives_empty_report():
     report = detect(build_dhr(const_dhr()), UNIVERSE, [])
     assert report.results == ()

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 from collections import Counter
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from mimic_automata import (
     vote,
 )
 from mimic_automata.dhr import FaultTagged, validate_dhr, validate_serial
+from mimic_automata.dot import render_config
 from mimic_automata.modelfile import parse
 
 from mimic_automata import sa_run
@@ -269,6 +271,19 @@ def test_text_format_reports_dhr_quorum_and_initial_lattice_violations(old, new,
     assert any(f"[{invariant}]" in str(diag) for diag in diagnostics)
 
 
+@pytest.mark.parametrize("old, new, invariant", [
+    ("executors: e0 e1 e2", "executors:", "executors-nonempty"),
+    ("executors: e0 e1 e2", "executors: e0 e1", "executors-per-state"),
+    ("width: 3\n  voter", "width: 0\n  voter", "width-positive"),
+    ("width: 3\n  voter", "width: 4\n  voter", "scheduler-width"),
+])
+def test_text_format_reports_dhr_executor_and_width_violations(old, new, invariant):
+    text = (MODELS / "dhr_echo.ma").read_text()
+    assert text.count(old) == 1
+    _, diagnostics = parse(text.replace(old, new))
+    assert any(f"dhr echo3: [{invariant}]" in str(diag) for diag in diagnostics)
+
+
 @pytest.mark.parametrize("slot, faulty, invariant", [
     (3, flipper_sa(), "override-slot"),
     (0, make_sa("alien", ("s",), "s", (), ("z",), delta=[("s", "z", "s")]), "override-alphabets"),
@@ -294,3 +309,20 @@ def test_fault_masking_exhaustive_small():
                 healthy_reports = dhr_run(d, [block])
                 faulty_reports = dhr_run(faulty, [block])
                 assert healthy_reports[0].voted_output == faulty_reports[0].voted_output
+
+
+def test_fault_tagged_hashes_once_as_its_fields_and_compares_by_them():
+    tagged = FaultTagged("1", 2)
+    assert hash(tagged) == hash(("1", 2)) == hash(FaultTagged("1", 2))
+    assert tagged == FaultTagged("1", 2)
+    assert tagged != FaultTagged("1", 0) and tagged != FaultTagged("0", 2) and tagged != ("1", 2)
+    assert replace(tagged, slot=0) == FaultTagged("1", 0)
+    assert hash(replace(tagged, slot=0)) == hash(("1", 0))
+    assert pickle.loads(pickle.dumps(tagged)) == tagged
+    assert tagged.__reduce__() == (FaultTagged, ("1", 2))  # the hash is recomputed where it is loaded
+
+
+def test_fault_tagged_cells_render_with_their_slot():
+    injected = inject_fault(echo_dhr(), 1, flipper_sa())
+    assert str(FaultTagged("1", 2)) == "1!f2"
+    assert render_config(dhr_initial(injected)).startswith("[0 1!f1 2]")

@@ -15,6 +15,7 @@ error, and check the padded ``ca_step``/``pca_step`` against the
 
 import itertools
 import random
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -61,6 +62,7 @@ from helpers import (
     identity_ca,
     plain,
     rotate_ca,
+    uniform_pca,
     x11_parity_ma,
 )
 from reference_interpreter import (
@@ -217,6 +219,43 @@ def test_serial_run_equals_a_reference_fold_stage_by_stage():
     final, ticks = serial_run(s, schedule)
     assert [[report_tuple(r) for r in tick.stage_reports] for tick in ticks] == expected
     assert [plain(cfg) for cfg in final] == states
+
+
+def assert_shared_reports(reports):
+    """One frozen report object per distinct report, and some ticks share one; equal dissenter sets are one set."""
+    assert len({id(r) for r in reports}) == len({report_tuple(r) for r in reports}) < len(reports)
+    assert len({id(r.dissenters) for r in reports}) == len({r.dissenters for r in reports})
+    with pytest.raises(FrozenInstanceError):
+        reports[0].voted_output = None
+
+
+SHARING_STRUCTURES = STRUCTURES + [
+    echo_dhr(scheduler=uniform_pca("u3", width=3, states=("0", "1", "2"))),
+    inject_fault(echo_dhr(scheduler=uniform_pca("u3", width=3, states=("0", "1", "2"))), 2, flipper_sa()),
+]
+
+
+@pytest.mark.parametrize("structure", SHARING_STRUCTURES, ids=STRUCTURE_IDS + ["pca", "pca-injected"])
+def test_ticks_with_equal_outcomes_share_one_report_and_one_vote_per_word_tuple(monkeypatch, structure):
+    votes = []
+    real_vote = dhr.vote
+
+    def counting_vote(policy, words):
+        votes.append(words)
+        return real_vote(policy, words)
+
+    monkeypatch.setattr(dhr, "vote", counting_vote)
+    reports = dhr_run(structure, long_schedule(random.Random(5), ticks=200, max_len=2), seed=3)
+    assert_shared_reports(reports)
+    assert len(votes) == len(set(votes)) == len({r.per_slot_outputs for r in reports})
+
+
+def test_serial_stages_share_one_report_per_distinct_report():
+    s = SerialDhr("pipe", (STRUCTURES[0], inject_fault(echo_dhr("st1"), 2, flipper_sa())))
+    _, ticks = serial_run(s, long_schedule(random.Random(4), ticks=200, max_len=2))
+    assert len(ticks) == 200
+    for stage in range(2):
+        assert_shared_reports([tick.stage_reports[stage] for tick in ticks])
 
 
 def ref_pca_step(pca, lattice, rng):
