@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Hashable, Mapping, NamedTuple
 if TYPE_CHECKING:
     import numpy as np
 
-from .errors import DimensionError, MimicError, ModelValidationError, SizeCapError, Violation
+from .errors import DimensionError, MimicError, SizeCapError, Violation, checked
 
 CellState = Hashable
 Lattice = tuple
@@ -59,10 +59,7 @@ class CellularAutomaton:
         return 2 * self.radius + 1
 
     def check(self) -> "CellularAutomaton":
-        report = validate_ca(self)
-        if report:
-            raise ModelValidationError(report)
-        return self
+        return checked(self, validate_ca)
 
 
 @dataclass(frozen=True)
@@ -103,10 +100,7 @@ class ProbabilisticCellularAutomaton:
         return 2 * self.radius + 1
 
     def check(self) -> "ProbabilisticCellularAutomaton":
-        report = validate_pca(self)
-        if report:
-            raise ModelValidationError(report)
-        return self
+        return checked(self, validate_pca)
 
 
 AnyCellular = CellularAutomaton | ProbabilisticCellularAutomaton

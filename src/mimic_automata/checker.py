@@ -257,22 +257,14 @@ def check_components(ma: MimicAutomaton) -> dict[str, list[Violation]]:
     """Validate every member automaton, grouped by component kind."""
     groups: dict[str, list[Violation]] = {"sa": [], "ca": [], "pa": [], "ha": []}
     for name, sa in sorted(ma.sa_set.items()):
-        groups["sa"].extend(
-            Violation(v.invariant, f"{name}/{v.subject}", v.message) for v in validate_sa(sa)
-        )
+        groups["sa"].extend(v.within(name) for v in validate_sa(sa))
     for name, ca in sorted(ma.ca_set.items()):
         if isinstance(ca, ProbabilisticCellularAutomaton):
-            groups["pa"].extend(
-                Violation(v.invariant, f"{name}/{v.subject}", v.message) for v in validate_pca(ca)
-            )
+            groups["pa"].extend(v.within(name) for v in validate_pca(ca))
         else:
-            groups["ca"].extend(
-                Violation(v.invariant, f"{name}/{v.subject}", v.message) for v in validate_ca(ca)
-            )
+            groups["ca"].extend(v.within(name) for v in validate_ca(ca))
     for name, ha in sorted(ma.ha_set.items()):
-        groups["ha"].extend(
-            Violation(v.invariant, f"{name}/{v.subject}", v.message) for v in validate_ha(ha)
-        )
+        groups["ha"].extend(v.within(name) for v in validate_ha(ha))
     return groups
 
 

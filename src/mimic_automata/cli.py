@@ -5,7 +5,7 @@ matched, 2 resource bound exceeded, 3 usage or parse errors, 4 internal
 error (any other exception, reported on one line). All diagnostics
 go to standard error as ``file:line:col: message``. JSON output always has
 the shape ``{"verdict", "counterexample", "probability", "error_bound",
-"stats"}`` plus a command-specific ``result``.
+"stats"}``; ``simulate`` and ``detect`` add a command-specific ``result``.
 """
 
 from __future__ import annotations
@@ -198,18 +198,24 @@ def _path_json(path: Path | None):
     return steps
 
 
-def _report(result: CheckResult, fmt: str, extra: dict | None = None) -> None:
+def _write_json(verdict: str, stats, counterexample=None, probability=None, error_bound=None, result=None) -> None:
+    """Print the documented envelope as one JSON line; ``result`` only when the command has one."""
+    payload = {
+        "verdict": verdict,
+        "counterexample": counterexample,
+        "probability": probability,
+        "error_bound": error_bound,
+        "stats": dict(stats),
+    }
+    if result is not None:
+        payload["result"] = result
+    print(json.dumps(payload, sort_keys=True))
+
+
+def _report(result: CheckResult, fmt: str) -> None:
     if fmt == "json":
-        payload = {
-            "verdict": result.verdict,
-            "counterexample": _path_json(result.counterexample),
-            "probability": result.probability,
-            "error_bound": result.error_bound,
-            "stats": dict(result.stats),
-        }
-        if extra:
-            payload["result"] = extra
-        print(json.dumps(payload, sort_keys=True))
+        _write_json(result.verdict, result.stats, _path_json(result.counterexample),
+                    result.probability, result.error_bound)
         return
     if result.verdict == "probability":
         bound = f" +/- {result.error_bound:.6g}" if result.error_bound is not None else ""
@@ -254,6 +260,10 @@ def _cmd_validate(args) -> int:
 
 def _word_text(word) -> str:
     return "".join(str(s) for s in word or ())
+
+
+def _voted_text(rep) -> str:
+    return "".join(rep.voted_output) if rep.voted_output is not None else "<abstain>"
 
 
 def _simulate_ma(ma: MimicAutomaton, args):
@@ -302,19 +312,23 @@ def _simulate_ma(ma: MimicAutomaton, args):
 def _simulate_dhr(model: DhrStructure, args):
     block = _read_input(args.input, per_line_blocks=False)
     reports = dhr_run(model, [block] * args.steps, seed=args.seed)
+    shown: dict = {}  # id of a report (ticks with equal outcomes share one) -> (voted text, sorted dissenters)
 
-    def voted(rep) -> str:
-        return "".join(rep.voted_output) if rep.voted_output is not None else "<abstain>"
+    def ticks():
+        for i, rep in enumerate(reports):
+            pair = shown.get(id(rep))
+            if pair is None:
+                pair = shown[id(rep)] = (_voted_text(rep), sorted(rep.dissenters))
+            yield i, pair
 
     def lines():
         yield f"model: {model.name}"
-        for i, rep in enumerate(reports):
-            yield f"tick {i}: voted {voted(rep)!r}, dissenters {sorted(rep.dissenters)}"
+        for i, (voted, dissenters) in ticks():
+            yield f"tick {i}: voted {voted!r}, dissenters {dissenters}"
 
     def result():
-        ticks = [{"index": i, "voted": voted(rep), "dissenters": sorted(rep.dissenters)}
-                 for i, rep in enumerate(reports)]
-        return {"model": model.name, "ticks": ticks}
+        rows = [{"index": i, "voted": voted, "dissenters": dissenters} for i, (voted, dissenters) in ticks()]
+        return {"model": model.name, "ticks": rows}
 
     return lines, result
 
@@ -389,15 +403,7 @@ def _cmd_simulate(args) -> int:
         with open(args.trace, "w", encoding="utf-8") as handle:
             json.dump(result, handle, indent=2, sort_keys=True)
     if args.format == "json":
-        payload = {
-            "verdict": "ok",
-            "counterexample": None,
-            "probability": None,
-            "error_bound": None,
-            "stats": {"steps": args.steps},
-            "result": result,
-        }
-        print(json.dumps(payload, sort_keys=True))
+        _write_json("ok", {"steps": args.steps}, result=result)
     else:
         print("\n".join(lines()))
     return EXIT_OK
@@ -406,6 +412,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_check(args) -> int:
     _require_seed(args)
     _require_bound(args)
+    if args.trials is not None and args.trials < 1:
+        raise _UsageError(f"--trials must be >= 1, got {args.trials}")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise _UsageError(f"--tol must be a finite number > 0, got {args.tol}")
     doc = _load(args.files)
@@ -454,10 +462,9 @@ def _cmd_dhr(args) -> int:
     for i, rep in enumerate(reports):
         text = texts.get(id(rep))
         if text is None:
-            voted = "".join(rep.voted_output) if rep.voted_output is not None else "<abstain>"
             slots = " ".join("".join(w) for w in rep.per_slot_outputs)
             text = texts[id(rep)] = (
-                f"input {''.join(rep.input_block)!r} slots [{slots}] voted {voted!r} "
+                f"input {''.join(rep.input_block)!r} slots [{slots}] voted {_voted_text(rep)!r} "
                 f"dissenters {sorted(rep.dissenters)} lattice {list(rep.lattice_before)} -> {list(rep.lattice_after)}"
             )
         write(f"tick {i}: {text}\n")
@@ -472,26 +479,13 @@ def _cmd_detect(args) -> int:
     report = detect(model, _default_universe(model), signatures, bound=args.bound)
     matched = report.matched
     if args.format == "json":
-        payload = {
-            "verdict": "matched" if matched else "clean",
-            "counterexample": _path_json(matched[0].witness) if matched else None,
-            "probability": None,
-            "error_bound": None,
-            "stats": dict(report.stats),
-            "result": {
-                "model": report.model,
-                "signatures": [
-                    {
-                        "id": r.signature_id,
-                        "severity": r.severity,
-                        "matched": r.matched,
-                        "witness": _path_json(r.witness),
-                    }
-                    for r in report.results
-                ],
-            },
-        }
-        print(json.dumps(payload, sort_keys=True))
+        results = [
+            {"id": r.signature_id, "severity": r.severity, "matched": r.matched, "witness": _path_json(r.witness)}
+            for r in report.results
+        ]
+        _write_json("matched" if matched else "clean", report.stats,
+                    _path_json(matched[0].witness) if matched else None,
+                    result={"model": report.model, "signatures": results})
     else:
         print(f"model: {report.model}")
         for r in report.results:

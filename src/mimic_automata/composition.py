@@ -41,11 +41,11 @@ from .errors import (
     DimensionError,
     InputRejectedError,
     MimicError,
-    ModelValidationError,
     NestingError,
     ReadoutError,
     StuckError,
     Violation,
+    checked,
 )
 from .hierarchical import HaConfiguration, HierarchicalAutomaton, ha_initial, ha_step_with_output
 from .rng import master_stream
@@ -169,10 +169,7 @@ class MimicAutomaton:
         return self.bindings[self.root_binding]
 
     def check(self) -> "MimicAutomaton":
-        report = validate_ma(self)
-        if report:
-            raise ModelValidationError(report)
-        return self
+        return checked(self, validate_ma)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .checker import (
     flatten,
 )
 from .composition import MimicAutomaton
-from .errors import ModelValidationError, Violation
+from .errors import Violation, checked
 from .sequential import SequentialAutomaton, validate_sa
 
 
@@ -44,17 +44,11 @@ class Signature:
     severity: int = 1
 
     def check(self) -> "Signature":
-        report = validate_signature(self)
-        if report:
-            raise ModelValidationError(report)
-        return self
+        return checked(self, validate_signature)
 
 
 def validate_signature(sig: Signature) -> list[Violation]:
-    report = [
-        Violation(v.invariant, f"{sig.id}/{v.subject}", v.message)
-        for v in validate_sa(sig.pattern)
-    ]
+    report = [v.within(sig.id) for v in validate_sa(sig.pattern)]
     if not sig.pattern.finals:
         report.append(Violation("matchable", sig.id, "pattern has no final states"))
     return report

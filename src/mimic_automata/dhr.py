@@ -39,7 +39,7 @@ from .composition import (
     has_randomness,
     ma_initial,
 )
-from .errors import MimicError, ModelValidationError, Violation
+from .errors import MimicError, ModelValidationError, Violation, checked
 from .rng import master_stream
 from .sequential import SequentialAutomaton, Word, validate_sa
 
@@ -152,10 +152,7 @@ class DhrStructure:
         return (self.scheduler.cell_states[0],) * self.width
 
     def check(self) -> "DhrStructure":
-        report = validate_dhr(self)
-        if report:
-            raise ModelValidationError(report)
-        return self
+        return checked(self, validate_dhr)
 
 
 @dataclass(frozen=True)
@@ -185,10 +182,7 @@ class SerialDhr:
         return tuple(stage.automaton for stage in self.stages)
 
     def check(self) -> "SerialDhr":
-        report = validate_serial(self)
-        if report:
-            raise ModelValidationError(report)
-        return self
+        return checked(self, validate_serial)
 
 
 @dataclass(frozen=True)
@@ -210,8 +204,7 @@ def validate_dhr(d: DhrStructure) -> list[Violation]:
     for sa in d.executors:
         if set(sa.input_alphabet) != inputs or set(sa.output_alphabet) != outputs:
             report.append(Violation("shared-alphabets", sa.name, "alphabet differs across executors"))
-        for v in validate_sa(sa):
-            report.append(Violation(v.invariant, f"{sa.name}/{v.subject}", v.message))
+        report.extend(v.within(sa.name) for v in validate_sa(sa))
     if len(d.executors) != len(d.scheduler.cell_states):
         report.append(
             Violation(
@@ -249,8 +242,7 @@ def validate_serial(s: SerialDhr) -> list[Violation]:
     if len(s.stages) < 2:
         report.append(Violation("serial-length", s.name, "a serial composition needs at least 2 stages"))
     for stage in s.stages:
-        for v in validate_dhr(stage):
-            report.append(Violation(v.invariant, f"{stage.name}/{v.subject}", v.message))
+        report.extend(v.within(stage.name) for v in validate_dhr(stage))
     for left, right in zip(s.stages, s.stages[1:]):
         if not left.executors or not right.executors:
             continue

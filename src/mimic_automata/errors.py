@@ -20,6 +20,10 @@ class Violation:
     def __str__(self) -> str:
         return f"[{self.invariant}] {self.subject}: {self.message}"
 
+    def within(self, owner: str) -> "Violation":
+        """This violation with its subject scoped under ``owner`` (``owner/subject``)."""
+        return Violation(self.invariant, f"{owner}/{self.subject}", self.message)
+
 
 class MimicError(Exception):
     """Base class for all errors raised by this library."""
@@ -32,6 +36,14 @@ class ModelValidationError(MimicError):
         self.violations = list(violations)
         detail = "; ".join(str(v) for v in self.violations)
         super().__init__(f"{len(self.violations)} validation violation(s): {detail}")
+
+
+def checked(model, validate):
+    """Return ``model`` if ``validate(model)`` reports no violation; raise ModelValidationError if it does."""
+    report = validate(model)
+    if report:
+        raise ModelValidationError(report)
+    return model
 
 
 class InputRejectedError(MimicError):

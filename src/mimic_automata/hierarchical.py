@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .errors import ModelValidationError, StuckError, Violation
+from .errors import StuckError, Violation, checked
 from .sequential import SequentialAutomaton, State, Symbol, validate_sa
 
 
@@ -60,10 +60,7 @@ class HierarchicalAutomaton:
         return self.gamma.get((sa_name, state), frozenset())
 
     def check(self) -> "HierarchicalAutomaton":
-        report = validate_ha(self)
-        if report:
-            raise ModelValidationError(report)
-        return self
+        return checked(self, validate_ha)
 
 
 @dataclass(frozen=True)
@@ -84,9 +81,6 @@ class HaConfiguration:
                 return state
         raise KeyError(sa_name)
 
-    def __contains__(self, sa_name: str) -> bool:
-        return any(name == sa_name for name, _ in self.active)
-
 
 def validate_ha(ha: HierarchicalAutomaton) -> list[Violation]:
     report: list[Violation] = []
@@ -99,10 +93,7 @@ def validate_ha(ha: HierarchicalAutomaton) -> list[Violation]:
         return report
 
     for sa in ha.sas:
-        for violation in validate_sa(sa):
-            report.append(
-                Violation(violation.invariant, f"{sa.name}/{violation.subject}", violation.message)
-            )
+        report.extend(v.within(sa.name) for v in validate_sa(sa))
 
     seen: dict[str, tuple[str, State]] = {}
     for (owner, state), children in sorted(ha.gamma.items()):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import InputRejectedError, MimicError, ModelValidationError, Violation
+from .errors import InputRejectedError, MimicError, Violation, checked
 
 Symbol = str
 State = str
@@ -47,10 +47,7 @@ class SequentialAutomaton:
 
     def check(self) -> "SequentialAutomaton":
         """Raise ModelValidationError if any invariant is broken; return self."""
-        report = validate_sa(self)
-        if report:
-            raise ModelValidationError(report)
-        return self
+        return checked(self, validate_sa)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Line coverage of ``src/mimic_automata`` with the standard library only.
 
     python tests/linecov.py run OUT [PYTEST_ARGS...]   # trace a pytest run, CLI children too
-    python tests/linecov.py report OUT                 # list the lines no traced process ran
+    python tests/linecov.py report OUT                 # list unreached lines the allowed list lacks
 
 ``run`` writes a ``sitecustomize`` hook into ``OUT/hook`` and starts pytest
 with that directory first on ``PYTHONPATH``. Every Python process that
@@ -12,8 +12,13 @@ exits. A child given a ``PYTHONPATH`` of its own (the benchmark runner's)
 is not traced.
 
 ``report`` merges those files and compares them with the lines the
-package's compiled code objects can execute. The file is not named
-``test_*.py``, so pytest does not collect it.
+package's compiled code objects can execute. It prints each unreached line
+that ``linecov_allowed.json`` does not list and exits 1 if there is one.
+That file lists the lines allowed to stay unreached, each with its reason,
+keyed by module file name and stripped source text, so edits elsewhere in a
+module do not move an entry; an entry allows every unreached line of its
+module with that text. Entries that match no unreached line are printed as
+stale. The file is not named ``test_*.py``, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "mimic_automata"
+ALLOWED = Path(__file__).resolve().parent / "linecov_allowed.json"
 
 HOOK = """\
 import sys
@@ -107,7 +113,9 @@ def report(out: Path) -> int:
     for dump in dumps:
         for name, lines in json.loads(dump.read_text()).items():
             hits[name].update(lines)
-    total = unreached = 0
+    allowed = {(entry["file"], entry["text"]) for entry in json.loads(ALLOWED.read_text(encoding="utf-8"))}
+    used: set[tuple[str, str]] = set()
+    total = unreached = unlisted = 0
     for path in sorted(PACKAGE.glob("*.py")):
         lines = executable_lines(path)
         text = path.read_text(encoding="utf-8").splitlines()
@@ -115,9 +123,17 @@ def report(out: Path) -> int:
         total += len(lines)
         unreached += len(missed)
         for line in missed:
-            print(f"{path.relative_to(ROOT)}:{line}: {text[line - 1].strip()}")
-    print(f"{unreached} of {total} executable lines unreached ({len(dumps)} traced processes)")
-    return 0
+            key = (path.name, text[line - 1].strip())
+            if key in allowed:
+                used.add(key)
+                continue
+            unlisted += 1
+            print(f"{path.relative_to(ROOT)}:{line}: {key[1]}")
+    for name, source in sorted(allowed - used):
+        print(f"stale entry in {ALLOWED.name}, no unreached line: {name}: {source}")
+    print(f"{unreached} of {total} executable lines unreached ({len(dumps)} traced processes), "
+          f"{unlisted} of them not listed in {ALLOWED.name}")
+    return 1 if unlisted else 0
 
 
 def main(argv: list[str]) -> int:

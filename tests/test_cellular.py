@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from mimic_automata import (
     DimensionError,
+    MimicError,
     SizeCapError,
     ca_run,
     ca_step,
@@ -14,7 +15,7 @@ from mimic_automata import (
     validate_ca,
     validate_pca,
 )
-from mimic_automata.cellular import CellularAutomaton, ProbabilisticCellularAutomaton
+from mimic_automata.cellular import CellularAutomaton, ProbabilisticCellularAutomaton, builtin_rule_table
 from mimic_automata.rng import master_stream
 from helpers import identity_ca, majority_ca, uniform_pca, xor_ca
 
@@ -236,3 +237,13 @@ def test_quiescence_of_builtins():
     for ca in (xor_ca(width=5), identity_ca(width=5), majority_ca(width=5)):
         zero = ("0",) * 5
         assert ca_step(ca, zero) == zero
+
+
+def test_run_refuses_a_negative_step_cap():
+    with pytest.raises(ValueError, match="t_max must be >= 0"):
+        ca_run(identity_ca(), ("0",), t_max=-1)
+
+
+def test_an_unknown_builtin_rule_is_refused():
+    with pytest.raises(MimicError, match="unknown builtin rule 'rot13'"):
+        builtin_rule_table("rot13", ("0", "1"))

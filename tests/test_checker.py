@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +11,7 @@ from mimic_automata import (
     MODE_SA_FROM_CA,
     MimicAutomaton,
     MimicError,
+    ModelValidationError,
     Path,
     Property,
     PropertyError,
@@ -28,11 +30,22 @@ from mimic_automata import (
     reach_probability_mc,
     replay_path,
     strip_clocks,
+    validate_ca,
+    validate_ha,
+    validate_ma,
+    validate_pca,
+    validate_sa,
 )
+from mimic_automata.detect import validate_signature
+from mimic_automata.dhr import validate_dhr, validate_serial
 from mimic_automata.dot import ca_graph_dot, dtmc_to_dot, ts_to_dot
+from mimic_automata.hierarchical import HierarchicalAutomaton
+from mimic_automata.modelfile import parse_files
 from mimic_automata.props import parse_predicate
 
 from helpers import (
+    MODELS,
+    SIGNATURES,
     flip_ma,
     identity_ca,
     make_sa,
@@ -74,6 +87,52 @@ def test_check_components_flags_broken_parity_and_short_pca():
     assert not groups["ha"]
 
 
+
+def test_check_components_scopes_a_hierarchy_s_violations_under_its_name():
+    ma = parity_ma()
+    broken = HierarchicalAutomaton("h", (parity_sa(),), "ghost", {})
+    groups = check_components(replace(ma, ha_set={"h": broken}))
+    assert groups["ha"] == [v.within("h") for v in validate_ha(broken)]
+    assert [str(v) for v in groups["ha"]] == ["[root-membership] h/ghost: root is not a member machine"]
+
+
+CORPUS, _ = parse_files([str(MODELS / name) for name in ("parity.ma", "flip.ma", "dhr_echo.ma")]
+                        + [str(SIGNATURES / "emits_b.ma")])
+
+
+@pytest.mark.parametrize("model, broken, validate", [
+    (CORPUS.sas["parity"], lambda m: replace(m, initial="ghost"), validate_sa),
+    (CORPUS.cas["ident1"], lambda m: replace(m, width=0), validate_ca),
+    (CORPUS.pcas["flip"], lambda m: replace(m, width=0), validate_pca),
+    (HierarchicalAutomaton("h", (parity_sa(),), "parity", {}), lambda m: replace(m, root="ghost"), validate_ha),
+    (CORPUS.mas["parity_ma"], lambda m: replace(m, root_binding="ghost"), validate_ma),
+    (CORPUS.dhrs["echo3"], lambda m: replace(m, width=0), validate_dhr),
+    (CORPUS.serial_dhrs["echo_chain"], lambda m: replace(m, stages=(replace(m.stages[0], width=0),)),
+     validate_serial),
+    (CORPUS.signatures["emits_b"], lambda m: replace(m, pattern=replace(m.pattern, initial="ghost")),
+     validate_signature),
+], ids=["sa", "ca", "pca", "ha", "ma", "dhr", "serial_dhr", "signature"])
+def test_check_returns_a_valid_model_and_raises_the_report_of_a_broken_one(model, broken, validate):
+    assert model.check() is model
+    broken = broken(model)
+    report = validate(broken)
+    assert report
+    with pytest.raises(ModelValidationError) as caught:
+        broken.check()
+    assert caught.value.violations == report
+
+
+def test_nested_reports_scope_their_subjects_under_the_owner():
+    serial = CORPUS.serial_dhrs["echo_chain"]
+    stage = replace(serial.stages[0], width=0)
+    assert [str(v) for v in validate_serial(replace(serial, stages=(stage, stage)))] == [
+        f"[{v.invariant}] echo3/{v.subject}: {v.message}" for v in validate_dhr(stage) * 2
+    ]
+    pattern = replace(CORPUS.signatures["emits_b"].pattern, initial="ghost")
+    assert [str(v) for v in validate_signature(replace(CORPUS.signatures["emits_b"], pattern=pattern))] == [
+        "[initial-membership] emits_b/ghost: initial state not in states"
+    ]
+
 def test_flatten_parity_two_states_four_transitions():
     ts = flatten(parity_ma(), UNIVERSE)
     assert len(ts.states) == 2
@@ -91,6 +150,22 @@ def test_flatten_rejects_probabilistic_models():
     with pytest.raises(MimicError):
         flatten(flip_ma(), [("a",)])
 
+
+
+def test_chain_analyses_refuse_a_missing_policy_a_deterministic_root_and_no_trials():
+    with pytest.raises(ValueError, match="an input policy is required for probabilistic analysis"):
+        build_dtmc(flip_ma(), None)
+    with pytest.raises(MimicError, match="the root lattice rule is deterministic; use flatten"):
+        build_dtmc(parity_ma(), [("0",)])
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        reach_probability_mc(flip_ma(), [("a",)], "lattice_has(1)", horizon=2, trials=0)
+
+
+def test_check_property_refuses_no_universe_and_an_unknown_kind():
+    with pytest.raises(PropertyError, match="an input universe is required to flatten the model"):
+        check_property(parity_ma(), Property("p", "invariant", parse_predicate("true")))
+    with pytest.raises(PropertyError, match="unknown property kind 'eventually'"):
+        check_property(parity_ma(), Property("p", "eventually", parse_predicate("true")), UNIVERSE)
 
 def test_flatten_bound_exceeded_reports_frontier():
     counter = make_sa(

@@ -241,6 +241,196 @@ def test_simulate_json_shares_one_list_per_distinct_lattice_and_one_text_per_wor
     assert len({id(tick["input"]) for tick in ticks}) == 1
 
 
+# a hierarchy whose child fires once on 1 and then is stuck, a ca_from_sa
+# binding, and a root whose cells are that binding nested: together they
+# reach every kind of unit state a configuration renders
+COMPOSITE = """
+sa drive {
+  states: even odd
+  initial: even
+  finals: even
+  inputs: 0 1
+  outputs: 0 1
+  delta: even 0 -> even / 0
+  delta: even 1 -> odd / 1
+  delta: odd 0 -> odd / 0
+  delta: odd 1 -> even / 1
+}
+
+sa top {
+  states: t0
+  initial: t0
+  finals: t0
+  inputs: 0 1
+  outputs: 0 1
+  partial: true
+  delta: t0 0 -> t0 / 0
+}
+
+sa kid {
+  states: k0 k1
+  initial: k0
+  finals: k1
+  inputs: 0 1
+  outputs: 0 1
+  partial: true
+  delta: k0 1 -> k1 / 1
+}
+
+ha h {
+  sas: top kid
+  root: top
+  gamma: top t0 -> kid
+}
+
+ca pair {
+  cell_states: 0 1
+  width: 2
+  radius: 1
+  boundary: fixed 0
+  rule expr: identity
+}
+
+binding stepper {
+  mode: ca_from_sa
+  ca: pair
+  t_max: 5
+  seed: 0 1
+  outer_sa: drive
+  readout expr: parity 1
+  cell_map: 0 -> sa drive
+  cell_map: 1 -> sa drive
+}
+
+binding ha_cells {
+  mode: sa_from_ca
+  ca: pair
+  cell_map: 0 -> ha h
+  cell_map: 1 -> sa drive
+}
+
+binding nest {
+  mode: sa_from_ca
+  ca: pair
+  cell_map: 0 -> binding stepper
+  cell_map: 1 -> binding stepper
+}
+
+ma stepper_ma {
+  sas: drive
+  cas: pair
+  bindings: stepper
+  root_binding: stepper
+}
+
+ma ha_ma {
+  sas: drive top kid
+  cas: pair
+  has: h
+  bindings: ha_cells
+  root_binding: ha_cells
+}
+
+ma nest_ma {
+  sas: drive
+  cas: pair
+  bindings: nest stepper
+  root_binding: nest
+}
+
+property anything {
+  kind: invariant
+  predicate: true
+}
+
+property anything_fed {
+  kind: invariant
+  predicate: true
+  inputs: "0"
+}
+"""
+
+
+def test_hierarchical_nested_and_ca_from_sa_models_simulate_and_check(capsys, tmp_path):
+    path = tmp_path / "composite.ma"
+    path.write_text(COMPOSITE)
+
+    def simulate(model, word, steps):
+        return run(capsys, ["simulate", str(path), "--model", model, "--input", word, "--steps", str(steps)])
+
+    assert simulate("ha_ma", "11", 1) == (0, "model: ha_ma\nmacro_clock: 1\n"
+                                          "final: [0 0] | kid=k1,top=t0 / kid=k1,top=t0\n"
+                                          "tick 0: lattice ['0', '0'] -> ['0', '0'], output '1'\n", "")
+    assert simulate("nest_ma", "11", 1) == (
+        0, "model: nest_ma\nmacro_clock: 1\n"
+        "final: [0 0] | {[0 1] | even / even | outer=odd} / {[0 1] | even / even | outer=odd}\n"
+        "tick 0: lattice ['0', '0'] -> ['0', '0'], output '1'\n", "")
+    assert simulate("stepper_ma", "11", 2) == (0, "model: stepper_ma\nmacro_clock: 2\n"
+                                               "final: [1 1] | even / even | outer=even\n"
+                                               "tick 0: lattice ['0', '1'] -> ['1', '1'], output '0'\n"
+                                               "tick 1: lattice ['1', '1'] -> ['1', '1'], output '0'\n", "")
+
+    def check(model):
+        return run(capsys, ["check", str(path), "--model", model, "--property", "anything"])
+
+    # a ca_from_sa root is fed its seed; a hierarchy consumes its members' symbols
+    assert check("stepper_ma") == (0, "verdict: holds\nstats.states: 2\nstats.transitions: 2\n", "")
+    assert check("ha_ma") == (0, "verdict: holds\nstats.states: 2\nstats.transitions: 4\n", "")
+    # cells that are all nested ca_from_sa bindings consume no input symbol
+    assert check("nest_ma") == (3, "", "ma: error: cannot derive an input universe (no common input "
+                                       "alphabet); set 'inputs:' on the property\n")
+    # two cells share one nested binding: walked once, it is still deterministic
+    assert run(capsys, ["check", str(path), "--model", "nest_ma", "--property", "anything_fed"]) == (
+        0, "verdict: holds\nstats.states: 2\nstats.transitions: 2\n", "")
+
+
+
+def test_simulate_reads_a_word_from_a_file_one_symbol_per_line(capsys, tmp_path):
+    word = tmp_path / "word.txt"
+    word.write_text("1\n0\n\n1\n")
+    code, out, err = run(capsys, ["simulate", PARITY, "--model", "parity", "--input", f"@{word}", "--steps", "0"])
+    assert (code, err) == (0, "")
+    assert out == run(capsys, ["simulate", PARITY, "--model", "parity", "--input", "101", "--steps", "0"])[1]
+
+
+def test_simulate_a_bare_ca_as_json(capsys):
+    code, out, err = run(capsys, ["simulate", DHR, "--model", "ident3", "--input", "012", "--steps", "3",
+                                  "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"] == {"model": "ident3", "terminated_by": "fixpoint", "trace": [["0", "1", "2"]]}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", DHR, "--model", "echo_chain", "--input", "a", "--steps", "1"], "model 'echo_chain' is not simulatable"),
+    (["check", PARITY, "{ambiguous}", "--model", "parity_ma", "--property", "true_inv"],
+     "model name 'parity_ma' is ambiguous across kinds; rename one block"),
+    (["export-dot", PARITY, "--model", "parity", "--raw-ca", "--out", "unused.dot"],
+     "'parity' has no lattice rule to export"),
+])
+def test_models_that_a_command_cannot_pick_exit_three(capsys, tmp_path, argv, message):
+    ambiguous = tmp_path / "ambiguous.ma"
+    ambiguous.write_text("ca parity_ma {\n  cell_states: 0 1\n  width: 1\n  rule expr: identity\n}\n")
+    code, out, err = run(capsys, [str(ambiguous) if arg == "{ambiguous}" else arg for arg in argv])
+    assert (code, out, err) == (3, "", f"ma: error: {message}\n")
+
+
+@pytest.mark.parametrize("path, model, ca", [(PARITY, "parity_ma", "ident1"), (DHR, "echo3", "ident3")])
+def test_export_dot_raw_takes_the_lattice_rule_of_an_ma_or_a_dhr(capsys, tmp_path, path, model, ca):
+    by_model, by_ca = tmp_path / "model.dot", tmp_path / "ca.dot"
+    assert run(capsys, ["export-dot", path, "--model", model, "--raw-ca", "--out", str(by_model)])[0] == 0
+    assert run(capsys, ["export-dot", path, "--model", ca, "--raw-ca", "--out", str(by_ca)])[0] == 0
+    assert by_model.read_text() == by_ca.read_text()
+
+
+def test_export_dot_raw_of_too_many_lattices_is_a_resource_error(capsys, tmp_path):
+    path = tmp_path / "wide.ma"
+    path.write_text("ca wide {\n  cell_states: 0 1\n  width: 13\n  rule expr: identity\n}\n")
+    code, out, err = run(capsys, ["export-dot", str(path), "--model", "wide", "--raw-ca",
+                                  "--out", str(tmp_path / "wide.dot")])
+    assert (code, out) == (2, "")
+    assert err == ("ma: resource bound: exact expansion needs 8192 entries, cap is 4096; "
+                   "export a smaller width or raise the cap\n")
+
 def test_simulate_plain_sa_and_ca(capsys):
     code, out, _ = run(capsys, ["simulate", PARITY, "--model", "parity",
                                 "--input", "101", "--steps", "0"])
@@ -288,6 +478,45 @@ dhr faulty {{
     assert (code, err) == (0, "")
     assert json.loads(out)["result"] == {"model": "faulty", "ticks": ticks}
 
+
+
+def test_simulate_dhr_shows_each_tick_s_report_and_shares_one_row_part_per_distinct_report(capsys, tmp_path):
+    rule = "\n".join(f"    {l} {c} {r} -> {l}" for l, c, r in itertools.product("012", repeat=3))
+    model = tmp_path / "rotating.ma"
+    model.write_text((MODELS / "dhr_echo.ma").read_text() + f"""
+ca rot3 {{
+  cell_states: 0 1 2
+  width: 3
+  radius: 1
+  boundary: periodic
+  rule table:
+{rule}
+}}
+
+dhr rotating {{
+  executors: e0 e1 flipper
+  scheduler: rot3
+  width: 3
+  initial_lattice: 0 1 2
+}}
+""")
+    doc, diagnostics = parse_files([str(model)])
+    assert diagnostics == []
+    reports = dhr_run(doc.dhrs["rotating"], [("a", "b")] * 7)
+    ticks = [{"index": i, "voted": "".join(rep.voted_output), "dissenters": sorted(rep.dissenters)}
+             for i, rep in enumerate(reports)]
+    assert [tick["dissenters"] for tick in ticks[:3]] == [[2], [0], [1]]  # the flipper moves one slot a tick
+    args = ["simulate", str(model), "--model", "rotating", "--input", "ab", "--steps", "7"]
+    code, out, err = run(capsys, args)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["model: rotating", *(f"tick {t['index']}: voted {t['voted']!r}, "
+                                                     f"dissenters {t['dissenters']}" for t in ticks)]
+    code, out, err = run(capsys, [*args, "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"] == {"model": "rotating", "ticks": ticks}
+    rows = cli._simulate_dhr(doc.dhrs["rotating"], cli._build_parser().parse_args(args))[1]()["ticks"]
+    assert rows == ticks
+    assert len({id(row["dissenters"]) for row in rows}) == 3  # one list per distinct report, not per tick
 
 def test_simulate_bare_pca_is_a_pca_step_loop_on_the_seeded_stream(capsys, tmp_path):
     rule = "\n".join(f"    {' '.join(nb)} -> 0@0.25 1@0.75" if nb[1] == "0" else f"    {' '.join(nb)} -> 0@0.5 1@0.5"
@@ -446,6 +675,46 @@ def test_check_unbounded_probability_with_tol(capsys):
     assert abs(json.loads(out)["probability"] - 1.0) < 1e-4
 
 
+
+FLIP_PROPERTIES = """
+property always_true {
+  kind: invariant
+  predicate: true
+}
+
+property hit_one_by_universe {
+  kind: reach
+  predicate: lattice_has(1)
+  horizon: 2
+}
+
+property hit_one_two_inputs {
+  kind: reach
+  predicate: lattice_has(1)
+  inputs: "a" "aa"
+}
+"""
+
+
+@pytest.mark.parametrize("prop, extra, message", [
+    ("always_true", [], "probabilistic models support reach properties only"),
+    ("hit_one_two_inputs", [], "a probabilistic reach check needs an input policy"),
+    ("hit_one_unbounded", ["--trials", "10"], "Monte Carlo estimation needs a horizon on the property"),
+])
+def test_check_refuses_what_a_probabilistic_model_cannot_answer(capsys, tmp_path, prop, extra, message):
+    path = tmp_path / "flip.ma"
+    path.write_text((MODELS / "flip.ma").read_text() + FLIP_PROPERTIES)
+    code, out, err = run(capsys, ["check", str(path), "--model", "flip_ma", "--property", prop, *extra])
+    assert (code, out, err) == (3, "", f"ma: error: {message}\n")
+
+
+def test_a_probabilistic_reach_without_a_policy_feeds_its_sole_input_block(capsys, tmp_path):
+    path = tmp_path / "flip.ma"
+    path.write_text((MODELS / "flip.ma").read_text() + FLIP_PROPERTIES)
+    by_universe = run(capsys, ["check", str(path), "--model", "flip_ma", "--property", "hit_one_by_universe"])
+    assert by_universe == run(capsys, ["check", FLIP, "--model", "flip_ma", "--property", "hit_one"])
+    assert by_universe[0] == 0 and by_universe[1].startswith("probability: 0.75 ")
+
 def test_negative_horizon_exits_three_in_validate_and_check(capsys, tmp_path):
     bad = tmp_path / "flip.ma"
     bad.write_text((MODELS / "flip.ma").read_text().replace("horizon: 2", "horizon: -3"))
@@ -575,6 +844,17 @@ def test_check_and_detect_reject_a_bound_below_one_before_reading_a_file(capsys,
     code, out, err = run(capsys, [*argv, "--bound", bound])
     assert (code, out, err) == (3, "", f"ma: error: --bound must be >= 1, got {bound}\n")
 
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+@pytest.mark.parametrize("path, model, prop", [
+    (PARITY, "parity_ma", "even_always"),  # flattened: used to ignore the flag and exit 1
+    (FLIP, "flip_ma", "hit_one"),  # Monte Carlo: used to refuse only after parsing
+    ("/nonexistent/model.ma", "flip_ma", "hit_one"),
+])
+def test_check_rejects_trials_below_one_before_reading_a_file(capsys, path, model, prop, trials):
+    code, out, err = run(capsys, ["check", path, "--model", model, "--property", prop, "--trials", trials])
+    assert (code, out, err) == (3, "", f"ma: error: --trials must be >= 1, got {trials}\n")
 
 def test_check_and_detect_accept_a_bound_of_one(capsys):
     code, out, err = run(capsys, ["detect", DETECT, "--model", "const3", "--signatures", SIG, "--bound", "1"])

@@ -1,19 +1,25 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from mimic_automata import (
     Binding,
+    DimensionError,
     HaUnit,
     InputRejectedError,
     MODE_CA_FROM_SA,
     MODE_SA_FROM_CA,
     MimicAutomaton,
+    MimicError,
     NestedUnit,
     NestingError,
     Readout,
+    ReadoutError,
     SaUnit,
+    StuckError,
     ca_step,
+    common_input_alphabet,
     ha_initial,
     ma_initial,
     ma_run,
@@ -249,3 +255,56 @@ def test_reference_agreement_on_small_family():
                 assert got == ref_cells
         checked += 1
     assert checked == 120
+
+
+def test_readout_refuses_an_unlisted_lattice_and_an_unknown_kind():
+    with pytest.raises(ReadoutError, match=r"readout table undefined on lattice \('0',\)"):
+        Readout(kind="table", table={}).apply(("0",))
+    with pytest.raises(ReadoutError, match="unknown readout kind 'bogus'"):
+        Readout(kind="bogus").apply(("0",))
+
+
+def test_initial_refuses_a_lattice_of_the_wrong_width_or_values():
+    with pytest.raises(DimensionError, match="initial lattice length 2 != width 1"):
+        ma_initial(parity_ma(), ("0", "0"))
+    with pytest.raises(MimicError, match="initial lattice value '7' is not a cell state"):
+        ma_initial(parity_ma(), ("7",))
+
+
+def test_validate_ma_reports_bindings_the_text_format_cannot_build():
+    ma = mode2_ma(Readout(kind="cell", cell=0))
+    letters = make_sa("letters", ("s",), "s", (), ("a", "b"), delta=[("s", "a", "s"), ("s", "b", "s")])
+
+    def report(**changes):
+        bindings = {"b": replace(ma.bindings["b"], **changes)}
+        return [str(v) for v in validate_ma(replace(ma, sa_set={**ma.sa_set, "letters": letters}, bindings=bindings))]
+
+    assert report(mode="diagonal") == ["[binding-mode] binding b: unknown mode 'diagonal'"]
+    assert report(readout=Readout(kind="bogus")) == ["[readout-kind] binding b: unknown readout kind 'bogus'"]
+    assert report(outer_sa="letters", readout=Readout(kind="parity", target="1")) == [
+        "[readout-range] binding b: parity readout emits '0', missing from letters's alphabet",
+        "[readout-range] binding b: parity readout emits '1', missing from letters's alphabet",
+    ]
+
+
+def test_an_unvalidated_ca_from_sa_model_fails_its_outer_step_with_a_named_error():
+    ma = mode2_ma(Readout(kind="cell", cell=0), ca=identity_ca("inner", states=("0", "1", "2")))
+    with pytest.raises(ReadoutError, match="b: readout produced '2', not an input of parity"):
+        ma_run(ma, ma_initial(ma, ("0",)), [("2",)])
+    partial = make_sa("parity", ("even", "odd"), "even", ("even",), ("0", "1"), delta=[("even", "0", "even")],
+                      partial=True)
+    ma = replace(mode2_ma(Readout(kind="cell", cell=0)), sa_set={"parity": partial})
+    with pytest.raises(StuckError, match=r"b: outer machine has no transition on \('even', '1'\)"):
+        ma_run(ma, ma_initial(ma, ("0",)), [("1",)])
+
+
+def test_common_input_alphabet_collects_through_nested_sa_from_ca_bindings():
+    ones_twos = make_sa("ones_twos", ("s",), "s", (), ("2", "1"), delta=[("s", "2", "s"), ("s", "1", "s")])
+    ca = identity_ca("i", width=1)
+    inner = Binding("inner", MODE_SA_FROM_CA, "i", {"0": SaUnit("parity"), "1": SaUnit("parity")})
+    top = Binding("top", MODE_SA_FROM_CA, "i", {"0": NestedUnit("inner"), "1": SaUnit("ones_twos")})
+    ma = MimicAutomaton("m", {"parity": parity_sa(), "ones_twos": ones_twos}, {"i": ca}, {},
+                        {"top": top, "inner": inner}, "top")
+    assert validate_ma(ma) == []
+    assert common_input_alphabet(ma) == ("1",)  # in the order of the first alphabet met: the nested parity's
+    assert common_input_alphabet(ma, inner) == ("0", "1")

@@ -326,3 +326,24 @@ def test_fault_tagged_cells_render_with_their_slot():
     injected = inject_fault(echo_dhr(), 1, flipper_sa())
     assert str(FaultTagged("1", 2)) == "1!f2"
     assert render_config(dhr_initial(injected)).startswith("[0 1!f1 2]")
+
+
+def test_vote_refuses_an_unknown_voter_kind():
+    with pytest.raises(MimicError, match="unknown voter kind 'loudest'"):
+        vote(VoterPolicy(kind="loudest"), [("a",), ("a",), ("b",)])
+
+
+def test_a_structure_without_an_initial_lattice_starts_every_slot_at_the_first_scheduler_state():
+    d = replace(echo_dhr(), initial_lattice=None)
+    assert d.start_lattice() == ("0", "0", "0")
+    assert dhr_run(d, [("a",), ("b",)]) == dhr_run(replace(d, initial_lattice=("0", "0", "0")), [("a",), ("b",)])
+
+
+def test_a_widened_rule_table_over_its_cap_is_refused_before_it_is_built():
+    # 3 states and 4 injected slots give 15 states; radius 2 gives 15^5 = 759,375 neighborhoods
+    d = echo_dhr(scheduler=identity_ca("r2", width=4, states=("0", "1", "2"), radius=2))
+    d = replace(d, width=4, initial_lattice=("0", "1", "2", "0"))
+    for slot in range(4):
+        d = inject_fault(d, slot, flipper_sa())
+    with pytest.raises(MimicError, match=r"widened rule table needs 759375 entries \(cap 250000\)"):
+        build_dhr(d)

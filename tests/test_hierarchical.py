@@ -204,3 +204,10 @@ def test_closure_invariant_holds_after_every_step(word):
         except StuckError:
             break
         assert _config_is_legal(ha, config)
+
+
+def test_state_of_answers_for_active_machines_only():
+    config = ha_initial(three_level_chain())
+    assert [config.state_of(name) for name in "abc"] == ["a0", "b0", "c0"]
+    with pytest.raises(KeyError):
+        config.state_of("ghost")

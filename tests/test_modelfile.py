@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mimic_automata.sequential as sequential
-from mimic_automata import modelfile
+from mimic_automata import MimicError, Property, PropertyError, modelfile
 from mimic_automata.detect import load_signatures
 from mimic_automata.errors import ModelFormatError
 from mimic_automata.modelfile import (
@@ -18,7 +18,7 @@ from mimic_automata.modelfile import (
     scan,
     serialize,
 )
-from mimic_automata.props import parse_predicate, render_predicate
+from mimic_automata.props import eval_predicate, parse_predicate, render_predicate
 
 from helpers import MODELS, SIGNATURES, gen_document
 
@@ -344,6 +344,134 @@ def test_lattice_shape_checks_are_reported_through_the_text_format(kind, line, v
     assert [(d.line, d.message) for d in shape] == [(2, f"{kind} c: {violation}")]
 
 
+HA_DOC = """
+sa top {
+  states: t0 t1
+  initial: t0
+  finals: t0
+  inputs: 0 1
+  outputs: 0 1
+  delta: t0 0 -> t1 / 0
+  delta: t0 1 -> t0 / 1
+  delta: t1 0 -> t0 / 0
+  delta: t1 1 -> t1 / 1
+}
+
+sa kid {
+  states: k0
+  initial: k0
+  finals: k0
+  inputs: 0 1
+  outputs: 0 1
+  delta: k0 0 -> k0 / 0
+  delta: k0 1 -> k0 / 1
+}
+
+ha h {
+  sas: top kid
+  root: top
+  gamma: top t0 -> kid
+}
+"""
+PARITY_DOC = (MODELS / "parity.ma").read_text()
+FLIP_DOC = (MODELS / "flip.ma").read_text()
+ECHO_DOC = (MODELS / "dhr_echo.ma").read_text()
+SIGNATURE_DOC = (SIGNATURES / "emits_b.ma").read_text()
+IDENTITY_TABLE = "rule table:\n" + "".join(f"    {a} {b} {c} -> {b}\n" for a in "01" for b in "01" for c in "01")
+TABLE_READOUT = "  readout table:\n    0 0 -> 0\n    0 1 -> 1\n    1 0 -> 1\n    1 1 -> 0\n"
+
+
+@pytest.mark.parametrize("doc, edits, message", [
+    # sa
+    (PARITY_DOC, {"states: even odd": "states: even odd even"},
+     "sa parity: [unique-states] parity: duplicate state identifiers"),
+    (PARITY_DOC, {"inputs: 0 1": "inputs: 0 1 0"}, "sa parity: [unique-symbols] parity: duplicate input symbols"),
+    (PARITY_DOC, {"initial: even": "initial: even odd"}, "field 'initial' expects exactly one value"),
+    (PARITY_DOC, {"finals: even": "finals: even\n  partial: maybe"}, "field 'partial' expects true or false"),
+    # ca
+    (PARITY_DOC, {"boundary: periodic": "boundary: wrapped"}, "boundary expects 'periodic' or 'fixed <state>'"),
+    (PARITY_DOC, {"rule expr: identity": "rule table:\n    0 0 0 -> 0 0"}, "rule entry expects 3 states, '->', one state"),
+    (PARITY_DOC, {"rule expr: identity": IDENTITY_TABLE.replace("1 1 1 -> 1", "1 1 1 -> 7")},
+     "ca ident1: [rule-range] ('1', '1', '1'): target '7' not a cell state"),
+    (PARITY_DOC, {"rule expr: identity": IDENTITY_TABLE + "    0 0 7 -> 0"},
+     "ca ident1: [rule-domain] ('0', '0', '7'): neighborhood outside Q^(2r+1)"),
+    (ECHO_DOC, {"rule expr: identity": "rule expr: xor"}, "builtin rule 'xor' needs exactly 2 cell states"),
+    (PARITY_DOC, {"radius: 1": "radius: 2", "rule expr: identity": "rule expr: xor"},
+     "builtin rule 'xor' is defined for radius 1"),
+    # pca
+    (FLIP_DOC, {"0 1 0 -> 1@1.0": "0 1 0 -> 7@1.0"}, "pca flip: [rule-range] ('0', '1', '0'): target '7' not a cell state"),
+    (FLIP_DOC, {"0 1 0 -> 1@1.0": "0 1 0 -> 0@-0.5 1@1.5"},
+     "pca flip: [probability-sign] ('0', '1', '0'): negative probability -0.5"),
+    (FLIP_DOC, {"0 1 0 -> 1@1.0": "0 1 0 -> 1@1.0\n    0 0 7 -> 0@1.0"},
+     "pca flip: [rule-domain] ('0', '0', '7'): neighborhood outside Q^(2r+1)"),
+    (FLIP_DOC, {"0 1 0 -> 1@1.0": "0 1 0 -> 1"}, "expected <state>@<prob>, got '1'"),
+    (FLIP_DOC, {"0 1 0 -> 1@1.0": "0 1 0 -> 1@x"}, "bad probability 'x'"),
+    (LATTICE_BLOCK.format(kind="pca", rule=RULES["pca"]), {RULES["pca"]: ""}, "pca c: missing 'rule table:'"),
+    (FLIP_DOC, {"pca flip {": "ca flip {\n  cell_states: 0 1\n  width: 1\n  rule expr: identity\n}\n\npca flip {"},
+     "'flip' is defined as both ca and pca"),
+    # ha
+    (HA_DOC, {"  root: top\n": ""}, "ha h: missing field 'root'"),
+    (HA_DOC, {"sas: top kid": "sas: top ghost"}, "unknown machine 'ghost'"),
+    (HA_DOC, {"gamma: top t0 -> kid": "gamma: top t0 kid"}, "gamma expects '<machine> <state> -> <child> ...'"),
+    (HA_DOC, {"gamma: top t0 -> kid": "gamma: top t0 -> kid\n  gamma: top t0 -> kid"}, "duplicate gamma for ('top', 't0')"),
+    (HA_DOC, {"sas: top kid": "sas: top kid kid"}, "ha h: [unique-members] h: duplicate member machine names"),
+    (HA_DOC, {"root: top": "root: kid2"}, "ha h: [root-membership] kid2: root is not a member machine"),
+    (HA_DOC, {"gamma: top t0 -> kid": "gamma: ghost t0 -> kid"}, "ha h: [gamma-domain] (ghost,t0): owner machine unknown"),
+    (HA_DOC, {"gamma: top t0 -> kid": "gamma: top t9 -> kid"}, "ha h: [gamma-domain] (top,t9): owner state unknown"),
+    (HA_DOC, {"gamma: top t0 -> kid": "gamma: top t0 -> kid ghost"}, "ha h: [gamma-target] (top,t0): child 'ghost' unknown"),
+    # binding
+    (MODE2_TABLE_DOC, {TABLE_READOUT: "  readout expr: cell x\n"}, "readout expr expects 'cell <index>' or 'parity <state>'"),
+    (MODE2_TABLE_DOC, {TABLE_READOUT: "  readout expr: parity 7\n"},
+     "binding stepper: [readout-parity] binding stepper: target '7' not a cell state"),
+    (MODE2_TABLE_DOC, {TABLE_READOUT: "  readout expr: cell 5\n"},
+     "binding stepper: [readout-cell] binding stepper: cell index 5 out of range"),
+    (MODE2_TABLE_DOC, {TABLE_READOUT: "  readout expr: cell 0\n", "cell_states: 0 1": "cell_states: 0 1 2"},
+     "binding stepper: [readout-range] binding stepper: cell state '2' is not an input symbol of drive"),
+    (MODE2_TABLE_DOC, {"    1 1 -> 0": "    1 1 -> 7"},
+     "binding stepper: [readout-range] binding stepper: '7' is not an input symbol of drive"),
+    (MODE2_TABLE_DOC, {"    1 1 -> 0": "    1 1 0"}, "readout entry expects '<lattice> -> <symbol>'"),
+    (MODE2_TABLE_DOC, {"cell_map: 1 -> sa drive": "cell_map: 1 -> sa drive\n  cell_map: 1 -> sa drive"},
+     "duplicate cell_map for '1'"),
+    (MODE2_TABLE_DOC, {"cell_map: 1 -> sa drive": "cell_map: 1 -> ha ghost"},
+     "cell_map for '1': unknown hierarchy 'ghost'"),
+    (MODE2_TABLE_DOC, {"cell_map: 1 -> sa drive": "cell_map: 1 -> ha ghost"},
+     "ma stepper_ma: [unit-membership] binding stepper: hierarchy 'ghost' not in ha_set"),
+    (MODE2_TABLE_DOC, {"cell_map: 1 -> sa drive": "cell_map: 1 -> binding ghost"},
+     "cell_map for '1': unknown binding 'ghost'"),
+    (MODE2_TABLE_DOC, {"cell_map: 1 -> sa drive": "cell_map: 1 -> binding ghost"},
+     "ma stepper_ma: [unit-membership] binding stepper: binding 'ghost' unknown"),
+    (MODE2_TABLE_DOC, {"outer_sa: drive": "outer_sa: ghost"}, "unknown outer machine 'ghost'"),
+    (MODE2_TABLE_DOC, {"outer_sa: drive": "outer_sa: ghost"},
+     "ma stepper_ma: [outer-sa] binding stepper: outer machine 'ghost' not in sa_set"),
+    (MODE2_TABLE_DOC, {"cell_map: 1 -> sa drive": "cell_map: 1 -> sa drive\n  cell_map: 7 -> sa drive"},
+     "ma stepper_ma: [cell-map-domain] binding stepper: '7' is not a cell state"),
+    (MODE2_TABLE_DOC, {"seed: 0 1": "seed: 0 7"},
+     "ma stepper_ma: [seed-range] binding stepper: seed contains non-cell-state values"),
+    (MODE2_TABLE_DOC, {"ca pair {": "pca pair {", "rule expr: identity": IDENTITY_TABLE.replace(" -> 0", " -> 0@1")
+                       .replace(" -> 1\n", " -> 1@1\n")},
+     "ma stepper_ma: [inner-run-deterministic] binding stepper: ca_from_sa needs a deterministic inner automaton"),
+    (PARITY_DOC, {"seed: 0": "seed: 0\n  outer_sa: parity"},
+     "ma parity_ma: [mode-fields] binding parity_cell: outer_sa/readout are only meaningful in mode ca_from_sa"),
+    # dhr, property, signature
+    (ECHO_DOC, {"  stages: echo3 echo3\n": ""}, "serial_dhr echo_chain: missing field 'stages'"),
+    (FLIP_DOC, {'policy: "a"\n  horizon: 2': "policy: a\n  horizon: 2"}, "field 'policy' expects quoted words"),
+    (PARITY_DOC, {"kind: invariant": "kind: sometimes"}, "property kind must be invariant, reach or bad_prefix"),
+    (PARITY_DOC, {"kind: invariant\n  predicate: cell0_state(even)": "kind: bad_prefix"},
+     "property even_always: missing field 'pattern'"),
+    (PARITY_DOC, {"kind: invariant\n  predicate: cell0_state(even)": "kind: bad_prefix\n  pattern: ghost"},
+     "unknown pattern machine 'ghost'"),
+    (SIGNATURE_DOC, {'description: "some tick\'s arbitrated output is B"': "description: unquoted"},
+     "description expects one quoted string"),
+])
+def test_each_rejection_is_reported_through_the_text_format(doc, edits, message):
+    text = doc
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new, 1)
+    _, diags = parse(text, "m.ma")
+    assert message in [d.message for d in diags]
+
+
 def test_a_repeated_table_line_is_reported_at_that_line():
     text = MODE2_TABLE_DOC.replace("    1 1 -> 0\n", "    1 1 -> 0\n    1 1 -> 1\n")
     _, diags = parse(text, "r.ma")
@@ -534,3 +662,35 @@ def test_predicate_render_parse_fixpoint(text):
     rendered = render_predicate(ast)
     assert parse_predicate(rendered) == ast
     assert render_predicate(parse_predicate(rendered)) == rendered
+
+
+@pytest.mark.parametrize("text, message", [
+    ("  ", "empty predicate"),
+    ("(true", "predicate ended unexpectedly"),
+    ("(true false", "missing ')' in predicate"),
+    (")", "unexpected ')' in predicate"),
+    ("true false", "trailing tokens in predicate: false"),
+])
+def test_malformed_predicates_are_refused(text, message):
+    with pytest.raises(PropertyError) as caught:
+        parse_predicate(text)
+    assert str(caught.value) == message
+
+
+def test_predicates_ignore_trailing_space_and_refuse_foreign_nodes():
+    assert parse_predicate("not p  ") == parse_predicate("not p")
+    with pytest.raises(PropertyError, match="unknown predicate node 'p'"):
+        render_predicate("p")
+    with pytest.raises(PropertyError, match="unknown predicate node 'p'"):
+        eval_predicate("p", frozenset())
+
+
+def test_a_parity_readout_round_trips_and_multi_character_words_do_not_serialize():
+    text = MODE2_TABLE_DOC.replace(TABLE_READOUT, "  readout expr: parity 1\n")
+    doc, diags = parse(text)
+    assert diags == []
+    assert "  readout expr: parity 1\n" in serialize(doc)
+    assert parse(serialize(doc)) == (doc, [])
+    doc.properties["p"] = Property("p", "reach", parse_predicate("true"), inputs=(("ab",),))
+    with pytest.raises(MimicError, match=r"only single-character symbols serialize into words: \('ab',\)"):
+        serialize(doc)

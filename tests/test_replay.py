@@ -580,3 +580,26 @@ def test_padded_lattice_steps_equal_the_neighborhood_of_form(case):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     assert outcome(pca_step, pca, lattice, rng) == outcome(ref_pca_step, pca, lattice, ref_rng)
     assert rng.random() == ref_rng.random()  # the same number of uniforms was drawn
+
+
+@pytest.mark.parametrize("radius, width, hole", [(3, 1, False), (4, 2, False), (3, 2, True), (1, 3, True)])
+def test_padded_lattice_steps_equal_the_neighborhood_of_form_on_fixed_cases(radius, width, hole):
+    # the examples above, fixed: a radius that wraps the lattice more than once, and a
+    # rule with no entry for the last cell's neighborhood
+    states = ("0", "1")
+    rnd = random.Random(10 * radius + width)
+    neighborhoods = list(itertools.product(states, repeat=2 * radius + 1))
+    rule = {nb: rnd.choice(states) for nb in neighborhoods}
+    dist = {nb: (("0", 0.25), ("1", 0.75)) for nb in neighborhoods}
+    lattice = tuple(rnd.choice(states) for _ in range(width))
+    ca = CellularAutomaton("c", states, width, radius, rule=rule)
+    if hole:
+        missing = neighborhood_of(ca, lattice, width - 1)
+        del rule[missing], dist[missing]
+        ca = CellularAutomaton("c", states, width, radius, rule=rule)
+    pca = ProbabilisticCellularAutomaton("p", states, width, radius, rule=dist)
+    assert outcome(ca_step, ca, lattice) == outcome(ref_ca_step, ca, lattice)
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    assert outcome(pca_step, pca, lattice, rng) == outcome(ref_pca_step, pca, lattice, ref_rng)
+    assert rng.random() == ref_rng.random()
+    assert (outcome(ca_step, ca, lattice)[0] == "KeyError") == hole

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from mimic_automata import InputRejectedError, sa_run, sa_step, validate_sa
+from mimic_automata import InputRejectedError, MimicError, sa_run, sa_step, validate_sa
 from helpers import gen_sa, make_sa, parity_sa
 
 
@@ -141,3 +141,16 @@ def test_run_is_deterministic_and_matches_manual_fold(sa, word):
     assert first.output_word == tuple(outputs)
     assert first.accepted == (state in sa.finals)
     assert first.steps == len(word)
+
+
+@pytest.mark.parametrize("state, symbol, error, message", [
+    ("ghost", "0", MimicError, "parity: unknown state 'ghost'"),
+    ("even", "z", InputRejectedError, "input symbol 'z' rejected at position 0"),
+    ("odd", "1", MimicError, "parity: no transition on ('odd', '1') (partial map)"),
+])
+def test_step_refuses_an_unknown_state_a_foreign_symbol_and_a_missing_transition(state, symbol, error, message):
+    sa = dataclasses.replace(parity_sa(), allow_partial=True,
+                             transitions={k: v for k, v in parity_sa().transitions.items() if k != ("odd", "1")})
+    with pytest.raises(error) as caught:
+        sa_step(sa, state, symbol)
+    assert str(caught.value) == message
