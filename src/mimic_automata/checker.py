@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
+from bisect import bisect_right
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -298,7 +299,7 @@ def flatten(
     mode_successors = _mode1_successors if binding.mode == MODE_SA_FROM_CA else _mode2_successors
     successors = mode_successors(ma, binding, universe)
     # keys are the fields of a clock-stripped configuration, not one per edge
-    store = _explore((start.lattice, start.unit_states, start.outer_state), _flat_config, successors, bound)
+    store, _ = _explore((start.lattice, start.unit_states, start.outer_state), _flat_config, successors, bound)
     return TransitionSystem(
         states=_StoreView(store, store.config),
         initial="s0",
@@ -318,12 +319,13 @@ _name = "s{}".format  # state index -> its name
 
 
 class _Store(NamedTuple):
-    """What ``_explore`` keeps: the state keys and one CSR edge store.
+    """What ``_explore`` keeps: the state keys, one CSR edge store and the discovery edges.
 
     ``keys[i]`` is state ``i``'s key in discovery order. Its edges are
     ``labels[e]`` to state ``targets[e]`` for ``e`` in
-    ``offsets[i]:offsets[i + 1]``. Configurations are built from keys on
-    demand by ``make_config``.
+    ``offsets[i]:offsets[i + 1]``, and ``discovery[i]`` is the edge that
+    first reached it (-1 for state 0). Configurations are built from keys
+    on demand by ``make_config``.
     """
 
     keys: list
@@ -331,6 +333,7 @@ class _Store(NamedTuple):
     offsets: array
     targets: array
     labels: list
+    discovery: array
 
     def config(self, index: int) -> MimicConfiguration:
         return self.make_config(self.keys[index])
@@ -343,6 +346,17 @@ class _Store(NamedTuple):
     def row(self, index: int) -> tuple[tuple[object, str], ...]:
         labels, targets = self.edges(index)
         return tuple(zip(labels, map(_name, targets)))
+
+    def path_to(self, index: int, name: Callable[[int], str]) -> Path:
+        """The discovery edges from state 0 to ``index``, a shortest path; ``name`` names its states.
+
+        An edge's source is the last state whose edges start at or before it.
+        """
+        states, actions = [index], []
+        while (edge := self.discovery[states[-1]]) >= 0:
+            actions.append(self.labels[edge])
+            states.append(bisect_right(self.offsets, edge) - 1)
+        return Path(tuple(map(name, reversed(states))), tuple(reversed(actions)))
 
 
 class _StoreView(Mapping):
@@ -384,20 +398,27 @@ class _StoreView(Mapping):
         return len(self.store.keys)
 
 
-def _explore(start_key, make_config, successors, bound: int) -> _Store:
+def _explore(start_key, make_config, successors, bound: int, stop=None) -> tuple[_Store, int | None]:
     """Breadth-first interning of the states reachable from ``start_key``.
 
     ``successors(sid, key, depth)`` yields ``(label, key)`` per edge of the
     state at index ``sid``; a new key takes the next index in discovery
-    order. Only the keys and the edges are kept, in a ``_Store`` whose
-    configurations are ``make_config(key)``. Exceeding ``bound`` states
-    raises ExplosionError.
+    order, and the edge that reached it is its discovery edge. Only the
+    keys and the edges are kept, in a ``_Store`` whose configurations are
+    ``make_config(key)``. Returns the store and the index of the first key
+    (the start included) that satisfies ``stop``, where the exploration
+    stops, or None when no key does. Exceeding ``bound`` states raises
+    ExplosionError.
     """
     keys = [start_key]
     ids = {start_key: 0}
     offsets = array("q", [0])
     targets = array("q")
     labels: list = []
+    discovery = array("q", [-1])
+    store = _Store(keys, make_config, offsets, targets, labels, discovery)
+    if stop is not None and stop(start_key):
+        return store, 0
     depth, level_end = 0, 1  # breadth-first order: states from level_end on are one step deeper
     for sid, key in enumerate(keys):  # grows while it is walked: breadth-first order
         if sid == level_end:
@@ -409,10 +430,15 @@ def _explore(start_key, make_config, successors, bound: int) -> _Store:
                     raise ExplosionError(bound, len(keys) - sid)
                 tid = ids[nxt] = len(keys)
                 keys.append(nxt)
+                discovery.append(len(targets))
+                if stop is not None and stop(nxt):
+                    targets.append(tid)
+                    labels.append(label)
+                    return store, tid
             targets.append(tid)
             labels.append(label)
         offsets.append(len(targets))
-    return _Store(keys, make_config, offsets, targets, labels)
+    return store, None
 
 
 def _mode1_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tuple, ...]):
@@ -470,30 +496,6 @@ def _as_predicate(target: Pred | str) -> Pred:
     return parse_predicate(target) if isinstance(target, str) else target
 
 
-def _bfs_search(start, successors, want, bound: float = math.inf) -> tuple[object, dict]:
-    """First node satisfying ``want`` in BFS order from ``start``, plus parent links.
-
-    ``successors(node)`` yields ``(action, node)`` in edge order. Holding
-    more than ``bound`` nodes raises ExplosionError.
-    """
-    parents: dict = {start: None}  # node -> (parent, action); also the visited set
-    if want(start):
-        return start, parents
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        for action, nxt in successors(node):
-            if nxt in parents:
-                continue
-            if len(parents) >= bound:
-                raise ExplosionError(bound, len(queue) + 1)
-            parents[nxt] = (node, action)
-            if want(nxt):
-                return nxt, parents
-            queue.append(nxt)
-    return None, parents
-
-
 def _graph(ts: TransitionSystem) -> tuple[_Store, Callable, Callable]:
     """``(store, props, name)`` of ``ts``: a ``_Store`` whose index 0 is ``ts.initial``.
 
@@ -506,32 +508,22 @@ def _graph(ts: TransitionSystem) -> tuple[_Store, Callable, Callable]:
     rows, props = ts.transitions, ts.atomic_props
     if isinstance(rows, _StoreView) and isinstance(props, _StoreView) and ts.initial == "s0":
         return rows.store, props.value, _name
-    store = _explore(ts.initial, ts.states.__getitem__, lambda _, sid, __: rows.get(sid, ()), math.inf)
+    store, _ = _explore(ts.initial, ts.states.__getitem__, lambda _, sid, __: rows.get(sid, ()), math.inf)
     return store, lambda index: props[store.keys[index]], store.keys.__getitem__
 
 
-def _path_to(goal, parents: dict, name: Callable) -> Path:
-    """The path of ``name(node)``s from the search's start to ``goal``."""
-    states = [goal]
-    actions: list[Action] = []
-    while (link := parents[states[-1]]) is not None:
-        parent, action = link
-        actions.append(action)
-        states.append(parent)
-    states.reverse()
-    actions.reverse()
-    return Path(tuple(map(name, states)), tuple(actions))
-
-
 def _search_states(ts: TransitionSystem, target: Pred | str, holds: bool) -> tuple[Path | None, dict]:
-    """Shortest path to the first state where ``target`` is ``holds`` (or None), and the stats."""
+    """Shortest path to the first state where ``target`` is ``holds`` (or None), and the stats.
+
+    A store's indices are breadth-first discovery order, so the first index
+    that matches is the state a breadth-first search would stop at, and its
+    discovery edges are that search's path.
+    """
     pred = _as_predicate(target)
     check_vocabulary(pred, ts.vocabulary)
     store, props, name = _graph(ts)
-    hit, parents = _bfs_search(
-        0, lambda index: zip(*store.edges(index)), lambda index: eval_predicate(pred, props(index)) == holds
-    )
-    path = None if hit is None else _path_to(hit, parents, name)
+    hit = next((i for i in range(len(store.keys)) if eval_predicate(pred, props(i)) == holds), None)
+    path = None if hit is None else store.path_to(hit, name)
     return path, {"states": len(ts.states), "transitions": ts.transition_count}
 
 
@@ -641,26 +633,29 @@ def _monitor_witness(
 ) -> Path | None:
     """Shortest base-state path driving the monitor into a final state, or None.
 
-    The search ``check_reach`` makes on ``product(ts, pattern)``, run on the
-    fly over (base state, monitor state) pairs: a pair's successors depend
-    only on that pair, so the pairs are visited in the product's discovery
-    order and the path is the product's witness mapped to its base states.
-    It stops at the first final pair and builds no product states, rows or
-    propositions. Holding more than ``bound`` pairs raises ExplosionError.
+    ``_explore`` over (base state, monitor state) pairs, stopped at the
+    first final pair: a pair's successors depend only on that pair, so the
+    pairs are numbered in ``product(ts, pattern)``'s discovery order and the
+    path is the witness ``check_reach`` finds there, mapped to its base
+    states. No product states, rows or propositions are built. Holding more
+    than ``bound`` pairs raises ExplosionError.
     """
     alphabet = set(pattern.input_alphabet)
     moves = pattern.transitions
     store, _, name = _graph(ts)
 
-    def successors(node):
-        sid, pat = node
+    def successors(_, pair, __):
+        sid, pat = pair
         for action, tid in zip(*store.edges(sid)):
             label = action.label()
             # monitor convention, as in ``product``: unmentioned labels self-loop
             yield action, (tid, moves.get((pat, label), pat) if label in alphabet else pat)
 
-    hit, parents = _bfs_search((0, pattern.initial), successors, lambda node: node[1] in pattern.finals, bound)
-    return None if hit is None else _path_to(hit, parents, lambda node: name(node[0]))
+    finals = pattern.finals
+    pairs, hit = _explore(
+        (0, pattern.initial), lambda pair: store.config(pair[0]), successors, bound, lambda pair: pair[1] in finals
+    )
+    return None if hit is None else pairs.path_to(hit, lambda index: name(pairs.keys[index][0]))
 
 
 def _unmatchable(ts: TransitionSystem, bound: float):
@@ -786,7 +781,7 @@ def _expand_chain(
         lambda key: MimicConfiguration(key[0], key[1], 0, outer),
         successors,
         bound,
-    )
+    )[0]
 
 
 def build_dtmc(
@@ -886,6 +881,8 @@ def reach_probability_exact(
 
     if not (math.isfinite(tol) and tol > 0):  # a residual is never below 0 or NaN
         raise ValueError(f"tol must be a finite number > 0, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     _require_horizon(horizon)
     pred = _as_predicate(target)
     check_vocabulary(pred, dtmc.vocabulary)
@@ -1152,6 +1149,8 @@ def check_property(
         if trials is not None:
             if prop.horizon is None:
                 raise PropertyError("Monte Carlo estimation needs a horizon on the property")
+            if lattice0 is not None:
+                raise PropertyError("Monte Carlo estimation starts from the binding's seed, not from lattice0")
             return reach_probability_mc(
                 ma, policy, prop.predicate, prop.horizon, trials=trials, seed=seed
             )

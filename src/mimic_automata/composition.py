@@ -557,11 +557,15 @@ def _stepper(ma: MimicAutomaton, binding: Binding, depth: int):
 
     outer = ma.sa_set[binding.outer_sa]
     alphabet = set(outer.input_alphabet)
+    cell_states = set(ca.cell_states)
     inner_runs: dict = {}  # seed lattice -> its ca_run
 
     def step(cfg: MimicConfiguration, seed_lattice: Lattice, rng: np.random.Generator | None):
         inner = inner_runs.get(seed_lattice)
         if inner is None:
+            for q in seed_lattice:
+                if q not in cell_states:
+                    raise MimicError(f"{binding.name}: seed lattice value {q!r} is not a cell state")
             inner = inner_runs[seed_lattice] = ca_run(ca, seed_lattice, binding.t_max)
         final = inner.trace[-1]
         symbol = binding.readout.apply(final)

@@ -31,8 +31,10 @@ from mimic_automata import (
     ProbabilisticCellularAutomaton,
     Readout,
     SaUnit,
+    PropertyError,
     SizeCapError,
     build_dtmc,
+    check_property,
     ma_initial,
     reach_probability_exact,
     reach_probability_mc,
@@ -289,37 +291,44 @@ def test_build_dtmc_computes_each_distribution_run_and_rebind_once(monkeypatch):
 # --- value iteration ---------------------------------------------------------
 
 def reference_sweeps(dtmc, target, tol=checker.DEFAULT_TOL, max_iter=checker.DEFAULT_MAX_ITER, horizon=None):
-    """Value iteration as a per-state Python loop: (probability, error bound, iterations)."""
+    """Value iteration as a per-state Python loop: (probability, error bound, iterations).
+
+    States are numbered once, in ``dtmc.states`` order, so a sweep reads
+    lists by integer, not dicts by name.
+    """
     pred = parse_predicate(target)
     order = list(dtmc.states)
-    is_target = {sid: eval_predicate(pred, dtmc.atomic_props[sid]) for sid in order}
-    x = {sid: 1.0 if is_target[sid] else 0.0 for sid in order}
+    index = {sid: i for i, sid in enumerate(order)}
+    is_target = [eval_predicate(pred, dtmc.atomic_props[sid]) for sid in order]
+    x = [1.0 if hit else 0.0 for hit in is_target]
     rows = dict(dtmc.rows)  # the view rebuilds a row on every read
-    plan = [(sid, None if is_target[sid] else rows.get(sid, ())) for sid in order]  # None: a target
+    plan = [None if hit else [(index[tid], prob) for tid, prob in rows.get(sid, ())]  # None: a target
+            for sid, hit in zip(order, is_target)]
 
     def sweep(values):
-        new, residual = {}, 0.0
-        for sid, row in plan:
+        new, residual = [], 0.0
+        for i, row in enumerate(plan):
             if row is None:
-                new[sid] = 1.0
+                new.append(1.0)
                 continue
             total = 0.0
             for tid, prob in row:
                 total += prob * values[tid]
-            new[sid] = total
-            change = abs(total - values[sid])
+            new.append(total)
+            change = abs(total - values[i])
             if change > residual:
                 residual = change
         return new, residual
 
+    start = index[dtmc.initial]
     if horizon is not None:
         for _ in range(horizon):
             x, _ = sweep(x)
-        return x[dtmc.initial], 0.0, horizon
+        return x[start], 0.0, horizon
     for iteration in range(1, max_iter + 1):
         x, residual = sweep(x)
         if residual < tol:
-            return x[dtmc.initial], residual, iteration
+            return x[start], residual, iteration
     raise ConvergenceError(max_iter, residual)
 
 
@@ -634,3 +643,23 @@ def test_exact_reach_rejects_a_tol_that_is_not_a_finite_positive_number(tol, hor
     dtmc = build_dtmc(flip_ma(), ("a",))
     with pytest.raises(ValueError, match="tol must be a finite number > 0"):
         reach_probability_exact(dtmc, "lattice_has(1)", tol=tol, horizon=horizon)
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+@pytest.mark.parametrize("horizon", [None, 3])
+def test_exact_reach_rejects_a_max_iter_below_one(max_iter, horizon):
+    # no sweep would run, so there would be no residual to report
+    dtmc = build_dtmc(flip_ma(), ("a",))
+    with pytest.raises(ValueError, match=f"max_iter must be >= 1, got {max_iter}"):
+        reach_probability_exact(dtmc, "lattice_has(1)", max_iter=max_iter, horizon=horizon)
+    with pytest.raises(ConvergenceError, match=r"after 1 iterations \(residual 5\.000e-01\)"):
+        reach_probability_exact(dtmc, "lattice_has(1)", max_iter=1)  # one sweep: a residual to report
+
+
+def test_monte_carlo_from_another_lattice_is_refused():
+    # sampling starts from the binding's seed, 0; from 1, which is absorbing, the exact answer is 1.0
+    ma, props = corpus_flip()
+    assert check_property(ma, props["hit_one"], lattice0=("1",)).probability == 1.0
+    assert check_property(ma, props["hit_one"], trials=100, seed=1).method == "monte-carlo"
+    with pytest.raises(PropertyError, match="lattice0"):
+        check_property(ma, props["hit_one"], lattice0=("1",), trials=100, seed=1)

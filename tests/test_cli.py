@@ -385,6 +385,16 @@ def test_hierarchical_nested_and_ca_from_sa_models_simulate_and_check(capsys, tm
 
 
 
+def test_a_ca_from_sa_seed_with_a_value_that_is_not_a_cell_state_exits_3(capsys, tmp_path):
+    path = tmp_path / "composite.ma"
+    path.write_text(COMPOSITE + '\nproperty bad_seed {\n  kind: invariant\n  predicate: true\n  inputs: "0x"\n}\n')
+    error = "ma: error: stepper: seed lattice value 'x' is not a cell state\n"
+    assert run(capsys, ["simulate", str(path), "--model", "stepper_ma", "--input", "0x", "--steps", "1"]) == (
+        3, "", error)
+    assert run(capsys, ["check", str(path), "--model", "stepper_ma", "--property", "bad_seed"]) == (3, "", error)
+    # a seed lattice of cell states steps as before
+    assert run(capsys, ["simulate", str(path), "--model", "stepper_ma", "--input", "01", "--steps", "1"])[0] == 0
+
 def test_simulate_reads_a_word_from_a_file_one_symbol_per_line(capsys, tmp_path):
     word = tmp_path / "word.txt"
     word.write_text("1\n0\n\n1\n")

@@ -29,7 +29,7 @@ from mimic_automata import (
     product,
     replay_path,
 )
-from mimic_automata.checker import ACCEPTING, ABSTAIN_LABEL, Path, _monitor_witness
+from mimic_automata.checker import ACCEPTING, ABSTAIN_LABEL, Action, Path, _monitor_witness
 from mimic_automata.detect import validate_signature
 
 from helpers import (
@@ -457,6 +457,108 @@ def test_a_search_over_flatten_names_only_the_returned_path(monkeypatch):
     assert len(ts.states) == 240 > len(named) > 1
 
 
+# --- the exploration store against a plain breadth-first search ------------
+
+def deque_bfs(start, successors, want):
+    """``(nodes, actions)`` from ``start`` to the first node in breadth-first order that ``want`` accepts, or None."""
+    parents = {start: None}  # node -> (parent, action)
+    queue = collections.deque([start])
+    while queue:
+        node = queue.popleft()
+        if want(node):
+            nodes, actions = [node], []
+            while parents[nodes[-1]] is not None:
+                parent, action = parents[nodes[-1]]
+                nodes.append(parent)
+                actions.append(action)
+            return nodes[::-1], actions[::-1]
+        for action, nxt in successors(node):
+            if nxt not in parents:
+                parents[nxt] = (node, action)
+                queue.append(nxt)
+    return None
+
+
+def deep_system(seed, levels=1100):
+    """A hand-built system whose shortest witnesses take over 1,000 steps.
+
+    Level ``d`` holds one to three states. Each state of level ``d + 1`` has
+    a parent on level ``d``, and further edges go at most one level
+    forward, so a state's depth is its level; states without children are
+    dead ends. ``goal`` holds on some states of the last 40 levels, and a
+    ``z`` label is emitted only into the last 60. Unreachable states carry
+    ``goal`` and ``lost`` and have edges into the reachable part. The dicts
+    list the states shuffled, the initial one not first.
+    """
+    rnd = random.Random(seed)
+    tiers = [[f"q{d}_{k}" for k in range(rnd.randint(1, 3))] for d in range(levels)]
+    level = {name: d for d, names in enumerate(tiers) for name in names}
+    edges = {name: [] for name in level}
+    for d in range(levels - 1):
+        for child in tiers[d + 1]:
+            edges[rnd.choice(tiers[d])].append(child)
+        for name in tiers[d]:
+            if edges[name] and rnd.random() < 0.5:
+                edges[name].append(rnd.choice(tiers[rnd.randrange(d + 2)]))
+            rnd.shuffle(edges[name])
+    lost = [f"u{k}" for k in range(30)]
+    for name in lost:
+        edges[name] = [rnd.choice(lost), rnd.choice(list(level))]
+        level[name] = levels - 1  # so edges into them may carry z
+    act = {label: Action((label,), (label,)) for label in "abz"}
+
+    def label(target):
+        if level[target] >= levels - 60 and rnd.random() < 0.3:
+            return "z"
+        return rnd.choice("ab")
+
+    goals = {name for name in level if level[name] >= levels - 40 and rnd.random() < 0.2}
+    names = list(edges)
+    rnd.shuffle(names)
+    names.remove("q0_0")
+    names.insert(1, "q0_0")
+    return TransitionSystem(
+        states={name: None for name in names},
+        initial="q0_0",
+        transitions={name: tuple((act[label(t)], t) for t in edges[name]) for name in names},
+        atomic_props={name: frozenset({"goal", "lost"} if name in lost else {"goal"} if name in goals else ())
+                      for name in names},
+        vocabulary=frozenset({"goal", "lost"}),
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_deep_searches_equal_a_plain_breadth_first_search(seed):
+    ts = deep_system(seed)
+    rows = ts.transitions
+    successors = rows.__getitem__
+    assert list(ts.states)[0] != ts.initial
+    nodes, actions = deque_bfs(ts.initial, successors, lambda sid: "goal" in ts.atomic_props[sid])
+    want = Path(tuple(nodes), tuple(actions))
+    assert len(want) >= 1000
+    assert check_invariant(ts, "not goal").counterexample == want
+    assert check_reach(ts, "goal").counterexample == want
+    assert deque_bfs(ts.initial, successors, lambda sid: "lost" in ts.atomic_props[sid]) is None
+    assert check_reach(ts, "lost").verdict == "violated"
+    assert check_invariant(ts, "not lost").verdict == "holds"
+
+    # a, then z without a b between: the monitor resets on b
+    armed = make_sa("armed", ("w", "armed", "hit"), "w", ("hit",), ("a", "b", "z"),
+                    delta=[("w", "a", "armed"), ("armed", "b", "w"), ("armed", "z", "hit")], partial=True)
+    never = make_sa("never", ("w", "hit"), "w", ("hit",), ("a", "c"), delta=[("w", "c", "hit")], partial=True)
+    for pattern in (armed, never):
+        def pairs(pair):
+            return [(action, (tid, monitor_step(pattern, pair[1], action.label()))) for action, tid in rows[pair[0]]]
+
+        found = deque_bfs((ts.initial, pattern.initial), pairs, lambda pair: pair[1] in pattern.finals)
+        witness = _monitor_witness(ts, pattern)
+        if found is None:
+            assert pattern is never and witness is None
+        else:
+            assert pattern is armed and len(found[1]) >= 1000
+            assert witness == Path(tuple(sid for sid, _ in found[0]), tuple(found[1]))
+
+
 # --- skipping monitors that the emitted labels cannot move into a final state --
 
 NEVER = ("never_emitted", "also_never")
@@ -504,15 +606,23 @@ def search_outcome(search, *args, **kwargs):
         return ("raised", exc.bound, exc.frontier)
 
 
-def test_skipped_monitors_give_the_product_verdict_and_the_same_bound_errors(monkeypatch):
+def count_monitor_searches(monkeypatch) -> list:
+    """A list that gains the arguments of each monitor search ``detect`` or ``check_property`` makes."""
     searches = []
-    real_search = checker._bfs_search
+    real_search = checker._monitor_witness
 
     def counted_search(*args, **kwargs):
         searches.append(args)
         return real_search(*args, **kwargs)
 
-    monkeypatch.setattr(checker, "_bfs_search", counted_search)
+    # the package's ``detect`` attribute is the function, so fetch the module itself
+    for module in (checker, importlib.import_module("mimic_automata.detect")):
+        monkeypatch.setattr(module, "_monitor_witness", counted_search)
+    return searches
+
+
+def test_skipped_monitors_give_the_product_verdict_and_the_same_bound_errors(monkeypatch):
+    searches = count_monitor_searches(monkeypatch)
     rnd = random.Random(2003)
     seen = collections.Counter()
     for ma, universe, lattice0 in oracle_cases()[::3]:
@@ -551,9 +661,7 @@ def test_skipped_monitors_give_the_product_verdict_and_the_same_bound_errors(mon
 def test_a_signature_over_labels_never_emitted_makes_no_search(monkeypatch):
     ma = build_dhr(rogue_dhr())
     ts = flatten(ma, UNIVERSE)
-    calls = []
-    real_search = checker._bfs_search
-    monkeypatch.setattr(checker, "_bfs_search", lambda *args: calls.append(args) or real_search(*args))
+    calls = count_monitor_searches(monkeypatch)
     never = make_sa("never", ("w", "m"), "w", ("m",), ("C",), delta=[("w", "C", "m")], partial=True)
     report = detect(ma, UNIVERSE, [Signature("emits_c", "never voted", never)], ts=ts)
     assert report.results[0].matched is False and calls == []
