@@ -246,12 +246,8 @@ def _observable_output(ma: MimicAutomaton, words: tuple[Word, ...]) -> Word | No
 
 
 def _normalize_universe(universe: Iterable) -> tuple[tuple, ...]:
-    seen = []
-    for entry in universe:
-        item = tuple(entry)
-        if item not in seen:
-            seen.append(item)
-    return tuple(seen)
+    """The entries as tuples, each once, in first-seen order."""
+    return tuple(dict.fromkeys(map(tuple, universe)))
 
 
 def check_components(ma: MimicAutomaton) -> dict[str, list[Violation]]:
@@ -444,29 +440,66 @@ def _explore(start_key, make_config, successors, bound: int, stop=None) -> tuple
 def _mode1_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tuple, ...]):
     """``_explore`` successors of ``sa_from_ca`` states: the single macro step, stripped, per entry.
 
-    Each lattice steps once, after its first entry's runs, where the single
-    step fails; each (entry, observable output) is one Action, found through
-    its (entry, per-cell output words).
+    The lattice is frozen while the units run, so a cell's runs depend only
+    on its (unit id, unit state): one row per pair holds its finals and the
+    id of its output words, both per entry. A state takes one row per cell,
+    swaps in its lattice's fresh-unit columns and zips the finals into its
+    successors; its Actions are found by its cells' word ids. A state with a
+    new lattice or row first runs through ``run`` and ``advance`` in the
+    single step's order, so it fails where the single step fails. Each
+    (entry, per-cell output words) is one vote and each (entry, observable
+    output) one Action.
     """
-    run, _, advance = _unit_tables(ma, binding, 1, canonical=True)
-    actions = [(entry, {}) for entry in universe]  # per entry: per-cell output words -> Action
+    run, _, advance, unit_ids_of = _unit_tables(ma, binding, 1, canonical=True)
+    tables = [{} for _ in universe]  # per entry: per-cell output words -> Action
     interned: dict[Action, Action] = {}  # different words can vote one output
+    moves: dict = {}  # lattice -> (its cells' unit ids, its successor, (cell, fresh column) pairs)
+    rows: dict = {}  # (unit id, unit state) -> (finals per entry, its words' id, output words per entry)
+    word_ids: dict = {}  # output words per entry -> its id
+    actions: dict = {}  # word ids per cell -> Action per entry
+    no_cells = [()] * len(universe)  # what zip(*cells) must give each entry when there are no cells
+
+    def action(entry: tuple, table: dict, words: tuple) -> Action:
+        act = table.get(words)
+        if act is None:
+            act = Action(entry, _observable_output(ma, words))
+            act = table[words] = interned.setdefault(act, act)
+        return act
+
+    def learn(lattice: Lattice, unit_states: tuple):
+        per_entry = []
+        for entry, table in zip(universe, tables):
+            finals, words = run(lattice, unit_states, entry, None)
+            after, fresh = advance(lattice, None)  # stored: it steps once, after the first entry's runs
+            action(entry, table, tuple(words))
+            per_entry.append((finals, words))
+        uids = unit_ids_of[lattice]
+        moves[lattice] = move = (uids, after, tuple((i, (u,) * len(universe)) for i, u in fresh))
+        for i, cell in enumerate(zip(uids, unit_states)):
+            if cell not in rows:
+                words = tuple(w[i] for _, w in per_entry)
+                rows[cell] = (tuple(f[i] for f, _ in per_entry), word_ids.setdefault(words, len(word_ids)), words)
+        return move, [rows[cell] for cell in zip(uids, unit_states)]
 
     def successors(sid: int, key: tuple, depth: int):
         lattice, unit_states, outer_state = key
-        fresh = None
-        for entry, table in actions:
-            ran, words = run(lattice, unit_states, entry, None)
-            if fresh is None:  # after the first entry's runs, where the single step fails
-                after, fresh = advance(lattice, None)
-            for i, unit_state in fresh:
-                ran[i] = unit_state
-            words = tuple(words)
-            action = table.get(words)
-            if action is None:
-                action = Action(entry, _observable_output(ma, words))
-                action = table[words] = interned.setdefault(action, action)
-            yield action, (after, tuple(ran), outer_state)
+        try:
+            move = moves[lattice]
+            cells = [rows[cell] for cell in zip(move[0], unit_states)]
+        except KeyError:
+            cells = None
+        if cells is None:  # learnt outside the handler, so its errors stand alone
+            move, cells = learn(lattice, unit_states)
+        _, after, columns = move
+        finals = [row[0] for row in cells]
+        for i, column in columns:
+            finals[i] = column
+        ids = tuple([row[1] for row in cells])
+        acts = actions.get(ids)
+        if acts is None:
+            words = zip(*[row[2] for row in cells]) if cells else no_cells
+            acts = actions[ids] = tuple(map(action, universe, tables, words))
+        return zip(acts, [(after, ran, outer_state) for ran in (zip(*finals) if cells else no_cells)])
 
     return successors
 
@@ -750,7 +783,7 @@ def _expand_chain(
         ma_initial(ma, lattice0 if lattice0 is not None else binding_seed(ma, binding))
     )
     outer = start.outer_state
-    run, rebind, _ = _unit_tables(ma, binding, 1, canonical=True)
+    run, rebind, _, _ = _unit_tables(ma, binding, 1, canonical=True)
     # lattice -> ([[successor lattice, probability, fresh units once rebound], ...], their sum)
     dists: dict = {}
 

@@ -7,6 +7,7 @@ and id by id, that the work really is done once, and that a failing run
 fails at the same place as before.
 """
 
+import collections
 import dataclasses
 import itertools
 import random
@@ -16,6 +17,7 @@ import pytest
 
 import mimic_automata.checker as checker
 import mimic_automata.composition as composition
+import mimic_automata.dhr as dhr
 from mimic_automata import (
     Binding,
     CellularAutomaton,
@@ -50,6 +52,7 @@ from helpers import (
     flipper_sa,
     gen_instance,
     generated_dhr,
+    identity_ca,
     lockstep_counters_ma,
     make_sa,
     plain,
@@ -352,12 +355,22 @@ def test_flatten_and_the_chain_builder_agree_on_point_mass_copies():
     inject_fault(echo_dhr(quorum=3), 0, flipper_sa()),
     generated_dhr(),
 ], ids=["rotating", "rotating-injected", "injected-quorum3", "generated"])
-def test_flatten_matches_single_step_on_voted_structures(structure):
+def test_flatten_matches_single_step_on_voted_structures(structure, monkeypatch):
     ma = structure.automaton
     assert ma.voter is not None
     universe = [("a",), ("b",), ("a", "b"), ("b", "b")]
     ts = assert_flatten_is_single_step_bfs(ma, universe)
     assert {plain(cfg) for cfg in ts.states.values()} == ref_reachable(ma, universe)
+
+    # one vote per distinct (entry, per-cell output words), however many states share them
+    step = _stepper(ma, ma.root(), depth=1)
+    voted = {(entry, tuple(r.output_word for r in step(cfg, entry, None)[1]))
+             for cfg in ts.states.values() for entry in ts.metadata["universe"]}
+    votes, real_vote = [], dhr.vote
+    monkeypatch.setattr(dhr, "vote", lambda policy, words: votes.append(words) or real_vote(policy, words))
+    flatten(ma, universe)
+    assert len(votes) == len(voted) < len(ts.states) * len(universe)
+    assert collections.Counter(votes) == collections.Counter(words for _, words in voted)
 
 
 def test_flatten_runs_each_unit_once_and_steps_each_lattice_once(monkeypatch):
@@ -427,6 +440,37 @@ def test_flatten_raises_the_first_rejection_of_the_single_step():
     with pytest.raises(InputRejectedError) as exc:
         ma_run(ma, ma_initial(ma, ("0", "0")), [("a",), ("c", "b")])
     assert str(exc.value) == expected
+
+
+def test_flatten_raises_the_first_rejection_in_entry_order_not_cell_order():
+    # Cell 0 rejects "b" and cell 1 rejects "a". Entry by entry, as the single
+    # step runs, "a" fails first, at cell 1; cell by cell, cell 0's "b" would.
+    ca = identity_ca("ident2", width=2)
+    b = Binding("b", MODE_SA_FROM_CA, "ident2", {"0": SaUnit("on_a"), "1": SaUnit("on_b")}, seed=("0", "1"))
+    sas = {"on_a": echo_sa("on_a", inputs=("a",)), "on_b": echo_sa("on_b", inputs=("b",))}
+    ma = MimicAutomaton("m", sas, {"ident2": ca}, {}, {"b": b}, "b")
+    expected = "input symbol 'a' rejected at cell 1, position 0"
+    with pytest.raises(InputRejectedError) as exc:
+        flatten(ma, [("a",), ("b",)])
+    assert str(exc.value) == expected
+    with pytest.raises(InputRejectedError) as exc:
+        ma_run(ma, ma_initial(ma, ("0", "1")), [("a",)])
+    assert str(exc.value) == expected
+
+
+def test_flatten_gives_a_lattice_of_no_cells_one_edge_per_entry():
+    # width 0 fails validation, which flatten does not run: each entry is still a step
+    ca = CellularAutomaton("none", ("0",), 0, 1, rule={("0", "0", "0"): "0"})
+    b = Binding("b", MODE_SA_FROM_CA, "none", {"0": SaUnit("e")}, seed=())
+    ma = MimicAutomaton("m", {"e": echo_sa("e")}, {"none": ca}, {}, {"b": b}, "b")
+    ts = assert_flatten_is_single_step_bfs(ma, [("a",), ("b",)])
+    assert ts.transitions["s0"] == ((Action(("a",), ()), "s0"), (Action(("b",), ()), "s0"))
+
+
+def test_flatten_drops_repeated_entries_in_first_seen_order():
+    ts = flatten(x11_parity_ma(), [["1"], ("0",), ("1",), "0", ("1",)])
+    assert ts.metadata["universe"] == (("1",), ("0",))
+    assert [action.macro_input for action, _ in ts.transitions["s0"]] == [("1",), ("0",)]
 
 
 @pytest.mark.parametrize("universe, error, message", [
