@@ -17,6 +17,7 @@ from bisect import bisect_right
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 if TYPE_CHECKING:
@@ -53,7 +54,7 @@ from .errors import (
     Violation,
 )
 from .hierarchical import validate_ha
-from .props import Pred, check_vocabulary, eval_predicate, parse_predicate
+from .props import Pred, atoms_of, check_vocabulary, eval_predicate, parse_predicate
 from .rng import derive_stream
 from .sequential import SequentialAutomaton, Word, validate_sa
 
@@ -184,7 +185,10 @@ class Dtmc:
 
 Labeling = tuple[Callable[[MimicConfiguration], frozenset[str]], frozenset[str]]
 """A proposition function and its vocabulary. ``flatten`` calls the function
-when ``atomic_props`` is read, once per access, so it must be pure."""
+when ``atomic_props`` is read, once per access, so it must be pure. The
+invariant and reach checks call a labeling given to ``flatten`` once per
+searched state; the builtin one, used when none is given, once per support
+class (see ``_row_classes``)."""
 
 
 def builtin_labeling(ma: MimicAutomaton) -> Labeling:
@@ -195,6 +199,11 @@ def builtin_labeling(ma: MimicAutomaton) -> Labeling:
     machines; ``outer_state(s)`` tracks the outer machine of a ``ca_from_sa``
     root.
     """
+    return _builtin_labeling(ma)[:2]
+
+
+def _builtin_labeling(ma: MimicAutomaton) -> tuple[Callable, frozenset[str], dict[str, int]]:
+    """``builtin_labeling`` and the cell that each ``cell<i>_state`` atom reads."""
     binding = ma.root()
     ca = ma.ca_set[binding.ca]
 
@@ -205,17 +214,19 @@ def builtin_labeling(ma: MimicAutomaton) -> Labeling:
     for q in ca.cell_states:
         vocabulary.add(f"lattice_has({base(q)})")
     hosted = [unit for unit in binding.cell_map.values() if isinstance(unit, SaUnit)]
+    cell_of: dict[str, int] = {}
     for i in range(ca.width):
         for unit in hosted:
             for s in ma.sa_set[unit.sa].states:
-                vocabulary.add(f"cell{i}_state({s})")
+                cell_of[f"cell{i}_state({s})"] = i
+    vocabulary.update(cell_of)
     if binding.mode == MODE_CA_FROM_SA:
         for s in ma.sa_set[binding.outer_sa].states:
             vocabulary.add(f"outer_state({s})")
 
     cell_map = binding.cell_map
     lattices: dict = {}  # lattice -> (its lattice_has labels, the cells hosting plain machines)
-    cell_labels: dict = {}  # (cell, machine state) -> label, one string for all states
+    cell_labels = [{} for _ in range(ca.width)]  # per cell: machine state -> label, one string for all states
 
     def props(cfg: MimicConfiguration) -> frozenset[str]:
         info = lattices.get(cfg.lattice)
@@ -226,13 +237,13 @@ def builtin_labeling(ma: MimicAutomaton) -> Labeling:
             )
         labels = set(info[0])
         for i in info[1]:
-            key = (i, cfg.unit_states[i])
-            labels.add(cell_labels.get(key) or cell_labels.setdefault(key, f"cell{i}_state({key[1]})"))
+            names, state = cell_labels[i], cfg.unit_states[i]
+            labels.add(names.get(state) or names.setdefault(state, f"cell{i}_state({state})"))
         if cfg.outer_state is not None:
             labels.add(f"outer_state({cfg.outer_state})")
         return frozenset(labels)
 
-    return props, frozenset(vocabulary)
+    return props, frozenset(vocabulary), cell_of
 
 
 def _observable_output(ma: MimicAutomaton, words: tuple[Word, ...]) -> Word | None:
@@ -279,7 +290,10 @@ def flatten(
     ``bound`` states raises ExplosionError with the frontier size, and a
     bound below 1 raises ValueError. The result's mappings are views over
     the exploration store, so the labeling is called when ``atomic_props``
-    is read, never by ``flatten`` itself.
+    is read, never by ``flatten`` itself. An ``sa_from_ca`` state's key is
+    ``(lattice id, row id per cell)`` (see ``_mode1_successors``); under the
+    builtin labeling its ``atomic_props`` view also knows each predicate's
+    support classes (``_row_classes``), so a check labels one state per class.
     """
     _require_bound(bound)
     universe = _normalize_universe(input_universe)
@@ -289,25 +303,48 @@ def flatten(
         raise MimicError("flatten needs a deterministic model; build a chain for probabilistic ones")
 
     binding = ma.root()
-    props_fn, vocabulary = labeling or builtin_labeling(ma)
+    props_fn, vocabulary, cell_of = (*labeling, None) if labeling else _builtin_labeling(ma)
     start_lattice = tuple(lattice0) if lattice0 is not None else binding_seed(ma, binding)
     start = strip_clocks(ma_initial(ma, start_lattice))
-    mode_successors = _mode1_successors if binding.mode == MODE_SA_FROM_CA else _mode2_successors
-    successors = mode_successors(ma, binding, universe)
-    # keys are the fields of a clock-stripped configuration, not one per edge
-    store, _ = _explore((start.lattice, start.unit_states, start.outer_state), _flat_config, successors, bound)
+    support = None
+    if binding.mode == MODE_SA_FROM_CA:
+        start_key, make_config, successors = _mode1_successors(ma, binding, universe, start)
+        if cell_of is not None:
+            support = _row_classes(cell_of, len(start_lattice))
+    else:
+        start_key, make_config, successors = _mode2_successors(ma, binding, universe, start)
+    store, _ = _explore(start_key, make_config, successors, bound)
     return TransitionSystem(
         states=_StoreView(store, store.config),
         initial="s0",
         transitions=_StoreView(store, store.row),
-        atomic_props=_StoreView(store, lambda i: props_fn(store.config(i))),
+        atomic_props=_StoreView(store, lambda i: props_fn(store.config(i)), support),
         vocabulary=vocabulary,
         metadata={"model": ma.name, "universe": universe, "lattice0": start_lattice},
     )
 
 
+def _row_classes(cell_of: dict[str, int], width: int) -> Callable:
+    """The support classes of a row-id store under the builtin labeling.
+
+    ``classes(atoms)`` maps a state's key to its class for a predicate over
+    ``atoms``: its lattice id and the row ids of the cells the atoms name.
+    ``lattice_has`` atoms read the lattice only, and ``cell<i>_state`` atoms
+    (``cell_of`` gives i) read cell i and, for whether it hosts a plain
+    machine, the lattice. So two states of one class have the same
+    propositions among ``atoms``: the support of a cone of influence, taken
+    exactly. None when the atoms name every cell: each state is its own class.
+    """
+
+    def classes(atoms: Iterable[str]) -> Callable | None:
+        read = sorted({cell_of[atom] for atom in atoms if atom in cell_of})
+        return None if len(read) == width else itemgetter(0, *(i + 1 for i in read))
+
+    return classes
+
+
 def _flat_config(key) -> MimicConfiguration:
-    """The clock-stripped configuration a ``flatten`` key holds the fields of."""
+    """The clock-stripped configuration a ``ca_from_sa`` key holds the fields of."""
     return MimicConfiguration(key[0], key[1], 0, key[2])
 
 
@@ -321,7 +358,9 @@ class _Store(NamedTuple):
     ``labels[e]`` to state ``targets[e]`` for ``e`` in
     ``offsets[i]:offsets[i + 1]``, and ``discovery[i]`` is the edge that
     first reached it (-1 for state 0). Configurations are built from keys
-    on demand by ``make_config``.
+    on demand by ``make_config``: a ``flatten`` of an ``sa_from_ca`` root
+    keys a state by small integers, its lattice id and one row id per cell,
+    which its successor function decodes; other keys hold the fields.
     """
 
     keys: list
@@ -360,14 +399,16 @@ class _StoreView(Mapping):
 
     It behaves as a dict in discovery order: any other key, including a
     non-canonical name such as ``s01``, raises KeyError. Values are built
-    on every access and not cached.
+    on every access and not cached. A propositions view may carry
+    ``support``, the ``_row_classes`` of its store.
     """
 
-    __slots__ = ("store", "value")
+    __slots__ = ("store", "value", "support")
 
-    def __init__(self, store: _Store, value: Callable[[int], object]):
+    def __init__(self, store: _Store, value: Callable[[int], object], support: Callable | None = None):
         self.store = store
         self.value = value
+        self.support = support
 
     def _index(self, name) -> int:
         digits = name[1:] if isinstance(name, str) and name[:1] == "s" else ""
@@ -437,27 +478,59 @@ def _explore(start_key, make_config, successors, bound: int, stop=None) -> tuple
     return store, None
 
 
-def _mode1_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tuple, ...]):
-    """``_explore`` successors of ``sa_from_ca`` states: the single macro step, stripped, per entry.
+def _numbering(values: list, *columns: list) -> Callable[[object], int]:
+    """``number(value)``: its index in ``values``, appending it (and None to each column) when new."""
+    ids: dict = {}
 
-    The lattice is frozen while the units run, so a cell's runs depend only
-    on its (unit id, unit state): one row per pair holds its finals and the
-    id of its output words, both per entry. A state takes one row per cell,
-    swaps in its lattice's fresh-unit columns and zips the finals into its
-    successors; its Actions are found by its cells' word ids. A state with a
-    new lattice or row first runs through ``run`` and ``advance`` in the
-    single step's order, so it fails where the single step fails. Each
-    (entry, per-cell output words) is one vote and each (entry, observable
-    output) one Action.
+    def number(value) -> int:
+        index = ids.get(value)
+        if index is None:
+            index = ids[value] = len(values)
+            values.append(value)
+            for column in columns:
+                column.append(None)
+        return index
+
+    return number
+
+
+def _mode1_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tuple, ...], start: MimicConfiguration):
+    """``_explore``'s start key, ``make_config`` and successors for ``sa_from_ca`` states.
+
+    A state's key is ``(lattice id, row id of cell 0, ..., row id of cell
+    n-1)``, where a row id names one (unit id, unit state) pair. The lattice
+    is frozen while the units run, so a cell's runs depend only on its row:
+    a learnt row holds, per entry, its successor row id and the id of its
+    output words. A learnt lattice holds its successor's id and the fresh
+    cells' row ids, each as a column with one value per entry. A state reads
+    its rows by index, swaps in its lattice's fresh columns and zips the
+    successor lattice's column with its cells' columns: that yields the
+    successor keys. Its Actions are found by its cells' word ids. A state
+    with an unlearnt lattice or row first runs through ``run`` and
+    ``advance`` in the single step's order, so it fails where the single
+    step fails. Each (entry, per-cell output words) is one vote and each
+    (entry, observable output) one Action.
     """
-    run, _, advance, unit_ids_of = _unit_tables(ma, binding, 1, canonical=True)
+    run, _, advance = _unit_tables(ma, binding, 1, canonical=True)
+    entries = len(universe)
+    units: dict = {}  # distinct units in first-seen order
+    unit_of = {q: units.setdefault(unit, len(units)) for q, unit in binding.cell_map.items()}  # cell state -> unit id
+    lattices: list = []  # lattice id -> lattice
+    moves: list = []  # lattice id -> (successor lattice id per entry, (cell, fresh row id per entry) pairs), or None
+    cells: list = []  # row id -> (unit id, unit state)
+    nexts: list = []  # row id -> successor row id per entry, or None until learnt
+    word_of: list = []  # row id -> the id of its output words per entry, or None until learnt
+    words: list = []  # word id -> output words per entry
+    lattice_id = _numbering(lattices, moves)
+    row_id = _numbering(cells, nexts, word_of)
+    word_id = _numbering(words)
     tables = [{} for _ in universe]  # per entry: per-cell output words -> Action
     interned: dict[Action, Action] = {}  # different words can vote one output
-    moves: dict = {}  # lattice -> (its cells' unit ids, its successor, (cell, fresh column) pairs)
-    rows: dict = {}  # (unit id, unit state) -> (finals per entry, its words' id, output words per entry)
-    word_ids: dict = {}  # output words per entry -> its id
     actions: dict = {}  # word ids per cell -> Action per entry
-    no_cells = [()] * len(universe)  # what zip(*cells) must give each entry when there are no cells
+    no_cells = [()] * entries  # each entry's per-cell output words when there are no cells
+
+    def make_config(key: tuple) -> MimicConfiguration:
+        return MimicConfiguration(lattices[key[0]], [cells[rid][1] for rid in key[1:]])
 
     def action(entry: tuple, table: dict, words: tuple) -> Action:
         act = table.get(words)
@@ -466,49 +539,53 @@ def _mode1_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tupl
             act = table[words] = interned.setdefault(act, act)
         return act
 
-    def learn(lattice: Lattice, unit_states: tuple):
+    def learn(key: tuple) -> None:
+        lattice = lattices[key[0]]
+        unit_states = [cells[rid][1] for rid in key[1:]]
         per_entry = []
         for entry, table in zip(universe, tables):
-            finals, words = run(lattice, unit_states, entry, None)
+            finals, out = run(lattice, unit_states, entry, None)
             after, fresh = advance(lattice, None)  # stored: it steps once, after the first entry's runs
-            action(entry, table, tuple(words))
-            per_entry.append((finals, words))
-        uids = unit_ids_of[lattice]
-        moves[lattice] = move = (uids, after, tuple((i, (u,) * len(universe)) for i, u in fresh))
-        for i, cell in enumerate(zip(uids, unit_states)):
-            if cell not in rows:
-                words = tuple(w[i] for _, w in per_entry)
-                rows[cell] = (tuple(f[i] for f, _ in per_entry), word_ids.setdefault(words, len(word_ids)), words)
-        return move, [rows[cell] for cell in zip(uids, unit_states)]
+            action(entry, table, tuple(out))
+            per_entry.append((finals, out))
+        if moves[key[0]] is None:
+            columns = tuple((i, (row_id((unit_of[after[i]], u)),) * entries) for i, u in fresh)
+            moves[key[0]] = ((lattice_id(after),) * entries, columns)
+        for i, rid in enumerate(key[1:]):
+            if nexts[rid] is None:
+                out = tuple(w[i] for _, w in per_entry)
+                nexts[rid] = tuple(row_id((cells[rid][0], f[i])) for f, _ in per_entry)
+                word_of[rid] = word_id(out)
 
     def successors(sid: int, key: tuple, depth: int):
-        lattice, unit_states, outer_state = key
-        try:
-            move = moves[lattice]
-            cells = [rows[cell] for cell in zip(move[0], unit_states)]
-        except KeyError:
-            cells = None
-        if cells is None:  # learnt outside the handler, so its errors stand alone
-            move, cells = learn(lattice, unit_states)
-        _, after, columns = move
-        finals = [row[0] for row in cells]
-        for i, column in columns:
-            finals[i] = column
-        ids = tuple([row[1] for row in cells])
+        rids = key[1:]
+        move = moves[key[0]]
+        columns = list(map(nexts.__getitem__, rids))
+        if move is None or None in columns:
+            learn(key)
+            move = moves[key[0]]
+            columns = list(map(nexts.__getitem__, rids))
+        after, fresh = move
+        for i, column in fresh:
+            columns[i] = column
+        ids = tuple(map(word_of.__getitem__, rids))
         acts = actions.get(ids)
         if acts is None:
-            words = zip(*[row[2] for row in cells]) if cells else no_cells
-            acts = actions[ids] = tuple(map(action, universe, tables, words))
-        return zip(acts, [(after, ran, outer_state) for ran in (zip(*finals) if cells else no_cells)])
+            out = zip(*map(words.__getitem__, ids)) if ids else no_cells
+            acts = actions[ids] = tuple(map(action, universe, tables, out))
+        return zip(acts, zip(after, *columns))
 
-    return successors
+    start_cells = zip(map(unit_of.__getitem__, start.lattice), start.unit_states)
+    return (lattice_id(start.lattice), *map(row_id, start_cells)), make_config, successors
 
 
-def _mode2_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tuple, ...]):
-    """``_explore`` successors of ``ca_from_sa`` states: one ``_stepper`` step per entry.
+def _mode2_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tuple, ...], start: MimicConfiguration):
+    """``_explore``'s start key, ``make_config`` and successors for ``ca_from_sa`` states.
 
-    No unit runs and fresh units start at clock 0, so the successor's
-    fields are already clock-stripped; each (entry, output) is one Action.
+    A key holds a configuration's fields, and a state's successors are one
+    ``_stepper`` step per entry. No unit runs and fresh units start at clock
+    0, so the successor's fields are already clock-stripped; each (entry,
+    output) is one Action.
     """
     step = _stepper(ma, binding, depth=1)
     actions = [(entry, {}) for entry in universe]  # per entry: output -> Action
@@ -522,27 +599,28 @@ def _mode2_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tupl
                 action = table[output] = Action(entry, output)
             yield action, (nxt.lattice, nxt.unit_states, nxt.outer_state)
 
-    return successors
+    return (start.lattice, start.unit_states, start.outer_state), _flat_config, successors
 
 
 def _as_predicate(target: Pred | str) -> Pred:
     return parse_predicate(target) if isinstance(target, str) else target
 
 
-def _graph(ts: TransitionSystem) -> tuple[_Store, Callable, Callable]:
-    """``(store, props, name)`` of ``ts``: a ``_Store`` whose index 0 is ``ts.initial``.
+def _graph(ts: TransitionSystem) -> tuple[_Store, Callable, Callable, Callable | None]:
+    """``(store, props, name, support)`` of ``ts``: a ``_Store`` whose index 0 is ``ts.initial``.
 
     ``flatten``'s views already hold one, and ``name`` makes the ``s<i>``
     names, for a returned path only. A plain-dict system (hand-built,
     ``product``) is first interned by name through ``_explore``,
     breadth-first from ``ts.initial``, and ``name`` gives the names back.
-    ``props(index)`` is the state's propositions.
+    ``props(index)`` is the state's propositions and ``support`` the
+    propositions view's ``_row_classes``, or None.
     """
     rows, props = ts.transitions, ts.atomic_props
     if isinstance(rows, _StoreView) and isinstance(props, _StoreView) and ts.initial == "s0":
-        return rows.store, props.value, _name
+        return rows.store, props.value, _name, props.support
     store, _ = _explore(ts.initial, ts.states.__getitem__, lambda _, sid, __: rows.get(sid, ()), math.inf)
-    return store, lambda index: props[store.keys[index]], store.keys.__getitem__
+    return store, lambda index: props[store.keys[index]], store.keys.__getitem__, None
 
 
 def _search_states(ts: TransitionSystem, target: Pred | str, holds: bool) -> tuple[Path | None, dict]:
@@ -550,12 +628,25 @@ def _search_states(ts: TransitionSystem, target: Pred | str, holds: bool) -> tup
 
     A store's indices are breadth-first discovery order, so the first index
     that matches is the state a breadth-first search would stop at, and its
-    discovery edges are that search's path.
+    discovery edges are that search's path. The predicate is evaluated once
+    per support class, at the class's first state: every state of a class
+    has its verdict. Without a ``support`` each state is its own class.
     """
     pred = _as_predicate(target)
     check_vocabulary(pred, ts.vocabulary)
-    store, props, name = _graph(ts)
-    hit = next((i for i in range(len(store.keys)) if eval_predicate(pred, props(i)) == holds), None)
+    store, props, name, support = _graph(ts)
+    class_of = support and support(atoms_of(pred))
+    seen = set()  # the classes evaluated so far, none of them a match
+    hit = None
+    for i, key in enumerate(store.keys):
+        if class_of is not None:
+            cls = class_of(key)
+            if cls in seen:
+                continue
+            seen.add(cls)
+        if eval_predicate(pred, props(i)) == holds:
+            hit = i
+            break
     path = None if hit is None else store.path_to(hit, name)
     return path, {"states": len(ts.states), "transitions": ts.transition_count}
 
@@ -675,7 +766,7 @@ def _monitor_witness(
     """
     alphabet = set(pattern.input_alphabet)
     moves = pattern.transitions
-    store, _, name = _graph(ts)
+    store, _, name, _ = _graph(ts)
 
     def successors(_, pair, __):
         sid, pat = pair
@@ -783,7 +874,7 @@ def _expand_chain(
         ma_initial(ma, lattice0 if lattice0 is not None else binding_seed(ma, binding))
     )
     outer = start.outer_state
-    run, rebind, _, _ = _unit_tables(ma, binding, 1, canonical=True)
+    run, rebind, _ = _unit_tables(ma, binding, 1, canonical=True)
     # lattice -> ([[successor lattice, probability, fresh units once rebound], ...], their sum)
     dists: dict = {}
 

@@ -446,7 +446,7 @@ def _fresh_units(
 
 
 def _unit_tables(ma: MimicAutomaton, binding: Binding, depth: int, canonical: bool):
-    """``run``, ``rebind``, ``advance`` and ``unit_ids``: the ``sa_from_ca`` work of one call, memoised.
+    """``run``, ``rebind`` and ``advance``: the ``sa_from_ca`` work of one call, memoised.
 
     ``run(lattice, unit_states, block, rng)`` gives the frozen lattice's
     final unit states and per-cell ``RunResult``s (output words when
@@ -461,8 +461,6 @@ def _unit_tables(ma: MimicAutomaton, binding: Binding, depth: int, canonical: bo
     ``rebind``: a deterministic lattice's ``ca_step`` once per lattice (a
     step that raises is never stored), a probabilistic one's sample every
     call, from one ``pca_sampler`` that builds each lattice's rows once.
-    ``unit_ids`` maps each lattice ``run`` has seen to its cells' unit ids,
-    which key ``run``'s tables with the unit states.
     """
     ca = ma.ca_set[binding.ca]
     unit_ids: dict = {}  # distinct units in first-seen order
@@ -519,7 +517,7 @@ def _unit_tables(ma: MimicAutomaton, binding: Binding, depth: int, canonical: bo
             after = sample(lattice, rng)
             return after, rebind(lattice, after)
 
-        return run, rebind, advance, unit_ids_of
+        return run, rebind, advance
 
     def advance(lattice: Lattice, rng: np.random.Generator | None):
         move = moves.get(lattice)
@@ -528,7 +526,7 @@ def _unit_tables(ma: MimicAutomaton, binding: Binding, depth: int, canonical: bo
             move = moves[lattice] = (after, rebind(lattice, after))
         return move
 
-    return run, rebind, advance, unit_ids_of
+    return run, rebind, advance
 
 
 def _stepper(ma: MimicAutomaton, binding: Binding, depth: int):
@@ -542,7 +540,7 @@ def _stepper(ma: MimicAutomaton, binding: Binding, depth: int):
     and an inner run happens once per distinct seed.
     """
     ca = ma.ca_set[binding.ca]
-    run, rebind, advance, _ = _unit_tables(ma, binding, depth, canonical=False)
+    run, rebind, advance = _unit_tables(ma, binding, depth, canonical=False)
 
     if binding.mode == MODE_SA_FROM_CA:
 

@@ -32,6 +32,7 @@ from mimic_automata import (
     Signature,
     build_dtmc,
     check_invariant,
+    check_reach,
     detect,
     flatten,
     inject_fault,
@@ -41,9 +42,10 @@ from mimic_automata import (
     reach_probability_exact,
     strip_clocks,
 )
-from mimic_automata.checker import Action, _observable_output, builtin_labeling
+from mimic_automata.checker import Action, Path, _observable_output, builtin_labeling
 from mimic_automata.composition import _stepper, has_randomness
 from mimic_automata.dot import dtmc_to_dot
+from mimic_automata.props import And, Atom, Not, Or, eval_predicate
 
 from helpers import (
     ALPHABET,
@@ -483,3 +485,113 @@ def test_flatten_steps_a_lattice_after_its_first_entry_runs(universe, error, mes
     with pytest.raises(error) as exc:
         flatten(split_ma(rule_hole=True), universe)
     assert str(exc.value) == message
+
+
+def random_predicate(rnd, vocabulary, depth=3):
+    """An and/or/not formula over atoms drawn from ``vocabulary``."""
+    atoms = sorted(vocabulary)
+
+    def draw(level):
+        roll = rnd.random()
+        if level == 0 or roll < 0.3:
+            return Atom(rnd.choice(atoms))
+        if roll < 0.45:
+            return Not(draw(level - 1))
+        return (And if roll < 0.75 else Or)(draw(level - 1), draw(level - 1))
+
+    return draw(depth)
+
+
+def breadth_first_path(states, transitions, hit):
+    """The path along each state's first discovering edge, from s0 to ``hit``."""
+    parent = {"s0": None}
+    for sid in states:  # breadth-first order
+        for action, tid in transitions[sid]:
+            parent.setdefault(tid, (sid, action))
+    names, actions = [hit], []
+    while parent[names[-1]] is not None:
+        sid, action = parent[names[-1]]
+        names.append(sid)
+        actions.append(action)
+    return Path(tuple(reversed(names)), tuple(reversed(actions)))
+
+
+ORACLE_STRUCTURES = [
+    echo_dhr(scheduler=rotate_ca()),
+    inject_fault(echo_dhr(scheduler=rotate_ca()), 1, flipper_sa()),
+    inject_fault(echo_dhr(quorum=3), 0, flipper_sa()),
+    *(generated_dhr(seed) for seed in range(3)),
+]
+
+
+def oracle_models():
+    """Every generated flavor, and voted structures with plain and ``FaultTagged`` cells."""
+    for seed in range(60):
+        ma, lattice0, _ = gen_instance(random.Random(seed))
+        yield f"seed {seed}", ma, lattice0, generated_universe(ma)
+    for i, structure in enumerate(ORACLE_STRUCTURES):
+        yield f"structure {i}", structure.automaton, None, [("a",), ("b",), ("a", "b"), ("b", "b")]
+
+
+def test_checks_give_the_verdict_and_path_of_a_per_state_scan():
+    # The search labels one state per support class; the oracle labels every
+    # state of the unmemoised single step's graph and takes the first match.
+    rnd = random.Random(23)
+    checked = tagged = 0
+    for case, ma, lattice0, universe in oracle_models():
+        ts = flatten(ma, universe, lattice0=lattice0)
+        store = ts.atomic_props.store
+        states, transitions, _ = single_step_graph(ma, ts.metadata["universe"], ts.metadata["lattice0"])
+        assert [store.config(i) for i in range(len(store.keys))] == list(states.values()), case
+        tagged += any(isinstance(q, dhr.FaultTagged) for cfg in states.values() for q in cfg.lattice)
+        props_fn, _ = builtin_labeling(ma)
+        for _ in range(20):
+            pred = random_predicate(rnd, ts.vocabulary)
+            values = [eval_predicate(pred, props_fn(cfg)) for cfg in states.values()]
+            for check, holds, found, missing in ((check_invariant, False, "violated", "holds"),
+                                                (check_reach, True, "holds", "violated")):
+                result = check(ts, pred)
+                hit = next((f"s{i}" for i, value in enumerate(values) if value == holds), None)
+                if hit is None:
+                    assert (result.verdict, result.counterexample) == (missing, None), case
+                else:
+                    assert result.verdict == found, case
+                    assert result.counterexample == breadth_first_path(states, transitions, hit), case
+            checked += 1
+    assert tagged >= 2 and checked == 20 * (60 + len(ORACLE_STRUCTURES))
+
+
+def test_the_builtin_labeling_is_evaluated_once_per_support_class(monkeypatch):
+    # x11: 240 states over 32 lattices; a class is a lattice and the states
+    # of the cells the predicate names, and it is labeled at its first state
+    evals, labels = [], []
+    real_eval, real_labeling = checker.eval_predicate, checker._builtin_labeling
+
+    def counting_labeling(ma):
+        props_fn, vocabulary, cell_of = real_labeling(ma)
+        return (lambda cfg: labels.append(cfg) or props_fn(cfg)), vocabulary, cell_of
+
+    monkeypatch.setattr(checker, "eval_predicate", lambda pred, props: evals.append(props) or real_eval(pred, props))
+    monkeypatch.setattr(checker, "_builtin_labeling", counting_labeling)
+    ts = x11_graph()
+    configs = list(ts.states.values())
+    cases = [
+        ("lattice_has(0) or lattice_has(1)", (), 32),
+        ("false", (), 32),
+        ("cell3_state(even) or cell3_state(odd)", (3,), None),
+        ("cell0_state(odd) and not cell7_state(even) or lattice_has(0)", (0, 7), None),
+        (" or ".join(f"cell{i}_state(even) or cell{i}_state(odd)" for i in range(11)), tuple(range(11)), 240),
+    ]
+    for text, read, count in cases:
+        for check in (check_invariant, check_reach):
+            evals.clear()
+            labels.clear()
+            result = check(ts, text)
+            searched = len(configs)
+            if result.counterexample is not None:
+                searched = int(result.counterexample.states[-1][1:]) + 1
+            classes = {(cfg.lattice, tuple(cfg.unit_states[i] for i in read)) for cfg in configs[:searched]}
+            assert len(evals) == len(labels) == len(classes), (text, check.__name__)
+            assert len(set(labels)) == len(labels) and labels[0] == configs[0]
+            if count is not None and searched == len(configs):
+                assert len(classes) == count
