@@ -38,6 +38,9 @@ from .composition import (
     MimicAutomaton,
     MimicConfiguration,
     SaUnit,
+    _numbering,
+    _replay,
+    _row_numbering,
     _stepper,
     _unit_tables,
     binding_seed,
@@ -343,11 +346,6 @@ def _row_classes(cell_of: dict[str, int], width: int) -> Callable:
     return classes
 
 
-def _flat_config(key) -> MimicConfiguration:
-    """The clock-stripped configuration a ``ca_from_sa`` key holds the fields of."""
-    return MimicConfiguration(key[0], key[1], 0, key[2])
-
-
 _name = "s{}".format  # state index -> its name
 
 
@@ -478,22 +476,6 @@ def _explore(start_key, make_config, successors, bound: int, stop=None) -> tuple
     return store, None
 
 
-def _numbering(values: list, *columns: list) -> Callable[[object], int]:
-    """``number(value)``: its index in ``values``, appending it (and None to each column) when new."""
-    ids: dict = {}
-
-    def number(value) -> int:
-        index = ids.get(value)
-        if index is None:
-            index = ids[value] = len(values)
-            values.append(value)
-            for column in columns:
-                column.append(None)
-        return index
-
-    return number
-
-
 def _mode1_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tuple, ...], start: MimicConfiguration):
     """``_explore``'s start key, ``make_config`` and successors for ``sa_from_ca`` states.
 
@@ -509,20 +491,20 @@ def _mode1_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tupl
     with an unlearnt lattice or row first runs through ``run`` and
     ``advance`` in the single step's order, so it fails where the single
     step fails. Each (entry, per-cell output words) is one vote and each
-    (entry, observable output) one Action.
+    (entry, observable output) one Action. Lattices and rows are numbered
+    as replay numbers them (``_numbering``, ``_row_numbering``), with
+    ``_unit_tables``' unit ids.
     """
-    run, _, advance = _unit_tables(ma, binding, 1, canonical=True)
+    run, _, rebind, advance, unit_of = _unit_tables(ma, binding, 1, canonical=True)
     entries = len(universe)
-    units: dict = {}  # distinct units in first-seen order
-    unit_of = {q: units.setdefault(unit, len(units)) for q, unit in binding.cell_map.items()}  # cell state -> unit id
     lattices: list = []  # lattice id -> lattice
     moves: list = []  # lattice id -> (successor lattice id per entry, (cell, fresh row id per entry) pairs), or None
-    cells: list = []  # row id -> (unit id, unit state)
+    cells: list = []  # row id -> unit state
     nexts: list = []  # row id -> successor row id per entry, or None until learnt
     word_of: list = []  # row id -> the id of its output words per entry, or None until learnt
     words: list = []  # word id -> output words per entry
     lattice_id = _numbering(lattices, moves)
-    row_id = _numbering(cells, nexts, word_of)
+    row_id = _row_numbering(cells, nexts, word_of)
     word_id = _numbering(words)
     tables = [{} for _ in universe]  # per entry: per-cell output words -> Action
     interned: dict[Action, Action] = {}  # different words can vote one output
@@ -530,7 +512,7 @@ def _mode1_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tupl
     no_cells = [()] * entries  # each entry's per-cell output words when there are no cells
 
     def make_config(key: tuple) -> MimicConfiguration:
-        return MimicConfiguration(lattices[key[0]], [cells[rid][1] for rid in key[1:]])
+        return MimicConfiguration(lattices[key[0]], [cells[rid] for rid in key[1:]])
 
     def action(entry: tuple, table: dict, words: tuple) -> Action:
         act = table.get(words)
@@ -541,20 +523,21 @@ def _mode1_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tupl
 
     def learn(key: tuple) -> None:
         lattice = lattices[key[0]]
-        unit_states = [cells[rid][1] for rid in key[1:]]
+        unit_states = [cells[rid] for rid in key[1:]]
         per_entry = []
         for entry, table in zip(universe, tables):
             finals, out = run(lattice, unit_states, entry, None)
-            after, fresh = advance(lattice, None)  # stored: it steps once, after the first entry's runs
+            after = advance(lattice, None)  # stored: it steps once, after the first entry's runs
             action(entry, table, tuple(out))
             per_entry.append((finals, out))
         if moves[key[0]] is None:
-            columns = tuple((i, (row_id((unit_of[after[i]], u)),) * entries) for i, u in fresh)
+            fresh = rebind(lattice, after)
+            columns = tuple((i, (row_id(unit_of[after[i]], u),) * entries) for i, u in fresh)
             moves[key[0]] = ((lattice_id(after),) * entries, columns)
         for i, rid in enumerate(key[1:]):
             if nexts[rid] is None:
                 out = tuple(w[i] for _, w in per_entry)
-                nexts[rid] = tuple(row_id((cells[rid][0], f[i])) for f, _ in per_entry)
+                nexts[rid] = tuple(row_id(unit_of[lattice[i]], f[i]) for f, _ in per_entry)
                 word_of[rid] = word_id(out)
 
     def successors(sid: int, key: tuple, depth: int):
@@ -575,31 +558,30 @@ def _mode1_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tupl
             acts = actions[ids] = tuple(map(action, universe, tables, out))
         return zip(acts, zip(after, *columns))
 
-    start_cells = zip(map(unit_of.__getitem__, start.lattice), start.unit_states)
-    return (lattice_id(start.lattice), *map(row_id, start_cells)), make_config, successors
+    start_rows = map(row_id, map(unit_of.__getitem__, start.lattice), start.unit_states)
+    return (lattice_id(start.lattice), *start_rows), make_config, successors
 
 
 def _mode2_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tuple, ...], start: MimicConfiguration):
     """``_explore``'s start key, ``make_config`` and successors for ``ca_from_sa`` states.
 
-    A key holds a configuration's fields, and a state's successors are one
-    ``_stepper`` step per entry. No unit runs and fresh units start at clock
-    0, so the successor's fields are already clock-stripped; each (entry,
-    output) is one Action.
+    A key is a ``_replay`` state, which holds a configuration's fields, and
+    a state's successors are one replay step per entry. No unit runs and
+    fresh units start at clock 0, so the successor's fields are already
+    clock-stripped; each (entry, output) is one Action.
     """
-    step = _stepper(ma, binding, depth=1)
+    encode, step, decode = _replay(ma, binding, depth=1)
     actions = [(entry, {}) for entry in universe]  # per entry: output -> Action
 
     def successors(sid: int, key: tuple, depth: int):
-        cfg = _flat_config(key)
         for entry, table in actions:
-            nxt, _, _, _, output = step(cfg, entry, None)
+            nxt, *_, output = step(key, entry, None)
             action = table.get(output)
             if action is None:
                 action = table[output] = Action(entry, output)
-            yield action, (nxt.lattice, nxt.unit_states, nxt.outer_state)
+            yield action, nxt
 
-    return (start.lattice, start.unit_states, start.outer_state), _flat_config, successors
+    return encode(start), lambda key: decode(key, 0), successors
 
 
 def _as_predicate(target: Pred | str) -> Pred:
@@ -874,7 +856,7 @@ def _expand_chain(
         ma_initial(ma, lattice0 if lattice0 is not None else binding_seed(ma, binding))
     )
     outer = start.outer_state
-    run, rebind, _ = _unit_tables(ma, binding, 1, canonical=True)
+    run, _, rebind, _, _ = _unit_tables(ma, binding, 1, canonical=True)
     # lattice -> ([[successor lattice, probability, fresh units once rebound], ...], their sum)
     dists: dict = {}
 
@@ -1198,9 +1180,9 @@ def _mc_chain(ma, policy, pred, horizon, trials, seed, bound, props_fn) -> int:
 
 def _mc_per_trial(ma, policy, pred, horizon, trials, seed, props_fn) -> int:
     binding = ma.root()
-    step = _stepper(ma, binding, depth=1)
+    encode, step, decode = _replay(ma, binding, depth=1)
     period = len(policy)
-    start = ma_initial(ma, binding_seed(ma, binding))
+    start = encode(ma_initial(ma, binding_seed(ma, binding)))
     hits = 0
     done = 0
     block_index = 0
@@ -1208,13 +1190,13 @@ def _mc_per_trial(ma, policy, pred, horizon, trials, seed, props_fn) -> int:
         n = min(MC_BLOCK, trials - done)
         rng = derive_stream(seed, block_index)
         for _ in range(n):
-            cfg = start
-            hit = eval_predicate(pred, props_fn(strip_clocks(cfg)))
+            state = start
+            hit = eval_predicate(pred, props_fn(strip_clocks(decode(state, 0))))
             for t in range(horizon):
                 if hit:
                     break
-                cfg = step(cfg, policy[t % period], rng)[0]
-                hit = eval_predicate(pred, props_fn(strip_clocks(cfg)))
+                state = step(state, policy[t % period], rng)[0]
+                hit = eval_predicate(pred, props_fn(strip_clocks(decode(state, 0))))
             hits += int(hit)
         done += n
         block_index += 1

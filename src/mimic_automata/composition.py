@@ -21,7 +21,7 @@ the outer formalism and one complete run of the inner one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 if TYPE_CHECKING:
     import numpy as np
@@ -191,7 +191,7 @@ class MimicConfiguration:
         object.__setattr__(self, "unit_states", tuple(self.unit_states))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MacroTick:
     """Everything observed during one macro step."""
 
@@ -403,9 +403,14 @@ def _run_unit(
     rng: np.random.Generator | None,
     depth: int,
     cell: int,
-    steppers: dict,
+    replays: dict,
 ) -> tuple[object, RunResult]:
-    """One unit's run on a block; ``steppers`` holds one ``_stepper`` per nested binding."""
+    """One unit's run on a block; ``replays`` holds one ``_replay`` per nested binding.
+
+    A nested unit steps its configuration's replay state. Given a
+    ``_Loose`` entry, it encodes the configuration at most once, into the
+    entry, and returns its final one as a ``_Loose`` entry too.
+    """
     if isinstance(unit, SaUnit):
         try:
             result = sa_run(ma.sa_set[unit.sa], block, start=state)
@@ -416,15 +421,27 @@ def _run_unit(
         return _run_ha_unit(ma.ha_set[unit.ha], state, block)
 
     nested = ma.bindings[unit.binding]
-    step = steppers.get(unit.binding)
-    if step is None:
-        step = steppers[unit.binding] = _stepper(ma, nested, depth + 1)
+    replay = replays.get(unit.binding)
+    if replay is None:
+        replay = replays[unit.binding] = _replay(ma, nested, depth + 1)
+    encode, step, decode = replay
+    box = state if isinstance(state, _Loose) else None
+    if box is None:
+        begin = encode(state)
+    else:
+        if box.ids is None:
+            box.ids = encode(box.state)
+        begin, state = box.ids, box.state
     if nested.mode == MODE_SA_FROM_CA:
-        cfg, per_cell, _, _, output = step(state, block, rng)
+        end, _, _, per_cell, _, _, output = step(begin, block, rng)
+        cfg = decode(end, state.macro_clock + 1)
         # the first cell is the binding's designated observable
-        return cfg, RunResult(cfg, per_cell[0].accepted if per_cell else True, output, len(block))
-    cfg, _, _, _, output = step(state, state.lattice, rng)  # a nested lattice runs from its own
-    return cfg, RunResult(cfg, cfg.outer_state in ma.sa_set[nested.outer_sa].finals, output, 1)
+        result = RunResult(cfg, per_cell[0].accepted if per_cell else True, output, len(block))
+    else:
+        end, *_, output = step(begin, state.lattice, rng)  # a nested lattice runs from its own
+        cfg = decode(end, state.macro_clock + 1)
+        result = RunResult(cfg, cfg.outer_state in ma.sa_set[nested.outer_sa].finals, output, 1)
+    return (cfg if box is None else _Loose(cfg, end)), result
 
 
 # ---------------------------------------------------------------------------
@@ -445,39 +462,88 @@ def _fresh_units(
     return tuple(fresh)
 
 
-def _unit_tables(ma: MimicAutomaton, binding: Binding, depth: int, canonical: bool):
-    """``run``, ``rebind`` and ``advance``: the ``sa_from_ca`` work of one call, memoised.
+def _numbering(values: list, *columns: list) -> Callable[[object], int]:
+    """``number(value)``: its index in ``values``, appending it (and None to each column) when new."""
+    ids: dict = {}
 
-    ``run(lattice, unit_states, block, rng)`` gives the frozen lattice's
-    final unit states and per-cell ``RunResult``s (output words when
-    ``canonical``). Each (unit, unit state, block) runs once and each nested
-    binding gets one stepper; nested units carry macro clocks, so they run
-    every time without a lookup, unless ``canonical``: then states are
-    clock-stripped, nested runs memoised and their finals stripped. Cells
-    run in index order, a run that raises is never stored, and an unmapped
-    cell state raises its ``KeyError`` at its own cell. ``rebind(lattice,
-    after)`` gives the ``_fresh_units`` of a lattice step, once per pair.
-    ``advance(lattice, rng)`` gives the lattice step's successor and its
-    ``rebind``: a deterministic lattice's ``ca_step`` once per lattice (a
-    step that raises is never stored), a probabilistic one's sample every
-    call, from one ``pca_sampler`` that builds each lattice's rows once.
+    def number(value) -> int:
+        index = ids.get(value)
+        if index is None:
+            index = ids[value] = len(values)
+            values.append(value)
+            for column in columns:
+                column.append(None)
+        return index
+
+    return number
+
+
+def _row_numbering(states: list, *columns: list) -> Callable[[int | None, object], int]:
+    """``row_id(uid, state)``: unit ``uid``'s ``state``'s index in ``states``, one ``_numbering`` per unit.
+
+    A row is keyed by its state in its unit's table and stored as the state
+    alone: the cell that holds a row knows its unit id.
+    """
+    by_unit: dict = {}  # unit id -> its numbering
+
+    def row_id(uid: int | None, state) -> int:
+        number = by_unit.get(uid)
+        if number is None:
+            number = by_unit[uid] = _numbering(states, *columns)
+        return number(state)
+
+    return row_id
+
+
+def _unit_tables(ma: MimicAutomaton, binding: Binding, depth: int, canonical: bool):
+    """``run``, ``run_cell``, ``rebind``, ``advance`` and ``unit_of``: the ``sa_from_ca`` work of one call.
+
+    ``run_cell(lattice, i, uid, state, block, rng)`` runs cell ``i``'s
+    unit, unit id ``uid``, from ``state`` on a block, unmemoised; a cell
+    whose state maps to no unit (``uid`` None) raises the state's
+    ``KeyError``. Each nested binding gets one ``_replay`` for the call's
+    life. ``run(lattice, unit_states, block, rng)`` gives the frozen
+    lattice's final unit states and per-cell ``RunResult``s (output words
+    when ``canonical``), running its cells through ``run_cell`` in index
+    order. It runs each (unit, unit state, block) once; nested units carry
+    macro clocks, so they run every time without a lookup, unless
+    ``canonical``: then states are clock-stripped, nested runs memoised and
+    their finals stripped. A run that raises is never stored.
+    ``rebind(lattice, after)`` gives the ``_fresh_units`` of a lattice step;
+    each caller learns it once per (lattice, successor).
+    ``advance(lattice, rng)`` gives the lattice step's successor: a
+    deterministic lattice's ``ca_step`` once per lattice (a step that
+    raises is never stored), a probabilistic one's sample every call, from
+    one ``pca_sampler`` that builds each lattice's rows once. ``unit_of``
+    maps each mapped cell state to its unit id, numbered in first-seen
+    order.
     """
     ca = ma.ca_set[binding.ca]
     unit_ids: dict = {}  # distinct units in first-seen order
-    uid_of = {q: unit_ids.setdefault(unit, len(unit_ids)) for q, unit in binding.cell_map.items()}
+    unit_of = {q: unit_ids.setdefault(unit, len(unit_ids)) for q, unit in binding.cell_map.items()}
     units = list(unit_ids)
     unmapped = len(units)  # the unit id of an unmapped cell state: its table stays empty
     memoised = [canonical or not isinstance(unit, NestedUnit) for unit in units] + [True]
     runs: dict = {}  # block -> [unit id] -> unit state -> (final state, RunResult or output word), or None
     unit_ids_of: dict = {}  # lattice -> unit id per cell
-    fresh_of: dict = {}  # (lattice, successor lattice) -> fresh units
-    moves: dict = {}  # lattice -> (its ca_step successor, the successor's fresh units)
-    steppers: dict = {}  # nested binding name -> its stepper
+    steps: dict = {}  # lattice -> its ca_step successor
+    replays: dict = {}  # nested binding name -> its _replay
 
-    def run(lattice: Lattice, unit_states: tuple, block: Word, rng: np.random.Generator | None):
+    def run_cell(lattice: Lattice, i: int, uid: int | None, state, block: Word, rng: np.random.Generator | None):
+        if uid is None or uid == unmapped:
+            raise KeyError(lattice[i])
+        hit = _run_unit(ma, units[uid], state, block, rng, depth, i, replays)
+        if canonical:
+            final, result = hit
+            if isinstance(final, MimicConfiguration):
+                final = strip_clocks(final)
+            hit = (final, result.output_word)
+        return hit
+
+    def run(lattice: Lattice, unit_states: Iterable, block: Word, rng: np.random.Generator | None):
         uids = unit_ids_of.get(lattice)
         if uids is None:
-            uids = unit_ids_of[lattice] = tuple(uid_of.get(q, unmapped) for q in lattice)
+            uids = unit_ids_of[lattice] = tuple(unit_of.get(q, unmapped) for q in lattice)
         tables = runs.get(block)
         if tables is None:
             tables = runs[block] = [{} if memo else None for memo in memoised]
@@ -488,14 +554,7 @@ def _unit_tables(ma: MimicAutomaton, binding: Binding, depth: int, canonical: bo
             hit = None if table is None else table.get(state)
             if hit is None:
                 i = len(ran)  # the cell's index
-                if uid == unmapped:
-                    raise KeyError(lattice[i])
-                hit = _run_unit(ma, units[uid], state, block, rng, depth, i, steppers)
-                if canonical:
-                    final, result = hit
-                    if isinstance(final, MimicConfiguration):
-                        final = strip_clocks(final)
-                    hit = (final, result.output_word)
+                hit = run_cell(lattice, i, uid, state, block, rng)
                 if table is not None:
                     table[state] = hit
             ran.append(hit[0])
@@ -503,64 +562,150 @@ def _unit_tables(ma: MimicAutomaton, binding: Binding, depth: int, canonical: bo
         return ran, per_cell
 
     def rebind(lattice: Lattice, after: Lattice) -> tuple[tuple[int, object], ...]:
-        fresh = fresh_of.get((lattice, after))
-        if fresh is None:
-            fresh = fresh_of[(lattice, after)] = _fresh_units(ma, binding, lattice, after, depth)
-        return fresh
+        return _fresh_units(ma, binding, lattice, after, depth)
 
     if isinstance(ca, ProbabilisticCellularAutomaton):
         sample = pca_sampler(ca)
 
-        def advance(lattice: Lattice, rng: np.random.Generator | None):
+        def advance(lattice: Lattice, rng: np.random.Generator | None) -> Lattice:
             if rng is None:
                 raise MimicError(f"{binding.name}: probabilistic lattice step needs a random stream")
-            after = sample(lattice, rng)
-            return after, rebind(lattice, after)
+            return sample(lattice, rng)
 
-        return run, rebind, advance
+        return run, run_cell, rebind, advance, unit_of
 
-    def advance(lattice: Lattice, rng: np.random.Generator | None):
-        move = moves.get(lattice)
-        if move is None:
-            after = ca_step(ca, lattice)
-            move = moves[lattice] = (after, rebind(lattice, after))
-        return move
+    def advance(lattice: Lattice, rng: np.random.Generator | None) -> Lattice:
+        after = steps.get(lattice)
+        if after is None:
+            after = steps[lattice] = ca_step(ca, lattice)
+        return after
 
-    return run, rebind, advance
+    return run, run_cell, rebind, advance, unit_of
 
 
-def _stepper(ma: MimicAutomaton, binding: Binding, depth: int):
-    """``step(cfg, entry, rng)``: one macro step of ``binding``, its mode picked once, here.
+class _Loose:
+    """A replay state's entry for a nested unit: its configuration, and that one's replay state once encoded.
 
-    An entry is an input block (``sa_from_ca``) or an inner seed lattice
-    (``ca_from_sa``). ``step`` returns the next configuration and the last
-    four fields of a ``MacroTick``, from one ``_unit_tables`` for all steps:
-    a deterministic lattice steps once per distinct lattice, a probabilistic
-    one builds its rows once per distinct lattice and draws once per tick,
-    and an inner run happens once per distinct seed.
+    It hashes by identity, so a row table's lookup of it misses at once.
+    """
+
+    __slots__ = ("state", "ids")
+
+    def __init__(self, state, ids=None):
+        self.state = state
+        self.ids = ids
+
+
+def _replay(ma: MimicAutomaton, binding: Binding, depth: int):
+    """``(encode, step, decode)``: macro steps of ``binding`` on interned states, its mode picked once, here.
+
+    ``encode(cfg)`` gives a configuration's state, ``decode(state, clock)``
+    the configuration back, and ``step(state, entry, rng)``, for an input
+    block (``sa_from_ca``) or an inner seed lattice (``ca_from_sa``), the
+    next state and the last six fields of a ``MacroTick``.
+
+    An ``sa_from_ca`` state is ``(lattice id, entries, outer state)``: per
+    cell a row id, which names one (unit id, unit state) pair, or, for a
+    nested unit, whose clock makes every run new, a ``_Loose`` unit state.
+    A row learns, per block on first use, its successor row and its
+    ``RunResult``; a deterministic lattice learns its successor's id and
+    fresh cells' entries once, a probabilistic one once per (lattice id,
+    drawn successor). A tick whose rows are learnt is list lookups over row
+    ids: it builds no configuration and hashes no deterministic lattice. A
+    tick with an unlearnt row runs its unlearnt and loose cells through
+    ``run_cell`` in index order, then ``advance``; a learnt row cannot fail
+    or draw, so unit runs, uniforms and the first error are the single
+    step's. A ``ca_from_sa`` state holds a configuration's fields; its
+    inner run happens once per seed lattice, its fresh units once per
+    (lattice, final lattice).
     """
     ca = ma.ca_set[binding.ca]
-    run, rebind, advance = _unit_tables(ma, binding, depth, canonical=False)
+    _, run_cell, rebind, advance, unit_of = _unit_tables(ma, binding, depth, canonical=False)
 
     if binding.mode == MODE_SA_FROM_CA:
+        lattices: list = []  # lattice id -> lattice
+        moves: list = []  # lattice id -> (successor id, (cell, fresh entry) pairs), or None until learnt
+        drawn: dict = {}  # (lattice id, sampled successor) -> the same pair, for a probabilistic lattice
+        cells: list = []  # row id -> unit state
+        units_in: list = []  # lattice id -> unit id per cell, or None until a miss needs it
+        lattice_id = _numbering(lattices, moves, units_in)
+        row_id = _row_numbering(cells)
+        learnt: dict = {}  # block -> ({row id: successor row id}, {row id: RunResult})
+        loose = {q for q, unit in binding.cell_map.items() if isinstance(unit, NestedUnit)}
+        sampled = isinstance(ca, ProbabilisticCellularAutomaton)
 
-        def step(cfg: MimicConfiguration, block: Word, rng: np.random.Generator | None):
-            lattice = cfg.lattice
-            ran, results = run(lattice, cfg.unit_states, block, rng)
-            after, fresh = advance(lattice, rng)
-            for i, unit_state in fresh:
-                ran[i] = unit_state
-            new_cfg = MimicConfiguration(after, ran, cfg.macro_clock + 1, cfg.outer_state)
-            return new_cfg, tuple(results), None, None, results[0].output_word if results else ()
+        def entry(q: CellState, state):
+            return _Loose(state) if q in loose else row_id(unit_of.get(q), state)
 
-        return step
+        def move(lattice: Lattice, after: Lattice) -> tuple:
+            fresh = tuple((i, entry(after[i], u)) for i, u in rebind(lattice, after))
+            return lattice_id(after), fresh
+
+        def encode(cfg: MimicConfiguration) -> tuple:
+            return lattice_id(cfg.lattice), list(map(entry, cfg.lattice, cfg.unit_states)), cfg.outer_state
+
+        def decode(state: tuple, clock: int) -> MimicConfiguration:
+            lid, entries, outer = state
+            units = [e.state if isinstance(e, _Loose) else cells[e] for e in entries]
+            return MimicConfiguration(lattices[lid], units, clock, outer)
+
+        def step(state: tuple, block: Word, rng: np.random.Generator | None):
+            lid, entries, outer = state
+            lattice = lattices[lid]
+            table = learnt.get(block)
+            if table is None:
+                table = learnt[block] = ({}, {})
+            nexts, results = table
+            nxt = list(map(nexts.get, entries))
+            if None in nxt:  # a miss: the unlearnt cells run, in index order
+                uids = units_in[lid]
+                if uids is None:
+                    uids = units_in[lid] = [unit_of.get(q) for q in lattice]
+                per_cell = list(map(results.get, entries))
+                for i, e in enumerate(entries):
+                    if nxt[i] is not None:
+                        continue
+                    if isinstance(e, _Loose):
+                        nxt[i], per_cell[i] = run_cell(lattice, i, uids[i], e, block, rng)
+                        continue
+                    if e not in nexts:  # not learnt by an earlier cell of this tick either
+                        final, results[e] = run_cell(lattice, i, uids[i], cells[e], block, rng)
+                        nexts[e] = row_id(uids[i], final)
+                    nxt[i], per_cell[i] = nexts[e], results[e]
+                per_cell = tuple(per_cell)
+            else:
+                per_cell = tuple([*map(results.__getitem__, entries)])
+            if sampled:
+                after = advance(lattice, rng)
+                succ = drawn.get((lid, after))
+                if succ is None:
+                    succ = drawn[(lid, after)] = move(lattice, after)
+            else:
+                succ = moves[lid]
+                if succ is None:
+                    succ = moves[lid] = move(lattice, advance(lattice, rng))
+            after_lid, fresh = succ
+            for i, e in fresh:
+                nxt[i] = e
+            output = per_cell[0].output_word if per_cell else ()
+            return (after_lid, nxt, outer), lattice, lattices[after_lid], per_cell, None, None, output
+
+        return encode, step, decode
 
     outer = ma.sa_set[binding.outer_sa]
     alphabet = set(outer.input_alphabet)
     cell_states = set(ca.cell_states)
     inner_runs: dict = {}  # seed lattice -> its ca_run
+    fresh_of: dict = {}  # (lattice, inner run's final lattice) -> fresh units
 
-    def step(cfg: MimicConfiguration, seed_lattice: Lattice, rng: np.random.Generator | None):
+    def encode(cfg: MimicConfiguration) -> tuple:
+        return cfg.lattice, cfg.unit_states, cfg.outer_state
+
+    def decode(state: tuple, clock: int) -> MimicConfiguration:
+        return MimicConfiguration(state[0], state[1], clock, state[2])
+
+    def step(state: tuple, seed_lattice: Lattice, rng: np.random.Generator | None):
+        lattice, units, outer_state = state
         inner = inner_runs.get(seed_lattice)
         if inner is None:
             for q in seed_lattice:
@@ -571,16 +716,35 @@ def _stepper(ma: MimicAutomaton, binding: Binding, depth: int):
         symbol = binding.readout.apply(final)
         if symbol not in alphabet:
             raise ReadoutError(f"{binding.name}: readout produced {symbol!r}, not an input of {outer.name}")
-        key = (cfg.outer_state, symbol)
+        key = (outer_state, symbol)
         if key not in outer.transitions:
             raise StuckError(f"{binding.name}: outer machine has no transition on {key!r}")
-        units = list(cfg.unit_states)
-        for i, unit_state in rebind(cfg.lattice, final):
+        fresh = fresh_of.get((lattice, final))
+        if fresh is None:
+            fresh = fresh_of[(lattice, final)] = rebind(lattice, final)
+        units = list(units)
+        for i, unit_state in fresh:
             units[i] = unit_state
-        new_cfg = MimicConfiguration(final, units, cfg.macro_clock + 1, outer.transitions[key])
-        return new_cfg, None, inner, symbol, (outer.outputs[key],)
+        nxt = (final, tuple(units), outer.transitions[key])
+        return nxt, lattice, final, None, inner, symbol, (outer.outputs[key],)
 
-    return step
+    return encode, step, decode
+
+
+def _stepper(ma: MimicAutomaton, binding: Binding, depth: int):
+    """``step(cfg, entry, rng)``: one ``_replay`` step from a configuration, through one encode/decode pair.
+
+    It returns the next configuration, its clock one higher, and the last
+    four fields of a ``MacroTick``, for a caller that holds configurations
+    (``replay_path``); the replay loops carry ``_replay`` states instead.
+    """
+    encode, step, decode = _replay(ma, binding, depth)
+
+    def cfg_step(cfg: MimicConfiguration, entry, rng: np.random.Generator | None):
+        state, _, _, *fields = step(encode(cfg), entry, rng)
+        return decode(state, cfg.macro_clock + 1), *fields
+
+    return cfg_step
 
 
 def has_randomness(ma: MimicAutomaton) -> bool:
@@ -614,19 +778,23 @@ def ma_run(
 
     Schedule entries are input blocks in mode ``sa_from_ca`` and inner seed
     lattices in mode ``ca_from_sa``. With probabilistic components the run is
-    a pure function of ``(ma, cfg, schedule, seed)``.
+    a pure function of ``(ma, cfg, schedule, seed)``. The fold carries
+    ``_replay`` states from tick to tick and builds one configuration, the
+    final one.
     """
     binding = ma.root()
     if rng is None and has_randomness(ma):
         rng = master_stream(seed)
-    step = _stepper(ma, binding, depth=1)
+    encode, step, decode = _replay(ma, binding, depth=1)
+    state = encode(cfg)
+    clock = cfg.macro_clock
     ticks: list[MacroTick] = []
     for entry in schedule:
         entry = tuple(entry)
-        before = cfg
-        cfg, *fields = step(cfg, entry, rng)
-        ticks.append(MacroTick(before.macro_clock, binding.mode, entry, before.lattice, cfg.lattice, *fields))
-    return cfg, tuple(ticks)
+        state, *fields = step(state, entry, rng)
+        ticks.append(MacroTick(clock, binding.mode, entry, *fields))
+        clock += 1
+    return decode(state, clock), tuple(ticks)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .composition import (
     MimicAutomaton,
     MimicConfiguration,
     SaUnit,
-    _stepper,
+    _replay,
     has_randomness,
     ma_initial,
 )
@@ -347,45 +347,47 @@ def dhr_initial(d: DhrStructure) -> MimicConfiguration:
 
 
 def _dhr_ticker(ma: MimicAutomaton, voter: VoterPolicy):
-    """``tick(cfg, block, rng)``: one step of a ``_stepper``, then the tick's report.
+    """``(encode, tick, decode)``: ``tick(state, block, rng)`` is one ``_replay`` step and its report.
 
-    Ticks with equal outcomes share one frozen report: each (lattice,
-    successor lattice) holds its untagged lattices and a table from (block,
-    slot words) to the report, so a report is built only on a miss. The vote
-    runs once per distinct tuple of slot words, equal dissenter sets are one
-    object, and fault tags are stripped once per distinct lattice.
+    ``encode`` and ``decode`` are the replay's. A tick carries replay
+    states, whose first item is the lattice id, so it builds no
+    configuration and hashes no deterministic lattice. Ticks with equal
+    outcomes share one frozen report: each (lattice id, successor id) holds
+    its untagged lattices and a table from (block, slot words) to the
+    report, so a report is built only on a miss. The vote runs once per
+    distinct tuple of slot words, equal dissenter sets are one object, and
+    fault tags are stripped once per distinct lattice.
     """
-    step = _stepper(ma, ma.root(), depth=1)
+    encode, step, decode = _replay(ma, ma.root(), depth=1)
     votes: dict = {}  # slot words -> (voted word, dissenters)
     shared: dict = {}  # dissenters -> the one equal set that every vote outcome holds
-    bases: dict = {}  # lattice -> untagged lattice
-    moves: dict = {}  # (lattice, successor) -> (untagged lattice, untagged successor, {(block, words): report})
+    bases: dict = {}  # lattice id -> untagged lattice
+    moves: dict = {}  # (lattice id, successor id) -> (untagged lattice, untagged successor, {(block, words): report})
 
-    def untagged(lattice: Lattice) -> Lattice:
-        base = bases.get(lattice)
+    def untagged(lid: int, lattice: Lattice) -> Lattice:
+        base = bases.get(lid)
         if base is None:
-            base = bases[lattice] = tuple(map(base_state, lattice))
+            base = bases[lid] = tuple(map(base_state, lattice))
         return base
 
-    def tick(cfg: MimicConfiguration, block: Word, rng: np.random.Generator | None):
-        new_cfg, per_cell, _, _, _ = step(cfg, block, rng)
+    def tick(state: tuple, block: Word, rng: np.random.Generator | None):
+        nxt, before, after, per_cell, _, _, _ = step(state, block, rng)
         words = tuple([r.output_word for r in per_cell])
-        lattices = (cfg.lattice, new_cfg.lattice)
-        move = moves.get(lattices)
+        ids = (state[0], nxt[0])
+        move = moves.get(ids)
         if move is None:
-            move = moves[lattices] = (untagged(cfg.lattice), untagged(new_cfg.lattice), {})
-        before, after, reports = move
+            move = moves[ids] = (untagged(ids[0], before), untagged(ids[1], after), {})
         key = (block, words)
-        report = reports.get(key)
+        report = move[2].get(key)
         if report is None:
             outcome = votes.get(words)
             if outcome is None:
                 voted, dissenters = vote(voter, words)
                 outcome = votes[words] = (voted, shared.setdefault(dissenters, dissenters))
-            report = reports[key] = DhrStepReport(block, words, *outcome, before, after)
-        return new_cfg, report
+            report = move[2][key] = DhrStepReport(block, words, *outcome, move[0], move[1])
+        return nxt, report
 
-    return tick
+    return encode, tick, decode
 
 
 def inject_fault(d: DhrStructure, slot: int, faulty: SequentialAutomaton) -> DhrStructure:
@@ -410,18 +412,21 @@ def dhr_run(
 
     For a serial composition the reports describe the final stage (the
     structure's observable end); an abstaining stage aborts the run after
-    emitting its abstention report.
+    emitting its abstention report. The fold carries ``_replay`` states
+    through one ``_dhr_ticker`` and builds one configuration, the initial
+    one: a tick whose rows are learnt is list lookups plus one report
+    lookup, and ticks with equal outcomes return one shared report.
     """
     if isinstance(target, SerialDhr):
         _, ticks = serial_run(target, schedule, seed=seed)  # it stops after an aborted tick
         return [tick.stage_reports[-1] for tick in ticks]
     ma = target.automaton
     rng = master_stream(seed) if has_randomness(ma) else None
-    cfg = dhr_initial(target)
-    tick = _dhr_ticker(ma, target.voter)
+    encode, tick, _ = _dhr_ticker(ma, target.voter)
+    state = encode(dhr_initial(target))
     reports = []
     for block in schedule:
-        cfg, report = tick(cfg, tuple(block), rng)
+        state, report = tick(state, tuple(block), rng)
         reports.append(report)
     return reports
 
@@ -434,22 +439,31 @@ def serial_initial(s: SerialDhr) -> tuple[MimicConfiguration, ...]:
 
 
 def _serial_ticker(s: SerialDhr):
-    """``tick(states, block, rng)``: one serial tick through one ``_dhr_ticker`` per stage."""
+    """``(states, tick, decode)``: one serial tick through one ``_dhr_ticker`` per stage.
+
+    ``states`` holds each stage's initial ``_replay`` state, ``tick(states,
+    block, rng)`` gives the stages' next states and the ``SerialTick``, and
+    ``decode(states, clocks)`` gives the stages' configurations.
+    """
     tickers = [_dhr_ticker(ma, stage.voter) for ma, stage in zip(s.automata, s.stages)]
 
-    def tick(states: Sequence[MimicConfiguration], block: Word, rng: np.random.Generator | None):
+    def tick(states: Sequence[tuple], block: Word, rng: np.random.Generator | None):
         new_states = list(states)
         stage_reports: list[DhrStepReport] = []
         word: Word | None = block
-        for i, stage_tick in enumerate(tickers):
+        for i, (_, stage_tick, _) in enumerate(tickers):
             new_states[i], report = stage_tick(states[i], word, rng)
             stage_reports.append(report)
             word = report.voted_output
             if word is None:
-                return tuple(new_states), SerialTick(tuple(stage_reports), None, i)
-        return tuple(new_states), SerialTick(tuple(stage_reports), word, None)
+                return new_states, SerialTick(tuple(stage_reports), None, i)
+        return new_states, SerialTick(tuple(stage_reports), word, None)
 
-    return tick
+    def decode(states: Sequence[tuple], clocks: Sequence[int]) -> tuple[MimicConfiguration, ...]:
+        return tuple(dec(state, clock) for (_, _, dec), state, clock in zip(tickers, states, clocks))
+
+    states = [enc(cfg) for (enc, _, _), cfg in zip(tickers, serial_initial(s))]
+    return states, tick, decode
 
 
 def serial_run(
@@ -457,13 +471,14 @@ def serial_run(
     schedule: Iterable[Iterable[str]],
     seed: int | None = None,
 ) -> tuple[tuple[MimicConfiguration, ...], list[SerialTick]]:
+    """Fold serial ticks over ``_replay`` states; each stage's final clock counts the ticks that reached it."""
     rng = master_stream(seed) if any(has_randomness(ma) for ma in s.automata) else None
-    states = serial_initial(s)
-    serial_tick = _serial_ticker(s)
+    states, serial_tick, decode = _serial_ticker(s)
     ticks: list[SerialTick] = []
     for block in schedule:
         states, tick = serial_tick(states, tuple(block), rng)
         ticks.append(tick)
         if tick.aborted_at is not None:
             break
-    return states, ticks
+    clocks = [sum(len(tick.stage_reports) > i for tick in ticks) for i in range(len(states))]
+    return decode(states, clocks), ticks

@@ -50,7 +50,7 @@ class SequentialAutomaton:
         return checked(self, validate_sa)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunResult:
     """Outcome of one complete (or stuck) run.
 

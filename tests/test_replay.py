@@ -1,14 +1,15 @@
-"""The memoised stepper that every replay loop holds, and the sliced lattice step.
+"""The memoised replay that every replay loop holds, and the sliced lattice step.
 
-``ma_run``, ``dhr_run``, ``serial_run``, per-trial Monte Carlo and
-``replay_path`` hold one ``_stepper`` per call, for either mode: it runs
-each (unit, unit state, block) of a plain or hierarchical unit once, builds
-the fresh units of each (lattice, successor lattice) once, builds each
-nested binding's stepper once, steps each deterministic lattice and runs
-each inner seed lattice once, builds each probabilistic lattice's sampling
-rows once and draws once per tick. These tests fold the reference
-interpreter's tick over long schedules and require every tick and the
-final configuration, clocks included; they count the work, pin the first
+``ma_run``, ``dhr_run``, ``serial_run``, per-trial Monte Carlo, nested
+units and ``replay_path`` hold one ``_replay`` per call, for either mode
+(``replay_path`` through ``_stepper``'s encode/decode pair). It carries
+interned states: a row names one (unit, unit state) and learns its run on
+each block once, a deterministic lattice learns its step and fresh units
+once, a nested unit runs every tick, each inner seed lattice runs once,
+and a probabilistic lattice builds its sampling rows once and draws once
+per tick. These tests fold the reference interpreter's tick over long
+schedules and require every tick and the final configuration, clocks
+included; they count the work and the configurations built, pin the first
 error, and check the padded ``ca_step``/``pca_step`` against the
 ``neighborhood_of`` form.
 """
@@ -60,6 +61,7 @@ from helpers import (
     gen_pca_instance,
     gen_sa,
     identity_ca,
+    make_sa,
     plain,
     rotate_ca,
     uniform_pca,
@@ -158,13 +160,22 @@ def generated_dhr(seed=0):
     return DhrStructure("gen3", executors, scheduler, 3, VoterPolicy(), ("0", "1", "2"))
 
 
+def twin_sa(name="twin"):
+    """The states of ``echo_sa("e1", 2)``, s0 and s1, under other moves and outputs."""
+    return make_sa(name, ("s0", "s1"), "s0", ("s1",), ("a", "b"),
+                   delta=[("s0", "a", "s0", "b"), ("s0", "b", "s1", "a"),
+                          ("s1", "a", "s1", "a"), ("s1", "b", "s0", "b")])
+
+
 STRUCTURES = [
     echo_dhr(scheduler=rotate_ca()),
     inject_fault(echo_dhr(scheduler=rotate_ca()), 1, flipper_sa()),
     inject_fault(echo_dhr(quorum=3), 0, flipper_sa()),
     generated_dhr(),
+    # the faulty variant and e1 share state names: a row is a (unit, state), not a state
+    inject_fault(echo_dhr(scheduler=rotate_ca()), 1, twin_sa()),
 ]
-STRUCTURE_IDS = ["rotating", "rotating-injected", "injected-quorum3", "generated"]
+STRUCTURE_IDS = ["rotating", "rotating-injected", "injected-quorum3", "generated", "same-state-names"]
 
 
 def reference_dhr_tick(structure, cfg, block):
@@ -478,6 +489,69 @@ def test_a_run_builds_each_unit_table_once_however_many_ticks(monkeypatch):
             assert counts[0] == counts[1], f"seed {seed}"
             compared += 1
     assert compared >= 10
+
+
+def test_ticks_build_no_configuration_and_hash_fault_tags_per_lattice_not_per_tick(monkeypatch):
+    builds, hashes = [], []
+    real_post, real_hash = MimicConfiguration.__post_init__, dhr.FaultTagged.__hash__
+
+    def counting_post(cfg):
+        builds.append(cfg)
+        real_post(cfg)
+
+    def counting_hash(tagged):
+        hashes.append(tagged)
+        return real_hash(tagged)
+
+    injected = inject_fault(echo_dhr(scheduler=rotate_ca()), 1, flipper_sa())
+    injected.automaton  # widening the scheduler hashes every tagged neighborhood once, before the count
+    pca = x11_parity_ma()
+    pca = MimicAutomaton(pca.name, pca.sa_set, {"x11": uniform_pca("x11", width=11)}, {}, pca.bindings,
+                         pca.root_binding)
+    monkeypatch.setattr(MimicConfiguration, "__post_init__", counting_post)
+    monkeypatch.setattr(dhr.FaultTagged, "__hash__", counting_hash)
+    schedule = long_schedule(random.Random(8), ticks=2000, max_len=3)
+    counts = []
+    for ticks in (200, 2000):
+        builds.clear()
+        hashes.clear()
+        reports = dhr_run(injected, schedule[:ticks])
+        lattices = {r.lattice_before for r in reports} | {r.lattice_after for r in reports}
+        assert len(builds) == 1  # the initial configuration
+        # the set-up, then per distinct lattice its step, its number and its fresh units
+        assert len(hashes) <= 16 * len(lattices), ticks
+        counts.append(len(hashes))
+
+        builds.clear()
+        bits = [tuple("1" if s == "a" else "0" for s in block) for block in schedule[:ticks]]
+        final, trace = ma_run(pca, ma_initial(pca, pca.root().seed), bits, seed=4)
+        assert len(builds) == 2  # the initial configuration and the final one
+        assert final.macro_clock == len(trace) == ticks
+    assert counts[0] == counts[1]
+
+
+def test_a_replay_where_no_row_repeats_numbers_one_row_per_visited_unit_state(monkeypatch):
+    numbered = []
+    real_rows = composition._row_numbering
+
+    def recording_rows(states, *columns):
+        numbered.append(states)
+        return real_rows(states, *columns)
+
+    # three counters with more states than the schedule has symbols, on a still lattice
+    sas = {f"k{n}": echo_sa(f"k{n}", n) for n in (200, 201, 202)}
+    b = Binding("b", MODE_SA_FROM_CA, "still3", {str(j): SaUnit(f"k{200 + j}") for j in range(3)},
+                seed=("0", "1", "2"))
+    ma = MimicAutomaton("noreuse", sas, {"still3": identity_ca("still3", 3, ("0", "1", "2"))}, {}, {"b": b}, "b")
+    rnd = random.Random(12)
+    schedule = [tuple(rnd.choice("ab") for _ in range(rnd.randint(1, 3))) for _ in range(60)]
+    monkeypatch.setattr(composition, "_row_numbering", recording_rows)
+    ticks, final = replayed(ma, b.seed, schedule)
+    assert (ticks, final) == reference_fold(ma, b.seed, schedule)
+    visited = {(j, state) for j, state in enumerate(ma_initial(ma, b.seed).unit_states)}
+    visited |= {(j, record[0]) for tick in ticks for j, record in enumerate(tick[2])}
+    assert len(numbered) == 1
+    assert len(numbered[0]) == len(visited) == 3 * (len(schedule) + 1)
 
 
 def late_rejection_ma():
