@@ -40,7 +40,6 @@ from .composition import (
     SaUnit,
     _numbering,
     _replay,
-    _row_numbering,
     _stepper,
     _unit_tables,
     binding_seed,
@@ -356,9 +355,9 @@ class _Store(NamedTuple):
     ``labels[e]`` to state ``targets[e]`` for ``e`` in
     ``offsets[i]:offsets[i + 1]``, and ``discovery[i]`` is the edge that
     first reached it (-1 for state 0). Configurations are built from keys
-    on demand by ``make_config``: a ``flatten`` of an ``sa_from_ca`` root
-    keys a state by small integers, its lattice id and one row id per cell,
-    which its successor function decodes; other keys hold the fields.
+    on demand by ``make_config``: ``flatten`` and the chain key an
+    ``sa_from_ca`` state by small integers, the tick table's lattice id and
+    row ids (and the chain's phase); a ``ca_from_sa`` key holds the fields.
     """
 
     keys: list
@@ -480,39 +479,30 @@ def _mode1_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tupl
     """``_explore``'s start key, ``make_config`` and successors for ``sa_from_ca`` states.
 
     A state's key is ``(lattice id, row id of cell 0, ..., row id of cell
-    n-1)``, where a row id names one (unit id, unit state) pair. The lattice
-    is frozen while the units run, so a cell's runs depend only on its row:
-    a learnt row holds, per entry, its successor row id and the id of its
-    output words. A learnt lattice holds its successor's id and the fresh
-    cells' row ids, each as a column with one value per entry. A state reads
-    its rows by index, swaps in its lattice's fresh columns and zips the
-    successor lattice's column with its cells' columns: that yields the
-    successor keys. Its Actions are found by its cells' word ids. A state
-    with an unlearnt lattice or row first runs through ``run`` and
-    ``advance`` in the single step's order, so it fails where the single
-    step fails. Each (entry, per-cell output words) is one vote and each
-    (entry, observable output) one Action. Lattices and rows are numbered
-    as replay numbers them (``_numbering``, ``_row_numbering``), with
-    ``_unit_tables``' unit ids.
+    n-1)`` in the ids of the ``canonical`` tick table (``_unit_tables``).
+    The lattice is frozen while the units run, so a cell's runs depend only
+    on its row: a learnt row holds, per entry, its successor row id and the
+    id of its output words, and a learnt lattice its successor's id and its
+    fresh cells' row ids, each as a column with one value per entry. A
+    state swaps its lattice's fresh columns in among its rows' columns and
+    zips them with the successor lattice's column: that yields the
+    successor keys, and its cells' word ids find its Actions. A state with
+    an unlearnt lattice or row first goes entry by entry through the
+    table's ``run`` and ``move``, in the single step's order, so it fails
+    where the single step fails. Each (entry, per-cell output words) is one
+    vote and each (entry, observable output) one Action.
     """
-    run, _, rebind, advance, unit_of = _unit_tables(ma, binding, 1, canonical=True)
+    _, encode, decode, run, move, _, _, _ = _unit_tables(ma, binding, 1, canonical=True)
     entries = len(universe)
-    lattices: list = []  # lattice id -> lattice
-    moves: list = []  # lattice id -> (successor lattice id per entry, (cell, fresh row id per entry) pairs), or None
-    cells: list = []  # row id -> unit state
-    nexts: list = []  # row id -> successor row id per entry, or None until learnt
-    word_of: list = []  # row id -> the id of its output words per entry, or None until learnt
+    moves: dict = {}  # lattice id -> (successor lattice id per entry, (cell, fresh row id per entry) pairs)
+    nexts: dict = {}  # row id -> successor row id per entry
+    word_of: dict = {}  # row id -> the id of its output words per entry
     words: list = []  # word id -> output words per entry
-    lattice_id = _numbering(lattices, moves)
-    row_id = _row_numbering(cells, nexts, word_of)
     word_id = _numbering(words)
     tables = [{} for _ in universe]  # per entry: per-cell output words -> Action
     interned: dict[Action, Action] = {}  # different words can vote one output
     actions: dict = {}  # word ids per cell -> Action per entry
     no_cells = [()] * entries  # each entry's per-cell output words when there are no cells
-
-    def make_config(key: tuple) -> MimicConfiguration:
-        return MimicConfiguration(lattices[key[0]], [cells[rid] for rid in key[1:]])
 
     def action(entry: tuple, table: dict, words: tuple) -> Action:
         act = table.get(words)
@@ -521,34 +511,26 @@ def _mode1_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tupl
             act = table[words] = interned.setdefault(act, act)
         return act
 
-    def learn(key: tuple) -> None:
-        lattice = lattices[key[0]]
-        unit_states = [cells[rid] for rid in key[1:]]
+    def learn(lid: int, rids: tuple) -> None:
         per_entry = []
         for entry, table in zip(universe, tables):
-            finals, out = run(lattice, unit_states, entry, None)
-            after = advance(lattice, None)  # stored: it steps once, after the first entry's runs
-            action(entry, table, tuple(out))
-            per_entry.append((finals, out))
-        if moves[key[0]] is None:
-            fresh = rebind(lattice, after)
-            columns = tuple((i, (row_id(unit_of[after[i]], u),) * entries) for i, u in fresh)
-            moves[key[0]] = ((lattice_id(after),) * entries, columns)
-        for i, rid in enumerate(key[1:]):
-            if nexts[rid] is None:
-                out = tuple(w[i] for _, w in per_entry)
-                nexts[rid] = tuple(row_id(unit_of[lattice[i]], f[i]) for f, _ in per_entry)
-                word_of[rid] = word_id(out)
+            nxt, out = run(lid, rids, entry, None)
+            after, fresh = move(lid, None)  # learnt once, after the first entry's runs
+            action(entry, table, out)
+            per_entry.append((nxt, out))
+        moves[lid] = ((after,) * entries, tuple((i, (e,) * entries) for i, e in fresh))
+        for i, rid in enumerate(rids):
+            if rid not in nexts:
+                nexts[rid] = tuple(nxt[i] for nxt, _ in per_entry)
+                word_of[rid] = word_id(tuple(out[i] for _, out in per_entry))
 
     def successors(sid: int, key: tuple, depth: int):
-        rids = key[1:]
-        move = moves[key[0]]
-        columns = list(map(nexts.__getitem__, rids))
-        if move is None or None in columns:
-            learn(key)
-            move = moves[key[0]]
+        lid, rids = key[0], key[1:]
+        columns = list(map(nexts.get, rids))
+        if lid not in moves or None in columns:
+            learn(lid, rids)
             columns = list(map(nexts.__getitem__, rids))
-        after, fresh = move
+        after, fresh = moves[lid]
         for i, column in fresh:
             columns[i] = column
         ids = tuple(map(word_of.__getitem__, rids))
@@ -558,8 +540,8 @@ def _mode1_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tupl
             acts = actions[ids] = tuple(map(action, universe, tables, out))
         return zip(acts, zip(after, *columns))
 
-    start_rows = map(row_id, map(unit_of.__getitem__, start.lattice), start.unit_states)
-    return (lattice_id(start.lattice), *start_rows), make_config, successors
+    lid, rows, _ = encode(start)
+    return (lid, *rows), lambda key: decode((key[0], key[1:], None), 0), successors
 
 
 def _mode2_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tuple, ...], start: MimicConfiguration):
@@ -840,14 +822,16 @@ def _expand_chain(
 ) -> _Store:
     """``_explore`` of the chain over (configuration, policy phase) states.
 
-    An edge's label is its probability, in ``pca_step_distribution`` order,
-    and a state's phase is its depth modulo the policy's period. Each
-    lattice's distribution, with its successors' fresh units, is computed
-    once per call. Per state, the unit runs come before the distribution and
-    the successors, as in a single step, so the first error is the same.
-    States at depth ``horizon`` get a self-loop; rows must sum to one only
-    when ``horizon`` is None. The model must pass
-    ``_require_exactly_expandable``.
+    A state's key is ``(lattice id, row id of cell 0, ..., row id of cell
+    n-1, phase)`` in the ids of the ``canonical`` tick table
+    (``_unit_tables``), and its phase is its depth modulo the policy's
+    period. An edge's label is its probability, in ``pca_step_distribution``
+    order. Each lattice's distribution is computed once per call, and each
+    successor's ``moved`` pair when first reached. Per state, the unit runs
+    come before the distribution and the successors, as in a single step,
+    so the first error is the same. States at depth ``horizon`` get a
+    self-loop; rows must sum to one only when ``horizon`` is None. The model
+    must pass ``_require_exactly_expandable``.
     """
     binding = ma.root()
     ca = ma.ca_set[binding.ca]
@@ -855,36 +839,39 @@ def _expand_chain(
     start = strip_clocks(
         ma_initial(ma, lattice0 if lattice0 is not None else binding_seed(ma, binding))
     )
-    outer = start.outer_state
-    run, _, rebind, _, _ = _unit_tables(ma, binding, 1, canonical=True)
-    # lattice -> ([[successor lattice, probability, fresh units once rebound], ...], their sum)
+    lattices, encode, decode, run, _, moved, _, _ = _unit_tables(ma, binding, 1, canonical=True)
+    # lattice id -> ([[successor lattice, probability, its id and (key position, fresh row) pairs], ...], their sum)
     dists: dict = {}
 
     def successors(sid: int, key: tuple, depth: int):
-        lattice, unit_states, _ = key
         if horizon is not None and depth >= horizon:
-            yield 1.0, (lattice, unit_states, depth % period)
+            yield 1.0, key
             return
-        ran, _ = run(lattice, unit_states, policy[depth % period], None)
-        dist = dists.get(lattice)
+        lid = key[0]
+        ran, _ = run(lid, key[1:-1], policy[depth % period], None)
+        dist = dists.get(lid)
         if dist is None:
-            dist = pca_step_distribution(ca, lattice, successor_cap)
-            dist = dists[lattice] = ([[after, prob, None] for after, prob in dist.items()], sum(dist.values()))
-        phase = (depth + 1) % period
+            dist = pca_step_distribution(ca, lattices[lid], successor_cap)
+            dist = dists[lid] = ([[after, prob, None, ()] for after, prob in dist.items()], sum(dist.values()))
+        base = [lid, *ran, (depth + 1) % period]
         for successor in dist[0]:
-            after, prob, fresh = successor
-            if fresh is None:  # rebound when first reached, so errors keep their order
-                fresh = successor[2] = rebind(lattice, after)
-            unit_states = list(ran)
-            for i, unit_state in fresh:
-                unit_states[i] = unit_state
-            yield prob, (after, tuple(unit_states), phase)
+            after, prob, after_lid, fresh = successor
+            if after_lid is None:  # rebound when first reached, so errors keep their order
+                after_lid, fresh = moved(lid, after)
+                fresh = tuple((i + 1, rid) for i, rid in fresh)  # a fresh cell's position in a key
+                successor[2:] = after_lid, fresh
+            key = base.copy()
+            key[0] = after_lid
+            for i, rid in fresh:
+                key[i] = rid
+            yield prob, tuple(key)
         if horizon is None and abs(dist[1] - 1.0) > ROW_TOL:
             raise MimicError(f"chain row for s{sid} sums to {dist[1]!r}")
 
+    lid, rows, outer = encode(start)
     return _explore(
-        (start.lattice, start.unit_states, 0),
-        lambda key: MimicConfiguration(key[0], key[1], 0, outer),
+        (lid, *rows, 0),
+        lambda key: decode((key[0], key[1:-1], outer), 0),
         successors,
         bound,
     )[0]

@@ -478,7 +478,7 @@ def _numbering(values: list, *columns: list) -> Callable[[object], int]:
     return number
 
 
-def _row_numbering(states: list, *columns: list) -> Callable[[int | None, object], int]:
+def _row_numbering(states: list) -> Callable[[int | None, object], int]:
     """``row_id(uid, state)``: unit ``uid``'s ``state``'s index in ``states``, one ``_numbering`` per unit.
 
     A row is keyed by its state in its unit's table and stored as the state
@@ -489,98 +489,115 @@ def _row_numbering(states: list, *columns: list) -> Callable[[int | None, object
     def row_id(uid: int | None, state) -> int:
         number = by_unit.get(uid)
         if number is None:
-            number = by_unit[uid] = _numbering(states, *columns)
+            number = by_unit[uid] = _numbering(states)
         return number(state)
 
     return row_id
 
 
 def _unit_tables(ma: MimicAutomaton, binding: Binding, depth: int, canonical: bool):
-    """``run``, ``run_cell``, ``rebind``, ``advance`` and ``unit_of``: the ``sa_from_ca`` work of one call.
+    """The tick table of an ``sa_from_ca`` binding: ``(lattices, encode, decode, run, move, moved, learnt, moves)``.
 
-    ``run_cell(lattice, i, uid, state, block, rng)`` runs cell ``i``'s
-    unit, unit id ``uid``, from ``state`` on a block, unmemoised; a cell
-    whose state maps to no unit (``uid`` None) raises the state's
-    ``KeyError``. Each nested binding gets one ``_replay`` for the call's
-    life. ``run(lattice, unit_states, block, rng)`` gives the frozen
-    lattice's final unit states and per-cell ``RunResult``s (output words
-    when ``canonical``), running its cells through ``run_cell`` in index
-    order. It runs each (unit, unit state, block) once; nested units carry
-    macro clocks, so they run every time without a lookup, unless
-    ``canonical``: then states are clock-stripped, nested runs memoised and
-    their finals stripped. A run that raises is never stored.
-    ``rebind(lattice, after)`` gives the ``_fresh_units`` of a lattice step;
-    each caller learns it once per (lattice, successor).
-    ``advance(lattice, rng)`` gives the lattice step's successor: a
-    deterministic lattice's ``ca_step`` once per lattice (a step that
-    raises is never stored), a probabilistic one's sample every call, from
-    one ``pca_sampler`` that builds each lattice's rows once. ``unit_of``
-    maps each mapped cell state to its unit id, numbered in first-seen
-    order.
+    Lattices and rows, one row per (unit id, unit state) pair, are numbered
+    per call in first-seen order; ``lattices[lid]`` is a lattice.
+    ``encode(cfg)`` gives a configuration's state ``(lattice id, entries,
+    outer state)``, an entry per cell: a row id or, unless ``canonical``, a
+    nested unit's ``_Loose`` entry, since its macro clock makes every run
+    new; with ``canonical`` nested states are clock-stripped rows.
+    ``decode(state, clock)`` gives the configuration back.
+    ``run(lid, entries, block, rng)``, the units' half of a tick, gives
+    each cell's successor entry, before rebinding, and the per-cell
+    ``RunResult``s (output words when ``canonical``). A row learns both per
+    block on first use, in ``learnt`` (block -> ({row: successor row},
+    {row: result})); unlearnt and loose cells run in index order, and a
+    cell whose state maps to no unit raises the state's ``KeyError``.
+    ``move(lid, rng)``, the lattice half, gives ``(successor id, (cell,
+    fresh entry) pairs)``: a deterministic lattice steps once per id, into
+    ``moves`` (None until learnt), a probabilistic one draws every call
+    through one ``pca_sampler`` and is rebound once per (lattice id,
+    successor). ``moved(lid, successor)`` is a given successor's pair,
+    unmemoised. A run or step that raises is never stored. Each nested
+    binding gets one ``_replay`` for the table's life.
     """
     ca = ma.ca_set[binding.ca]
     unit_ids: dict = {}  # distinct units in first-seen order
     unit_of = {q: unit_ids.setdefault(unit, len(unit_ids)) for q, unit in binding.cell_map.items()}
     units = list(unit_ids)
-    unmapped = len(units)  # the unit id of an unmapped cell state: its table stays empty
-    memoised = [canonical or not isinstance(unit, NestedUnit) for unit in units] + [True]
-    runs: dict = {}  # block -> [unit id] -> unit state -> (final state, RunResult or output word), or None
-    unit_ids_of: dict = {}  # lattice -> unit id per cell
-    steps: dict = {}  # lattice -> its ca_step successor
+    loose = set() if canonical else {q for q, unit in binding.cell_map.items() if isinstance(unit, NestedUnit)}
+    lattices: list = []  # lattice id -> lattice
+    moves: list = []  # lattice id -> (successor id, (cell, fresh entry) pairs), or None until learnt
+    units_in: list = []  # lattice id -> unit id per cell, or None until a run needs it
+    cells: list = []  # row id -> unit state
+    lattice_id = _numbering(lattices, moves, units_in)
+    row_id = _row_numbering(cells)
+    learnt: dict = {}  # block -> ({row id: successor row id}, {row id: RunResult, or output words if canonical})
     replays: dict = {}  # nested binding name -> its _replay
 
-    def run_cell(lattice: Lattice, i: int, uid: int | None, state, block: Word, rng: np.random.Generator | None):
-        if uid is None or uid == unmapped:
-            raise KeyError(lattice[i])
-        hit = _run_unit(ma, units[uid], state, block, rng, depth, i, replays)
-        if canonical:
-            final, result = hit
-            if isinstance(final, MimicConfiguration):
-                final = strip_clocks(final)
-            hit = (final, result.output_word)
-        return hit
+    def entry(q: CellState, state):
+        return _Loose(state) if q in loose else row_id(unit_of.get(q), state)
 
-    def run(lattice: Lattice, unit_states: Iterable, block: Word, rng: np.random.Generator | None):
-        uids = unit_ids_of.get(lattice)
+    def encode(cfg: MimicConfiguration) -> tuple:
+        return lattice_id(cfg.lattice), list(map(entry, cfg.lattice, cfg.unit_states)), cfg.outer_state
+
+    def decode(state: tuple, clock: int) -> MimicConfiguration:
+        lid, entries, outer = state
+        units = [e.state if isinstance(e, _Loose) else cells[e] for e in entries]
+        return MimicConfiguration(lattices[lid], units, clock, outer)
+
+    def run(lid: int, entries, block: Word, rng: np.random.Generator | None) -> tuple[list, tuple]:
+        table = learnt.get(block)
+        if table is None:
+            table = learnt[block] = ({}, {})
+        nexts, results = table
+        lattice = lattices[lid]
+        uids = units_in[lid]
         if uids is None:
-            uids = unit_ids_of[lattice] = tuple(unit_of.get(q, unmapped) for q in lattice)
-        tables = runs.get(block)
-        if tables is None:
-            tables = runs[block] = [{} if memo else None for memo in memoised]
-        ran = []
-        per_cell = []
-        for uid, state in zip(uids, unit_states):
-            table = tables[uid]
-            hit = None if table is None else table.get(state)
-            if hit is None:
-                i = len(ran)  # the cell's index
-                hit = run_cell(lattice, i, uid, state, block, rng)
-                if table is not None:
-                    table[state] = hit
-            ran.append(hit[0])
-            per_cell.append(hit[1])
-        return ran, per_cell
+            uids = units_in[lid] = [unit_of.get(q) for q in lattice]
+        nxt, per_cell = [], []
+        for i, e in enumerate(entries):
+            if e in nexts:  # never a _Loose entry, which hashes by identity
+                nxt.append(nexts[e])
+                per_cell.append(results[e])
+                continue
+            uid = uids[i]
+            if uid is None:
+                raise KeyError(lattice[i])
+            loose_entry = isinstance(e, _Loose)
+            final, result = _run_unit(ma, units[uid], e if loose_entry else cells[e], block, rng, depth, i, replays)
+            if not loose_entry:
+                if canonical:
+                    final = strip_clocks(final) if isinstance(final, MimicConfiguration) else final
+                    result = result.output_word
+                final = nexts[e] = row_id(uid, final)
+                results[e] = result
+            nxt.append(final)
+            per_cell.append(result)
+        return nxt, tuple(per_cell)
 
-    def rebind(lattice: Lattice, after: Lattice) -> tuple[tuple[int, object], ...]:
-        return _fresh_units(ma, binding, lattice, after, depth)
+    def moved(lid: int, after: Lattice) -> tuple:
+        fresh = _fresh_units(ma, binding, lattices[lid], after, depth)
+        return lattice_id(after), tuple((i, entry(after[i], u)) for i, u in fresh)
 
     if isinstance(ca, ProbabilisticCellularAutomaton):
         sample = pca_sampler(ca)
+        drawn: dict = {}  # (lattice id, sampled successor) -> its moved pair
 
-        def advance(lattice: Lattice, rng: np.random.Generator | None) -> Lattice:
+        def move(lid: int, rng: np.random.Generator | None) -> tuple:
             if rng is None:
                 raise MimicError(f"{binding.name}: probabilistic lattice step needs a random stream")
-            return sample(lattice, rng)
+            after = sample(lattices[lid], rng)
+            succ = drawn.get((lid, after))
+            if succ is None:
+                succ = drawn[(lid, after)] = moved(lid, after)
+            return succ
+    else:
+        def move(lid: int, rng: np.random.Generator | None) -> tuple:
+            succ = moves[lid]
+            if succ is None:
+                succ = moves[lid] = moved(lid, ca_step(ca, lattices[lid]))
+            return succ
 
-        return run, run_cell, rebind, advance, unit_of
-
-    def advance(lattice: Lattice, rng: np.random.Generator | None) -> Lattice:
-        after = steps.get(lattice)
-        if after is None:
-            after = steps[lattice] = ca_step(ca, lattice)
-        return after
-
-    return run, run_cell, rebind, advance, unit_of
+    return lattices, encode, decode, run, move, moved, learnt, moves
 
 
 class _Loose:
@@ -604,94 +621,39 @@ def _replay(ma: MimicAutomaton, binding: Binding, depth: int):
     block (``sa_from_ca``) or an inner seed lattice (``ca_from_sa``), the
     next state and the last six fields of a ``MacroTick``.
 
-    An ``sa_from_ca`` state is ``(lattice id, entries, outer state)``: per
-    cell a row id, which names one (unit id, unit state) pair, or, for a
-    nested unit, whose clock makes every run new, a ``_Loose`` unit state.
-    A row learns, per block on first use, its successor row and its
-    ``RunResult``; a deterministic lattice learns its successor's id and
-    fresh cells' entries once, a probabilistic one once per (lattice id,
-    drawn successor). A tick whose rows are learnt is list lookups over row
-    ids: it builds no configuration and hashes no deterministic lattice. A
-    tick with an unlearnt row runs its unlearnt and loose cells through
-    ``run_cell`` in index order, then ``advance``; a learnt row cannot fail
-    or draw, so unit runs, uniforms and the first error are the single
-    step's. A ``ca_from_sa`` state holds a configuration's fields; its
-    inner run happens once per seed lattice, its fresh units once per
-    (lattice, final lattice).
+    An ``sa_from_ca`` state is encoded by the binding's tick table
+    (``_unit_tables``, not ``canonical``), and a step is the table's
+    ``run``, then its ``move``. A tick whose rows and lattice are learnt
+    reads the table's ``learnt`` and ``moves`` inline, by lookups over row
+    ids and the lattice id: it builds no configuration and hashes no
+    deterministic lattice. A learnt row cannot fail or draw, so unit runs,
+    uniforms and the first error are the single step's. A ``ca_from_sa``
+    state holds a configuration's fields; its inner run happens once per
+    seed lattice, its fresh units once per (lattice, final lattice).
     """
-    ca = ma.ca_set[binding.ca]
-    _, run_cell, rebind, advance, unit_of = _unit_tables(ma, binding, depth, canonical=False)
-
     if binding.mode == MODE_SA_FROM_CA:
-        lattices: list = []  # lattice id -> lattice
-        moves: list = []  # lattice id -> (successor id, (cell, fresh entry) pairs), or None until learnt
-        drawn: dict = {}  # (lattice id, sampled successor) -> the same pair, for a probabilistic lattice
-        cells: list = []  # row id -> unit state
-        units_in: list = []  # lattice id -> unit id per cell, or None until a miss needs it
-        lattice_id = _numbering(lattices, moves, units_in)
-        row_id = _row_numbering(cells)
-        learnt: dict = {}  # block -> ({row id: successor row id}, {row id: RunResult})
-        loose = {q for q, unit in binding.cell_map.items() if isinstance(unit, NestedUnit)}
-        sampled = isinstance(ca, ProbabilisticCellularAutomaton)
-
-        def entry(q: CellState, state):
-            return _Loose(state) if q in loose else row_id(unit_of.get(q), state)
-
-        def move(lattice: Lattice, after: Lattice) -> tuple:
-            fresh = tuple((i, entry(after[i], u)) for i, u in rebind(lattice, after))
-            return lattice_id(after), fresh
-
-        def encode(cfg: MimicConfiguration) -> tuple:
-            return lattice_id(cfg.lattice), list(map(entry, cfg.lattice, cfg.unit_states)), cfg.outer_state
-
-        def decode(state: tuple, clock: int) -> MimicConfiguration:
-            lid, entries, outer = state
-            units = [e.state if isinstance(e, _Loose) else cells[e] for e in entries]
-            return MimicConfiguration(lattices[lid], units, clock, outer)
+        lattices, encode, decode, run, move, _, learnt, moves = _unit_tables(ma, binding, depth, False)
 
         def step(state: tuple, block: Word, rng: np.random.Generator | None):
             lid, entries, outer = state
-            lattice = lattices[lid]
             table = learnt.get(block)
-            if table is None:
-                table = learnt[block] = ({}, {})
-            nexts, results = table
-            nxt = list(map(nexts.get, entries))
-            if None in nxt:  # a miss: the unlearnt cells run, in index order
-                uids = units_in[lid]
-                if uids is None:
-                    uids = units_in[lid] = [unit_of.get(q) for q in lattice]
-                per_cell = list(map(results.get, entries))
-                for i, e in enumerate(entries):
-                    if nxt[i] is not None:
-                        continue
-                    if isinstance(e, _Loose):
-                        nxt[i], per_cell[i] = run_cell(lattice, i, uids[i], e, block, rng)
-                        continue
-                    if e not in nexts:  # not learnt by an earlier cell of this tick either
-                        final, results[e] = run_cell(lattice, i, uids[i], cells[e], block, rng)
-                        nexts[e] = row_id(uids[i], final)
-                    nxt[i], per_cell[i] = nexts[e], results[e]
-                per_cell = tuple(per_cell)
+            nxt = None if table is None else list(map(table[0].get, entries))
+            if nxt is None or None in nxt:  # an unlearnt or loose cell
+                nxt, per_cell = run(lid, entries, block, rng)
             else:
-                per_cell = tuple([*map(results.__getitem__, entries)])
-            if sampled:
-                after = advance(lattice, rng)
-                succ = drawn.get((lid, after))
-                if succ is None:
-                    succ = drawn[(lid, after)] = move(lattice, after)
-            else:
-                succ = moves[lid]
-                if succ is None:
-                    succ = moves[lid] = move(lattice, advance(lattice, rng))
+                per_cell = tuple([*map(table[1].__getitem__, entries)])
+            succ = moves[lid]
+            if succ is None:
+                succ = move(lid, rng)
             after_lid, fresh = succ
             for i, e in fresh:
                 nxt[i] = e
             output = per_cell[0].output_word if per_cell else ()
-            return (after_lid, nxt, outer), lattice, lattices[after_lid], per_cell, None, None, output
+            return (after_lid, nxt, outer), lattices[lid], lattices[after_lid], per_cell, None, None, output
 
         return encode, step, decode
 
+    ca = ma.ca_set[binding.ca]
     outer = ma.sa_set[binding.outer_sa]
     alphabet = set(outer.input_alphabet)
     cell_states = set(ca.cell_states)
@@ -721,7 +683,7 @@ def _replay(ma: MimicAutomaton, binding: Binding, depth: int):
             raise StuckError(f"{binding.name}: outer machine has no transition on {key!r}")
         fresh = fresh_of.get((lattice, final))
         if fresh is None:
-            fresh = fresh_of[(lattice, final)] = rebind(lattice, final)
+            fresh = fresh_of[(lattice, final)] = _fresh_units(ma, binding, lattice, final, depth)
         units = list(units)
         for i, unit_state in fresh:
             units[i] = unit_state

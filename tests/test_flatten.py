@@ -487,6 +487,20 @@ def test_flatten_steps_a_lattice_after_its_first_entry_runs(universe, error, mes
     assert str(exc.value) == message
 
 
+def test_flatten_rebinds_a_stepped_lattice_before_the_next_entry_runs():
+    # The first step leaves cell 1 in state 2, which here maps to no unit. The
+    # single step on "a" raises that when it rebinds, before "d" is rejected.
+    ma = split_ma()
+    cell_map = {q: unit for q, unit in ma.root().cell_map.items() if q != "2"}
+    ma = dataclasses.replace(ma, bindings={"b": dataclasses.replace(ma.root(), cell_map=cell_map)})
+    with pytest.raises(KeyError) as exc:
+        flatten(ma, [("a",), ("d",)])
+    assert str(exc.value) == "'2'"
+    with pytest.raises(KeyError) as exc:
+        ma_run(ma, ma_initial(ma, ("0", "0")), [("a",)])
+    assert str(exc.value) == "'2'"
+
+
 def random_predicate(rnd, vocabulary, depth=3):
     """An and/or/not formula over atoms drawn from ``vocabulary``."""
     atoms = sorted(vocabulary)

@@ -459,13 +459,13 @@ def test_nested_units_run_every_tick_and_votes_happen_once_per_word_tuple(monkey
 
 def test_a_run_builds_each_unit_table_once_however_many_ticks(monkeypatch):
     builds = []
-    real_tables = composition._unit_tables
+    real_replay = composition._replay
 
-    def counting_tables(ma, binding, depth, canonical):
+    def counting_replay(ma, binding, depth):
         builds.append(binding.name)
-        return real_tables(ma, binding, depth, canonical)
+        return real_replay(ma, binding, depth)
 
-    monkeypatch.setattr(composition, "_unit_tables", counting_tables)
+    monkeypatch.setattr(composition, "_replay", counting_replay)
     compared = 0
     for seed in range(60):
         rnd = random.Random(seed)
@@ -482,7 +482,7 @@ def test_a_run_builds_each_unit_table_once_however_many_ticks(monkeypatch):
             except (KeyError, InputRejectedError):
                 break
             hosted = {cell_map[q] for t in trace for q in t.lattice_before if isinstance(cell_map[q], NestedUnit)}
-            # the root's table, then one per nested binding, built at its first run
+            # the root's replay, then one per nested binding, built at its first run
             assert len(builds) == 1 + len(hosted), f"seed {seed}, {ticks} ticks"
             counts.append(len(builds))
         else:
