@@ -237,6 +237,7 @@ def nesting_depths(ma: MimicAutomaton) -> dict[str, int]:
 
 
 def validate_ma(ma: MimicAutomaton) -> list[Violation]:
+    """Each binding's rules (subject ``binding <name>``), then the root's acyclic nesting and its depth."""
     report: list[Violation] = []
     if ma.root_binding not in ma.bindings:
         report.append(Violation("root-binding", ma.root_binding, "root binding not in bindings"))
@@ -257,12 +258,13 @@ def validate_ma(ma: MimicAutomaton) -> list[Violation]:
         for q, unit in binding.cell_map.items():
             if q not in set(ca.cell_states):
                 report.append(Violation("cell-map-domain", subject, f"{q!r} is not a cell state"))
+            cell = f"cell state {q!r}:"
             if isinstance(unit, SaUnit) and unit.sa not in ma.sa_set:
-                report.append(Violation("unit-membership", subject, f"machine {unit.sa!r} not in sa_set"))
+                report.append(Violation("unit-membership", subject, f"{cell} machine {unit.sa!r} not in sa_set"))
             elif isinstance(unit, HaUnit) and unit.ha not in ma.ha_set:
-                report.append(Violation("unit-membership", subject, f"hierarchy {unit.ha!r} not in ha_set"))
+                report.append(Violation("unit-membership", subject, f"{cell} hierarchy {unit.ha!r} not in ha_set"))
             elif isinstance(unit, NestedUnit) and unit.binding not in ma.bindings:
-                report.append(Violation("unit-membership", subject, f"binding {unit.binding!r} unknown"))
+                report.append(Violation("unit-membership", subject, f"{cell} binding {unit.binding!r} unknown"))
         if binding.seed is not None:
             if len(binding.seed) != ca.width:
                 report.append(Violation("seed-width", subject, "seed lattice width mismatch"))

@@ -48,10 +48,12 @@ class Signature:
 
 
 def validate_signature(sig: Signature) -> list[Violation]:
-    report = [v.within(sig.id) for v in validate_sa(sig.pattern)]
-    if not sig.pattern.finals:
-        report.append(Violation("matchable", sig.id, "pattern has no final states"))
-    return report
+    """The signature's own rule (``signature_rules``), then its pattern's, as ``id/subject``."""
+    return signature_rules(sig) + [v.within(sig.id) for v in validate_sa(sig.pattern)]
+
+
+def signature_rules(sig: Signature) -> list[Violation]:
+    return [] if sig.pattern.finals else [Violation("matchable", sig.id, "pattern has no final states")]
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from .composition import (
     has_randomness,
     ma_initial,
 )
-from .errors import MimicError, ModelValidationError, Violation, checked
+from .errors import MimicError, ModelValidationError, Violation, checked, each_member
 from .rng import master_stream
 from .sequential import SequentialAutomaton, Word, validate_sa
 
@@ -195,6 +195,11 @@ class SerialTick:
 
 
 def validate_dhr(d: DhrStructure) -> list[Violation]:
+    """The structure's own rules (``dhr_rules``), then each distinct executor's, as ``executor/subject``."""
+    return dhr_rules(d) + each_member(d.executors, validate_sa)
+
+
+def dhr_rules(d: DhrStructure) -> list[Violation]:
     report: list[Violation] = []
     if not d.executors:
         report.append(Violation("executors-nonempty", d.name, "no executor variants"))
@@ -204,7 +209,6 @@ def validate_dhr(d: DhrStructure) -> list[Violation]:
     for sa in d.executors:
         if set(sa.input_alphabet) != inputs or set(sa.output_alphabet) != outputs:
             report.append(Violation("shared-alphabets", sa.name, "alphabet differs across executors"))
-        report.extend(v.within(sa.name) for v in validate_sa(sa))
     if len(d.executors) != len(d.scheduler.cell_states):
         report.append(
             Violation(
@@ -238,11 +242,14 @@ def validate_dhr(d: DhrStructure) -> list[Violation]:
 
 
 def validate_serial(s: SerialDhr) -> list[Violation]:
+    """Its own rules (``serial_rules``), then each distinct stage's ``validate_dhr``, as ``stage/subject``."""
+    return serial_rules(s) + each_member(s.stages, validate_dhr)
+
+
+def serial_rules(s: SerialDhr) -> list[Violation]:
     report: list[Violation] = []
     if len(s.stages) < 2:
         report.append(Violation("serial-length", s.name, "a serial composition needs at least 2 stages"))
-    for stage in s.stages:
-        report.extend(v.within(stage.name) for v in validate_dhr(stage))
     for left, right in zip(s.stages, s.stages[1:]):
         if not left.executors or not right.executors:
             continue

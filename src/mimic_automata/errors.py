@@ -21,8 +21,16 @@ class Violation:
         return f"[{self.invariant}] {self.subject}: {self.message}"
 
     def within(self, owner: str) -> "Violation":
-        """This violation with its subject scoped under ``owner`` (``owner/subject``)."""
+        """This violation with its subject scoped under ``owner`` (``owner/subject``), as
+        ``each_member`` reports a member's violations under the member's name."""
         return Violation(self.invariant, f"{owner}/{self.subject}", self.message)
+
+
+def each_member(members, validate) -> list[Violation]:
+    """``validate`` of each distinct member once (one machine in two slots is one member),
+    its violations scoped under the member's name."""
+    distinct = [m for i, m in enumerate(members) if m not in members[:i]]
+    return [v.within(m.name) for m in distinct for v in validate(m)]
 
 
 class MimicError(Exception):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .errors import StuckError, Violation, checked
+from .errors import StuckError, Violation, checked, each_member
 from .sequential import SequentialAutomaton, State, Symbol, validate_sa
 
 
@@ -83,6 +83,11 @@ class HaConfiguration:
 
 
 def validate_ha(ha: HierarchicalAutomaton) -> list[Violation]:
+    """The tree's own rules (``ha_rules``), then each distinct machine's, as ``machine/subject``."""
+    return ha_rules(ha) + each_member(ha.sas, validate_sa)
+
+
+def ha_rules(ha: HierarchicalAutomaton) -> list[Violation]:
     report: list[Violation] = []
     names = [sa.name for sa in ha.sas]
     if len(set(names)) != len(names):
@@ -91,9 +96,6 @@ def validate_ha(ha: HierarchicalAutomaton) -> list[Violation]:
     if ha.root not in members:
         report.append(Violation("root-membership", ha.root, "root is not a member machine"))
         return report
-
-    for sa in ha.sas:
-        report.extend(v.within(sa.name) for v in validate_sa(sa))
 
     seen: dict[str, tuple[str, State]] = {}
     for (owner, state), children in sorted(ha.gamma.items()):

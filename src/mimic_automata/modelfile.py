@@ -53,18 +53,18 @@ from .composition import (
     Unit,
     validate_ma,
 )
-from .detect import Signature, validate_signature
+from .detect import Signature, signature_rules
 from .dhr import (
     DhrStructure,
     PLURALITY,
     STRICT_MAJORITY,
     SerialDhr,
     VoterPolicy,
-    validate_dhr,
-    validate_serial,
+    dhr_rules,
+    serial_rules,
 )
 from .errors import MimicError, PropertyError, Violation
-from .hierarchical import HierarchicalAutomaton, validate_ha
+from .hierarchical import HierarchicalAutomaton, ha_rules
 from .props import parse_predicate, render_predicate
 from .sequential import SequentialAutomaton, validate_sa
 
@@ -302,9 +302,9 @@ class _Block:
     def err(self, message: str, line: int | None = None, col: int = 1, hint=None) -> None:
         self.diagnostics.append(Diagnostic(self.raw.file, line or self.raw.line, col, message, hint))
 
-    def report_violations(self, violations) -> None:
+    def report_violations(self, violations, line: int | None = None, col: int = 1) -> None:
         for v in violations:
-            self.err(f"{self.raw.kind} {self.raw.name}: {v}")
+            self.err(f"{self.raw.kind} {self.raw.name}: {v}", line, col)
 
     def take(self, name: str, sub: str | None = None, required: bool | None = None) -> RawField | None:
         """The first ``name`` field (``name sub:`` for a field with sub-keys)."""
@@ -394,27 +394,13 @@ def _build_sa(b: _Block, doc: ModelDocument) -> SequentialAutomaton | None:
 
     transitions = {}
     out_map = {}
-    state_set, input_set, output_set = set(states), set(inputs), set(outputs)
     for f in b.take_all("delta"):
         texts = f.texts
-        shape_ok = (
-            len(texts) in (4, 6)
-            and texts[2] == "->"
-            and (len(texts) == 4 or texts[4] == "/")
-        )
-        if not shape_ok:
+        if not _is_delta(texts):
             b.err("delta expects '<state> <sym> -> <state> [/ <out>]'", f.line, f.col)
             continue
         src, sym, _, dst = texts[:4]
         out = texts[5] if len(texts) == 6 else sym
-        if src not in state_set:
-            b.err(f"delta source {src!r} is not a state", f.line, f.tokens[0][1])
-        if sym not in input_set:
-            b.err(f"delta symbol {sym!r} is not in the input alphabet", f.line, f.tokens[1][1])
-        if dst not in state_set:
-            b.err(f"delta target {dst!r} is not a state", f.line, f.tokens[3][1])
-        if out not in output_set:
-            b.err(f"delta output {out!r} is not in the output alphabet", f.line, f.col)
         if (src, sym) in transitions:
             b.err(f"duplicate delta for ({src}, {sym})", f.line, f.col)
         transitions[(src, sym)] = dst
@@ -431,8 +417,26 @@ def _build_sa(b: _Block, doc: ModelDocument) -> SequentialAutomaton | None:
         outputs=out_map,
         allow_partial=allow_partial,
     )
-    b.report_violations(validate_sa(sa))
+    _report_sa(b, validate_sa(sa))
     return sa
+
+
+def _is_delta(texts: list[str]) -> bool:
+    return len(texts) in (4, 6) and texts[2] == "->" and (len(texts) == 4 or texts[4] == "/")
+
+
+def _report_sa(b: _Block, report) -> None:
+    """A violation of a delta's ``(state,symbol)`` key at the delta that defined it (the last, for a
+    duplicate), on the token it names, else the field name; any other at the block header."""
+    deltas = b.take_all("delta") if report else ()
+    defined = {f"({f.texts[0]},{f.texts[1]})": f for f in deltas if _is_delta(f.texts)}
+    for v in report:
+        f = defined.get(v.subject)
+        if f is None:
+            b.report_violations([v])
+        else:  # the message's first word names the token: source, input (symbol) or target
+            token = {"source": 0, "input": 1, "target": 3}.get(v.message.split(" ", 1)[0])
+            b.report_violations([v], f.line, f.col if token is None else f.tokens[token][1])
 
 
 def _build_rule_common(b: _Block):
@@ -583,7 +587,7 @@ def _build_ha(b: _Block, doc: ModelDocument) -> HierarchicalAutomaton | None:
             b.err(f"duplicate gamma for {key}", f.line, f.col)
         gamma[key] = frozenset(texts[3:])
     ha = HierarchicalAutomaton(name=b.name, sas=tuple(members), root=root, gamma=gamma)
-    b.report_violations(validate_ha(ha))
+    b.report_violations(ha_rules(ha))
     return ha
 
 
@@ -658,39 +662,19 @@ def _build_binding(b: _Block, doc: ModelDocument) -> Binding | None:
     )
 
 
-def _check_binding_references(doc: ModelDocument, blocks: dict[tuple[str, str], _Block]) -> None:
-    for name, binding in sorted(doc.bindings.items()):
-        block = blocks["binding", name]
-        if doc.cellular(binding.ca) is None:
-            block.err(f"unknown cellular automaton {binding.ca!r}")
-        for state, unit in sorted(binding.cell_map.items(), key=lambda kv: str(kv[0])):
-            if isinstance(unit, SaUnit) and unit.sa not in doc.sas:
-                block.err(f"cell_map for {state!r}: unknown machine {unit.sa!r}")
-            elif isinstance(unit, HaUnit) and unit.ha not in doc.has:
-                block.err(f"cell_map for {state!r}: unknown hierarchy {unit.ha!r}")
-            elif isinstance(unit, NestedUnit) and unit.binding not in doc.bindings:
-                block.err(f"cell_map for {state!r}: unknown binding {unit.binding!r}")
-        if binding.outer_sa is not None and binding.outer_sa not in doc.sas:
-            block.err(f"unknown outer machine {binding.outer_sa!r}")
+def _binding_violations(doc: ModelDocument) -> list[Violation]:
+    """``validate_ma``'s rules of each binding (subject ``binding <name>``), against every
+    machine, automaton, hierarchy and binding of the document."""
+    if not doc.bindings:
+        return []
+    probe = MimicAutomaton("<document>", doc.sas, {**doc.cas, **doc.pcas}, doc.has, doc.bindings, min(doc.bindings))
+    return [v for v in validate_ma(probe) if v.subject.startswith("binding ")]
 
-    # standalone invariant check for bindings not owned by any ma block
-    in_ma = {bname for ma in doc.mas.values() for bname in ma.bindings}
-    loose = [n for n in sorted(doc.bindings) if n not in in_ma]
-    if loose:
-        probe = MimicAutomaton(
-            name="<document>",
-            sa_set=doc.sas,
-            ca_set={**doc.cas, **doc.pcas},
-            ha_set=doc.has,
-            bindings=doc.bindings,
-            root_binding=loose[0],
-            max_depth=64,
-        )
-        for v in validate_ma(probe):
-            match = re.match(r"binding (\S+)$", v.subject)
-            name = match.group(1) if match else None
-            if name in loose:
-                blocks["binding", name].err(f"binding {name}: {v}")
+
+def _check_bindings(doc: ModelDocument, blocks: dict[tuple[str, str], _Block]) -> None:
+    """Each binding's own rules at its block, an unknown reference among them."""
+    for v in _binding_violations(doc):
+        blocks["binding", v.subject.removeprefix("binding ")].report_violations([v])
 
 
 def _build_ma(b: _Block, doc: ModelDocument) -> MimicAutomaton | None:
@@ -732,7 +716,9 @@ def _build_ma(b: _Block, doc: ModelDocument) -> MimicAutomaton | None:
         root_binding=root,
         max_depth=max_depth,
     )
-    b.report_violations(validate_ma(ma))
+    report = validate_ma(ma)  # less what the bindings' blocks reported against the whole document
+    reported = set(_binding_violations(doc)) if report else ()
+    b.report_violations(v for v in report if v not in reported)
     return ma
 
 
@@ -776,7 +762,7 @@ def _build_dhr(b: _Block, doc: ModelDocument) -> DhrStructure | None:
         voter=_build_voter(b),
         initial_lattice=tuple(lattice) if lattice is not None else None,
     )
-    b.report_violations(validate_dhr(dhr))
+    b.report_violations(dhr_rules(dhr))
     return dhr
 
 
@@ -792,7 +778,7 @@ def _build_serial(b: _Block, doc: ModelDocument) -> SerialDhr | None:
             return None
         stages.append(dhr)
     serial = SerialDhr(name=b.name, stages=tuple(stages))
-    b.report_violations(validate_serial(serial))
+    b.report_violations(serial_rules(serial))
     return serial
 
 
@@ -817,8 +803,7 @@ def _build_property(b: _Block, doc: ModelDocument) -> Property | None:
         if pattern is None:
             b.err(f"unknown pattern machine {pattern_name!r}")
             return None
-        if not pattern.finals:  # as a signature's: no bad prefix could ever match
-            b.report_violations([Violation("matchable", b.name, "pattern has no final states")])
+        b.report_violations(signature_rules(Signature(b.name, "", pattern)))  # a bad prefix matches as a signature does
     else:
         pred_f = b.take("predicate", required=True)
         if pred_f is None:
@@ -860,7 +845,7 @@ def _build_signature(b: _Block, doc: ModelDocument) -> Signature | None:
     sig = Signature(
         id=b.name, description=desc_f.texts[0], pattern=pattern, severity=severity
     )
-    b.report_violations(validate_signature(sig))
+    b.report_violations(signature_rules(sig))
     return sig
 
 
@@ -1030,7 +1015,7 @@ _SPECS = {
     "ha": _kind("has", _build_ha, _write_ha, "sas! root! gamma*"),
     "binding": _kind("bindings", _build_binding, _write_binding,
                      "mode! ca! t_max seed outer_sa readout[expr,table] cell_map*",
-                     check=_check_binding_references),
+                     check=_check_bindings),
     "ma": _kind("mas", _build_ma, _write_ma, "sas cas has bindings root_binding! max_depth"),
     "dhr": _kind("dhrs", _build_dhr, _write_dhr,
                  "executors! scheduler! width! voter quorum prefs initial_lattice"),

@@ -95,9 +95,9 @@ def validate_sa(sa: SequentialAutomaton) -> list[Violation]:
     for (state, symbol), target in () if clean else sorted(transitions.items()):
         subject = f"({state},{symbol})"
         if state not in states:
-            report.append(Violation("transition-domain", subject, "source state unknown"))
+            report.append(Violation("transition-domain", subject, f"source {state!r} not in states"))
         if symbol not in inputs:
-            report.append(Violation("transition-domain", subject, "input symbol unknown"))
+            report.append(Violation("transition-domain", subject, f"input symbol {symbol!r} not in input alphabet"))
         if target not in states:
             report.append(Violation("transition-target", subject, f"target {target!r} not in states"))
     for (state, symbol), out in () if clean else sorted(emitted.items()):

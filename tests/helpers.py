@@ -360,6 +360,21 @@ def gen_pca_instance(rnd: random.Random):
     return replace(ma, ca_set=ca_set), lattice0
 
 
+def gen_nested_pca_instance(rnd: random.Random):
+    """``gen_instance``'s nested1 composite with a random PCA as each nested lattice.
+
+    The root lattice is a random PCA too, half the time. Returns the model
+    and its start lattice.
+    """
+    while True:
+        ma, lattice0, _ = gen_instance(rnd)
+        nested = {unit.binding for unit in ma.root().cell_map.values() if isinstance(unit, NestedUnit)}
+        if nested and all(ma.bindings[name].mode == MODE_SA_FROM_CA for name in nested):
+            break
+    drawn = sorted({ma.bindings[name].ca for name in nested} | ({ma.root().ca} if rnd.random() < 0.5 else set()))
+    return replace(ma, ca_set={**ma.ca_set, **{name: gen_pca(rnd, ma.ca_set[name]) for name in drawn}}), lattice0
+
+
 def generated_dhr(seed=0):
     """Three generated machines on a still lattice: the votes vary from state to state."""
     rnd = random.Random(seed)

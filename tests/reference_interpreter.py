@@ -119,19 +119,37 @@ def ref_ha_run(ha, active, word):
 
 # --- cellular ----------------------------------------------------------
 
+def ref_neighborhood(ca, lattice, i):
+    nb = []
+    for off in range(-ca.radius, ca.radius + 1):
+        j = i + off
+        if 0 <= j < len(lattice):
+            nb.append(lattice[j])
+        elif ca.boundary == "periodic":
+            nb.append(lattice[j % len(lattice)])
+        else:
+            nb.append(ca.boundary_value)
+    return tuple(nb)
+
+
 def ref_ca_step(ca, lattice):
+    return tuple(ca.rule[ref_neighborhood(ca, lattice, i)] for i in range(len(lattice)))
+
+
+def ref_pca_step(pca, lattice, rng):
+    """One uniform per cell, in index order; the first state whose cumulative probability exceeds it."""
     out = []
     for i in range(len(lattice)):
-        nb = []
-        for off in range(-ca.radius, ca.radius + 1):
-            j = i + off
-            if 0 <= j < len(lattice):
-                nb.append(lattice[j])
-            elif ca.boundary == "periodic":
-                nb.append(lattice[j % len(lattice)])
-            else:
-                nb.append(ca.boundary_value)
-        out.append(ca.rule[tuple(nb)])
+        pairs = pca.rule[ref_neighborhood(pca, lattice, i)]
+        u = rng.random()
+        acc = 0.0
+        chosen = pairs[-1][0]
+        for state, prob in pairs:
+            acc += prob
+            if u < acc:
+                chosen = state
+                break
+        out.append(chosen)
     return tuple(out)
 
 
@@ -168,8 +186,12 @@ def ref_binding_initial(ma, binding):
     return ("cfg", lattice, units, 0, outer)
 
 
-def ref_run_unit(ma, unit, state, block):
-    """Returns (new unit state, (final plain state, outputs, steps, accepted))."""
+def ref_run_unit(ma, unit, state, block, rng=None):
+    """Returns (new unit state, (final plain state, outputs, steps, accepted)).
+
+    A probabilistic lattice, at any depth, draws from ``rng``: a tick runs
+    its units in cell order first, then steps its lattice.
+    """
     kind = type(unit).__name__
     if kind == "SaUnit":
         final, outputs, steps, ok = ref_sa_run(ma.sa_set[unit.sa], state, block)
@@ -181,7 +203,7 @@ def ref_run_unit(ma, unit, state, block):
         return packed, (packed, outputs, steps, ok)
     binding = ma.bindings[unit.binding]
     if binding.mode == "sa_from_ca":
-        new_cfg, per_cell, _ = ref_mode1_tick(ma, binding, state, block)
+        new_cfg, per_cell, _ = ref_mode1_tick(ma, binding, state, block, rng)
         head = per_cell[0] if per_cell else (None, (), 0, True)
         return new_cfg, (new_cfg, head[1], len(block), head[3])
     new_cfg, output = ref_mode2_tick(ma, binding, state, state[1])
@@ -189,16 +211,19 @@ def ref_run_unit(ma, unit, state, block):
     return new_cfg, (new_cfg, output, 1, new_cfg[4] in outer_sa.finals)
 
 
-def ref_mode1_tick(ma, binding, cfg, block):
+def ref_mode1_tick(ma, binding, cfg, block, rng=None):
     _, lattice, units, clock, outer = cfg
     ca = ma.ca_set[binding.ca]
     per_cell = []
     ran = []
     for i, q in enumerate(lattice):
-        new_state, record = ref_run_unit(ma, binding.cell_map[q], units[i], block)
+        new_state, record = ref_run_unit(ma, binding.cell_map[q], units[i], block, rng)
         ran.append(new_state)
         per_cell.append(record)
-    after = ref_ca_step(ca, lattice)
+    if type(ca).__name__ == "ProbabilisticCellularAutomaton":
+        after = ref_pca_step(ca, lattice, rng)
+    else:
+        after = ref_ca_step(ca, lattice)
     new_units = []
     for i, q_new in enumerate(after):
         if q_new == lattice[i]:

@@ -37,9 +37,9 @@ from mimic_automata import (
     validate_sa,
 )
 from mimic_automata.detect import validate_signature
-from mimic_automata.dhr import validate_dhr, validate_serial
+from mimic_automata.dhr import dhr_rules, serial_rules, validate_dhr, validate_serial
 from mimic_automata.dot import ca_graph_dot, dtmc_to_dot, ts_to_dot
-from mimic_automata.hierarchical import HierarchicalAutomaton
+from mimic_automata.hierarchical import HierarchicalAutomaton, ha_rules
 from mimic_automata.modelfile import parse_files
 from mimic_automata.props import parse_predicate
 
@@ -126,12 +126,23 @@ def test_nested_reports_scope_their_subjects_under_the_owner():
     serial = CORPUS.serial_dhrs["echo_chain"]
     stage = replace(serial.stages[0], width=0)
     assert [str(v) for v in validate_serial(replace(serial, stages=(stage, stage)))] == [
-        f"[{v.invariant}] echo3/{v.subject}: {v.message}" for v in validate_dhr(stage) * 2
+        f"[{v.invariant}] echo3/{v.subject}: {v.message}" for v in validate_dhr(stage)
     ]
     pattern = replace(CORPUS.signatures["emits_b"].pattern, initial="ghost")
     assert [str(v) for v in validate_signature(replace(CORPUS.signatures["emits_b"], pattern=pattern))] == [
         "[initial-membership] emits_b/ghost: initial state not in states"
     ]
+    # a member hosted twice is reported once, after the owner's own rules
+    broken = replace(stage.executors[0], initial="ghost")
+    member = [v.within(broken.name) for v in validate_sa(broken)]
+    twice = replace(stage, executors=(broken, broken, stage.executors[2]))
+    assert validate_dhr(twice) == dhr_rules(twice) + member
+    assert dhr_rules(twice) and not any("/" in v.subject for v in dhr_rules(twice))
+    serial = replace(CORPUS.serial_dhrs["echo_chain"], stages=(twice, twice))
+    assert validate_serial(serial) == serial_rules(serial) + [v.within("echo3") for v in validate_dhr(twice)]
+    ha = HierarchicalAutomaton("h", (broken, broken), broken.name, {})
+    assert validate_ha(ha) == ha_rules(ha) + member
+    assert [v.invariant for v in ha_rules(ha)] == ["unique-members"]
 
 def test_flatten_parity_two_states_four_transitions():
     ts = flatten(parity_ma(), UNIVERSE)

@@ -49,6 +49,74 @@ def test_validate_reports_a_file_that_is_not_utf8_and_reads_the_others(capsys, t
     assert out == ""
 
 
+NESTED_DEFECTS = """\
+sa p {
+  states: s0 s1
+  initial: s0
+  inputs: a b
+  outputs: a b
+  delta: s0 a -> s9 / a
+  delta: s0 b -> s1 / z
+  delta: s1 a -> s0 / a
+  delta: s1 b -> s1 / b
+}
+
+ca sched {
+  cell_states: 0 1
+  width: 2
+  rule expr: identity
+}
+
+dhr d {
+  executors: p p
+  scheduler: sched
+  width: 2
+}
+
+serial_dhr sd {
+  stages: d d
+}
+
+binding top {
+  mode: sa_from_ca
+  ca: sched
+  cell_map: 0 -> sa p
+  cell_map: 1 -> sa nope
+}
+
+ma m {
+  sas: p
+  cas: sched
+  bindings: top
+  root_binding: top
+}
+"""
+
+
+def test_validate_reports_each_defect_once_at_the_block_that_owns_it(capsys, tmp_path):
+    # two delta defects in a machine that a dhr hosts twice and a serial dhr twice more,
+    # and an unknown machine in an ma-owned binding: one line each, where the field is
+    model = tmp_path / "nested.ma"
+    model.write_text(NESTED_DEFECTS)
+    assert run(capsys, ["validate", str(model)]) == (3, "", "".join(f"{model}:{line}\n" for line in (
+        "6:18: sa p: [transition-target] (s0,a): target 's9' not in states",
+        "7:3: sa p: [output-range] (s0,b): output 'z' not in output alphabet",
+        "28:1: binding top: [unit-membership] binding top: cell state '1': machine 'nope' not in sa_set",
+    )))
+    # any one of the defects alone still rejects the document
+    fixed = {"s0 a -> s9": "s0 a -> s1", "s1 / z": "s1 / b", "1 -> sa nope": "1 -> sa p"}
+    for defect in fixed:
+        text = NESTED_DEFECTS
+        for other, repair in fixed.items():
+            if other != defect:
+                text = text.replace(other, repair)
+        model.write_text(text)
+        code, out, err = run(capsys, ["validate", str(model)])
+        assert (code, out, len(err.splitlines())) == (3, "", 1)
+    model.write_text(text.replace(defect, fixed[defect]))
+    assert run(capsys, ["validate", str(model)]) == (0, "", "")
+
+
 def test_validate_and_simulate_reject_a_nan_probability_at_its_block(capsys, tmp_path):
     text = (MODELS / "flip.ma").read_text()
     model = tmp_path / "nan.ma"

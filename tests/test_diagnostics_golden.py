@@ -101,5 +101,12 @@ def test_diagnostics_and_canonical_text_match_the_golden():
         assert now["canonical"][got["canonical"]] == golden["canonical"][entry["canonical"]], case
 
 
+
+def test_no_case_reports_a_diagnostic_twice():
+    golden = json.loads(GOLDEN.read_text())
+    repeated = {case: lines for case, entry in golden["cases"].items()
+                if len(lines := entry["diagnostics"]) != len(set(lines))}
+    assert repeated == {}
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(record(), indent=1) + "\n")

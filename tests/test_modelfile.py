@@ -312,7 +312,7 @@ def test_a_readout_table_over_4096_lattices_is_refused():
     text = text.replace("  seed: 0 1\n", "  seed:" + " 0" * 13 + "\n")
     _, diags = parse(text)
     violation = "[readout-table-size] binding stepper: 8192 lattices; use a cell or parity readout"
-    assert [d.message for d in diags] == [f"binding stepper: {violation}", f"ma stepper_ma: {violation}"]
+    assert [d.message for d in diags] == [f"binding stepper: {violation}"]
 
 
 LATTICE_BLOCK = """
@@ -433,25 +433,22 @@ TABLE_READOUT = "  readout table:\n    0 0 -> 0\n    0 1 -> 1\n    1 0 -> 1\n   
     (MODE2_TABLE_DOC, {"cell_map: 1 -> sa drive": "cell_map: 1 -> sa drive\n  cell_map: 1 -> sa drive"},
      "duplicate cell_map for '1'"),
     (MODE2_TABLE_DOC, {"cell_map: 1 -> sa drive": "cell_map: 1 -> ha ghost"},
-     "cell_map for '1': unknown hierarchy 'ghost'"),
-    (MODE2_TABLE_DOC, {"cell_map: 1 -> sa drive": "cell_map: 1 -> ha ghost"},
-     "ma stepper_ma: [unit-membership] binding stepper: hierarchy 'ghost' not in ha_set"),
+     "binding stepper: [unit-membership] binding stepper: cell state '1': hierarchy 'ghost' not in ha_set"),
     (MODE2_TABLE_DOC, {"cell_map: 1 -> sa drive": "cell_map: 1 -> binding ghost"},
-     "cell_map for '1': unknown binding 'ghost'"),
-    (MODE2_TABLE_DOC, {"cell_map: 1 -> sa drive": "cell_map: 1 -> binding ghost"},
-     "ma stepper_ma: [unit-membership] binding stepper: binding 'ghost' unknown"),
-    (MODE2_TABLE_DOC, {"outer_sa: drive": "outer_sa: ghost"}, "unknown outer machine 'ghost'"),
+     "binding stepper: [unit-membership] binding stepper: cell state '1': binding 'ghost' unknown"),
     (MODE2_TABLE_DOC, {"outer_sa: drive": "outer_sa: ghost"},
-     "ma stepper_ma: [outer-sa] binding stepper: outer machine 'ghost' not in sa_set"),
+     "binding stepper: [outer-sa] binding stepper: outer machine 'ghost' not in sa_set"),
     (MODE2_TABLE_DOC, {"cell_map: 1 -> sa drive": "cell_map: 1 -> sa drive\n  cell_map: 7 -> sa drive"},
-     "ma stepper_ma: [cell-map-domain] binding stepper: '7' is not a cell state"),
+     "binding stepper: [cell-map-domain] binding stepper: '7' is not a cell state"),
     (MODE2_TABLE_DOC, {"seed: 0 1": "seed: 0 7"},
-     "ma stepper_ma: [seed-range] binding stepper: seed contains non-cell-state values"),
+     "binding stepper: [seed-range] binding stepper: seed contains non-cell-state values"),
     (MODE2_TABLE_DOC, {"ca pair {": "pca pair {", "rule expr: identity": IDENTITY_TABLE.replace(" -> 0", " -> 0@1")
                        .replace(" -> 1\n", " -> 1@1\n")},
-     "ma stepper_ma: [inner-run-deterministic] binding stepper: ca_from_sa needs a deterministic inner automaton"),
+     "binding stepper: [inner-run-deterministic] binding stepper: ca_from_sa needs a deterministic inner automaton"),
     (PARITY_DOC, {"seed: 0": "seed: 0\n  outer_sa: parity"},
-     "ma parity_ma: [mode-fields] binding parity_cell: outer_sa/readout are only meaningful in mode ca_from_sa"),
+     "binding parity_cell: [mode-fields] binding parity_cell: outer_sa/readout are only meaningful in mode ca_from_sa"),
+    (PARITY_DOC, {"cas: ident1": "cas:"},
+     "ma parity_ma: [binding-ca] binding parity_cell: cellular automaton 'ident1' not in ca_set"),
     # dhr, property, signature
     (ECHO_DOC, {"  stages: echo3 echo3\n": ""}, "serial_dhr echo_chain: missing field 'stages'"),
     (FLIP_DOC, {'policy: "a"\n  horizon: 2': "policy: a\n  horizon: 2"}, "field 'policy' expects quoted words"),
@@ -631,10 +628,7 @@ def test_a_valid_sa_is_validated_without_sorting_its_transitions(monkeypatch):
     assert [d.message for d in diagnostics] == ["sa parity: [totality] (odd,1): missing transition"]
     assert len(sorted_args) == 2  # a missing transition needs no sorted loop
     _, diagnostics = parse(PARITY_BLOCK.replace("odd 1 -> even / 1", "odd 1 -> even / 2"))
-    assert [d.message for d in diagnostics] == [
-        "delta output '2' is not in the output alphabet",
-        "sa parity: [output-range] (odd,1): output '2' not in output alphabet",
-    ]
+    assert [d.message for d in diagnostics] == ["sa parity: [output-range] (odd,1): output '2' not in output alphabet"]
     assert len(sorted_args) == 6  # the finals, then the three sorted loops that find the report
 
 

@@ -58,6 +58,7 @@ from helpers import (
     echo_sa,
     flipper_sa,
     gen_instance,
+    gen_nested_pca_instance,
     gen_pca_instance,
     gen_sa,
     identity_ca,
@@ -313,6 +314,33 @@ def test_seeded_pca_runs_equal_a_neighborhood_of_reference():
         assert final == cfg, f"seed {seed}"
 
 
+def test_nested_probabilistic_lattices_draw_as_a_reference_fold():
+    # a nested unit runs every tick, so each tick draws its lattice's uniforms
+    # before the root's, even where a fresh nested entry is shared by several ticks
+    compared = 0
+    for seed in range(40):
+        rnd = random.Random(seed)
+        ma, lattice0 = gen_nested_pca_instance(rnd)
+        binding = ma.root()
+        schedule = long_schedule(rnd, ticks=30)
+        run_seed = rnd.randrange(1000)
+        rng = master_stream(run_seed)
+        cfg = plain(ma_initial(ma, lattice0))
+        expected = []
+        try:
+            for block in schedule:
+                lattice = cfg[1]
+                cfg, per_cell, output = ref_mode1_tick(ma, binding, cfg, block, rng)
+                expected.append((lattice, cfg[1], per_cell, output, None, None))
+        except (KeyError, InputRejectedError):
+            with pytest.raises((KeyError, InputRejectedError)):
+                replayed(ma, lattice0, schedule, seed=run_seed)
+            continue
+        assert replayed(ma, lattice0, schedule, seed=run_seed) == (expected, cfg), f"seed {seed}"
+        compared += 1
+    assert compared >= 20
+
+
 def test_each_pure_run_happens_once_and_each_lattice_steps_once(monkeypatch):
     ma = x11_parity_ma()
     binding = ma.root()
@@ -457,7 +485,7 @@ def test_nested_units_run_every_tick_and_votes_happen_once_per_word_tuple(monkey
     assert len(votes) == len(set(votes)) == len({r.per_slot_outputs for r in reports})
 
 
-def test_a_run_builds_each_unit_table_once_however_many_ticks(monkeypatch):
+def test_a_run_builds_each_replay_once_however_many_ticks(monkeypatch):
     builds = []
     real_replay = composition._replay
 
