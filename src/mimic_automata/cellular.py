@@ -175,21 +175,6 @@ def validate_pca(pca: ProbabilisticCellularAutomaton) -> list[Violation]:
     return report
 
 
-def neighborhood_of(ca: AnyCellular, lattice: Lattice, index: int) -> tuple:
-    """The ``2r+1`` cells around ``index``, boundary condition applied."""
-    n = len(lattice)
-    cells = []
-    for offset in range(-ca.radius, ca.radius + 1):
-        j = index + offset
-        if 0 <= j < n:
-            cells.append(lattice[j])
-        elif ca.boundary == BOUNDARY_PERIODIC:
-            cells.append(lattice[j % n])
-        else:
-            cells.append(ca.boundary_value)
-    return tuple(cells)
-
-
 def _require_width(ca: AnyCellular, lattice: Lattice) -> None:
     if len(lattice) != ca.width:
         raise DimensionError(f"{ca.name}: lattice length {len(lattice)} != width {ca.width}")
@@ -198,7 +183,8 @@ def _require_width(ca: AnyCellular, lattice: Lattice) -> None:
 def _padded(ca: AnyCellular, lattice: Lattice) -> tuple:
     """The lattice with ``radius`` boundary cells on each side.
 
-    ``padded[i : i + 2r + 1]`` is ``neighborhood_of(ca, lattice, i)``; a radius above the width wraps repeatedly.
+    ``padded[i : i + 2r + 1]`` is cell ``i``'s ``2r+1`` neighborhood, boundary
+    condition applied; a radius above the width wraps repeatedly.
     """
     lattice = tuple(lattice)
     r = ca.radius
@@ -340,7 +326,10 @@ def pca_step_distribution(
     would exceed ``cap`` a SizeCapError advises Monte Carlo sampling instead.
     """
     _require_width(pca, lattice)
-    supports = [pca.rule[neighborhood_of(pca, lattice, i)] for i in range(len(lattice))]
+    rule = pca.rule
+    padded = _padded(pca, lattice)
+    size = 2 * pca.radius + 1
+    supports = [rule[padded[i:i + size]] for i in range(len(lattice))]
     count = 1
     for pairs in supports:
         count *= len(pairs)

@@ -40,7 +40,6 @@ from .composition import (
     SaUnit,
     _numbering,
     _replay,
-    _stepper,
     _unit_tables,
     binding_seed,
     has_randomness,
@@ -54,8 +53,9 @@ from .errors import (
     PropertyError,
     SizeCapError,
     Violation,
+    each_member,
 )
-from .hierarchical import validate_ha
+from .hierarchical import ha_rules
 from .props import Pred, atoms_of, check_vocabulary, eval_predicate, parse_predicate
 from .rng import derive_stream
 from .sequential import SequentialAutomaton, Word, validate_sa
@@ -264,7 +264,8 @@ def _normalize_universe(universe: Iterable) -> tuple[tuple, ...]:
 
 
 def check_components(ma: MimicAutomaton) -> dict[str, list[Violation]]:
-    """Validate every member automaton, grouped by component kind."""
+    """Validate every member automaton, grouped by component kind; a machine in the ``sa`` group is not
+    reported again as a hierarchy's member."""
     groups: dict[str, list[Violation]] = {"sa": [], "ca": [], "pa": [], "ha": []}
     for name, sa in sorted(ma.sa_set.items()):
         groups["sa"].extend(v.within(name) for v in validate_sa(sa))
@@ -274,7 +275,8 @@ def check_components(ma: MimicAutomaton) -> dict[str, list[Violation]]:
         else:
             groups["ca"].extend(v.within(name) for v in validate_ca(ca))
     for name, ha in sorted(ma.ha_set.items()):
-        groups["ha"].extend(v.within(name) for v in validate_ha(ha))
+        others = [sa for sa in ha.sas if sa not in ma.sa_set.values()]
+        groups["ha"].extend(v.within(name) for v in ha_rules(ha) + each_member(others, validate_sa))
     return groups
 
 
@@ -492,7 +494,7 @@ def _mode1_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tupl
     where the single step fails. Each (entry, per-cell output words) is one
     vote and each (entry, observable output) one Action.
     """
-    _, encode, decode, run, move, _, _, _ = _unit_tables(ma, binding, 1, canonical=True)
+    _, encode, decode, run, move, _ = _unit_tables(ma, binding, 1, canonical=True)
     entries = len(universe)
     moves: dict = {}  # lattice id -> (successor lattice id per entry, (cell, fresh row id per entry) pairs)
     nexts: dict = {}  # row id -> successor row id per entry
@@ -839,7 +841,7 @@ def _expand_chain(
     start = strip_clocks(
         ma_initial(ma, lattice0 if lattice0 is not None else binding_seed(ma, binding))
     )
-    lattices, encode, decode, run, _, moved, _, _ = _unit_tables(ma, binding, 1, canonical=True)
+    lattices, encode, decode, run, _, moved = _unit_tables(ma, binding, 1, canonical=True)
     # lattice id -> ([[successor lattice, probability, its id and (key position, fresh row) pairs], ...], their sum)
     dists: dict = {}
 
@@ -1194,18 +1196,19 @@ def _mc_per_trial(ma, policy, pred, horizon, trials, seed, props_fn) -> int:
 # evidence replay and high-level property dispatch
 
 def replay_path(ma: MimicAutomaton, ts: TransitionSystem, path: Path) -> bool:
-    """Re-run a path's macro inputs and confirm every hop matches the graph."""
+    """Re-run a path's macro inputs on ``_replay`` states and confirm every decoded hop matches the graph."""
     binding = ma.root()
     lattice0 = ts.metadata.get("lattice0")
     cfg = ma_initial(ma, lattice0 if lattice0 is not None else binding_seed(ma, binding))
     if strip_clocks(cfg) != ts.states[path.states[0]]:
         return False
-    step = _stepper(ma, binding, depth=1)
+    encode, step, decode = _replay(ma, binding, depth=1)
+    state = encode(cfg)
     for action, sid in zip(path.actions, path.states[1:]):
-        cfg, per_cell, _, _, output = step(cfg, action.macro_input, None)
+        state, _, _, per_cell, _, _, output = step(state, action.macro_input, None)
         if per_cell is not None:
             output = _observable_output(ma, tuple(r.output_word for r in per_cell))
-        if Action(action.macro_input, output) != action or strip_clocks(cfg) != ts.states[sid]:
+        if Action(action.macro_input, output) != action or strip_clocks(decode(state, 0)) != ts.states[sid]:
             return False
     return True
 

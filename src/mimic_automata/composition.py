@@ -498,7 +498,7 @@ def _row_numbering(states: list) -> Callable[[int | None, object], int]:
 
 
 def _unit_tables(ma: MimicAutomaton, binding: Binding, depth: int, canonical: bool):
-    """The tick table of an ``sa_from_ca`` binding: ``(lattices, encode, decode, run, move, moved, learnt, moves)``.
+    """The tick table of an ``sa_from_ca`` binding: ``(lattices, encode, decode, run, move, moved)``.
 
     Lattices and rows, one row per (unit id, unit state) pair, are numbered
     per call in first-seen order; ``lattices[lid]`` is a lattice.
@@ -510,16 +510,16 @@ def _unit_tables(ma: MimicAutomaton, binding: Binding, depth: int, canonical: bo
     ``run(lid, entries, block, rng)``, the units' half of a tick, gives
     each cell's successor entry, before rebinding, and the per-cell
     ``RunResult``s (output words when ``canonical``). A row learns both per
-    block on first use, in ``learnt`` (block -> ({row: successor row},
-    {row: result})); unlearnt and loose cells run in index order, and a
+    block on first use; a tick whose rows are all learnt is one lookup per
+    cell, and otherwise unlearnt and loose cells run in index order, and a
     cell whose state maps to no unit raises the state's ``KeyError``.
     ``move(lid, rng)``, the lattice half, gives ``(successor id, (cell,
-    fresh entry) pairs)``: a deterministic lattice steps once per id, into
-    ``moves`` (None until learnt), a probabilistic one draws every call
-    through one ``pca_sampler`` and is rebound once per (lattice id,
-    successor). ``moved(lid, successor)`` is a given successor's pair,
-    unmemoised. A run or step that raises is never stored. Each nested
-    binding gets one ``_replay`` for the table's life.
+    fresh entry) pairs)``: a deterministic lattice steps once per id, a
+    probabilistic one draws every call through one ``pca_sampler`` and is
+    rebound once per (lattice id, successor). ``moved(lid, successor)`` is
+    a given successor's pair, unmemoised. A run or step that raises is
+    never stored. Each nested binding gets one ``_replay`` for the table's
+    life.
     """
     ca = ma.ca_set[binding.ca]
     unit_ids: dict = {}  # distinct units in first-seen order
@@ -551,13 +551,16 @@ def _unit_tables(ma: MimicAutomaton, binding: Binding, depth: int, canonical: bo
         if table is None:
             table = learnt[block] = ({}, {})
         nexts, results = table
+        nxt = list(map(nexts.get, entries))
+        if None not in nxt:  # every row learnt; a _Loose entry, which hashes by identity, always misses
+            return nxt, tuple(map(results.__getitem__, entries))
         lattice = lattices[lid]
         uids = units_in[lid]
         if uids is None:
             uids = units_in[lid] = [unit_of.get(q) for q in lattice]
         nxt, per_cell = [], []
         for i, e in enumerate(entries):
-            if e in nexts:  # never a _Loose entry, which hashes by identity
+            if e in nexts:
                 nxt.append(nexts[e])
                 per_cell.append(results[e])
                 continue
@@ -599,7 +602,7 @@ def _unit_tables(ma: MimicAutomaton, binding: Binding, depth: int, canonical: bo
                 succ = moves[lid] = moved(lid, ca_step(ca, lattices[lid]))
             return succ
 
-    return lattices, encode, decode, run, move, moved, learnt, moves
+    return lattices, encode, decode, run, move, moved
 
 
 class _Loose:
@@ -625,29 +628,21 @@ def _replay(ma: MimicAutomaton, binding: Binding, depth: int):
 
     An ``sa_from_ca`` state is encoded by the binding's tick table
     (``_unit_tables``, not ``canonical``), and a step is the table's
-    ``run``, then its ``move``. A tick whose rows and lattice are learnt
-    reads the table's ``learnt`` and ``moves`` inline, by lookups over row
-    ids and the lattice id: it builds no configuration and hashes no
-    deterministic lattice. A learnt row cannot fail or draw, so unit runs,
-    uniforms and the first error are the single step's. A ``ca_from_sa``
-    state holds a configuration's fields; its inner run happens once per
-    seed lattice, its fresh units once per (lattice, final lattice).
+    ``run``, then its ``move``: a learnt tick is one ``run`` and one
+    ``move`` call, lookups over row ids and the lattice id that build no
+    configuration and hash no deterministic lattice. A learnt row cannot
+    fail or draw, so unit runs, uniforms and the first error are the single
+    step's. A ``ca_from_sa`` state holds a configuration's fields; its inner
+    run happens once per seed lattice, its fresh units once per (lattice,
+    final lattice).
     """
     if binding.mode == MODE_SA_FROM_CA:
-        lattices, encode, decode, run, move, _, learnt, moves = _unit_tables(ma, binding, depth, False)
+        lattices, encode, decode, run, move, _ = _unit_tables(ma, binding, depth, False)
 
         def step(state: tuple, block: Word, rng: np.random.Generator | None):
             lid, entries, outer = state
-            table = learnt.get(block)
-            nxt = None if table is None else list(map(table[0].get, entries))
-            if nxt is None or None in nxt:  # an unlearnt or loose cell
-                nxt, per_cell = run(lid, entries, block, rng)
-            else:
-                per_cell = tuple([*map(table[1].__getitem__, entries)])
-            succ = moves[lid]
-            if succ is None:
-                succ = move(lid, rng)
-            after_lid, fresh = succ
+            nxt, per_cell = run(lid, entries, block, rng)
+            after_lid, fresh = move(lid, rng)
             for i, e in fresh:
                 nxt[i] = e
             output = per_cell[0].output_word if per_cell else ()
@@ -693,22 +688,6 @@ def _replay(ma: MimicAutomaton, binding: Binding, depth: int):
         return nxt, lattice, final, None, inner, symbol, (outer.outputs[key],)
 
     return encode, step, decode
-
-
-def _stepper(ma: MimicAutomaton, binding: Binding, depth: int):
-    """``step(cfg, entry, rng)``: one ``_replay`` step from a configuration, through one encode/decode pair.
-
-    It returns the next configuration, its clock one higher, and the last
-    four fields of a ``MacroTick``, for a caller that holds configurations
-    (``replay_path``); the replay loops carry ``_replay`` states instead.
-    """
-    encode, step, decode = _replay(ma, binding, depth)
-
-    def cfg_step(cfg: MimicConfiguration, entry, rng: np.random.Generator | None):
-        state, _, _, *fields = step(encode(cfg), entry, rng)
-        return decode(state, cfg.macro_clock + 1), *fields
-
-    return cfg_step
 
 
 def has_randomness(ma: MimicAutomaton) -> bool:

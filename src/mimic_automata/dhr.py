@@ -398,15 +398,10 @@ def _dhr_ticker(ma: MimicAutomaton, voter: VoterPolicy):
 
 
 def inject_fault(d: DhrStructure, slot: int, faulty: SequentialAutomaton) -> DhrStructure:
-    """A copy of the structure whose ``slot`` always runs ``faulty``."""
-    if not (0 <= slot < d.width):
-        raise MimicError(f"slot {slot} out of range 0..{d.width - 1}")
-    inputs = set(d.executors[0].input_alphabet)
-    outputs = set(d.executors[0].output_alphabet)
-    if set(faulty.input_alphabet) != inputs or set(faulty.output_alphabet) != outputs:
-        raise ModelValidationError(
-            [Violation("override-alphabets", faulty.name, "faulty variant alphabet mismatch")]
-        )
+    """A copy of the structure whose ``slot`` always runs ``faulty``; a bad override raises its ``dhr_rules``."""
+    report = [v for v in dhr_rules(replace(d, overrides={slot: faulty})) if v.invariant.startswith("override-")]
+    if report:
+        raise ModelValidationError(report)
     return replace(d, overrides={**d.overrides, slot: faulty})
 
 
@@ -445,47 +440,33 @@ def serial_initial(s: SerialDhr) -> tuple[MimicConfiguration, ...]:
     return tuple(dhr_initial(stage) for stage in s.stages)
 
 
-def _serial_ticker(s: SerialDhr):
-    """``(states, tick, decode)``: one serial tick through one ``_dhr_ticker`` per stage.
-
-    ``states`` holds each stage's initial ``_replay`` state, ``tick(states,
-    block, rng)`` gives the stages' next states and the ``SerialTick``, and
-    ``decode(states, clocks)`` gives the stages' configurations.
-    """
-    tickers = [_dhr_ticker(ma, stage.voter) for ma, stage in zip(s.automata, s.stages)]
-
-    def tick(states: Sequence[tuple], block: Word, rng: np.random.Generator | None):
-        new_states = list(states)
-        stage_reports: list[DhrStepReport] = []
-        word: Word | None = block
-        for i, (_, stage_tick, _) in enumerate(tickers):
-            new_states[i], report = stage_tick(states[i], word, rng)
-            stage_reports.append(report)
-            word = report.voted_output
-            if word is None:
-                return new_states, SerialTick(tuple(stage_reports), None, i)
-        return new_states, SerialTick(tuple(stage_reports), word, None)
-
-    def decode(states: Sequence[tuple], clocks: Sequence[int]) -> tuple[MimicConfiguration, ...]:
-        return tuple(dec(state, clock) for (_, _, dec), state, clock in zip(tickers, states, clocks))
-
-    states = [enc(cfg) for (enc, _, _), cfg in zip(tickers, serial_initial(s))]
-    return states, tick, decode
-
-
 def serial_run(
     s: SerialDhr,
     schedule: Iterable[Iterable[str]],
     seed: int | None = None,
 ) -> tuple[tuple[MimicConfiguration, ...], list[SerialTick]]:
-    """Fold serial ticks over ``_replay`` states; each stage's final clock counts the ticks that reached it."""
+    """Fold serial ticks over ``_replay`` states, through one ``_dhr_ticker`` per stage.
+
+    A tick feeds each stage the voted word of the stage before it; an
+    abstaining stage ends the tick and the run. Each stage's final clock
+    counts the ticks that reached it.
+    """
     rng = master_stream(seed) if any(has_randomness(ma) for ma in s.automata) else None
-    states, serial_tick, decode = _serial_ticker(s)
+    tickers = [_dhr_ticker(ma, stage.voter) for ma, stage in zip(s.automata, s.stages)]
+    states = [encode(cfg) for (encode, _, _), cfg in zip(tickers, serial_initial(s))]
+    clocks = [0] * len(states)
     ticks: list[SerialTick] = []
     for block in schedule:
-        states, tick = serial_tick(states, tuple(block), rng)
-        ticks.append(tick)
-        if tick.aborted_at is not None:
+        reports: list[DhrStepReport] = []
+        word: Word | None = tuple(block)
+        for i, (_, stage_tick, _) in enumerate(tickers):
+            states[i], report = stage_tick(states[i], word, rng)
+            clocks[i] += 1
+            reports.append(report)
+            word = report.voted_output
+            if word is None:
+                break
+        ticks.append(SerialTick(tuple(reports), word, i if word is None else None))
+        if word is None:
             break
-    clocks = [sum(len(tick.stage_reports) > i for tick in ticks) for i in range(len(states))]
-    return decode(states, clocks), ticks
+    return tuple(decode(state, clock) for (_, _, decode), state, clock in zip(tickers, states, clocks)), ticks

@@ -13,6 +13,8 @@ states are ("ha", sorted (machine, state) tuples), nested binding states are
 
 from __future__ import annotations
 
+import itertools
+
 
 # --- sequential ------------------------------------------------------------
 
@@ -151,6 +153,19 @@ def ref_pca_step(pca, lattice, rng):
                 break
         out.append(chosen)
     return tuple(out)
+
+
+def ref_pca_distribution(pca, lattice):
+    """Each successor's probability: per way to draw it, the product of its cells' probabilities."""
+    supports = [pca.rule[ref_neighborhood(pca, lattice, i)] for i in range(len(lattice))]
+    out = {}
+    for combo in itertools.product(*supports):
+        prob = 1.0
+        for _, p in combo:
+            prob *= p
+        successor = tuple(state for state, _ in combo)
+        out[successor] = out.get(successor, 0.0) + prob
+    return out
 
 
 def ref_ca_run(ca, lattice, t_max):

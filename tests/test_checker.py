@@ -96,6 +96,20 @@ def test_check_components_scopes_a_hierarchy_s_violations_under_its_name():
     assert [str(v) for v in groups["ha"]] == ["[root-membership] h/ghost: root is not a member machine"]
 
 
+def test_check_components_reports_a_machine_in_the_sa_set_and_a_hierarchy_once():
+    broken = make_sa("broken", ("even", "odd"), "even", ("even",), ("0", "1"),
+                     delta=[("even", "0", "even"), ("even", "1", "odd"), ("odd", "1", "even")])
+    other = replace(broken, name="other")
+    h = HierarchicalAutomaton("h", (broken, other), "broken", {("broken", "odd"): {"other", "ghost"}})
+    ma = parity_ma()
+    groups = check_components(replace(ma, sa_set={**ma.sa_set, "broken": broken}, ha_set={"h": h}))
+    assert groups["sa"] == [v.within("broken") for v in validate_sa(broken)] != []
+    # the hierarchy keeps its own rules and its other member, but not the shared machine
+    assert groups["ha"] == [v.within("h") for v in ha_rules(h) + [v.within("other") for v in validate_sa(other)]]
+    assert [v.invariant for v in groups["ha"]] == ["gamma-target", "totality"]
+    assert not any(v.subject.startswith("h/broken/") for v in groups["ha"])
+
+
 CORPUS, _ = parse_files([str(MODELS / name) for name in ("parity.ma", "flip.ma", "dhr_echo.ma")]
                         + [str(SIGNATURES / "emits_b.ma")])
 

@@ -629,6 +629,7 @@ def test_dhr_rejects_an_inject_slot_that_is_not_a_number(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["--model", "e0"], "'e0' is not a dhr or serial_dhr"),
     (["--model", "echo3", "--inject", "1:nosuch"], "--inject: unknown machine 'nosuch'"),
+    (["--model", "echo3", "--inject", "3:flipper"], "1 validation violation(s): [override-slot] 3: slot out of range"),
 ])
 def test_dhr_usage_errors_exit_three(capsys, argv, message):
     code, out, err = run(capsys, ["dhr", DHR, "--input", "a", *argv])

@@ -156,7 +156,7 @@ def test_two_identical_faults_capture_majority():
 
 
 def test_inject_slot_out_of_range():
-    with pytest.raises(MimicError):
+    with pytest.raises(MimicError, match=r"\[override-slot\] 3: slot out of range"):
         inject_fault(echo_dhr(), 3, flipper_sa())
 
 
@@ -290,9 +290,13 @@ def test_text_format_reports_dhr_executor_and_width_violations(old, new, invaria
 ])
 def test_validate_dhr_reports_overrides_that_inject_fault_refuses(slot, faulty, invariant):
     structure = replace(echo_dhr(), overrides={slot: faulty})
-    assert [v.invariant for v in validate_dhr(structure)] == [invariant]
+    report = validate_dhr(structure)
+    assert [v.invariant for v in report] == [invariant]
     with pytest.raises(ModelValidationError):
         structure.check()
+    with pytest.raises(ModelValidationError) as exc:
+        inject_fault(echo_dhr(), slot, faulty)
+    assert exc.value.violations == report
 
 
 def test_single_stage_serial_rejected():

@@ -40,10 +40,11 @@ from mimic_automata import (
     ma_run,
     point_mass_pca,
     reach_probability_exact,
+    replay_path,
     strip_clocks,
 )
 from mimic_automata.checker import Action, Path, _observable_output, builtin_labeling
-from mimic_automata.composition import _stepper, has_randomness
+from mimic_automata.composition import _replay, has_randomness
 from mimic_automata.dot import dtmc_to_dot
 from mimic_automata.props import And, Atom, Not, Or, eval_predicate
 
@@ -72,10 +73,11 @@ def single_step_edges(ma, cfg, universe):
     binding = ma.root()
     edges = []
     for entry in universe:
-        nxt, per_cell, _, _, output = _stepper(ma, binding, depth=1)(cfg, entry, None)
+        encode, step, decode = _replay(ma, binding, depth=1)
+        nxt, _, _, per_cell, _, _, output = step(encode(cfg), entry, None)
         if per_cell is not None:
             output = _observable_output(ma, tuple(r.output_word for r in per_cell))
-        edges.append((Action(entry, output), strip_clocks(nxt)))
+        edges.append((Action(entry, output), strip_clocks(decode(nxt, 0))))
     return edges
 
 
@@ -155,6 +157,25 @@ def test_ca_from_sa_flatten_builds_one_action_per_entry_and_output():
         assert len({id(action) for action in actions}) == len(set(actions)), f"seed {seed}"
         checked += 1
     assert checked >= 5
+
+
+def test_replay_path_replays_ca_from_sa_evidence_and_rejects_a_changed_hop():
+    # the universe is seed lattices: each hop is one replay step of the ca_from_sa root
+    replayed = 0
+    for seed in range(60):
+        ma, lattice0, _ = gen_instance(random.Random(seed))
+        if ma.root().mode != MODE_CA_FROM_SA:
+            continue
+        ts = flatten(ma, generated_universe(ma), lattice0=lattice0)
+        for atom in sorted(ts.vocabulary):
+            path = check_invariant(ts, f"not {atom}").counterexample
+            if path is None or not path.actions:
+                continue
+            assert replay_path(ma, ts, path), f"seed {seed}, {atom}"
+            wrong = next(sid for sid in ts.states if sid != path.states[-1])
+            assert not replay_path(ma, ts, Path((*path.states[:-1], wrong), path.actions)), f"seed {seed}, {atom}"
+            replayed += 1
+    assert replayed >= 5
 
 
 def test_sa_from_ca_flatten_builds_one_action_per_entry_and_observable_output():
@@ -365,8 +386,8 @@ def test_flatten_matches_single_step_on_voted_structures(structure, monkeypatch)
     assert {plain(cfg) for cfg in ts.states.values()} == ref_reachable(ma, universe)
 
     # one vote per distinct (entry, per-cell output words), however many states share them
-    step = _stepper(ma, ma.root(), depth=1)
-    voted = {(entry, tuple(r.output_word for r in step(cfg, entry, None)[1]))
+    encode, step, _ = _replay(ma, ma.root(), depth=1)
+    voted = {(entry, tuple(r.output_word for r in step(encode(cfg), entry, None)[3]))
              for cfg in ts.states.values() for entry in ts.metadata["universe"]}
     votes, real_vote = [], dhr.vote
     monkeypatch.setattr(dhr, "vote", lambda policy, words: votes.append(words) or real_vote(policy, words))

@@ -1,17 +1,17 @@
 """The memoised replay that every replay loop holds, and the sliced lattice step.
 
 ``ma_run``, ``dhr_run``, ``serial_run``, per-trial Monte Carlo, nested
-units and ``replay_path`` hold one ``_replay`` per call, for either mode
-(``replay_path`` through ``_stepper``'s encode/decode pair). It carries
-interned states: a row names one (unit, unit state) and learns its run on
-each block once, a deterministic lattice learns its step and fresh units
-once, a nested unit runs every tick, each inner seed lattice runs once,
-and a probabilistic lattice builds its sampling rows once and draws once
-per tick. These tests fold the reference interpreter's tick over long
-schedules and require every tick and the final configuration, clocks
-included; they count the work and the configurations built, pin the first
-error, and check the padded ``ca_step``/``pca_step`` against the
-``neighborhood_of`` form.
+units and ``replay_path`` hold one ``_replay`` per call, for either mode.
+It carries interned states: a row names one (unit, unit state) and learns
+its run on each block once, a deterministic lattice learns its step and
+fresh units once, a nested unit runs every tick, each inner seed lattice
+runs once, and a probabilistic lattice builds its sampling rows once and
+draws once per tick. These tests fold the reference interpreter's tick
+over long schedules and require every tick and the final configuration,
+clocks included; they count the work and the configurations built, pin
+the first error, and check the padded ``ca_step``, ``pca_step`` and
+``pca_step_distribution`` against the reference's ``ref_neighborhood``
+form.
 """
 
 import itertools
@@ -47,8 +47,8 @@ from mimic_automata import (
     serial_run,
     vote,
 )
-from mimic_automata.cellular import ca_step, neighborhood_of, pca_step
-from mimic_automata.composition import _stepper
+from mimic_automata.cellular import ca_step, pca_step, pca_step_distribution
+from mimic_automata.composition import _replay
 from mimic_automata.dhr import base_state
 from mimic_automata.rng import master_stream
 
@@ -70,8 +70,12 @@ from helpers import (
 )
 from reference_interpreter import (
     ref_ca_run,
+    ref_ca_step,
     ref_mode1_tick,
     ref_mode2_tick,
+    ref_neighborhood,
+    ref_pca_distribution,
+    ref_pca_step,
     ref_readout,
     ref_run_unit,
     ref_unit_initial,
@@ -270,23 +274,6 @@ def test_serial_stages_share_one_report_per_distinct_report():
         assert_shared_reports([tick.stage_reports[stage] for tick in ticks])
 
 
-def ref_pca_step(pca, lattice, rng):
-    """``pca_step`` written with ``neighborhood_of``: one uniform per cell, in index order."""
-    out = []
-    for i in range(len(lattice)):
-        pairs = pca.rule[neighborhood_of(pca, lattice, i)]
-        u = rng.random()
-        acc = 0.0
-        chosen = pairs[-1][0]
-        for state, prob in pairs:
-            acc += prob
-            if u < acc:
-                chosen = state
-                break
-        out.append(chosen)
-    return tuple(out)
-
-
 def test_seeded_pca_runs_equal_a_neighborhood_of_reference():
     for seed in range(40):
         rnd = random.Random(seed)
@@ -351,7 +338,8 @@ def test_each_pure_run_happens_once_and_each_lattice_steps_once(monkeypatch):
     for block in schedule:  # the unit states each tick starts from, by one-shot steps
         triples.update(zip((binding.cell_map[q] for q in cfg.lattice), cfg.unit_states,
                            itertools.repeat(block)))
-        nxt = _stepper(ma, binding, 1)(cfg, block, None)[0]
+        encode, step, decode = _replay(ma, binding, 1)
+        nxt = decode(step(encode(cfg), block, None)[0], cfg.macro_clock + 1)
         pairs.add((cfg.lattice, nxt.lattice))
         cfg = nxt
 
@@ -601,19 +589,20 @@ def test_a_rejection_after_table_hits_raises_the_unmemoised_message():
     with pytest.raises(InputRejectedError) as exc:
         ma_run(ma, start, [("c",), ("a",), ("c",)])
     assert str(exc.value) == "input symbol 'c' rejected at cell 1, position 0"
-    # a run that raised is not stored: the same stepper raises it again
-    step = _stepper(ma, ma.root(), 1)
-    cfg = step(start, ("c",), None)[0]
+    # a run that raised is not stored: the same replay raises it again
+    encode, step, decode = _replay(ma, ma.root(), 1)
+    state = step(encode(start), ("c",), None)[0]
     for _ in range(2):
         with pytest.raises(InputRejectedError) as exc:
-            step(cfg, ("a", "c"), None)
+            step(state, ("a", "c"), None)
         assert str(exc.value) == "input symbol 'c' rejected at cell 1, position 1"
     # when both cells reject, the earlier one fails first, as in an unmemoised step
     with pytest.raises(InputRejectedError) as exc:
-        step(cfg, ("d",), None)
+        step(state, ("d",), None)
     assert str(exc.value) == "input symbol 'd' rejected at cell 0, position 0"
     # an unmapped cell state fails at its own cell, after the cells before it ran
-    unmapped = MimicConfiguration(("0", "9"), cfg.unit_states, cfg.macro_clock)
+    cfg = decode(state, 1)
+    unmapped = encode(MimicConfiguration(("0", "9"), cfg.unit_states, cfg.macro_clock))
     with pytest.raises(KeyError) as exc:
         step(unmapped, ("a",), None)
     assert exc.value.args == ("9",)
@@ -621,10 +610,7 @@ def test_a_rejection_after_table_hits_raises_the_unmemoised_message():
         step(unmapped, ("d",), None)
 
 
-# --- the padded lattice step against the neighborhood_of form ----------------
-
-def ref_ca_step(ca, lattice):
-    return tuple(ca.rule[neighborhood_of(ca, lattice, i)] for i in range(len(lattice)))
+# --- the padded lattice step against the reference's neighborhood form -------
 
 
 @st.composite
@@ -682,26 +668,31 @@ def test_padded_lattice_steps_equal_the_neighborhood_of_form(case):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     assert outcome(pca_step, pca, lattice, rng) == outcome(ref_pca_step, pca, lattice, ref_rng)
     assert rng.random() == ref_rng.random()  # the same number of uniforms was drawn
+    assert outcome(pca_step_distribution, pca, lattice) == outcome(ref_pca_distribution, pca, lattice)
 
 
 @pytest.mark.parametrize("radius, width, hole", [(3, 1, False), (4, 2, False), (3, 2, True), (1, 3, True)])
 def test_padded_lattice_steps_equal_the_neighborhood_of_form_on_fixed_cases(radius, width, hole):
-    # the examples above, fixed: a radius that wraps the lattice more than once, and a
-    # rule with no entry for the last cell's neighborhood
+    # the examples above, fixed, under either boundary: a radius that wraps the lattice
+    # more than once, and a rule with no entry for the last cell's neighborhood
     states = ("0", "1")
     rnd = random.Random(10 * radius + width)
     neighborhoods = list(itertools.product(states, repeat=2 * radius + 1))
-    rule = {nb: rnd.choice(states) for nb in neighborhoods}
-    dist = {nb: (("0", 0.25), ("1", 0.75)) for nb in neighborhoods}
+    targets = [rnd.choice(states) for _ in neighborhoods]
     lattice = tuple(rnd.choice(states) for _ in range(width))
-    ca = CellularAutomaton("c", states, width, radius, rule=rule)
-    if hole:
-        missing = neighborhood_of(ca, lattice, width - 1)
-        del rule[missing], dist[missing]
-        ca = CellularAutomaton("c", states, width, radius, rule=rule)
-    pca = ProbabilisticCellularAutomaton("p", states, width, radius, rule=dist)
-    assert outcome(ca_step, ca, lattice) == outcome(ref_ca_step, ca, lattice)
-    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
-    assert outcome(pca_step, pca, lattice, rng) == outcome(ref_pca_step, pca, lattice, ref_rng)
-    assert rng.random() == ref_rng.random()
-    assert (outcome(ca_step, ca, lattice)[0] == "KeyError") == hole
+    for boundary, boundary_value in (("periodic", None), ("fixed", "1")):
+        rule = dict(zip(neighborhoods, targets))
+        dist = {nb: (("0", 0.25), ("1", 0.75)) for nb in neighborhoods}
+        ca = CellularAutomaton("c", states, width, radius, boundary, boundary_value, rule)
+        if hole:
+            missing = ref_neighborhood(ca, lattice, width - 1)
+            del rule[missing], dist[missing]
+            ca = CellularAutomaton("c", states, width, radius, boundary, boundary_value, rule)
+        pca = ProbabilisticCellularAutomaton("p", states, width, radius, boundary, boundary_value, dist)
+        assert outcome(ca_step, ca, lattice) == outcome(ref_ca_step, ca, lattice)
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        assert outcome(pca_step, pca, lattice, rng) == outcome(ref_pca_step, pca, lattice, ref_rng)
+        assert rng.random() == ref_rng.random()
+        assert outcome(pca_step_distribution, pca, lattice) == outcome(ref_pca_distribution, pca, lattice)
+        assert (outcome(ca_step, ca, lattice)[0] == "KeyError") == hole
+        assert isinstance(outcome(pca_step_distribution, pca, lattice), tuple) == hole  # a dict unless it raised
