@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -123,54 +123,53 @@ def _validate_shape(ca: AnyCellular, report: list[Violation]) -> None:
 
 
 def validate_ca(ca: CellularAutomaton) -> list[Violation]:
+    def entry(neighborhood: tuple, target, states: set) -> Iterable[Violation]:
+        if target in states:
+            return ()
+        return [Violation("rule-range", repr(neighborhood), f"target {target!r} not a cell state")]
+
+    return _validate_rule(ca, entry)
+
+
+def validate_pca(pca: ProbabilisticCellularAutomaton) -> list[Violation]:
+    def entry(neighborhood: tuple, pairs, states: set) -> list[Violation]:
+        report = []
+        total = 0.0
+        for state, prob in pairs:
+            if state not in states:
+                report.append(Violation("rule-range", repr(neighborhood), f"target {state!r} not a cell state"))
+            if prob < 0:
+                report.append(Violation("probability-sign", repr(neighborhood), f"negative probability {prob}"))
+            elif prob != prob:  # NaN fails every comparison, the sign's and the sum's too
+                report.append(Violation("probability-nan", repr(neighborhood), "probability is not a number"))
+            total += prob
+        if abs(total - 1.0) > PROB_TOL:
+            report.append(Violation("normalization", repr(neighborhood), f"distribution sums to {total!r}"))
+        return report
+
+    return _validate_rule(pca, entry)
+
+
+def _validate_rule(ca: AnyCellular, entry: Callable[[tuple, object, set], Iterable[Violation]]) -> list[Violation]:
+    """The shape checks, stopping if any fails; then the rule table's, read once.
+
+    Per neighborhood of ``Q^(2r+1)`` in ``itertools.product`` order, a
+    missing entry is a ``rule-totality`` violation and a present one is
+    checked by ``entry(neighborhood, its value, the cell states)``. Then
+    every key outside ``Q^(2r+1)`` is a ``rule-domain`` violation.
+    """
     report: list[Violation] = []
     _validate_shape(ca, report)
     if report:
         return report
     states = set(ca.cell_states)
     for neighborhood in itertools.product(ca.cell_states, repeat=ca.neighborhood_size):
-        if neighborhood not in ca.rule:
+        if neighborhood in ca.rule:
+            report.extend(entry(neighborhood, ca.rule[neighborhood], states))
+        else:
             report.append(Violation("rule-totality", repr(neighborhood), "missing rule entry"))
-        elif ca.rule[neighborhood] not in states:
-            report.append(
-                Violation("rule-range", repr(neighborhood), f"target {ca.rule[neighborhood]!r} not a cell state")
-            )
     for neighborhood in ca.rule:
         if len(neighborhood) != ca.neighborhood_size or any(q not in states for q in neighborhood):
-            report.append(Violation("rule-domain", repr(neighborhood), "neighborhood outside Q^(2r+1)"))
-    return report
-
-
-def validate_pca(pca: ProbabilisticCellularAutomaton) -> list[Violation]:
-    report: list[Violation] = []
-    _validate_shape(pca, report)
-    if report:
-        return report
-    states = set(pca.cell_states)
-    for neighborhood in itertools.product(pca.cell_states, repeat=pca.neighborhood_size):
-        if neighborhood not in pca.rule:
-            report.append(Violation("rule-totality", repr(neighborhood), "missing rule entry"))
-            continue
-        pairs = pca.rule[neighborhood]
-        total = 0.0
-        for state, prob in pairs:
-            if state not in states:
-                report.append(
-                    Violation("rule-range", repr(neighborhood), f"target {state!r} not a cell state")
-                )
-            if prob < 0:
-                report.append(
-                    Violation("probability-sign", repr(neighborhood), f"negative probability {prob}")
-                )
-            elif prob != prob:  # NaN fails every comparison, the sign's and the sum's too
-                report.append(Violation("probability-nan", repr(neighborhood), "probability is not a number"))
-            total += prob
-        if abs(total - 1.0) > PROB_TOL:
-            report.append(
-                Violation("normalization", repr(neighborhood), f"distribution sums to {total!r}")
-            )
-    for neighborhood in pca.rule:
-        if len(neighborhood) != pca.neighborhood_size or any(q not in states for q in neighborhood):
             report.append(Violation("rule-domain", repr(neighborhood), "neighborhood outside Q^(2r+1)"))
     return report
 

@@ -41,9 +41,9 @@ from .composition import (
     _numbering,
     _replay,
     _unit_tables,
-    binding_seed,
     has_randomness,
     ma_initial,
+    nesting_depths,
     strip_clocks,
 )
 from .errors import (
@@ -308,13 +308,12 @@ def flatten(
 
     binding = ma.root()
     props_fn, vocabulary, cell_of = (*labeling, None) if labeling else _builtin_labeling(ma)
-    start_lattice = tuple(lattice0) if lattice0 is not None else binding_seed(ma, binding)
-    start = strip_clocks(ma_initial(ma, start_lattice))
+    start = ma_initial(ma, lattice0)
     support = None
     if binding.mode == MODE_SA_FROM_CA:
         start_key, make_config, successors = _mode1_successors(ma, binding, universe, start)
         if cell_of is not None:
-            support = _row_classes(cell_of, len(start_lattice))
+            support = _row_classes(cell_of, len(start.lattice))
     else:
         start_key, make_config, successors = _mode2_successors(ma, binding, universe, start)
     store, _ = _explore(start_key, make_config, successors, bound)
@@ -324,7 +323,7 @@ def flatten(
         transitions=_StoreView(store, store.row),
         atomic_props=_StoreView(store, lambda i: props_fn(store.config(i)), support),
         vocabulary=vocabulary,
-        metadata={"model": ma.name, "universe": universe, "lattice0": start_lattice},
+        metadata={"model": ma.name, "universe": universe, "lattice0": start.lattice},
     )
 
 
@@ -620,17 +619,13 @@ def _search_states(ts: TransitionSystem, target: Pred | str, holds: bool) -> tup
 def check_invariant(ts: TransitionSystem, invariant: Pred | str) -> CheckResult:
     """Holds iff the predicate is true at every reachable state; else a shortest counterexample."""
     path, stats = _search_states(ts, invariant, False)
-    if path is None:
-        return CheckResult("holds", stats=stats)
-    return CheckResult("violated", counterexample=path, stats=stats)
+    return CheckResult("holds" if path is None else "violated", counterexample=path, stats=stats)
 
 
 def check_reach(ts: TransitionSystem, target: Pred | str) -> CheckResult:
     """Holds iff some reachable state satisfies the target; the witness is shortest."""
     path, stats = _search_states(ts, target, True)
-    if path is None:
-        return CheckResult("violated", stats=stats)
-    return CheckResult("holds", counterexample=path, stats=stats)
+    return CheckResult("violated" if path is None else "holds", counterexample=path, stats=stats)
 
 
 ACCEPTING = "accepting"
@@ -748,26 +743,29 @@ def _monitor_witness(
     return None if hit is None else pairs.path_to(hit, lambda index: name(pairs.keys[index][0]))
 
 
-def _unmatchable(ts: TransitionSystem, bound: float):
-    """A test of the monitors ``_monitor_witness`` would search to None within ``bound``.
+def _bad_prefix_witness(ts: TransitionSystem, bound: int):
+    """``witness(pattern)``: ``_monitor_witness(ts, pattern, bound)``, skipped when it must be None.
 
-    A monitor passes when the states it reaches from its initial state on
-    the labels of the reachable edges (unmentioned labels self-loop) hold no
-    final state and the reachable states times their number is at most
-    ``bound``: every pair the search could visit lies within them.
+    The search is skipped when the monitor states reached from the initial
+    state on the labels of the reachable edges (unmentioned labels
+    self-loop) hold no final state and the reachable states times their
+    number is at most ``bound``: every pair the search could visit lies
+    within them, so it would find nothing and stay within the bound.
     """
     store = _graph(ts)[0]
     emitted = {action.label() for action in store.labels}
 
-    def unmatchable(pattern: SequentialAutomaton) -> bool:
+    def witness(pattern: SequentialAutomaton) -> Path | None:
         usable = emitted.intersection(pattern.input_alphabet)
         reach, frontier = set(), {pattern.initial}
         while frontier:
             reach |= frontier
             frontier = {pattern.transitions.get((q, label), q) for q in frontier for label in usable} - reach
-        return reach.isdisjoint(pattern.finals) and len(store.keys) * len(reach) <= bound
+        if reach.isdisjoint(pattern.finals) and len(store.keys) * len(reach) <= bound:
+            return None
+        return _monitor_witness(ts, pattern, bound)
 
-    return unmatchable
+    return witness
 
 
 # ---------------------------------------------------------------------------
@@ -800,18 +798,10 @@ def _expansion_refusal(ma: MimicAutomaton) -> str | None:
         return "probabilistic expansion supports sa_from_ca roots only"
     if not isinstance(ma.ca_set[binding.ca], ProbabilisticCellularAutomaton):
         return "the root lattice rule is deterministic; use flatten"
-    for name, nested in ma.bindings.items():
-        if name != ma.root_binding and isinstance(
-            ma.ca_set[nested.ca], ProbabilisticCellularAutomaton
-        ):
-            return "nested probabilistic lattices are not exactly expandable"
+    nested = [ma.bindings[name] for name in nesting_depths(ma) if name in ma.bindings and name != ma.root_binding]
+    if any(isinstance(ma.ca_set[b.ca], ProbabilisticCellularAutomaton) for b in nested):
+        return "nested probabilistic lattices are not exactly expandable"
     return None
-
-
-def _require_exactly_expandable(ma: MimicAutomaton) -> None:
-    refusal = _expansion_refusal(ma)
-    if refusal is not None:
-        raise MimicError(refusal)
 
 
 def _expand_chain(
@@ -833,14 +823,12 @@ def _expand_chain(
     come before the distribution and the successors, as in a single step,
     so the first error is the same. States at depth ``horizon`` get a
     self-loop; rows must sum to one only when ``horizon`` is None. The model
-    must pass ``_require_exactly_expandable``.
+    must have no ``_expansion_refusal``.
     """
     binding = ma.root()
     ca = ma.ca_set[binding.ca]
     period = len(policy)
-    start = strip_clocks(
-        ma_initial(ma, lattice0 if lattice0 is not None else binding_seed(ma, binding))
-    )
+    start = ma_initial(ma, lattice0)
     lattices, encode, decode, run, _, moved = _unit_tables(ma, binding, 1, canonical=True)
     # lattice id -> ([[successor lattice, probability, its id and (key position, fresh row) pairs], ...], their sum)
     dists: dict = {}
@@ -897,7 +885,9 @@ def build_dtmc(
     """
     _require_bound(bound)
     policy = _normalize_policy(input_policy)
-    _require_exactly_expandable(ma)
+    refusal = _expansion_refusal(ma)
+    if refusal is not None:
+        raise MimicError(refusal)
     props_fn, vocabulary = labeling or builtin_labeling(ma)
     store = _expand_chain(ma, policy, bound, lattice0, successor_cap)
 
@@ -994,36 +984,39 @@ def reach_probability_exact(
         new[targets] = 1.0
         return new
 
-    stats = {"states": n, "transitions": dtmc.transition_count}
     if horizon is not None:
         for _ in range(horizon):
             x = sweep(x)
-        stats["iterations"] = horizon
-        return CheckResult(
-            "probability",
-            probability=float(x[0]),
-            method="exact-value-iteration",
-            error_bound=0.0,
-            stats=stats,
-        )
-
-    for iteration in range(1, max_iter + 1):
-        new = sweep(x)
-        residual = float(np.max(np.abs(new - x)))
-        x = new
-        if residual < tol:
-            stats["iterations"] = iteration
-            return CheckResult(
-                "probability",
-                probability=float(x[0]),
-                method="exact-value-iteration",
-                error_bound=residual,
-                stats=stats,
-            )
-    raise ConvergenceError(max_iter, residual)
+        iteration, residual = horizon, 0.0
+    else:
+        for iteration in range(1, max_iter + 1):
+            new = sweep(x)
+            residual = float(np.max(np.abs(new - x)))
+            x = new
+            if residual < tol:
+                break
+        else:
+            raise ConvergenceError(max_iter, residual)
+    return CheckResult(
+        "probability",
+        probability=float(x[0]),
+        method="exact-value-iteration",
+        error_bound=residual,
+        stats={"states": n, "transitions": dtmc.transition_count, "iterations": iteration},
+    )
 
 
 MC_BLOCK = 4096
+
+
+def _trial_blocks(trials: int, seed: int):
+    """``(size, stream)`` per block of at most ``MC_BLOCK`` trials; block ``j``'s stream is ``derive_stream(seed, j)``.
+
+    Both samplers draw from these blocks, so an estimate does not depend on
+    how its trials are partitioned into work.
+    """
+    for j, done in enumerate(range(0, trials, MC_BLOCK)):
+        yield min(MC_BLOCK, trials - done), derive_stream(seed, j)
 
 
 def reach_probability_mc(
@@ -1139,11 +1132,7 @@ def _mc_chain(ma, policy, pred, horizon, trials, seed, bound, props_fn) -> int:
     steps = [1 << k for k in reversed(range((int(lengths.max()) - 1).bit_length()))]
 
     hits = 0
-    done = 0
-    block_index = 0
-    while done < trials:
-        n = min(MC_BLOCK, trials - done)
-        gen = derive_stream(seed, block_index)
+    for n, gen in _trial_blocks(trials, seed):
         cur = np.zeros(n, dtype=np.intp)
         hit = np.full(n, bool(target[0]))
         for _ in range(horizon):
@@ -1162,33 +1151,24 @@ def _mc_chain(ma, policy, pred, horizon, trials, seed, bound, props_fn) -> int:
             cur[alive] = nxt
             hit[alive] = target[nxt]
         hits += int(hit.sum())
-        done += n
-        block_index += 1
     return hits
 
 
 def _mc_per_trial(ma, policy, pred, horizon, trials, seed, props_fn) -> int:
-    binding = ma.root()
-    encode, step, decode = _replay(ma, binding, depth=1)
+    """Hits of trials simulated one ``_replay`` step at a time, each stopped at its first hit."""
+    encode, step, decode = _replay(ma, ma.root(), depth=1)
     period = len(policy)
-    start = encode(ma_initial(ma, binding_seed(ma, binding)))
+    start = encode(ma_initial(ma))
     hits = 0
-    done = 0
-    block_index = 0
-    while done < trials:
-        n = min(MC_BLOCK, trials - done)
-        rng = derive_stream(seed, block_index)
+    for n, rng in _trial_blocks(trials, seed):
         for _ in range(n):
             state = start
-            hit = eval_predicate(pred, props_fn(strip_clocks(decode(state, 0))))
-            for t in range(horizon):
-                if hit:
+            for t in range(horizon + 1):
+                if t:
+                    state = step(state, policy[(t - 1) % period], rng)[0]
+                if eval_predicate(pred, props_fn(strip_clocks(decode(state, 0)))):
+                    hits += 1
                     break
-                state = step(state, policy[t % period], rng)[0]
-                hit = eval_predicate(pred, props_fn(strip_clocks(decode(state, 0))))
-            hits += int(hit)
-        done += n
-        block_index += 1
     return hits
 
 
@@ -1197,12 +1177,10 @@ def _mc_per_trial(ma, policy, pred, horizon, trials, seed, props_fn) -> int:
 
 def replay_path(ma: MimicAutomaton, ts: TransitionSystem, path: Path) -> bool:
     """Re-run a path's macro inputs on ``_replay`` states and confirm every decoded hop matches the graph."""
-    binding = ma.root()
-    lattice0 = ts.metadata.get("lattice0")
-    cfg = ma_initial(ma, lattice0 if lattice0 is not None else binding_seed(ma, binding))
-    if strip_clocks(cfg) != ts.states[path.states[0]]:
+    cfg = ma_initial(ma, ts.metadata.get("lattice0"))
+    if cfg != ts.states[path.states[0]]:
         return False
-    encode, step, decode = _replay(ma, binding, depth=1)
+    encode, step, decode = _replay(ma, ma.root(), depth=1)
     state = encode(cfg)
     for action, sid in zip(path.actions, path.states[1:]):
         state, _, _, per_cell, _, _, output = step(state, action.macro_input, None)
@@ -1267,10 +1245,7 @@ def check_property(
             return CheckResult("violated", stats=result.stats)  # the witness is a shortest one
         return result
     if prop.kind == BAD_PREFIX:
-        unmatchable = _unmatchable(ts, bound)(prop.pattern)
-        witness = None if unmatchable else _monitor_witness(ts, prop.pattern, bound)
+        witness = _bad_prefix_witness(ts, bound)(prop.pattern)
         stats = {"states": len(ts.states), "transitions": ts.transition_count, "pattern": prop.pattern.name}
-        if witness is None:
-            return CheckResult("holds", stats=stats)
-        return CheckResult("violated", counterexample=witness, stats=stats)  # a bad prefix exists
+        return CheckResult("holds" if witness is None else "violated", counterexample=witness, stats=stats)
     raise PropertyError(f"unknown property kind {prop.kind!r}")

@@ -11,6 +11,7 @@ the shape ``{"verdict", "counterexample", "probability", "error_bound",
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -68,21 +69,23 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ma", description="Build, simulate and check composite automata models.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name: str, help: str) -> _Parser:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("files", nargs="+")
+        p.add_argument("--model", required=True)
+        return p
+
     p = sub.add_parser("validate", help="parse and validate model files")
     p.add_argument("files", nargs="+")
 
-    p = sub.add_parser("simulate", help="run a model and report the final configuration")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--model", required=True)
+    p = command("simulate", "run a model and report the final configuration")
     p.add_argument("--input", required=True, help="word, or @file with one symbol per line")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trace", default=None, help="write a JSON trace to this path")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("check", help="check a property against a model")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--model", required=True)
+    p = command("check", "check a property against a model")
     p.add_argument("--property", dest="property_name", required=True)
     p.add_argument("--bound", type=int, default=DEFAULT_FLATTEN_BOUND)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
@@ -90,24 +93,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("dhr", help="run a redundant structure over a schedule")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--model", required=True)
+    p = command("dhr", "run a redundant structure over a schedule")
     p.add_argument("--input", required=True, help="word, or @file with one input block per line")
     p.add_argument("--inject", action="append", default=[], metavar="SLOT:SA",
                    help="route one slot to a faulty variant (repeatable)")
     p.add_argument("--seed", type=int, default=None)
 
-    p = sub.add_parser("detect", help="scan a model against behavioral signatures")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--model", required=True)
+    p = command("detect", "scan a model against behavioral signatures")
     p.add_argument("--signatures", nargs="+", required=True)
     p.add_argument("--bound", type=int, default=DEFAULT_FLATTEN_BOUND)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("export-dot", help="export the flattened graph (or raw lattice rule graph)")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--model", required=True)
+    p = command("export-dot", "export the flattened graph (or raw lattice rule graph)")
     p.add_argument("--out", required=True)
     p.add_argument("--raw-ca", action="store_true")
 
@@ -268,8 +265,7 @@ def _voted_text(rep) -> str:
 
 def _simulate_ma(ma: MimicAutomaton, args):
     entry = _read_input(args.input, per_line_blocks=False)
-    cfg = ma_initial(ma, binding_seed(ma, ma.root()))
-    cfg, trace = ma_run(ma, cfg, [entry] * args.steps, seed=args.seed)
+    cfg, trace = ma_run(ma, ma_initial(ma), [entry] * args.steps, seed=args.seed)
     final = render_config(cfg)
 
     def lines():
@@ -279,21 +275,8 @@ def _simulate_ma(ma: MimicAutomaton, args):
                    f", output {_word_text(tick.output)!r}")
 
     def result():
-        lists: dict = {}  # lattice -> its list of cell texts, one list shared by every tick showing it
-        texts: dict = {}  # word -> its text
-
-        def listed(lattice) -> list[str]:
-            cells = lists.get(lattice)
-            if cells is None:
-                cells = lists[lattice] = [str(q) for q in lattice]
-            return cells
-
-        def text(word) -> str:
-            joined = texts.get(word)
-            if joined is None:
-                joined = texts[word] = _word_text(word)
-            return joined
-
+        listed = functools.cache(lambda lattice: [str(q) for q in lattice])  # one list shared by every tick showing it
+        text = functools.cache(_word_text)
         ticks = [
             {
                 "index": tick.index,
@@ -421,7 +404,9 @@ def _cmd_check(args) -> int:
     prop = doc.properties.get(args.property_name)
     if prop is None:
         raise _UsageError(f"no property named {args.property_name!r}")
-    universe = prop.inputs if prop.inputs is not None else _default_universe(model)
+    universe = prop.inputs
+    if universe is None and not (prop.policy is not None and has_randomness(model)):
+        universe = _default_universe(model)  # read unless a policy drives a probabilistic model
     result = check_property(
         model,
         prop,
@@ -432,9 +417,7 @@ def _cmd_check(args) -> int:
         seed=args.seed,
     )
     _report(result, args.format)
-    if result.verdict == "violated":
-        return EXIT_VIOLATED
-    return EXIT_OK
+    return EXIT_VIOLATED if result.verdict == "violated" else EXIT_OK
 
 
 def _cmd_dhr(args) -> int:

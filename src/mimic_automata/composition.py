@@ -349,9 +349,14 @@ def binding_seed(ma: MimicAutomaton, binding: Binding) -> Lattice:
     return binding.seed if binding.seed is not None else default_seed(ca)
 
 
-def ma_initial(ma: MimicAutomaton, lattice0: Lattice) -> MimicConfiguration:
-    """Configuration with every cell's unit freshly initialized on ``lattice0``."""
-    return _binding_initial(ma, ma.root(), tuple(lattice0), depth=1)
+def ma_initial(ma: MimicAutomaton, lattice0: Lattice | None = None) -> MimicConfiguration:
+    """Configuration with every cell's unit freshly initialized on ``lattice0``, the root binding's seed when None.
+
+    Every clock of the result is 0, so it is its own ``strip_clocks``.
+    """
+    binding = ma.root()
+    lattice = binding_seed(ma, binding) if lattice0 is None else tuple(lattice0)
+    return _binding_initial(ma, binding, lattice, depth=1)
 
 
 def _binding_initial(ma: MimicAutomaton, binding: Binding, lattice: Lattice, depth: int) -> MimicConfiguration:

@@ -24,9 +24,8 @@ from .checker import (
     DEFAULT_FLATTEN_BOUND,
     Path,
     TransitionSystem,
-    _monitor_witness,
+    _bad_prefix_witness,
     _require_bound,
-    _unmatchable,
     flatten,
 )
 from .composition import MimicAutomaton
@@ -90,10 +89,10 @@ def detect(
     _require_bound(bound)
     if ts is None:
         ts = flatten(ma, input_universe, bound=bound)
-    unmatchable = _unmatchable(ts, bound)
+    search = _bad_prefix_witness(ts, bound)
     results = []
     for sig in signatures:
-        witness = None if unmatchable(sig.pattern) else _monitor_witness(ts, sig.pattern, bound)
+        witness = search(sig.pattern)
         results.append(SignatureResult(sig.id, sig.severity, witness is not None, witness))
     return DetectionReport(
         model=ma.name,

@@ -349,8 +349,7 @@ def build_dhr(d: DhrStructure) -> MimicAutomaton:
 
 
 def dhr_initial(d: DhrStructure) -> MimicConfiguration:
-    ma = d.automaton
-    return ma_initial(ma, ma.root().seed)
+    return ma_initial(d.automaton)
 
 
 def _dhr_ticker(ma: MimicAutomaton, voter: VoterPolicy):

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import itertools
+from typing import Callable, Iterable, Mapping
 
 from .cellular import AnyCellular, ProbabilisticCellularAutomaton, ca_step
-from .checker import Dtmc, TransitionSystem, render_word
+from .checker import ACCEPTING, Dtmc, TransitionSystem, render_word
 from .composition import MimicConfiguration
 from .errors import SizeCapError
 
@@ -31,32 +32,30 @@ def render_config(cfg: MimicConfiguration) -> str:
     return text
 
 
-def ts_to_dot(ts: TransitionSystem) -> str:
-    lines = ["digraph ts {", "  rankdir=LR;", "  node [shape=box, fontname=monospace];"]
-    for sid, cfg in ts.states.items():
-        shape = ' peripheries=2' if "accepting" in ts.atomic_props.get(sid, ()) else ""
+def _graph_dot(kind: str, states: Mapping[str, MimicConfiguration], initial: str,
+               edges: Iterable[tuple[str, str, str]], accepting: Callable[[str], bool] | None = None) -> str:
+    """A state graph's DOT text: ``edges`` are ``(source, target, label)``; ``accepting(sid)`` draws a double box."""
+    lines = [f"digraph {kind} {{", "  rankdir=LR;", "  node [shape=box, fontname=monospace];"]
+    for sid, cfg in states.items():
+        shape = " peripheries=2" if accepting is not None and accepting(sid) else ""
         label = f"{sid}\n{render_config(cfg)}"
         lines.append(f"  {sid} [label={_quote(label)}{shape}];")
-    lines.append(f"  __init [shape=point]; __init -> {ts.initial};")
-    for sid, edges in ts.transitions.items():
-        for action, tid in edges:
-            label = f"{render_word(tuple(action.macro_input))} / {action.label()}"
-            lines.append(f"  {sid} -> {tid} [label={_quote(label)}];")
+    lines.append(f"  __init [shape=point]; __init -> {initial};")
+    for sid, tid, label in edges:
+        lines.append(f"  {sid} -> {tid} [label={_quote(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def ts_to_dot(ts: TransitionSystem) -> str:
+    edges = ((sid, tid, f"{render_word(tuple(action.macro_input))} / {action.label()}")
+             for sid, row in ts.transitions.items() for action, tid in row)
+    return _graph_dot("ts", ts.states, ts.initial, edges, lambda sid: ACCEPTING in ts.atomic_props.get(sid, ()))
 
 
 def dtmc_to_dot(dtmc: Dtmc) -> str:
-    lines = ["digraph dtmc {", "  rankdir=LR;", "  node [shape=box, fontname=monospace];"]
-    for sid, cfg in dtmc.states.items():
-        label = f"{sid}\n{render_config(cfg)}"
-        lines.append(f"  {sid} [label={_quote(label)}];")
-    lines.append(f"  __init [shape=point]; __init -> {dtmc.initial};")
-    for sid, row in dtmc.rows.items():
-        for tid, prob in row:
-            lines.append(f"  {sid} -> {tid} [label={_quote(f'{prob:g}')}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    edges = ((sid, tid, f"{prob:g}") for sid, row in dtmc.rows.items() for tid, prob in row)
+    return _graph_dot("dtmc", dtmc.states, dtmc.initial, edges)
 
 
 def ca_graph_dot(ca: AnyCellular, cap: int = 4096) -> str:

@@ -54,10 +54,12 @@ from helpers import (
     echo_sa,
     flip_ma,
     flip_pca,
+    gen_nested_pca_instance,
     gen_pca_instance,
     make_sa,
     uniform_pca,
 )
+from reference_interpreter import ref_binding_initial, ref_mode1_tick
 
 
 def reference_chain(ma, policy, bound=checker.DEFAULT_FLATTEN_BOUND, lattice0=None, horizon=None,
@@ -600,6 +602,75 @@ def test_mc_refuses_mode2_roots_and_falls_back_to_paths_on_nested_lattices():
     assert checker._expansion_refusal(nested) == "nested probabilistic lattices are not exactly expandable"
     result = reach_probability_mc(nested, ("a",), "lattice_has(1)", 3, trials=50, seed=1)
     assert result.method == "monte-carlo-paths"
+
+
+def reference_path_hits(ma, policy, pred, horizon, trials, seed, props_fn):
+    """Per-trial fold of ``ref_mode1_tick`` from the root's seed; block ``j`` draws from ``derive_stream(seed, j)``."""
+    binding = ma.root()
+    start = ref_binding_initial(ma, binding)
+    hits = done = block_index = 0
+    while done < trials:
+        n = min(checker.MC_BLOCK, trials - done)
+        rng = derive_stream(seed, block_index)
+        for _ in range(n):
+            cfg = start
+            for t in range(horizon + 1):
+                if eval_predicate(pred, props_fn(MimicConfiguration(cfg[1], cfg[2], 0, cfg[4]))):
+                    hits += 1
+                    break
+                if t < horizon:
+                    cfg = ref_mode1_tick(ma, binding, cfg, policy[t % len(policy)], rng)[0]
+        done += n
+        block_index += 1
+    return hits
+
+
+def test_per_trial_hits_match_a_reference_fold_across_blocks(monkeypatch):
+    # 7-trial blocks: 31 trials cross four whole blocks and end with a partial one
+    monkeypatch.setattr(checker, "MC_BLOCK", 7)
+    trials = 31
+    mixed = 0  # runs with some trials hitting and some not
+    for seed in range(24):
+        rnd = random.Random(seed)
+        ma, _ = gen_nested_pca_instance(rnd)
+        assert checker._expansion_refusal(ma) is not None  # sampled path by path
+        props_fn, atoms = builtin_labeling(ma)
+        target = rnd.choice(sorted(atoms - props_fn(ma_initial(ma))) or sorted(atoms))  # mostly false at the start
+        policy = tuple(tuple(rnd.choice(ALPHABET) for _ in range(rnd.randint(1, 2))) for _ in range(2))
+        mc_seed = rnd.randrange(1000)
+        for horizon in (0, 1, 3):
+            want = reference_path_hits(ma, policy, parse_predicate(target), horizon, trials, mc_seed, props_fn)
+            result = reach_probability_mc(ma, policy, target, horizon, trials=trials, seed=mc_seed)
+            assert (result.method, result.stats["hits"]) == ("monte-carlo-paths", want), f"seed {seed}, horizon {horizon}"
+            mixed += 0 < want < trials
+    assert mixed >= 5
+
+
+UNUSED_SPARE = """
+binding spare {
+  mode: sa_from_ca
+  ca: flip
+  t_max: 1000
+  seed: 0
+  cell_map: 0 -> sa idle
+  cell_map: 1 -> sa idle
+}
+"""
+
+
+def test_an_unused_probabilistic_binding_leaves_the_chain_exactly_expandable(tmp_path):
+    text = (MODELS / "flip.ma").read_text()
+    assert "  bindings: flip_cell\n" in text
+    path = tmp_path / "spare.ma"
+    path.write_text(text.replace("  bindings: flip_cell\n", "  bindings: flip_cell spare\n") + UNUSED_SPARE)
+    doc, diagnostics = parse_files([str(path)])
+    assert not diagnostics
+    (ma, props), (flip, _) = (doc.mas["flip_ma"], doc.properties), corpus_flip()
+    assert checker._expansion_refusal(ma) is None
+    assert check_property(ma, props["hit_one"]).probability == 0.75
+    spare, plain = (check_property(m, props["hit_one"], trials=2000, seed=3) for m in (ma, flip))
+    assert spare.method == plain.method == "monte-carlo"
+    assert spare.stats["hits"] == plain.stats["hits"]
 
 
 def test_mc_falls_back_to_paths_on_size_and_state_bounds(monkeypatch):

@@ -642,3 +642,36 @@ def test_dot_exports_are_wellformed():
     assert "0.5" in dtmc_to_dot(dtmc)
     raw = ca_graph_dot(xor_ca("x", width=3))
     assert raw.count("->") >= 8
+
+
+def test_dot_exports_are_exact():
+    # after a 1 the monitor stays final: its product states draw a double box
+    saw1 = make_sa("saw1", ("w", "m"), "w", ("m",), ("1",), delta=[("w", "1", "m")], partial=True)
+    assert ts_to_dot(product(flatten(parity_ma(), UNIVERSE), saw1)) == (
+        "digraph ts {\n"
+        "  rankdir=LR;\n"
+        "  node [shape=box, fontname=monospace];\n"
+        '  p0 [label="p0\\n[0] | even"];\n'
+        '  p1 [label="p1\\n[0] | odd" peripheries=2];\n'
+        '  p2 [label="p2\\n[0] | even" peripheries=2];\n'
+        "  __init [shape=point]; __init -> p0;\n"
+        '  p0 -> p0 [label="0 / 0"];\n'
+        '  p0 -> p1 [label="1 / 1"];\n'
+        '  p1 -> p1 [label="0 / 0"];\n'
+        '  p1 -> p2 [label="1 / 1"];\n'
+        '  p2 -> p2 [label="0 / 0"];\n'
+        '  p2 -> p1 [label="1 / 1"];\n'
+        "}\n"
+    )
+    assert dtmc_to_dot(build_dtmc(flip_ma(), ("a",))) == (
+        "digraph dtmc {\n"
+        "  rankdir=LR;\n"
+        "  node [shape=box, fontname=monospace];\n"
+        '  s0 [label="s0\\n[0] | s"];\n'
+        '  s1 [label="s1\\n[1] | s"];\n'
+        "  __init [shape=point]; __init -> s0;\n"
+        '  s0 -> s0 [label="0.5"];\n'
+        '  s0 -> s1 [label="0.5"];\n'
+        '  s1 -> s1 [label="1"];\n'
+        "}\n"
+    )

@@ -4,7 +4,7 @@ import json
 import pytest
 
 import mimic_automata.cli as cli
-from mimic_automata import dhr_run, inject_fault, pca_step
+from mimic_automata import check_property, dhr_run, inject_fault, pca_step
 from mimic_automata.cli import main
 from mimic_automata.modelfile import parse_files
 from mimic_automata.rng import master_stream
@@ -451,6 +451,42 @@ def test_hierarchical_nested_and_ca_from_sa_models_simulate_and_check(capsys, tm
     assert run(capsys, ["check", str(path), "--model", "nest_ma", "--property", "anything_fed"]) == (
         0, "verdict: holds\nstats.states: 2\nstats.transitions: 2\n", "")
 
+
+# flip.ma's probabilistic lattice over cells that are all the nested
+# ca_from_sa binding ``stepper``: the cells share no input alphabet
+FLIP_NEST = """
+binding flip_nest {
+  mode: sa_from_ca
+  ca: flip
+  cell_map: 0 -> binding stepper
+  cell_map: 1 -> binding stepper
+}
+
+ma flip_nest_ma {
+  sas: drive
+  cas: pair flip
+  bindings: flip_nest stepper
+  root_binding: flip_nest
+}
+
+property flip_hit {
+  kind: reach
+  predicate: lattice_has(1)
+  policy: "a"
+  horizon: 3
+}
+"""
+
+
+def test_a_policy_checks_a_probabilistic_model_without_a_common_input_alphabet(capsys, tmp_path):
+    path = tmp_path / "composite.ma"
+    path.write_text(COMPOSITE + (MODELS / "flip.ma").read_text() + FLIP_NEST)
+    doc, _ = parse_files([str(path)])
+    want = check_property(doc.mas["flip_nest_ma"], doc.properties["flip_hit"])
+    assert (want.probability, want.method) == (0.875, "exact-value-iteration")
+    assert run(capsys, ["check", str(path), "--model", "flip_nest_ma", "--property", "flip_hit"]) == (
+        0, "probability: 0.875 +/- 0  (exact-value-iteration)\n"
+           "stats.iterations: 3\nstats.states: 4\nstats.transitions: 6\n", "")
 
 
 def test_a_ca_from_sa_seed_with_a_value_that_is_not_a_cell_state_exits_3(capsys, tmp_path):
