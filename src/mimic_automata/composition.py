@@ -696,23 +696,9 @@ def _replay(ma: MimicAutomaton, binding: Binding, depth: int):
 
 
 def has_randomness(ma: MimicAutomaton) -> bool:
-    """True when a probabilistic lattice is reachable from the root binding."""
-    seen: set[str] = set()
-
-    def walk(name: str) -> bool:
-        if name in seen:
-            return False
-        seen.add(name)
-        binding = ma.bindings[name]
-        if isinstance(ma.ca_set[binding.ca], ProbabilisticCellularAutomaton):
-            return True
-        return any(
-            walk(unit.binding)
-            for unit in binding.cell_map.values()
-            if isinstance(unit, NestedUnit)
-        )
-
-    return walk(ma.root_binding)
+    """True when a probabilistic lattice is reachable from the root binding; NestingError on a cycle."""
+    return any(isinstance(ma.ca_set[ma.bindings[name].ca], ProbabilisticCellularAutomaton)
+               for name in nesting_depths(ma) if name in ma.bindings)
 
 
 def ma_run(

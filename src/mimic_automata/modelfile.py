@@ -34,6 +34,7 @@ from .cellular import (
     BOUNDARY_FIXED,
     BOUNDARY_PERIODIC,
     BUILTIN_RULES,
+    DEFAULT_STEP_CAP,
     CellularAutomaton,
     ProbabilisticCellularAutomaton,
     builtin_rule_table,
@@ -42,6 +43,7 @@ from .cellular import (
 )
 from .checker import BAD_PREFIX, INVARIANT, Property, REACH
 from .composition import (
+    DEFAULT_MAX_DEPTH,
     Binding,
     HaUnit,
     MODE_CA_FROM_SA,
@@ -280,8 +282,8 @@ class _Block:
     reported when the builder takes that field, in the builder's order.
     """
 
-    def __init__(self, raw: RawBlock, spec: _Kind, diagnostics: list[Diagnostic]):
-        self.raw, self.spec, self.diagnostics = raw, spec, diagnostics
+    def __init__(self, raw: RawBlock, spec: _Kind, diagnostics: list[Diagnostic], failed: set[tuple[str, str]]):
+        self.raw, self.spec, self.diagnostics, self.failed = raw, spec, diagnostics, failed
         self.groups: dict[str | tuple[str, str | None], list[RawField]] = {}
         for f in raw.fields:
             fs = spec.fields.get(f.name)
@@ -371,6 +373,61 @@ class _Block:
                 self.err(f"field {name!r} expects quoted words", field.line, col)
                 return None
         return tuple(tuple(text) for text in field.texts)
+
+    def failed_among(self, kinds: tuple[str, ...], name: str | None) -> bool:
+        """True when a block of one of ``kinds`` named ``name`` failed to build, and so reported its own
+        defect: ``failed``, shared by a document's blocks, holds each ``(kind, name)`` that built nothing."""
+        return any((kind, name) in self.failed for kind in kinds)
+
+    def lookup(self, doc: ModelDocument, kinds: tuple[str, ...], message: str, names: RawField | str,
+               every: bool = False):
+        """The built objects of ``kinds`` a list field names, in order, or the one a name names.
+        An unknown name is reported as ``message.format(name)``, at its token in a list, else at
+        the block, unless its block of one of ``kinds`` failed to build. The first unknown name
+        ends the lookup with None, unless ``every``: then each one is dropped."""
+        one = isinstance(names, str)
+        sources = [getattr(doc, _SPECS[kind].attr) for kind in kinds]
+        found = []
+        for i, text in enumerate([names] if one else names.texts):
+            obj = next((source[text] for source in sources if text in source), None)
+            if obj is not None:
+                found.append(obj)
+                continue
+            if not self.failed_among(kinds, text):
+                self.err(message.format(text), *(() if one else (names.line, names.tokens[i][1])))
+            if not every:
+                return None
+        return found[0] if one else found
+
+    def table(self, field: RawField, size: int | None, shape: str, noun: str, value: Callable) -> dict:
+        """A table field's ``<key> -> <value>`` entries: the key is the first ``size`` texts (those
+        before the first ``->`` when ``size`` is None) and the value ``value(texts after ->, line)``,
+        which returns None to drop an entry it reported. An entry of another shape, or whose value
+        ``value`` refuses with ValueError, is reported as ``shape``; a repeated key as a duplicate
+        ``noun`` at its first token, and the last entry is kept."""
+        table = {}
+        for entry in field.entries:
+            texts, line = entry.texts, entry.line
+            arrow = size if size is not None else texts.index("->") if "->" in texts else -1
+            try:
+                if not 0 <= arrow < len(texts) - 1 or texts[arrow] != "->":
+                    raise ValueError
+                parsed = value(texts[arrow + 1 :], line)
+            except ValueError:
+                self.err(shape, line)
+                continue
+            if parsed is None:
+                continue
+            key = tuple(texts[:arrow])
+            if key in table:
+                self.err(f"duplicate {noun} for {key}", line, entry.tokens[0][1])
+            table[key] = parsed
+        return table
+
+
+def _one_value(texts: list[str], line: int) -> str:
+    (value,) = texts  # a ValueError for more than one
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -481,17 +538,8 @@ def _build_ca(b: _Block, doc: ModelDocument) -> CellularAutomaton | None:
             b.err(str(exc), expr_f.line, expr_f.col)
             return None
     elif table_f is not None:
-        rule = {}
         size = 2 * radius + 1
-        for entry in table_f.entries:
-            texts, line = entry.texts, entry.line
-            if "->" not in texts or texts.index("->") != size or len(texts) != size + 2:
-                b.err(f"rule entry expects {size} states, '->', one state", line)
-                continue
-            neighborhood = tuple(texts[:size])
-            if neighborhood in rule:
-                b.err(f"duplicate rule for {neighborhood}", line, entry.tokens[0][1])
-            rule[neighborhood] = texts[size + 1]
+        rule = b.table(table_f, size, f"rule entry expects {size} states, '->', one state", "rule", _one_value)
     else:
         b.err(f"ca {b.name}: missing 'rule expr:' or 'rule table:'")
         return None
@@ -519,32 +567,23 @@ def _build_pca(b: _Block, doc: ModelDocument) -> ProbabilisticCellularAutomaton 
     if table_f is None:
         b.err(f"pca {b.name}: missing 'rule table:'")
         return None
-    size = 2 * radius + 1
-    rule = {}
-    for entry in table_f.entries:
-        texts, line = entry.texts, entry.line
-        if len(texts) < size + 2 or texts[size] != "->":
-            b.err(f"rule entry expects {size} states, '->', then state@prob pairs", line)
-            continue
-        neighborhood = tuple(texts[:size])
-        pairs = []
-        ok = True
-        for part in texts[size + 1 :]:
+
+    def pairs(texts: list[str], line: int) -> tuple | None:
+        out = []
+        for part in texts:
             if "@" not in part:
                 b.err(f"expected <state>@<prob>, got {part!r}", line)
-                ok = False
-                break
+                return None
             state, _, prob_text = part.rpartition("@")
             try:
-                pairs.append((state, float(prob_text)))
+                out.append((state, float(prob_text)))
             except ValueError:
                 b.err(f"bad probability {prob_text!r}", line)
-                ok = False
-                break
-        if ok:
-            if neighborhood in rule:
-                b.err(f"duplicate rule for {neighborhood}", line, entry.tokens[0][1])
-            rule[neighborhood] = tuple(pairs)
+                return None
+        return tuple(out)
+
+    size = 2 * radius + 1
+    rule = b.table(table_f, size, f"rule entry expects {size} states, '->', then state@prob pairs", "rule", pairs)
 
     pca = ProbabilisticCellularAutomaton(
         name=b.name,
@@ -569,13 +608,9 @@ def _build_ha(b: _Block, doc: ModelDocument) -> HierarchicalAutomaton | None:
     root = b.one_name("root")
     if members_f is None or root is None:
         return None
-    members = []
-    for i, text in enumerate(members_f.texts):
-        sa = doc.sas.get(text)
-        if sa is None:
-            b.err(f"unknown machine {text!r}", members_f.line, members_f.tokens[i][1])
-            return None
-        members.append(sa)
+    members = b.lookup(doc, ("sa",), "unknown machine {!r}", members_f)
+    if members is None:
+        return None
     gamma = {}
     for f in b.take_all("gamma"):
         texts = f.texts
@@ -606,18 +641,18 @@ def _build_readout(b: _Block) -> Readout | None:
             return Readout(kind="parity", target=names[1])
         b.err("readout expr expects 'cell <index>' or 'parity <state>'", expr_f.line, expr_f.col)
         return None
-    table = {}
-    for entry in table_f.entries:
-        texts, line = entry.texts, entry.line
-        if "->" not in texts or texts.index("->") != len(texts) - 2:
-            b.err("readout entry expects '<lattice> -> <symbol>'", line)
-            continue
-        arrow = texts.index("->")
-        lattice = tuple(texts[:arrow])
-        if lattice in table:
-            b.err(f"duplicate readout for {lattice}", line, entry.tokens[0][1])
-        table[lattice] = texts[arrow + 1]
+    table = b.table(table_f, None, "readout entry expects '<lattice> -> <symbol>'", "readout", _one_value)
     return Readout(kind="table", table=table)
+
+
+_CELLULAR = ("ca", "pca")  # the block kinds a cellular automaton reference accepts
+_UNITS = {"sa": SaUnit, "ha": HaUnit, "binding": NestedUnit}
+
+
+def _unit_ref(unit: Unit) -> tuple[str, str]:
+    """The kind and name of the block a unit names: its one field is named after that kind."""
+    [(kind, name)] = vars(unit).items()
+    return kind, name
 
 
 def _build_binding(b: _Block, doc: ModelDocument) -> Binding | None:
@@ -628,7 +663,7 @@ def _build_binding(b: _Block, doc: ModelDocument) -> Binding | None:
     if mode not in (MODE_SA_FROM_CA, MODE_CA_FROM_SA):
         b.err(f"mode must be {MODE_SA_FROM_CA} or {MODE_CA_FROM_SA}")
         return None
-    t_max = b.integer("t_max", default=1000)
+    t_max = b.integer("t_max", default=DEFAULT_STEP_CAP)
     b.at_least_zero("t_max", t_max)
     seed = b.names("seed")
     outer = b.one_name("outer_sa")
@@ -637,18 +672,13 @@ def _build_binding(b: _Block, doc: ModelDocument) -> Binding | None:
     cell_map: dict[str, Unit] = {}
     for f in b.take_all("cell_map"):
         texts = f.texts
-        if len(texts) != 4 or texts[1] != "->" or texts[2] not in ("sa", "ha", "binding"):
+        if len(texts) != 4 or texts[1] != "->" or texts[2] not in _UNITS:
             b.err("cell_map expects '<state> -> sa|ha|binding <name>'", f.line, f.col)
             continue
         state, kind, name = texts[0], texts[2], texts[3]
         if state in cell_map:
             b.err(f"duplicate cell_map for {state!r}", f.line, f.col)
-        if kind == "sa":
-            cell_map[state] = SaUnit(name)
-        elif kind == "ha":
-            cell_map[state] = HaUnit(name)
-        else:
-            cell_map[state] = NestedUnit(name)
+        cell_map[state] = _UNITS[kind](name)
 
     return Binding(
         name=b.name,
@@ -672,41 +702,37 @@ def _binding_violations(doc: ModelDocument) -> list[Violation]:
 
 
 def _check_bindings(doc: ModelDocument, blocks: dict[tuple[str, str], _Block]) -> None:
-    """Each binding's own rules at its block, an unknown reference among them."""
+    """Each binding's own rules at its block, an unknown reference among them. A binding
+    whose ``ca``, ``outer_sa`` or a ``cell_map`` unit names a block that failed to build
+    is not judged: that block reported its own defect."""
     for v in _binding_violations(doc):
-        blocks["binding", v.subject.removeprefix("binding ")].report_violations([v])
+        block = blocks["binding", v.subject.removeprefix("binding ")]
+        binding = doc.bindings[block.name]
+        refs = [(_CELLULAR, binding.ca), (("sa",), binding.outer_sa)]
+        refs += [((kind,), name) for kind, name in map(_unit_ref, binding.cell_map.values())]
+        if not any(block.failed_among(kinds, name) for kinds, name in refs):
+            block.report_violations([v])
 
 
 def _build_ma(b: _Block, doc: ModelDocument) -> MimicAutomaton | None:
     root = b.one_name("root_binding")
     if root is None:
         return None
-    max_depth = b.integer("max_depth", default=4)
+    max_depth = b.integer("max_depth", default=DEFAULT_MAX_DEPTH)
 
-    def collect(field_name: str, source: dict, extra: dict | None = None):
-        f = b.take(field_name)
-        out = {}
-        if f is None:
-            return out
-        for i, text in enumerate(f.texts):
-            obj = source.get(text)
-            if obj is None and extra is not None:
-                obj = extra.get(text)
-            if obj is None:
-                b.err(f"unknown reference {text!r} in {field_name!r}", f.line, f.tokens[i][1])
-                continue
-            out[text] = obj
-        return out
+    def collect(name: str, kinds: tuple[str, ...]) -> dict:
+        f = b.take(name)
+        found = b.lookup(doc, kinds, f"unknown reference {{!r}} in {name!r}", f, every=True) if f else []
+        return {obj.name: obj for obj in found}
 
-    sa_set = collect("sas", doc.sas)
-    ca_set = collect("cas", doc.cas, doc.pcas)
-    ha_set = collect("has", doc.has)
-    bindings = collect("bindings", doc.bindings)
-    if root not in bindings and root in doc.bindings:
-        bindings[root] = doc.bindings[root]
+    sa_set = collect("sas", ("sa",))
+    ca_set = collect("cas", _CELLULAR)
+    ha_set = collect("has", ("ha",))
+    bindings = collect("bindings", ("binding",))
     if root not in bindings:
-        b.err(f"unknown root binding {root!r}")
-        return None
+        bindings[root] = b.lookup(doc, ("binding",), "unknown root binding {!r}", root)
+        if bindings[root] is None:
+            return None
     ma = MimicAutomaton(
         name=b.name,
         sa_set=sa_set,
@@ -742,16 +768,11 @@ def _build_dhr(b: _Block, doc: ModelDocument) -> DhrStructure | None:
     width = b.integer("width")
     if executors_f is None or scheduler_name is None or width is None:
         return None
-    executors = []
-    for i, text in enumerate(executors_f.texts):
-        sa = doc.sas.get(text)
-        if sa is None:
-            b.err(f"unknown executor {text!r}", executors_f.line, executors_f.tokens[i][1])
-            return None
-        executors.append(sa)
-    scheduler = doc.cellular(scheduler_name)
+    executors = b.lookup(doc, ("sa",), "unknown executor {!r}", executors_f)
+    if executors is None:
+        return None
+    scheduler = b.lookup(doc, _CELLULAR, "unknown scheduler {!r}", scheduler_name)
     if scheduler is None:
-        b.err(f"unknown scheduler {scheduler_name!r}")
         return None
     lattice = b.names("initial_lattice")
     dhr = DhrStructure(
@@ -770,13 +791,9 @@ def _build_serial(b: _Block, doc: ModelDocument) -> SerialDhr | None:
     stages_f = b.take("stages")
     if stages_f is None:
         return None
-    stages = []
-    for i, text in enumerate(stages_f.texts):
-        dhr = doc.dhrs.get(text)
-        if dhr is None:
-            b.err(f"unknown stage {text!r}", stages_f.line, stages_f.tokens[i][1])
-            return None
-        stages.append(dhr)
+    stages = b.lookup(doc, ("dhr",), "unknown stage {!r}", stages_f)
+    if stages is None:
+        return None
     serial = SerialDhr(name=b.name, stages=tuple(stages))
     b.report_violations(serial_rules(serial))
     return serial
@@ -799,9 +816,8 @@ def _build_property(b: _Block, doc: ModelDocument) -> Property | None:
         pattern_name = b.one_name("pattern", required=True)
         if pattern_name is None:
             return None
-        pattern = doc.sas.get(pattern_name)
+        pattern = b.lookup(doc, ("sa",), "unknown pattern machine {!r}", pattern_name)
         if pattern is None:
-            b.err(f"unknown pattern machine {pattern_name!r}")
             return None
         b.report_violations(signature_rules(Signature(b.name, "", pattern)))  # a bad prefix matches as a signature does
     else:
@@ -838,9 +854,8 @@ def _build_signature(b: _Block, doc: ModelDocument) -> Signature | None:
     if [quoted for _, _, quoted in desc_f.tokens] != [True]:
         b.err("description expects one quoted string", desc_f.line, desc_f.col)
         return None
-    pattern = doc.sas.get(pattern_name)
+    pattern = b.lookup(doc, ("sa",), "unknown pattern machine {!r}", pattern_name)
     if pattern is None:
-        b.err(f"unknown pattern machine {pattern_name!r}")
         return None
     sig = Signature(
         id=b.name, description=desc_f.texts[0], pattern=pattern, severity=severity
@@ -913,12 +928,6 @@ def _write_ha(ha: HierarchicalAutomaton) -> dict:
     }
 
 
-def _ser_unit(unit: Unit) -> str:
-    if isinstance(unit, SaUnit):
-        return f"sa {unit.sa}"
-    if isinstance(unit, HaUnit):
-        return f"ha {unit.ha}"
-    return f"binding {unit.binding}"
 
 
 def _write_readout(r: Readout | None):
@@ -940,7 +949,7 @@ def _write_binding(b: Binding) -> dict:
         "seed": " ".join(str(q) for q in b.seed) if b.seed is not None else None,
         "outer_sa": b.outer_sa,
         "readout": _write_readout(b.readout),
-        "cell_map": [f"{state} -> {_ser_unit(b.cell_map[state])}" for state in sorted(b.cell_map, key=str)],
+        "cell_map": [f"{state} -> " + " ".join(_unit_ref(b.cell_map[state])) for state in sorted(b.cell_map, key=str)],
     }
 
 
@@ -1042,13 +1051,16 @@ def build_document(all_blocks: list[RawBlock]) -> tuple[ModelDocument, list[Diag
 
     doc = ModelDocument()
     blocks: dict[tuple[str, str], _Block] = {}
+    failed: set[tuple[str, str]] = set()
     for kind, spec in _SPECS.items():
         built = getattr(doc, spec.attr)
         for key, raw in block_of.items():
             if raw.kind == kind:
-                block = blocks[key] = _Block(raw, spec, diagnostics)
+                block = blocks[key] = _Block(raw, spec, diagnostics, failed)
                 obj = spec.build(block, doc)
-                if obj is not None:
+                if obj is None:
+                    failed.add(key)
+                else:
                     built[raw.name] = obj
         if spec.check is not None:
             spec.check(doc, blocks)

@@ -25,10 +25,12 @@ from mimic_automata import (
     ma_run,
     validate_ma,
 )
+from mimic_automata.composition import has_randomness
 from mimic_automata.hierarchical import HierarchicalAutomaton
 
 from helpers import (
     flip_ma,
+    flip_pca,
     gen_instance,
     identity_ca,
     make_sa,
@@ -232,6 +234,20 @@ def test_binding_cycle_rejected():
     b = Binding("b", MODE_SA_FROM_CA, "i", {"0": NestedUnit("a"), "1": SaUnit("parity")})
     ma = MimicAutomaton("cyc", {"parity": sa}, {"i": ca}, {}, {"a": a, "b": b}, "a")
     assert any(v.invariant == "binding-acyclic" for v in validate_ma(ma))
+
+
+def test_has_randomness_follows_the_nesting_walk():
+    ca = identity_ca("i", width=1)
+    inner = Binding("inner", MODE_SA_FROM_CA, "flip", {"0": SaUnit("parity"), "1": SaUnit("parity")})
+    top = Binding("top", MODE_SA_FROM_CA, "i", {"0": NestedUnit("inner"), "1": NestedUnit("ghost")})
+    ma = MimicAutomaton("nest", {"parity": parity_sa()}, {"i": ca, "flip": flip_pca()}, {},
+                        {"top": top, "inner": inner}, "top")
+    assert has_randomness(ma)  # through a nested binding; the unknown 'ghost' is skipped
+    assert not has_randomness(replace(ma, bindings={"top": replace(top, cell_map={"0": SaUnit("parity")})}))
+    a = Binding("a", MODE_SA_FROM_CA, "i", {"0": NestedUnit("b"), "1": SaUnit("parity")})
+    b = Binding("b", MODE_SA_FROM_CA, "i", {"0": NestedUnit("a"), "1": SaUnit("parity")})
+    with pytest.raises(NestingError):
+        has_randomness(MimicAutomaton("cyc", {"parity": parity_sa()}, {"i": ca}, {}, {"a": a, "b": b}, "a"))
 
 
 def test_reference_agreement_on_small_family():

@@ -19,7 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from mimic_automata.modelfile import parse, serialize  # noqa: E402
+from mimic_automata.modelfile import _SPECS, build_document, parse, scan, serialize  # noqa: E402
 
 from helpers import DATA, MODELS, SIGNATURES  # noqa: E402
 
@@ -107,6 +107,40 @@ def test_no_case_reports_a_diagnostic_twice():
     repeated = {case: lines for case, entry in golden["cases"].items()
                 if len(lines := entry["diagnostics"]) != len(set(lines))}
     assert repeated == {}
+
+
+# each diagnostic that names a block by reference, and the block kinds that reference accepts
+REFERENCES = [(re.compile(pattern), kinds) for pattern, kinds in [
+    (r"unknown (?:machine|executor|pattern machine) '([^']*)'", ("sa",)),
+    (r"unknown scheduler '([^']*)'", ("ca", "pca")),
+    (r"unknown stage '([^']*)'", ("dhr",)),
+    (r"unknown root binding '([^']*)'", ("binding",)),
+    (r"unknown reference '([^']*)' in 'sas'", ("sa",)),
+    (r"unknown reference '([^']*)' in 'cas'", ("ca", "pca")),
+    (r"unknown reference '([^']*)' in 'has'", ("ha",)),
+    (r"unknown reference '([^']*)' in 'bindings'", ("binding",)),
+    (r"machine '([^']*)' not in sa_set", ("sa",)),
+    (r"cellular automaton '([^']*)' not in ca_set", ("ca", "pca")),
+    (r"hierarchy '([^']*)' not in ha_set", ("ha",)),
+    (r"binding '([^']*)' unknown", ("binding",)),
+]]
+
+
+def test_no_diagnostic_names_a_block_that_failed_to_build():
+    """A block that built nothing reported its own defect; no reference to it reports it again."""
+    repeats = {}
+    for case, file, text in inputs():
+        blocks, _ = scan(text, file)
+        doc, diagnostics = build_document(blocks)
+        failed = {(b.kind, b.name) for b in blocks
+                  if b.kind in _SPECS and b.name not in getattr(doc, _SPECS[b.kind].attr)}
+        for d in diagnostics:
+            for pattern, kinds in REFERENCES:
+                match = pattern.search(d.message)
+                if match and any((kind, match.group(1)) in failed for kind in kinds):
+                    repeats.setdefault(case, []).append(str(d))
+    assert repeats == {}
+
 
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(record(), indent=1) + "\n")

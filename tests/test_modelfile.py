@@ -449,8 +449,14 @@ TABLE_READOUT = "  readout table:\n    0 0 -> 0\n    0 1 -> 1\n    1 0 -> 1\n   
      "binding parity_cell: [mode-fields] binding parity_cell: outer_sa/readout are only meaningful in mode ca_from_sa"),
     (PARITY_DOC, {"cas: ident1": "cas:"},
      "ma parity_ma: [binding-ca] binding parity_cell: cellular automaton 'ident1' not in ca_set"),
+    # ma
+    (PARITY_DOC, {"sas: parity": "sas: parity ghost"}, "unknown reference 'ghost' in 'sas'"),
+    (PARITY_DOC, {"root_binding: parity_cell": "root_binding: ghost"}, "unknown root binding 'ghost'"),
     # dhr, property, signature
     (ECHO_DOC, {"  stages: echo3 echo3\n": ""}, "serial_dhr echo_chain: missing field 'stages'"),
+    (ECHO_DOC, {"executors: e0 e1 e2": "executors: e0 ghost e2"}, "unknown executor 'ghost'"),
+    (ECHO_DOC, {"scheduler: ident3": "scheduler: ghost"}, "unknown scheduler 'ghost'"),
+    (ECHO_DOC, {"stages: echo3 echo3": "stages: echo3 ghost"}, "unknown stage 'ghost'"),
     (FLIP_DOC, {'policy: "a"\n  horizon: 2': "policy: a\n  horizon: 2"}, "field 'policy' expects quoted words"),
     (PARITY_DOC, {"kind: invariant": "kind: sometimes"}, "property kind must be invariant, reach or bad_prefix"),
     (PARITY_DOC, {"kind: invariant\n  predicate: cell0_state(even)": "kind: bad_prefix"},
@@ -479,6 +485,102 @@ def test_a_repeated_table_line_is_reported_at_that_line():
     _, diags = parse(text, "r.ma")
     line = text.splitlines().index("    1 1 1 -> 0") + 1
     assert [(d.line, d.col, d.message) for d in diags] == [(line, 5, "duplicate rule for ('1', '1', '1')")]
+
+
+ONE_FAILED_MACHINE = """
+sa idle {
+  states: s
+  finals: s
+  inputs: a
+  outputs: a
+  delta: s a -> s / a
+}
+
+ca pair {
+  cell_states: 0 1
+  width: 2
+  rule expr: identity
+}
+
+ha h {
+  sas: idle
+  root: idle
+}
+
+dhr d {
+  executors: idle idle idle
+  scheduler: pair
+  width: 2
+}
+
+serial_dhr chain {
+  stages: d d
+}
+
+binding b {
+  mode: sa_from_ca
+  ca: pair
+  cell_map: 0 -> sa idle
+  cell_map: 1 -> sa idle
+}
+
+ma m {
+  sas: idle
+  cas: pair
+  bindings: b
+  root_binding: b
+}
+
+property bad {
+  kind: bad_prefix
+  pattern: idle
+}
+
+signature sig {
+  description: "idles"
+  pattern: idle
+}
+"""
+
+
+def test_a_machine_that_failed_to_build_is_reported_once():
+    doc, diags = parse(ONE_FAILED_MACHINE, "one.ma")
+    assert [str(d) for d in diags] == ["one.ma:2:1: sa idle: missing field 'initial'"]
+    assert "pair" in doc.cas and "b" in doc.bindings and "m" in doc.mas
+    assert not (doc.sas or doc.has or doc.dhrs or doc.serial_dhrs or doc.properties or doc.signatures)
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({"  cas: pair": "  cas: pair idle"}, "unknown reference 'idle' in 'cas'"),
+    ({"  sas: idle\n  cas": "  has: idle\n  cas"}, "unknown reference 'idle' in 'has'"),
+    ({"executors: idle idle idle\n  scheduler: pair": "executors:\n  scheduler: idle"}, "unknown scheduler 'idle'"),
+    ({"root_binding: b": "root_binding: idle"}, "unknown root binding 'idle'"),
+    ({"stages: d d": "stages: idle"}, "unknown stage 'idle'"),
+    ({"cell_map: 0 -> sa idle\n  cell_map: 1 -> sa idle": "cell_map: 0 -> sa pair\n  cell_map: 1 -> ha idle"},
+     "binding b: [unit-membership] binding b: cell state '1': hierarchy 'idle' not in ha_set"),
+])
+def test_a_failed_block_hides_no_reference_of_another_kind(edits, message):
+    text = ONE_FAILED_MACHINE
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new, 1)
+    _, diags = parse(text, "one.ma")
+    assert message in [d.message for d in diags]
+
+
+def test_cellular_finds_a_ca_or_a_pca_by_name():
+    doc, diags = parse(PARITY_DOC + FLIP_DOC)
+    assert diags == []
+    assert doc.cellular("ident1") is doc.cas["ident1"] and doc.cellular("flip") is doc.pcas["flip"]
+    assert doc.cellular("parity") is None
+
+
+@pytest.mark.parametrize("kind, value", [("ca", "one state"), ("pca", "then state@prob pairs")])
+def test_a_table_entry_of_a_negative_radius_is_reported(kind, value):
+    # the pca table used to index the entry at the negative neighborhood size and raise IndexError
+    text = LATTICE_BLOCK.format(kind=kind, rule="rule table:\n    0 ->").replace("radius: 1", "radius: -2")
+    _, diags = parse(text)
+    assert diags[0].message == f"rule entry expects -3 states, '->', {value}"
 
 
 def test_a_property_field_its_kind_does_not_use_is_reported():
