@@ -27,6 +27,7 @@ fields in spec order) and ``parse(serialize(doc))`` equals ``doc``.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, NamedTuple
 
@@ -112,43 +113,44 @@ Token = tuple[str, int, bool]  # (text, column, quoted): plain tuples keep large
 
 
 class RawValue:
-    """One field value or rule-table entry: its token ``texts``, and ``tokens`` with columns.
+    """One field value or rule-table entry: its ``text``, its tokens' ``texts``, and ``tokens`` with columns.
 
-    A value holding none of ``" # { } :`` can produce no diagnostic, so
-    scanning only splits it and its ``tokens`` are made by ``_tokenize`` when
-    first read, which a builder does only to place a diagnostic. Any other
-    value is tokenized as it is scanned, so scan diagnostics keep their order.
+    A value holding none of ``" # { } :`` can produce no diagnostic, so it keeps
+    only its text: ``texts`` splits it each time it is read, and its ``tokens``
+    are made by ``_tokenize`` when first read, which a builder does only to
+    place a diagnostic. Any other value is tokenized as it is scanned, so scan
+    diagnostics keep their order.
     """
 
-    __slots__ = ("texts", "line", "_text", "_col", "_tokens")
+    __slots__ = ("line", "text", "_col", "_tokens")
 
     def __init__(self, text: str, line: int, col: int, diagnostics: list[Diagnostic], file: str):
-        self.line = line
-        if '"' in text or "#" in text or "{" in text or "}" in text or ":" in text:
-            self._tokens = _tokenize(text, line, col, diagnostics, file)
-            self.texts = [token[0] for token in self._tokens]
-        else:
-            self.texts = text.split()
-            self._text, self._col, self._tokens = text, col, None
+        self.line, self.text, self._col = line, text, col
+        plain = not ('"' in text or "#" in text or "{" in text or "}" in text or ":" in text)
+        self._tokens = None if plain else _tokenize(text, line, col, diagnostics, file)
+
+    @property
+    def texts(self) -> list[str]:
+        return self.text.split() if self._tokens is None else [token[0] for token in self._tokens]
 
     @property
     def tokens(self) -> list[Token]:
         if self._tokens is None:
-            self._tokens = _tokenize(self._text, self.line, self._col, [], "")
+            self._tokens = _tokenize(self.text, self.line, self._col, [], "")
         return self._tokens
 
 
 class RawField(RawValue):
-    """A ``name [sub]: value`` line; ``col`` is the column of its name, ``entries``
-    the ``RawValue`` lines of a table."""
+    """A ``name [sub]: value`` line; ``col`` is the column of its name. Only a table field
+    has an ``entries`` list, of its ``RawValue`` lines; any other field has ``()``."""
 
-    __slots__ = ("name", "sub", "raw_rest", "col", "entries")
+    __slots__ = ("name", "sub", "col", "entries")
 
     def __init__(self, name: str, sub: str | None, rest: str, line: int, col: int, rest_col: int,
                  diagnostics: list[Diagnostic], file: str):
-        super().__init__(rest, line, rest_col, diagnostics, file)
-        self.name, self.sub, self.raw_rest, self.col = name, sub, rest.strip(), col
-        self.entries: list[RawValue] = []
+        RawValue.__init__(self, rest, line, rest_col, diagnostics, file)
+        self.name, self.sub, self.col = name, sub, col
+        self.entries: list[RawValue] | tuple = [] if sub == "table" else ()
 
 
 @dataclass
@@ -160,7 +162,8 @@ class RawBlock:
     fields: list[RawField] = dc_field(default_factory=list)
 
 
-_FIELD_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\s+(table|expr))?\s*:\s*(.*)$")
+# matched against a whole line (its comment removed): the value may keep trailing blanks
+_FIELD_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)(?:\s+(table|expr))?\s*:\s*(.*)")
 _OPEN_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s+(\S+)\s*\{\s*$")
 # the text before the first '#' outside a string; an unterminated string runs to the end
 _BEFORE_COMMENT_RE = re.compile(r'(?:[^"#]+|"[^"]*(?:"|$))*')
@@ -189,54 +192,44 @@ def scan(text: str, file: str = "<string>") -> tuple[list[RawBlock], list[Diagno
     current: RawBlock | None = None
     table: RawField | None = None
 
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        stripped_full = _BEFORE_COMMENT_RE.match(raw_line).group() if "#" in raw_line else raw_line
-        stripped = stripped_full.strip()
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = _BEFORE_COMMENT_RE.match(line).group()
+        if current is not None:  # a field line is the common case, and no header or '}' matches it
+            match = _FIELD_RE.match(line)
+            if match is not None:
+                name, sub, rest = match.groups()
+                field = RawField(name, sub, rest, line_no, match.start(1) + 1, match.start(3) + 1, diagnostics, file)
+                current.fields.append(field)
+                table = field if sub == "table" else None
+                continue
+
+        stripped = line.strip()
         if not stripped:
             continue
-        indent = len(stripped_full) - len(stripped_full.lstrip())
-
+        col = len(line) - len(line.lstrip()) + 1
         if current is None:
             match = _OPEN_RE.match(stripped)
             if match is None:
-                diagnostics.append(
-                    Diagnostic(file, line_no, indent + 1, "expected a block header",
-                               hint="kind name {")
-                )
+                diagnostics.append(Diagnostic(file, line_no, col, "expected a block header", hint="kind name {"))
                 continue
             kind, name = match.group(1), match.group(2)
             if kind not in KINDS:
                 diagnostics.append(
-                    Diagnostic(file, line_no, indent + 1, f"unknown block kind {kind!r}",
-                               hint="one of " + ", ".join(KINDS))
+                    Diagnostic(file, line_no, col, f"unknown block kind {kind!r}", hint="one of " + ", ".join(KINDS))
                 )
             current = RawBlock(kind, name, file, line_no)
             table = None
-            continue
-
-        if stripped == "}":
+        elif stripped == "}":
             blocks.append(current)
             current = None
-            table = None
-            continue
-
-        match = _FIELD_RE.match(stripped)
-        if match is not None:
-            name, sub, rest = match.group(1), match.group(2), match.group(3)
-            rest_col = indent + len(stripped) - len(rest) + 1
-            field = RawField(name, sub, rest, line_no, indent + 1, rest_col, diagnostics, file)
-            current.fields.append(field)
-            table = field if sub == "table" else None
-            continue
-
-        if table is not None:
-            table.entries.append(RawValue(stripped, line_no, indent + 1, diagnostics, file))
-            continue
-
-        diagnostics.append(
-            Diagnostic(file, line_no, indent + 1, "expected a field line",
-                       hint="name: values, or a table entry after 'rule table:'")
-        )
+        elif table is not None:
+            table.entries.append(RawValue(stripped, line_no, col, diagnostics, file))
+        else:
+            diagnostics.append(
+                Diagnostic(file, line_no, col, "expected a field line",
+                           hint="name: values, or a table entry after 'rule table:'")
+            )
 
     if current is not None:
         diagnostics.append(Diagnostic(file, current.line, 1, f"unclosed block {current.kind} {current.name}"))
@@ -258,7 +251,7 @@ class _Kind:
     build: Callable  # (_Block, ModelDocument) -> object | None
     write: Callable  # object -> {field: value}; see _write_block
     fields: dict[str, _FieldSpec]  # canonical order
-    check: Callable | None = None  # (ModelDocument, blocks) after all of this kind are built
+    check: Callable | None = None  # (ModelDocument, blocks, _Shared) after all of this kind are built
 
 
 _FIELD_SPEC_RE = re.compile(r"(\w+)(!?)(\*?)(?:\[([\w,]+)\])?")
@@ -274,6 +267,15 @@ def _kind(attr: str, build, write, fields: str, check=None) -> _Kind:
     return _Kind(attr, build, write, specs, check)
 
 
+@dataclass
+class _Shared:
+    """What a document's blocks share while it is built."""
+
+    diagnostics: list[Diagnostic]
+    failed: set[tuple[str, str]] = dc_field(default_factory=set)  # (kind, name) of each block that built nothing
+    probe: list[Violation] = dc_field(default_factory=list)  # _binding_violations, once _check_bindings ran
+
+
 class _Block:
     """A raw block's fields grouped by its kind's spec.
 
@@ -282,9 +284,9 @@ class _Block:
     reported when the builder takes that field, in the builder's order.
     """
 
-    def __init__(self, raw: RawBlock, spec: _Kind, diagnostics: list[Diagnostic], failed: set[tuple[str, str]]):
-        self.raw, self.spec, self.diagnostics, self.failed = raw, spec, diagnostics, failed
-        self.groups: dict[str | tuple[str, str | None], list[RawField]] = {}
+    def __init__(self, raw: RawBlock, spec: _Kind, shared: _Shared):
+        self.raw, self.spec, self.shared = raw, spec, shared
+        self.groups = groups = defaultdict(list)  # name, or (name, sub) for a field with sub-keys -> its fields
         for f in raw.fields:
             fs = spec.fields.get(f.name)
             if fs is None:
@@ -295,14 +297,14 @@ class _Block:
                 forms = " or ".join(f"'{f.name} {sub}:'" for sub in fs.subs) or f"'{f.name}:'"
                 what = f"takes no sub-key {f.sub!r}" if f.sub else "needs a sub-key"
                 self.err(f"field {f.name!r} {what}", f.line, f.col, hint="write " + forms)
-            self.groups.setdefault((f.name, f.sub) if fs.subs else f.name, []).append(f)
+            groups[(f.name, f.sub) if fs.subs else f.name].append(f)
 
     @property
     def name(self) -> str:
         return self.raw.name
 
     def err(self, message: str, line: int | None = None, col: int = 1, hint=None) -> None:
-        self.diagnostics.append(Diagnostic(self.raw.file, line or self.raw.line, col, message, hint))
+        self.shared.diagnostics.append(Diagnostic(self.raw.file, line or self.raw.line, col, message, hint))
 
     def report_violations(self, violations, line: int | None = None, col: int = 1) -> None:
         for v in violations:
@@ -375,9 +377,8 @@ class _Block:
         return tuple(tuple(text) for text in field.texts)
 
     def failed_among(self, kinds: tuple[str, ...], name: str | None) -> bool:
-        """True when a block of one of ``kinds`` named ``name`` failed to build, and so reported its own
-        defect: ``failed``, shared by a document's blocks, holds each ``(kind, name)`` that built nothing."""
-        return any((kind, name) in self.failed for kind in kinds)
+        """True when a block of one of ``kinds`` named ``name`` failed to build, and so reported its own defect."""
+        return any((kind, name) in self.shared.failed for kind in kinds)
 
     def lookup(self, doc: ModelDocument, kinds: tuple[str, ...], message: str, names: RawField | str,
                every: bool = False):
@@ -449,19 +450,22 @@ def _build_sa(b: _Block, doc: ModelDocument) -> SequentialAutomaton | None:
             b.err("field 'partial' expects true or false", partial_f.line, partial_f.col)
         allow_partial = value == "true"
 
-    transitions = {}
-    out_map = {}
+    transitions, out_map, defined = {}, {}, {}  # defined: the delta that defined each key last
     for f in b.take_all("delta"):
-        texts = f.texts
-        if not _is_delta(texts):
-            b.err("delta expects '<state> <sym> -> <state> [/ <out>]'", f.line, f.col)
-            continue
-        src, sym, _, dst = texts[:4]
-        out = texts[5] if len(texts) == 6 else sym
-        if (src, sym) in transitions:
+        match f.texts:
+            case [src, sym, "->", dst, "/", out]:
+                pass
+            case [src, sym, "->", dst]:
+                out = sym
+            case _:
+                b.err("delta expects '<state> <sym> -> <state> [/ <out>]'", f.line, f.col)
+                continue
+        key = (src, sym)  # one key object, shared by the three maps
+        if key in transitions:
             b.err(f"duplicate delta for ({src}, {sym})", f.line, f.col)
-        transitions[(src, sym)] = dst
-        out_map[(src, sym)] = out
+        transitions[key] = dst
+        out_map[key] = out
+        defined[key] = f
 
     sa = SequentialAutomaton(
         name=b.name,
@@ -474,21 +478,16 @@ def _build_sa(b: _Block, doc: ModelDocument) -> SequentialAutomaton | None:
         outputs=out_map,
         allow_partial=allow_partial,
     )
-    _report_sa(b, validate_sa(sa))
+    _report_sa(b, validate_sa(sa), defined)
     return sa
 
 
-def _is_delta(texts: list[str]) -> bool:
-    return len(texts) in (4, 6) and texts[2] == "->" and (len(texts) == 4 or texts[4] == "/")
-
-
-def _report_sa(b: _Block, report) -> None:
-    """A violation of a delta's ``(state,symbol)`` key at the delta that defined it (the last, for a
-    duplicate), on the token it names, else the field name; any other at the block header."""
-    deltas = b.take_all("delta") if report else ()
-    defined = {f"({f.texts[0]},{f.texts[1]})": f for f in deltas if _is_delta(f.texts)}
+def _report_sa(b: _Block, report, defined: dict) -> None:
+    """A violation of a delta's ``(state,symbol)`` key at the delta that ``defined`` it (the last, for
+    a duplicate), on the token it names, else the field name; any other at the block header."""
+    at = {f"({src},{sym})": f for (src, sym), f in defined.items()} if report else {}
     for v in report:
-        f = defined.get(v.subject)
+        f = at.get(v.subject)
         if f is None:
             b.report_violations([v])
         else:  # the message's first word names the token: source, input (symbol) or target
@@ -598,7 +597,7 @@ def _build_pca(b: _Block, doc: ModelDocument) -> ProbabilisticCellularAutomaton 
     return pca
 
 
-def _check_ca_pca_names(doc: ModelDocument, blocks: dict[tuple[str, str], _Block]) -> None:
+def _check_ca_pca_names(doc: ModelDocument, blocks: dict[tuple[str, str], _Block], shared: _Shared) -> None:
     for name in sorted(set(doc.cas) & set(doc.pcas)):
         blocks["pca", name].err(f"{name!r} is defined as both ca and pca")
 
@@ -701,11 +700,12 @@ def _binding_violations(doc: ModelDocument) -> list[Violation]:
     return [v for v in validate_ma(probe) if v.subject.startswith("binding ")]
 
 
-def _check_bindings(doc: ModelDocument, blocks: dict[tuple[str, str], _Block]) -> None:
+def _check_bindings(doc: ModelDocument, blocks: dict[tuple[str, str], _Block], shared: _Shared) -> None:
     """Each binding's own rules at its block, an unknown reference among them. A binding
     whose ``ca``, ``outer_sa`` or a ``cell_map`` unit names a block that failed to build
     is not judged: that block reported its own defect."""
-    for v in _binding_violations(doc):
+    shared.probe = _binding_violations(doc)
+    for v in shared.probe:
         block = blocks["binding", v.subject.removeprefix("binding ")]
         binding = doc.bindings[block.name]
         refs = [(_CELLULAR, binding.ca), (("sa",), binding.outer_sa)]
@@ -743,7 +743,7 @@ def _build_ma(b: _Block, doc: ModelDocument) -> MimicAutomaton | None:
         max_depth=max_depth,
     )
     report = validate_ma(ma)  # less what the bindings' blocks reported against the whole document
-    reported = set(_binding_violations(doc)) if report else ()
+    reported = set(b.shared.probe) if report else ()
     b.report_violations(v for v in report if v not in reported)
     return ma
 
@@ -825,7 +825,7 @@ def _build_property(b: _Block, doc: ModelDocument) -> Property | None:
         if pred_f is None:
             return None
         try:
-            predicate = parse_predicate(pred_f.raw_rest)
+            predicate = parse_predicate(pred_f.text)
         except PropertyError as exc:
             b.err(str(exc), pred_f.line, pred_f.col)
             return None
@@ -876,6 +876,7 @@ def _ser_word(word) -> str:
 
 
 def _write_sa(sa: SequentialAutomaton) -> dict:
+    transitions, outputs = sa.transitions, sa.outputs
     return {
         "states": " ".join(sa.states),
         "initial": sa.initial,
@@ -883,8 +884,8 @@ def _write_sa(sa: SequentialAutomaton) -> dict:
         "inputs": " ".join(sa.input_alphabet),
         "outputs": " ".join(sa.output_alphabet),
         "partial": "true" if sa.allow_partial else None,
-        "delta": [f"{state} {sym} -> {sa.transitions[state, sym]} / {sa.outputs[state, sym]}"
-                  for state in sa.states for sym in sa.input_alphabet if (state, sym) in sa.transitions],
+        "delta": [f"{state} {sym} -> {transitions[key]} / {outputs[key]}"
+                  for state in sa.states for sym in sa.input_alphabet if (key := (state, sym)) in transitions],
     }
 
 
@@ -926,8 +927,6 @@ def _write_ha(ha: HierarchicalAutomaton) -> dict:
         "gamma": [f"{owner} {state} -> " + " ".join(sorted(ha.gamma[owner, state]))
                   for owner, state in sorted(ha.gamma)],
     }
-
-
 
 
 def _write_readout(r: Readout | None):
@@ -1051,19 +1050,19 @@ def build_document(all_blocks: list[RawBlock]) -> tuple[ModelDocument, list[Diag
 
     doc = ModelDocument()
     blocks: dict[tuple[str, str], _Block] = {}
-    failed: set[tuple[str, str]] = set()
+    shared = _Shared(diagnostics)
     for kind, spec in _SPECS.items():
         built = getattr(doc, spec.attr)
         for key, raw in block_of.items():
             if raw.kind == kind:
-                block = blocks[key] = _Block(raw, spec, diagnostics, failed)
+                block = blocks[key] = _Block(raw, spec, shared)
                 obj = spec.build(block, doc)
                 if obj is None:
-                    failed.add(key)
+                    shared.failed.add(key)
                 else:
                     built[raw.name] = obj
         if spec.check is not None:
-            spec.check(doc, blocks)
+            spec.check(doc, blocks, shared)
     return doc, diagnostics
 
 

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from mimic_automata.modelfile import (
     ModelDocument,
     RawValue,
     _tokenize,
+    build_document,
     parse,
     parse_files,
     scan,
@@ -717,6 +719,84 @@ def test_plain_values_are_never_tokenized(monkeypatch):
     # a diagnostic on a plain value places its column through _tokenize
     _, diagnostics = parse(PLAIN_DOCUMENT.replace("delta: odd 0 -> odd / 0", "delta: odd 0 -> oops / 0"))
     assert [(d.line, d.col) for d in diagnostics[:1]] == [(10, 19)] and len(calls) == 1
+
+
+def test_only_a_table_field_has_entries():
+    blocks, diagnostics = scan(PLAIN_DOCUMENT)
+    assert diagnostics == []
+    fields = [field for block in blocks for field in block.fields]
+    assert len(fields) == 23  # every other field's entries are ()
+    assert [(f.name, f.sub, len(f.entries)) for f in fields if f.entries != ()] == [("rule", "table", 8)]
+
+
+def test_an_empty_rule_table_reports_where_it_did():
+    text = "ca x {\n  cell_states: 0 1\n  width: 2\n  rule table:   \n}\n"
+    blocks, diagnostics = scan(text, "f.ma")
+    assert diagnostics == [] and blocks[0].fields[-1].entries == []
+    _, diagnostics = parse(text, "f.ma")
+    assert len(diagnostics) == 8
+    assert str(diagnostics[0]) == "f.ma:1:1: ca x: [rule-totality] ('0', '0', '0'): missing rule entry"
+    _, diagnostics = parse(text.replace("table:   \n", "table:\n    0 0 -> 1\n"), "f.ma")
+    assert str(diagnostics[0]) == "f.ma:5:1: rule entry expects 3 states, '->', one state"
+
+
+def big_sa_document(machines: int, states: int, symbols: str) -> str:
+    rnd = random.Random(30)
+    blocks = []
+    for m in range(machines):
+        names = [f"s{rnd.randrange(10**6):06d}_{i}" for i in range(states)]
+        blocks.append("\n".join([
+            f"sa big{m} {{", f"  states: {' '.join(names)}", f"  initial: {names[0]}", f"  finals: {names[1]}",
+            f"  inputs: {' '.join(symbols)}", f"  outputs: {' '.join(symbols)}",
+            *(f"  delta: {q} {a} -> {rnd.choice(names)} / {rnd.choice(symbols)}" for q in names for a in symbols),
+            "}",
+        ]))
+    return "\n\n".join(blocks) + "\n"
+
+
+def test_scan_and_build_keep_one_object_per_line():
+    text = big_sa_document(6, 48, "abcdefgh")  # 2,304 delta lines
+    gc.collect()
+    gc.disable()  # so that len(gc.get_objects()) counts every tracked object kept
+    try:
+        start = len(gc.get_objects())
+        blocks, diagnostics = scan(text, "big.ma")
+        scanned = len(gc.get_objects()) - start
+        doc, more = build_document(blocks)
+        built = len(gc.get_objects()) - start - scanned
+    finally:
+        gc.enable()
+    assert diagnostics == [] and more == [] and len(doc.sas) == 6
+    lines = sum(1 + len(field.entries) for block in blocks for field in block.fields)
+    deltas = sum(len(sa.transitions) for sa in doc.sas.values())
+    assert deltas == 2304 and lines == 2304 + 6 * 5
+    # a field line keeps one RawField; a block keeps itself and its field list; scan returns two lists
+    assert scanned <= lines + 2 * len(blocks) + 2
+    # a delta keeps one key tuple; a machine keeps itself, four tuples or sets and its two maps;
+    # the document keeps itself, its ten maps and the diagnostics list
+    assert built <= deltas + 7 * len(doc.sas) + 12
+    for sa in doc.sas.values():
+        assert all(a is b for a, b in zip(sa.transitions, sa.outputs, strict=True))
+
+
+def test_the_binding_probe_is_computed_once_per_document(monkeypatch):
+    calls = []
+    validate_ma = modelfile.validate_ma
+    monkeypatch.setattr(modelfile, "validate_ma", lambda ma: calls.append(ma.name) or validate_ma(ma))
+    text = (MODELS / "parity.ma").read_text() + "".join(
+        f"ma extra{i} {{\n  sas: par\n  bindings: parity_cell\n  root_binding: parity_cell\n}}\n"
+        for i in range(3))
+    _, diagnostics = parse(text, "parity.ma")
+    assert calls == ["<document>", "parity_ma", "extra0", "extra1", "extra2"]  # the probe, then each ma
+    assert [str(d) for d in diagnostics] == [
+        line
+        for i in range(3)
+        for line in (
+            f"parity.ma:{55 + 5 * i}:8: unknown reference 'par' in 'sas'",
+            f"parity.ma:{54 + 5 * i}:1: ma extra{i}: [binding-ca] binding parity_cell: "
+            "cellular automaton 'ident1' not in ca_set",
+        )
+    ]
 
 
 def test_a_valid_sa_is_validated_without_sorting_its_transitions(monkeypatch):
