@@ -24,6 +24,8 @@ Lattice = tuple
 PROB_TOL = 1e-9  # absolute tolerance for distribution sums
 DEFAULT_STEP_CAP = 1000
 DEFAULT_SUCCESSOR_CAP = 4096
+RULE_TABLE_CAP = 250_000  # neighborhoods of a rule table, given or lifted; larger rules are refused
+MISSING_ENTRY_LINES = 16  # rule-totality violations one rule reports before a count of the rest
 
 BOUNDARY_PERIODIC = "periodic"
 BOUNDARY_FIXED = "fixed"
@@ -120,6 +122,15 @@ def _validate_shape(ca: AnyCellular, report: list[Violation]) -> None:
         report.append(
             Violation("boundary-value", ca.name, f"fixed value {ca.boundary_value!r} not a cell state")
         )
+    if ca.radius >= 1 and not rule_fits(len(ca.cell_states), ca.radius):
+        report.append(Violation("rule-size", ca.name, f"{len(ca.cell_states)}^{ca.neighborhood_size} neighborhoods "
+                                f"exceed the cap of {RULE_TABLE_CAP}; use fewer cell states or a smaller radius"))
+
+
+def rule_fits(states: int, radius: int) -> bool:
+    """True when a rule over ``states`` cell states and ``radius`` has at most ``RULE_TABLE_CAP`` neighborhoods."""
+    size = 2 * radius + 1
+    return states < 2 or size < 64 and states**size <= RULE_TABLE_CAP
 
 
 def validate_ca(ca: CellularAutomaton) -> list[Violation]:
@@ -155,19 +166,26 @@ def _validate_rule(ca: AnyCellular, entry: Callable[[tuple, object, set], Iterab
 
     Per neighborhood of ``Q^(2r+1)`` in ``itertools.product`` order, a
     missing entry is a ``rule-totality`` violation and a present one is
-    checked by ``entry(neighborhood, its value, the cell states)``. Then
-    every key outside ``Q^(2r+1)`` is a ``rule-domain`` violation.
+    checked by ``entry(neighborhood, its value, the cell states)``; past
+    ``MISSING_ENTRY_LINES`` missing entries, one more violation counts the
+    rest. Then every key outside ``Q^(2r+1)`` is a ``rule-domain`` violation.
     """
     report: list[Violation] = []
     _validate_shape(ca, report)
     if report:
         return report
     states = set(ca.cell_states)
+    missing = 0
     for neighborhood in itertools.product(ca.cell_states, repeat=ca.neighborhood_size):
         if neighborhood in ca.rule:
             report.extend(entry(neighborhood, ca.rule[neighborhood], states))
         else:
-            report.append(Violation("rule-totality", repr(neighborhood), "missing rule entry"))
+            missing += 1
+            if missing <= MISSING_ENTRY_LINES:
+                report.append(Violation("rule-totality", repr(neighborhood), "missing rule entry"))
+    if missing > MISSING_ENTRY_LINES:
+        report.append(Violation("rule-totality", ca.name,
+                                f"{missing - MISSING_ENTRY_LINES} more missing rule entries"))
     for neighborhood in ca.rule:
         if len(neighborhood) != ca.neighborhood_size or any(q not in states for q in neighborhood):
             report.append(Violation("rule-domain", repr(neighborhood), "neighborhood outside Q^(2r+1)"))

@@ -515,8 +515,9 @@ def _mode1_successors(ma: MimicAutomaton, binding: Binding, universe: tuple[tupl
     def learn(lid: int, rids: tuple) -> None:
         per_entry = []
         for entry, table in zip(universe, tables):
-            nxt, out = run(lid, rids, entry, None)
+            nxt, per_cell = run(lid, rids, entry, None)
             after, fresh = move(lid, None)  # learnt once, after the first entry's runs
+            out = tuple([r.output_word for r in per_cell])
             action(entry, table, out)
             per_entry.append((nxt, out))
         moves[lid] = ((after,) * entries, tuple((i, (e,) * entries) for i, e in fresh))

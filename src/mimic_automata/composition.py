@@ -469,8 +469,8 @@ def _fresh_units(
     return tuple(fresh)
 
 
-def _numbering(values: list, *columns: list) -> Callable[[object], int]:
-    """``number(value)``: its index in ``values``, appending it (and None to each column) when new."""
+def _numbering(values: list) -> Callable[[object], int]:
+    """``number(value)``: its index in ``values``, appending it when new."""
     ids: dict = {}
 
     def number(value) -> int:
@@ -478,46 +478,29 @@ def _numbering(values: list, *columns: list) -> Callable[[object], int]:
         if index is None:
             index = ids[value] = len(values)
             values.append(value)
-            for column in columns:
-                column.append(None)
         return index
 
     return number
 
 
-def _row_numbering(states: list) -> Callable[[int | None, object], int]:
-    """``row_id(uid, state)``: unit ``uid``'s ``state``'s index in ``states``, one ``_numbering`` per unit.
-
-    A row is keyed by its state in its unit's table and stored as the state
-    alone: the cell that holds a row knows its unit id.
-    """
-    by_unit: dict = {}  # unit id -> its numbering
-
-    def row_id(uid: int | None, state) -> int:
-        number = by_unit.get(uid)
-        if number is None:
-            number = by_unit[uid] = _numbering(states)
-        return number(state)
-
-    return row_id
-
-
 def _unit_tables(ma: MimicAutomaton, binding: Binding, depth: int, canonical: bool):
     """The tick table of an ``sa_from_ca`` binding: ``(lattices, encode, decode, run, move, moved)``.
 
-    Lattices and rows, one row per (unit id, unit state) pair, are numbered
-    per call in first-seen order; ``lattices[lid]`` is a lattice.
-    ``encode(cfg)`` gives a configuration's state ``(lattice id, entries,
-    outer state)``, an entry per cell: a row id or, unless ``canonical``, a
-    nested unit's ``_Loose`` entry, since its macro clock makes every run
-    new; with ``canonical`` nested states are clock-stripped rows.
+    Lattices and rows are numbered per call in first-seen order:
+    ``lattices[lid]`` is a lattice, and a row is its ``(unit, unit state)``
+    pair, ``rows[rid]``, the unit being the one ``binding.cell_map`` holds
+    (None for a cell state it does not map). ``encode(cfg)`` gives a
+    configuration's state ``(lattice id, entries, outer state)``, an entry
+    per cell: a row id or, unless ``canonical``, a nested unit's ``_Loose``
+    entry, since its macro clock makes every run new; with ``canonical``
+    nested states are clock-stripped rows. That is all ``canonical`` decides.
     ``decode(state, clock)`` gives the configuration back.
     ``run(lid, entries, block, rng)``, the units' half of a tick, gives
     each cell's successor entry, before rebinding, and the per-cell
-    ``RunResult``s (output words when ``canonical``). A row learns both per
-    block on first use; a tick whose rows are all learnt is one lookup per
-    cell, and otherwise unlearnt and loose cells run in index order, and a
-    cell whose state maps to no unit raises the state's ``KeyError``.
+    ``RunResult``s. A row learns both per block on first use; a tick whose
+    rows are all learnt is one lookup per cell, and otherwise unlearnt and
+    loose cells run in index order, and a cell whose state maps to no unit
+    raises the state's ``KeyError``.
     ``move(lid, rng)``, the lattice half, gives ``(successor id, (cell,
     fresh entry) pairs)``: a deterministic lattice steps once per id, a
     probabilistic one draws every call through one ``pca_sampler`` and is
@@ -527,28 +510,24 @@ def _unit_tables(ma: MimicAutomaton, binding: Binding, depth: int, canonical: bo
     life.
     """
     ca = ma.ca_set[binding.ca]
-    unit_ids: dict = {}  # distinct units in first-seen order
-    unit_of = {q: unit_ids.setdefault(unit, len(unit_ids)) for q, unit in binding.cell_map.items()}
-    units = list(unit_ids)
-    loose = set() if canonical else {q for q, unit in binding.cell_map.items() if isinstance(unit, NestedUnit)}
+    cell_map = binding.cell_map
+    loose = set() if canonical else {q for q, unit in cell_map.items() if isinstance(unit, NestedUnit)}
     lattices: list = []  # lattice id -> lattice
-    moves: list = []  # lattice id -> (successor id, (cell, fresh entry) pairs), or None until learnt
-    units_in: list = []  # lattice id -> unit id per cell, or None until a run needs it
-    cells: list = []  # row id -> unit state
-    lattice_id = _numbering(lattices, moves, units_in)
-    row_id = _row_numbering(cells)
-    learnt: dict = {}  # block -> ({row id: successor row id}, {row id: RunResult, or output words if canonical})
+    rows: list = []  # row id -> (unit, unit state)
+    lattice_id = _numbering(lattices)
+    row_id = _numbering(rows)
+    learnt: dict = {}  # block -> ({row id: successor row id}, {row id: RunResult})
     replays: dict = {}  # nested binding name -> its _replay
 
     def entry(q: CellState, state):
-        return _Loose(state) if q in loose else row_id(unit_of.get(q), state)
+        return _Loose(state) if q in loose else row_id((cell_map.get(q), state))
 
     def encode(cfg: MimicConfiguration) -> tuple:
         return lattice_id(cfg.lattice), list(map(entry, cfg.lattice, cfg.unit_states)), cfg.outer_state
 
     def decode(state: tuple, clock: int) -> MimicConfiguration:
         lid, entries, outer = state
-        units = [e.state if isinstance(e, _Loose) else cells[e] for e in entries]
+        units = [e.state if isinstance(e, _Loose) else rows[e][1] for e in entries]
         return MimicConfiguration(lattices[lid], units, clock, outer)
 
     def run(lid: int, entries, block: Word, rng: np.random.Generator | None) -> tuple[list, tuple]:
@@ -560,25 +539,21 @@ def _unit_tables(ma: MimicAutomaton, binding: Binding, depth: int, canonical: bo
         if None not in nxt:  # every row learnt; a _Loose entry, which hashes by identity, always misses
             return nxt, tuple(map(results.__getitem__, entries))
         lattice = lattices[lid]
-        uids = units_in[lid]
-        if uids is None:
-            uids = units_in[lid] = [unit_of.get(q) for q in lattice]
         nxt, per_cell = [], []
         for i, e in enumerate(entries):
             if e in nexts:
                 nxt.append(nexts[e])
                 per_cell.append(results[e])
                 continue
-            uid = uids[i]
-            if uid is None:
-                raise KeyError(lattice[i])
             loose_entry = isinstance(e, _Loose)
-            final, result = _run_unit(ma, units[uid], e if loose_entry else cells[e], block, rng, depth, i, replays)
+            unit, state = (cell_map[lattice[i]], e) if loose_entry else rows[e]
+            if unit is None:
+                raise KeyError(lattice[i])
+            final, result = _run_unit(ma, unit, state, block, rng, depth, i, replays)
             if not loose_entry:
-                if canonical:
-                    final = strip_clocks(final) if isinstance(final, MimicConfiguration) else final
-                    result = result.output_word
-                final = nexts[e] = row_id(uid, final)
+                if canonical and isinstance(final, MimicConfiguration):
+                    final = strip_clocks(final)
+                final = nexts[e] = row_id((unit, final))
                 results[e] = result
             nxt.append(final)
             per_cell.append(result)
@@ -601,8 +576,10 @@ def _unit_tables(ma: MimicAutomaton, binding: Binding, depth: int, canonical: bo
                 succ = drawn[(lid, after)] = moved(lid, after)
             return succ
     else:
+        moves: dict = {}  # lattice id -> (successor id, (cell, fresh entry) pairs)
+
         def move(lid: int, rng: np.random.Generator | None) -> tuple:
-            succ = moves[lid]
+            succ = moves.get(lid)
             if succ is None:
                 succ = moves[lid] = moved(lid, ca_step(ca, lattices[lid]))
             return succ

@@ -28,6 +28,8 @@ from .cellular import (
     CellState,
     Lattice,
     ProbabilisticCellularAutomaton,
+    RULE_TABLE_CAP,
+    rule_fits,
 )
 from .composition import (
     Binding,
@@ -45,8 +47,6 @@ from .sequential import SequentialAutomaton, Word, validate_sa
 
 STRICT_MAJORITY = "strict_majority"
 PLURALITY = "plurality"
-
-WIDEN_TABLE_CAP = 250_000  # lifted rule tables beyond this are refused
 
 
 @dataclass(frozen=True)
@@ -281,10 +281,9 @@ def _widened_states(base: tuple, slots: Iterable[int]) -> tuple:
 def _widen_scheduler(scheduler: AnyCellular, slots: Iterable[int]) -> AnyCellular:
     states = _widened_states(scheduler.cell_states, slots)
     size = 2 * scheduler.radius + 1
-    entries = len(states) ** size
-    if entries > WIDEN_TABLE_CAP:
+    if not rule_fits(len(states), scheduler.radius):
         raise MimicError(
-            f"widened rule table needs {entries} entries (cap {WIDEN_TABLE_CAP}); "
+            f"widened rule table needs {len(states) ** size} entries (cap {RULE_TABLE_CAP}); "
             "reduce injected slots, states or radius"
         )
     probabilistic = isinstance(scheduler, ProbabilisticCellularAutomaton)

@@ -48,9 +48,11 @@ def _graph_dot(kind: str, states: Mapping[str, MimicConfiguration], initial: str
 
 
 def ts_to_dot(ts: TransitionSystem) -> str:
+    """A system's DOT text; its states are labeled, to draw ``accepting`` ones, only when its vocabulary has it."""
     edges = ((sid, tid, f"{render_word(tuple(action.macro_input))} / {action.label()}")
              for sid, row in ts.transitions.items() for action, tid in row)
-    return _graph_dot("ts", ts.states, ts.initial, edges, lambda sid: ACCEPTING in ts.atomic_props.get(sid, ()))
+    accepting = (lambda sid: ACCEPTING in ts.atomic_props.get(sid, ())) if ACCEPTING in ts.vocabulary else None
+    return _graph_dot("ts", ts.states, ts.initial, edges, accepting)
 
 
 def dtmc_to_dot(dtmc: Dtmc) -> str:

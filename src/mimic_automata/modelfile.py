@@ -39,6 +39,7 @@ from .cellular import (
     CellularAutomaton,
     ProbabilisticCellularAutomaton,
     builtin_rule_table,
+    rule_fits,
     validate_ca,
     validate_pca,
 )
@@ -405,7 +406,11 @@ class _Block:
         before the first ``->`` when ``size`` is None) and the value ``value(texts after ->, line)``,
         which returns None to drop an entry it reported. An entry of another shape, or whose value
         ``value`` refuses with ValueError, is reported as ``shape``; a repeated key as a duplicate
-        ``noun`` at its first token, and the last entry is kept."""
+        ``noun`` at its first token, and the last entry is kept. Text after the field's colon is
+        reported at its first token and read as no entry."""
+        if field.texts:
+            self.err(f"text after '{field.name} table:' is not an entry", field.line, field.tokens[0][1],
+                     hint="put each entry on its own line below the field")
         table = {}
         for entry in field.entries:
             texts, line = entry.texts, entry.line
@@ -531,8 +536,9 @@ def _build_ca(b: _Block, doc: ModelDocument) -> CellularAutomaton | None:
             b.err("rule expr expects one of " + "|".join(BUILTIN_RULES), expr_f.line, expr_f.col)
             return None
         rule_expr = names[0]
-        try:  # a negative radius has no neighborhoods; validate_ca reports it
-            rule = builtin_rule_table(rule_expr, cell_states, radius) if radius >= 0 else {}
+        try:  # validate_ca reports a negative radius, which has no neighborhoods, and a rule above the cap
+            fits = radius >= 0 and rule_fits(len(cell_states), radius)
+            rule = builtin_rule_table(rule_expr, cell_states, radius) if fits else {}
         except MimicError as exc:
             b.err(str(exc), expr_f.line, expr_f.col)
             return None

@@ -36,6 +36,7 @@ from mimic_automata import (
     validate_pca,
     validate_sa,
 )
+from mimic_automata.checker import builtin_labeling
 from mimic_automata.detect import validate_signature
 from mimic_automata.dhr import dhr_rules, serial_rules, validate_dhr, validate_serial
 from mimic_automata.dot import ca_graph_dot, dtmc_to_dot, ts_to_dot
@@ -642,6 +643,22 @@ def test_dot_exports_are_wellformed():
     assert "0.5" in dtmc_to_dot(dtmc)
     raw = ca_graph_dot(xor_ca("x", width=3))
     assert raw.count("->") >= 8
+
+
+def test_dot_export_of_a_flattened_system_labels_no_state():
+    # its vocabulary lacks "accepting", so no state is labeled to look for it,
+    # not even under a labeling that returns it without declaring it
+    ma = parity_ma()
+    props, vocabulary = builtin_labeling(ma)
+    calls = []
+
+    def counting(cfg):
+        calls.append(cfg)
+        return props(cfg) | {"accepting"}
+
+    text = ts_to_dot(flatten(ma, UNIVERSE, labeling=(counting, vocabulary)))
+    assert calls == []
+    assert "peripheries" not in text and text.count("[label=") == 2 + 2 * len(UNIVERSE)
 
 
 def test_dot_exports_are_exact():

@@ -39,6 +39,14 @@ def test_validate_reports_diagnostics_on_stderr(capsys, tmp_path):
     assert out == ""
 
 
+def test_validate_refuses_a_rule_above_the_cap(capsys, tmp_path):
+    big = tmp_path / "big.ma"
+    big.write_text("ca big {\n  cell_states: 0 1\n  width: 3\n  radius: 9\n  rule expr: majority\n}\n")
+    code, out, err = run(capsys, ["validate", str(big)])
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "[rule-size] big: 2^19 neighborhoods exceed the cap of 250000" in err
+
+
 def test_validate_reports_a_file_that_is_not_utf8_and_reads_the_others(capsys, tmp_path):
     bad = tmp_path / "bad.ma"
     bad.write_bytes(b"\xff\xfe")

@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -738,6 +739,56 @@ def test_an_empty_rule_table_reports_where_it_did():
     assert str(diagnostics[0]) == "f.ma:1:1: ca x: [rule-totality] ('0', '0', '0'): missing rule entry"
     _, diagnostics = parse(text.replace("table:   \n", "table:\n    0 0 -> 1\n"), "f.ma")
     assert str(diagnostics[0]) == "f.ma:5:1: rule entry expects 3 states, '->', one state"
+
+
+def rule_block(kind: str, states: str, radius: int, rule: str) -> str:
+    return f"{kind} big {{\n  cell_states: {states}\n  width: 3\n  radius: {radius}\n  {rule}\n}}\n"
+
+
+def test_a_rule_above_the_cap_is_refused_before_anything_enumerates_it():
+    # majority over two states has 2^17 neighborhoods at radius 8, under the
+    # 250,000 cap, and 2^19 at radius 9; expanding radius 9 took about 190 MiB
+    cases = [
+        (rule_block("ca", "0 1", 9, "rule expr: majority"), "2^19"),
+        (rule_block("ca", "0 1 2", 10**9, "rule expr: identity"), "3^2000000001"),
+        (rule_block("pca", "0 1", 9, "rule table:"), "2^19"),
+    ]
+    for text, count in cases:
+        tracemalloc.start()
+        try:
+            _, diagnostics = parse(text, "f.ma")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kind = text.split()[0]
+        assert [str(d) for d in diagnostics] == [
+            f"f.ma:1:1: {kind} big: [rule-size] big: {count} neighborhoods exceed the cap of 250000; "
+            "use fewer cell states or a smaller radius"
+        ]
+        assert peak < 1 << 20, (count, peak)  # 1 MiB
+    doc, diagnostics = parse(rule_block("ca", "0 1", 8, "rule expr: majority"), "f.ma")
+    assert diagnostics == [] and len(doc.cas["big"].rule) == 2**17
+
+
+def test_a_rule_reports_sixteen_missing_entries_then_a_count_of_the_rest():
+    for radius, missing in ((4, 2**9), (8, 2**17)):
+        _, diagnostics = parse(rule_block("ca", "0 1", radius, "rule table:"), "f.ma")
+        lines = [str(d) for d in diagnostics]
+        assert len(lines) == 17
+        assert all(line.endswith("missing rule entry") for line in lines[:16])
+        assert lines[15].endswith(f"{('0',) * (2 * radius - 3) + ('1',) * 4}: missing rule entry")
+        assert lines[16] == f"f.ma:1:1: ca big: [rule-totality] big: {missing - 16} more missing rule entries"
+
+
+def test_text_after_a_table_fields_colon_is_reported_at_its_first_token():
+    text = "ca x {\n  cell_states: 0 1\n  width: 2\n  rule table: 0 0 0 -> 1\n    0 0 1 -> 0\n}\n"
+    _, diagnostics = parse(text, "f.ma")
+    assert str(diagnostics[0]) == (
+        "f.ma:4:15: text after 'rule table:' is not an entry (put each entry on its own line below the field)"
+    )
+    # the header's text is no entry, the next line's is
+    assert len(diagnostics) == 1 + 7
+    assert all("('0', '0', '1')" not in str(d) for d in diagnostics)
 
 
 def big_sa_document(machines: int, states: int, symbols: str) -> str:

@@ -548,11 +548,11 @@ def test_ticks_build_no_configuration_and_hash_fault_tags_per_lattice_not_per_ti
 
 def test_a_replay_where_no_row_repeats_numbers_one_row_per_visited_unit_state(monkeypatch):
     numbered = []
-    real_rows = composition._row_numbering
+    real_numbering = composition._numbering
 
-    def recording_rows(states, *columns):
-        numbered.append(states)
-        return real_rows(states, *columns)
+    def recording_numbering(values):
+        numbered.append(values)
+        return real_numbering(values)
 
     # three counters with more states than the schedule has symbols, on a still lattice
     sas = {f"k{n}": echo_sa(f"k{n}", n) for n in (200, 201, 202)}
@@ -561,13 +561,16 @@ def test_a_replay_where_no_row_repeats_numbers_one_row_per_visited_unit_state(mo
     ma = MimicAutomaton("noreuse", sas, {"still3": identity_ca("still3", 3, ("0", "1", "2"))}, {}, {"b": b}, "b")
     rnd = random.Random(12)
     schedule = [tuple(rnd.choice("ab") for _ in range(rnd.randint(1, 3))) for _ in range(60)]
-    monkeypatch.setattr(composition, "_row_numbering", recording_rows)
+    monkeypatch.setattr(composition, "_numbering", recording_numbering)
     ticks, final = replayed(ma, b.seed, schedule)
     assert (ticks, final) == reference_fold(ma, b.seed, schedule)
-    visited = {(j, state) for j, state in enumerate(ma_initial(ma, b.seed).unit_states)}
-    visited |= {(j, record[0]) for tick in ticks for j, record in enumerate(tick[2])}
-    assert len(numbered) == 1
-    assert len(numbered[0]) == len(visited) == 3 * (len(schedule) + 1)
+    visited = {(b.cell_map[str(j)], state) for j, state in enumerate(ma_initial(ma, b.seed).unit_states)}
+    visited |= {(b.cell_map[str(j)], record[0]) for tick in ticks for j, record in enumerate(tick[2])}
+    # one numbering of lattices and one of rows, each row a (unit, unit state) pair
+    rows = [values for values in numbered if values and isinstance(values[0][0], SaUnit)]
+    assert len(numbered) == 2 and len(rows) == 1
+    assert len(rows[0]) == len(visited) == 3 * (len(schedule) + 1)
+    assert set(rows[0]) == visited
 
 
 def late_rejection_ma():
