@@ -14,7 +14,6 @@ import itertools
 import math
 from array import array
 from bisect import bisect_right
-from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -632,86 +631,52 @@ def check_reach(ts: TransitionSystem, target: Pred | str) -> CheckResult:
 ACCEPTING = "accepting"
 
 
+def _monitor_moves(store: _Store, pattern: SequentialAutomaton) -> Callable:
+    """``_explore``'s successors over (base state index, monitor state) pairs of ``store``.
+
+    The monitor reads each edge's output label; a label outside its
+    alphabet, or without a move, leaves it in place. No pair's
+    configuration is ever built, so the pair stores' ``make_config`` is None.
+    """
+    alphabet = set(pattern.input_alphabet)
+    moves = pattern.transitions
+
+    def successors(_, pair, __):
+        sid, pat = pair
+        for action, tid in zip(*store.edges(sid)):
+            label = action.label()
+            yield action, (tid, moves.get((pat, label), pat) if label in alphabet else pat)
+
+    return successors
+
+
 def product(
     ts: TransitionSystem, pattern: SequentialAutomaton, bound: int = DEFAULT_FLATTEN_BOUND
 ) -> TransitionSystem:
     """Synchronous product with a monitor machine over action labels.
 
-    The monitor reads each transition's output label; labels outside its
-    alphabet (or without a transition) leave it in place. Product states
-    whose monitor component is final carry the ``accepting`` proposition.
-    Exceeding ``bound`` product states raises ExplosionError.
-    No command calls it: the tests use it as the oracle of ``_monitor_witness``
-    and the benchmark's tracing imports it. It moves to
-    ``tests/reference_interpreter.py`` once that probe is replaced.
+    Its states are every pair ``_monitor_witness`` could visit: the same
+    ``_explore`` with no stop test, named ``p<i>`` in discovery order.
+    Product states whose monitor component is final carry the
+    ``accepting`` proposition. Exceeding ``bound`` product states raises
+    ExplosionError. No command calls it; the benchmark's tracing does.
     """
-    base: dict[str, tuple[MimicConfiguration, frozenset[str]]] = {}  # each read once per call
-
-    def base_state(sid: str) -> tuple[MimicConfiguration, frozenset[str]]:
-        entry = base.get(sid)
-        if entry is None:
-            entry = base[sid] = (ts.states[sid], ts.atomic_props[sid])
-        return entry
-
-    alphabet = set(pattern.input_alphabet)
-    start = (ts.initial, pattern.initial)
-    ids = {start: "p0"}
-    states = {"p0": base_state(ts.initial)[0]}
-    atomic_props: dict[str, frozenset[str]] = {}
-    transitions: dict[str, tuple[tuple[Action, str], ...]] = {}
-    order = deque([start])
-    pat_of = {"p0": pattern.initial}
-    base_of = {"p0": ts.initial}
-
-    def props_for(sid: str, pat_state: str) -> frozenset[str]:
-        props = base_state(sid)[1]
-        if pat_state in pattern.finals:
-            return props | {ACCEPTING}
-        return props  # shared, not copied: the sets are immutable
-
-    atomic_props["p0"] = props_for(*start)
-    labels: dict[Action, str] = {}  # one label() per distinct action
-    while order:
-        node = order.popleft()
-        sid, pat = node
-        pid = ids[node]
-        edges = []
-        for action, tid in ts.transitions.get(sid, ()):
-            label = labels.get(action)
-            if label is None:
-                label = labels[action] = action.label()
-            if label in alphabet and (pat, label) in pattern.transitions:
-                pat_next = pattern.transitions[(pat, label)]
-            else:
-                pat_next = pat  # monitor convention: unmentioned labels self-loop
-            key = (tid, pat_next)
-            qid = ids.get(key)
-            if qid is None:
-                if len(ids) >= bound:
-                    raise ExplosionError(bound, len(order) + 1)
-                qid = f"p{len(ids)}"
-                ids[key] = qid
-                states[qid] = base_state(tid)[0]
-                atomic_props[qid] = props_for(tid, pat_next)
-                pat_of[qid] = pat_next
-                base_of[qid] = tid
-                order.append(key)
-            edges.append((action, qid))
-        transitions[pid] = tuple(edges)
-
-    return TransitionSystem(
-        states=states,
-        initial="p0",
-        transitions=transitions,
-        atomic_props=atomic_props,
-        vocabulary=ts.vocabulary | {ACCEPTING},
-        metadata={
-            **ts.metadata,
-            "pattern": pattern.name,
-            "pattern_state": pat_of,
-            "base_state": base_of,
-        },
-    )
+    store, props, name, _ = _graph(ts)
+    pairs, _ = _explore((0, pattern.initial), None, _monitor_moves(store, pattern), bound)
+    names = [f"p{i}" for i in range(len(pairs.keys))]
+    base: dict[int, tuple[MimicConfiguration, frozenset[str]]] = {}  # each read once per call
+    states, transitions, atomic_props, pat_of, base_of = {}, {}, {}, {}, {}
+    for i, (pid, (sid, pat)) in enumerate(zip(names, pairs.keys)):
+        if sid not in base:
+            base[sid] = (store.config(sid), props(sid))
+        states[pid], atomic_props[pid] = base[sid]
+        if pat in pattern.finals:
+            atomic_props[pid] = atomic_props[pid] | {ACCEPTING}  # else shared: the sets are immutable
+        labels, targets = pairs.edges(i)
+        transitions[pid] = tuple(zip(labels, map(names.__getitem__, targets)))
+        pat_of[pid], base_of[pid] = pat, name(sid)
+    metadata = {**ts.metadata, "pattern": pattern.name, "pattern_state": pat_of, "base_state": base_of}
+    return TransitionSystem(states, "p0", transitions, atomic_props, ts.vocabulary | {ACCEPTING}, metadata)
 
 
 def _monitor_witness(
@@ -720,26 +685,16 @@ def _monitor_witness(
     """Shortest base-state path driving the monitor into a final state, or None.
 
     ``_explore`` over (base state, monitor state) pairs, stopped at the
-    first final pair: a pair's successors depend only on that pair, so the
-    pairs are numbered in ``product(ts, pattern)``'s discovery order and the
-    path is the witness ``check_reach`` finds there, mapped to its base
-    states. No product states, rows or propositions are built. Holding more
-    than ``bound`` pairs raises ExplosionError.
+    first final pair: the pairs are ``product(ts, pattern)``'s, in its
+    discovery order, and the path is the witness ``check_reach`` finds
+    there, mapped to its base states. No product states, rows or
+    propositions are built. Holding more than ``bound`` pairs raises
+    ExplosionError.
     """
-    alphabet = set(pattern.input_alphabet)
-    moves = pattern.transitions
     store, _, name, _ = _graph(ts)
-
-    def successors(_, pair, __):
-        sid, pat = pair
-        for action, tid in zip(*store.edges(sid)):
-            label = action.label()
-            # monitor convention, as in ``product``: unmentioned labels self-loop
-            yield action, (tid, moves.get((pat, label), pat) if label in alphabet else pat)
-
     finals = pattern.finals
     pairs, hit = _explore(
-        (0, pattern.initial), lambda pair: store.config(pair[0]), successors, bound, lambda pair: pair[1] in finals
+        (0, pattern.initial), None, _monitor_moves(store, pattern), bound, lambda pair: pair[1] in finals
     )
     return None if hit is None else pairs.path_to(hit, lambda index: name(pairs.keys[index][0]))
 
@@ -1211,6 +1166,8 @@ def check_property(
     reach then holds only when its shortest witness has at most ``horizon``
     actions. A bad prefix is searched as ``detect`` searches a signature.
     """
+    if prop.kind not in (INVARIANT, REACH, BAD_PREFIX):
+        raise PropertyError(f"unknown property kind {prop.kind!r}")
     universe = prop.inputs if prop.inputs is not None else input_universe
     if has_randomness(ma):
         if prop.kind != REACH:
@@ -1245,8 +1202,6 @@ def check_property(
         if prop.horizon is not None and result.verdict == "holds" and len(result.counterexample) > prop.horizon:
             return CheckResult("violated", stats=result.stats)  # the witness is a shortest one
         return result
-    if prop.kind == BAD_PREFIX:
-        witness = _bad_prefix_witness(ts, bound)(prop.pattern)
-        stats = {"states": len(ts.states), "transitions": ts.transition_count, "pattern": prop.pattern.name}
-        return CheckResult("holds" if witness is None else "violated", counterexample=witness, stats=stats)
-    raise PropertyError(f"unknown property kind {prop.kind!r}")
+    witness = _bad_prefix_witness(ts, bound)(prop.pattern)
+    stats = {"states": len(ts.states), "transitions": ts.transition_count, "pattern": prop.pattern.name}
+    return CheckResult("holds" if witness is None else "violated", counterexample=witness, stats=stats)

@@ -683,7 +683,6 @@ def ma_run(
     cfg: MimicConfiguration,
     schedule: Iterable,
     seed: int | None = None,
-    rng: np.random.Generator | None = None,
 ) -> tuple[MimicConfiguration, MacroTrace]:
     """Fold the mode-appropriate macro step over a schedule.
 
@@ -694,8 +693,7 @@ def ma_run(
     final one.
     """
     binding = ma.root()
-    if rng is None and has_randomness(ma):
-        rng = master_stream(seed)
+    rng = master_stream(seed) if has_randomness(ma) else None
     encode, step, decode = _replay(ma, binding, depth=1)
     state = encode(cfg)
     clock = cfg.macro_clock

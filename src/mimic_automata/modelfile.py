@@ -103,9 +103,6 @@ class ModelDocument:
     properties: dict[str, Property] = dc_field(default_factory=dict)
     signatures: dict[str, Signature] = dc_field(default_factory=dict)
 
-    def cellular(self, name: str):
-        return self.cas.get(name) or self.pcas.get(name)
-
 
 # ---------------------------------------------------------------------------
 # lexical scan

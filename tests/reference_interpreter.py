@@ -4,7 +4,8 @@ Re-implements the composite step semantics from scratch with plain loops and
 dicts, reading only the model dataclasses' fields. It shares no run-time code
 with the package: every fold, closure and priority rule is re-derived here in
 the most literal way, deliberately without optimizations, so that agreement
-with the package's interpreter is meaningful evidence.
+with the package's interpreter is meaningful evidence. The monitor product
+and its witness search read a transition system's dicts by state name.
 
 All run-time states are plain data: machine states are strings, hierarchy
 states are ("ha", sorted (machine, state) tuples), nested binding states are
@@ -13,6 +14,7 @@ states are ("ha", sorted (machine, state) tuples), nested binding states are
 
 from __future__ import annotations
 
+import collections
 import itertools
 
 
@@ -325,3 +327,97 @@ def ref_reachable(ma, universe, lattice0=None):
                     nxt.append(after)
         frontier = nxt
     return seen
+
+
+# --- monitors over a transition system --------------------------------------
+
+def _ref_label(action):
+    """An edge's label, from its output word: symbols joined, with spaces unless all are one character."""
+    if action.output is None:
+        return "<abstain>"
+    parts = [str(sym) for sym in action.output]
+    return "".join(parts) if all(len(p) == 1 for p in parts) else " ".join(parts)
+
+
+def ref_monitor_step(pattern, state, label):
+    """A label outside the monitor's alphabet, or one with no move, leaves the monitor where it is."""
+    if label in pattern.input_alphabet and (state, label) in pattern.transitions:
+        return pattern.transitions[(state, label)]
+    return state
+
+
+def _ref_pair_successors(ts, pattern, pair):
+    sid, state = pair
+    for action, tid in ts.transitions.get(sid, ()):
+        yield action, (tid, ref_monitor_step(pattern, state, _ref_label(action)))
+
+
+class RefBoundExceeded(Exception):
+    """More than ``bound`` pairs; ``frontier`` were still unexpanded, the one being expanded included."""
+
+    def __init__(self, bound, frontier):
+        super().__init__(bound, frontier)
+        self.bound, self.frontier = bound, frontier
+
+
+def ref_product(ts, pattern, bound=None):
+    """The synchronous product of ``ts`` with a monitor over its edges' labels, as a dict of fields.
+
+    A breadth-first search over (state name, monitor state) pairs from
+    ``(ts.initial, pattern.initial)``; the i-th pair found is ``p<i>``, and a
+    pair whose monitor state is final carries ``accepting``. Finding a pair
+    beyond ``bound`` raises ``RefBoundExceeded``. The keys are the fields of
+    a ``TransitionSystem``.
+    """
+    start = (ts.initial, pattern.initial)
+    names = {start: "p0"}
+    transitions = {}
+    queue = collections.deque([start])
+    while queue:
+        pair = queue.popleft()
+        edges = []
+        for action, nxt in _ref_pair_successors(ts, pattern, pair):
+            if nxt not in names:
+                if bound is not None and len(names) >= bound:
+                    raise RefBoundExceeded(bound, len(queue) + 1)
+                names[nxt] = f"p{len(names)}"
+                queue.append(nxt)
+            edges.append((action, names[nxt]))
+        transitions[names[pair]] = tuple(edges)
+    pairs = {name: pair for pair, name in names.items()}
+    return {
+        "states": {name: ts.states[sid] for name, (sid, _) in pairs.items()},
+        "initial": "p0",
+        "transitions": transitions,
+        "atomic_props": {name: ts.atomic_props[sid] | ({"accepting"} if state in pattern.finals else set())
+                         for name, (sid, state) in pairs.items()},
+        "vocabulary": ts.vocabulary | {"accepting"},
+        "metadata": {**ts.metadata, "pattern": pattern.name,
+                     "pattern_state": {name: state for name, (_, state) in pairs.items()},
+                     "base_state": {name: sid for name, (sid, _) in pairs.items()}},
+    }
+
+
+def ref_monitor_witness(ts, pattern):
+    """``(states, actions)`` of a shortest run of ``ts`` that ends the monitor in a final state, or None.
+
+    A breadth-first search over (state name, monitor state) pairs; the run
+    is the first final pair's chain of first-found edges, over state names.
+    """
+    start = (ts.initial, pattern.initial)
+    parent = {start: None}  # pair -> (pair it was found from, action)
+    queue = collections.deque([start])
+    while queue:
+        pair = queue.popleft()
+        if pair[1] in pattern.finals:
+            pairs, actions = [pair], []
+            while parent[pairs[-1]] is not None:
+                before, action = parent[pairs[-1]]
+                pairs.append(before)
+                actions.append(action)
+            return tuple(sid for sid, _ in reversed(pairs)), tuple(reversed(actions))
+        for action, nxt in _ref_pair_successors(ts, pattern, pair):
+            if nxt not in parent:
+                parent[nxt] = (pair, action)
+                queue.append(nxt)
+    return None

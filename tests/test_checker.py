@@ -49,6 +49,7 @@ from helpers import (
     SIGNATURES,
     flip_ma,
     identity_ca,
+    lockstep_counters_ma,
     make_sa,
     parity_ma,
     parity_sa,
@@ -192,6 +193,23 @@ def test_check_property_refuses_no_universe_and_an_unknown_kind():
         check_property(parity_ma(), Property("p", "invariant", parse_predicate("true")))
     with pytest.raises(PropertyError, match="unknown property kind 'eventually'"):
         check_property(parity_ma(), Property("p", "eventually", parse_predicate("true")), UNIVERSE)
+
+
+def test_an_unknown_kind_is_refused_before_any_flatten(monkeypatch):
+    from mimic_automata import checker
+
+    ma = lockstep_counters_ma()  # 5,005 states: far more than a bound of 3
+    with pytest.raises(PropertyError, match="unknown property kind 'bogus'"):
+        check_property(ma, Property("p", "bogus"), [("a",)], bound=3)
+
+    def explore(*args, **kwargs):
+        raise AssertionError("the state space was explored")
+
+    monkeypatch.setattr(checker, "_explore", explore)
+    for model in (ma, flip_ma()):
+        with pytest.raises(PropertyError, match="unknown property kind 'bogus'"):
+            check_property(model, Property("p", "bogus"), [("a",)])
+
 
 def test_flatten_bound_exceeded_reports_frontier():
     counter = make_sa(

@@ -45,6 +45,7 @@ from helpers import (
     rotate_ca,
     x11_parity_ma,
 )
+from reference_interpreter import RefBoundExceeded, ref_monitor_step, ref_monitor_witness, ref_product
 
 UNIVERSE = [("x",)]
 
@@ -202,27 +203,15 @@ def test_no_match_is_complete_up_to_depth_four():
                 assert pat_state not in sig.pattern.finals, (depth, seq)
 
 
-# --- the on-the-fly search against the product it replaces ------------------
+# --- the on-the-fly search and the product against the reference -----------
 
 BLOCKS = [("a",), ("b",), ("b", "a"), ()]
 
 
 def product_witness(ts, pattern):
-    """The witness detection used to give: ``check_reach`` on the product, mapped to base states."""
-    prod = product(ts, pattern)
-    outcome = check_reach(prod, ACCEPTING)
-    if outcome.verdict == "violated":
-        return None
-    base = prod.metadata["base_state"]
-    path = outcome.counterexample
-    return Path(tuple(base[p] for p in path.states), path.actions)
-
-
-def monitor_step(pattern, state, label):
-    """The monitor convention: a label outside the alphabet, or without a move, self-loops."""
-    if label in pattern.input_alphabet:
-        return pattern.transitions.get((state, label), state)
-    return state
+    """The witness detection must give: the reference's shortest run into a final monitor state."""
+    found = ref_monitor_witness(ts, pattern)
+    return None if found is None else Path(*found)
 
 
 def shortest_match_length(ts, pattern):
@@ -233,7 +222,7 @@ def shortest_match_length(ts, pattern):
     while layer:
         if any(state in pattern.finals for _, state in layer):
             return depth
-        layer = {(tid, monitor_step(pattern, state, action.label()))
+        layer = {(tid, ref_monitor_step(pattern, state, action.label()))
                  for sid, state in layer for action, tid in ts.transitions[sid]} - seen
         seen |= layer
         depth += 1
@@ -246,7 +235,7 @@ def assert_witness_matches(ts, pattern, witness):
     state = pattern.initial
     for sid, action, tid in zip(witness.states, witness.actions, witness.states[1:]):
         assert (action, tid) in ts.transitions[sid]
-        state = monitor_step(pattern, state, action.label())
+        state = ref_monitor_step(pattern, state, action.label())
     assert state in pattern.finals
 
 
@@ -332,6 +321,34 @@ def test_monitor_witness_is_the_product_witness():
         assert [r.matched for r in report.results] == [w is not None for w in expected]
         for pattern, result in zip(monitors, checked):
             assert result.stats == {**report.stats, "pattern": pattern.name}
+    assert min(seen.values()) >= 5, seen
+
+
+def test_product_is_the_reference_product():
+    rnd = random.Random(2003)
+    seen = collections.Counter()
+    for ma, universe, lattice0 in oracle_cases():
+        ts = flatten(ma, universe, lattice0=lattice0)
+        labels = emitted_labels(ts)
+        for i in range(2):
+            pattern = random_monitor(rnd, labels, f"mon{i}")
+            want = ref_product(ts, pattern)
+            prod = product(ts, pattern)
+            assert vars(prod) == want, (ma.name, pattern)
+            assert list(prod.states) == list(want["states"])  # p<i> in discovery order
+            seen["pairs > states"] += len(prod.states) > len(ts.states)
+            seen["accepting"] += any(ACCEPTING in props for props in prod.atomic_props.values())
+            n = len(want["states"])
+            for bound in {1, max(1, n - 1), n}:
+                try:
+                    bounded = ref_product(ts, pattern, bound)
+                except RefBoundExceeded as exceeded:
+                    with pytest.raises(ExplosionError) as exc:
+                        product(ts, pattern, bound)
+                    assert (exc.value.bound, exc.value.frontier) == (exceeded.bound, exceeded.frontier)
+                    seen["exceeded"] += 1
+                else:
+                    assert vars(product(ts, pattern, bound)) == bounded
     assert min(seen.values()) >= 5, seen
 
 
@@ -548,7 +565,8 @@ def test_deep_searches_equal_a_plain_breadth_first_search(seed):
     never = make_sa("never", ("w", "hit"), "w", ("hit",), ("a", "c"), delta=[("w", "c", "hit")], partial=True)
     for pattern in (armed, never):
         def pairs(pair):
-            return [(action, (tid, monitor_step(pattern, pair[1], action.label()))) for action, tid in rows[pair[0]]]
+            return [(action, (tid, ref_monitor_step(pattern, pair[1], action.label())))
+                    for action, tid in rows[pair[0]]]
 
         found = deque_bfs((ts.initial, pattern.initial), pairs, lambda pair: pair[1] in pattern.finals)
         witness = _monitor_witness(ts, pattern)
@@ -592,7 +610,7 @@ def monitor_reach(pattern, labels):
     """Monitor states reachable from the initial one on ``labels``, under the monitor convention."""
     reach, frontier = {pattern.initial}, [pattern.initial]
     while frontier:
-        frontier = [monitor_step(pattern, state, label) for state in frontier for label in labels]
+        frontier = [ref_monitor_step(pattern, state, label) for state in frontier for label in labels]
         frontier = [state for state in frontier if state not in reach]
         reach.update(frontier)
     return reach

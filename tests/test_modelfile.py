@@ -571,13 +571,6 @@ def test_a_failed_block_hides_no_reference_of_another_kind(edits, message):
     assert message in [d.message for d in diags]
 
 
-def test_cellular_finds_a_ca_or_a_pca_by_name():
-    doc, diags = parse(PARITY_DOC + FLIP_DOC)
-    assert diags == []
-    assert doc.cellular("ident1") is doc.cas["ident1"] and doc.cellular("flip") is doc.pcas["flip"]
-    assert doc.cellular("parity") is None
-
-
 @pytest.mark.parametrize("kind, value", [("ca", "one state"), ("pca", "then state@prob pairs")])
 def test_a_table_entry_of_a_negative_radius_is_reported(kind, value):
     # the pca table used to index the entry at the negative neighborhood size and raise IndexError
