@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
 
-from .errors import DimensionError, MimicError, SizeCapError, Violation, checked
+from .errors import DimensionError, MimicError, SizeCapError, Violation, checked, value_class
 
 CellState = Hashable
 Lattice = tuple
@@ -34,7 +33,7 @@ FIXPOINT = "fixpoint"
 STEP_CAP = "step_cap"
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class CellularAutomaton:
     """Synchronous 1-D lattice automaton with a total local rule.
 
@@ -64,7 +63,7 @@ class CellularAutomaton:
         return checked(self, validate_ca)
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class ProbabilisticCellularAutomaton:
     """Cellular automaton whose local rule yields a distribution per neighborhood.
 
@@ -223,7 +222,7 @@ def ca_step(ca: CellularAutomaton, lattice: Lattice) -> Lattice:
     return tuple(rule[padded[i:i + size]] for i in range(len(lattice)))
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class CaRun:
     """Trace of a run: every lattice from the initial one, and why it stopped."""
 

@@ -15,7 +15,7 @@ import math
 from array import array
 from bisect import bisect_right
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import field
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
@@ -53,6 +53,7 @@ from .errors import (
     SizeCapError,
     Violation,
     each_member,
+    value_class,
 )
 from .hierarchical import ha_rules
 from .props import Pred, atoms_of, check_vocabulary, eval_predicate, parse_predicate
@@ -82,7 +83,7 @@ def render_word(word: Word | None) -> str:
     return " ".join(parts)
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class Action:
     """One macro transition label: the macro input and the observable output.
 
@@ -100,7 +101,7 @@ class Action:
         return self._label
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class Path:
     """Alternating evidence path: ``states[i] --actions[i]--> states[i+1]``."""
 
@@ -111,7 +112,7 @@ class Path:
         return len(self.actions)
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class CheckResult:
     """Outcome of one property check.
 
@@ -127,7 +128,7 @@ class CheckResult:
     stats: Mapping[str, object] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class Property:
     """A checkable claim over a model's labeled state space."""
 
@@ -140,7 +141,7 @@ class Property:
     horizon: int | None = None
 
 
-@dataclass
+@value_class
 class TransitionSystem:
     """Explicit reachable-state graph with labeled transitions and propositions.
 
@@ -164,7 +165,7 @@ class TransitionSystem:
         return sum(len(edges) for edges in self.transitions.values())
 
 
-@dataclass
+@value_class
 class Dtmc:
     """Discrete-time Markov chain over canonical configurations.
 

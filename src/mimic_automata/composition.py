@@ -46,6 +46,7 @@ from .errors import (
     StuckError,
     Violation,
     checked,
+    value_class,
 )
 from .hierarchical import HaConfiguration, HierarchicalAutomaton, ha_initial, ha_step_with_output
 from .rng import master_stream
@@ -57,21 +58,21 @@ MODE_CA_FROM_SA = "ca_from_sa"
 DEFAULT_MAX_DEPTH = 4
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class SaUnit:
     """A cell hosting one sequential automaton."""
 
     sa: str
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class HaUnit:
     """A cell hosting a hierarchical automaton; the whole automaton receives the input."""
 
     ha: str
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class NestedUnit:
     """A cell hosting an entire nested binding."""
 
@@ -81,7 +82,7 @@ class NestedUnit:
 Unit = SaUnit | HaUnit | NestedUnit
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class Readout:
     """Total mapping from final lattices to one input symbol of the outer machine.
 
@@ -111,7 +112,7 @@ class Readout:
         raise ReadoutError(f"unknown readout kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class Binding:
     """One coupling of a cellular automaton with hosted units.
 
@@ -137,7 +138,7 @@ class Binding:
             object.__setattr__(self, "seed", tuple(self.seed))
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class MimicAutomaton:
     """Named sets of component automata plus the binding that couples them.
 
@@ -172,7 +173,7 @@ class MimicAutomaton:
         return checked(self, validate_ma)
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class MimicConfiguration:
     """Run-time state: the lattice, one unit state per cell, the macro clock.
 

@@ -17,7 +17,7 @@ report (no witness, the same ``stats``) is the search's own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Iterable, Mapping, Sequence
 
 from .checker import (
@@ -29,11 +29,11 @@ from .checker import (
     flatten,
 )
 from .composition import MimicAutomaton
-from .errors import Violation, checked
+from .errors import Violation, checked, value_class
 from .sequential import SequentialAutomaton, validate_sa
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class Signature:
     """One behavioral pattern with an identifier and an ordinal severity."""
 
@@ -55,16 +55,20 @@ def signature_rules(sig: Signature) -> list[Violation]:
     return [] if sig.pattern.finals else [Violation("matchable", sig.id, "pattern has no final states")]
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class SignatureResult:
+    """One signature's outcome: whether it matched, and a shortest witness path if so."""
+
     signature_id: str
     severity: int
     matched: bool
     witness: Path | None
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class DetectionReport:
+    """Every signature's result for one model, in signature order, with the flatten's sizes."""
+
     model: str
     results: tuple[SignatureResult, ...]
     stats: Mapping[str, object] = field(default_factory=dict)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -41,7 +41,7 @@ from .composition import (
     has_randomness,
     ma_initial,
 )
-from .errors import MimicError, ModelValidationError, Violation, checked, each_member
+from .errors import MimicError, ModelValidationError, Violation, checked, each_member, value_class
 from .rng import master_stream
 from .sequential import SequentialAutomaton, Word, validate_sa
 
@@ -49,7 +49,7 @@ STRICT_MAJORITY = "strict_majority"
 PLURALITY = "plurality"
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class FaultTagged:
     """Cell state carrying a per-slot fault marker.
 
@@ -77,7 +77,7 @@ def base_state(q: CellState) -> CellState:
     return q.base if isinstance(q, FaultTagged) else q
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class VoterPolicy:
     """Output arbiter. ``quorum`` defaults to a strict majority of the width.
 
@@ -124,7 +124,7 @@ def vote(policy: VoterPolicy, words: Sequence[Word]) -> tuple[Word | None, froze
     return voted, frozenset(i for i, w in enumerate(words) if w != voted)
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class DhrStructure:
     """Executors indexed by cell state, a scheduler, and an output arbiter."""
 
@@ -155,7 +155,7 @@ class DhrStructure:
         return checked(self, validate_dhr)
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class DhrStepReport:
     """One tick: frozen-lattice per-slot runs, then the vote, then the reconfiguration."""
 
@@ -167,7 +167,7 @@ class DhrStepReport:
     lattice_after: Lattice
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class SerialDhr:
     """Two or more structures in series: each stage consumes the previous vote."""
 
@@ -185,7 +185,7 @@ class SerialDhr:
         return checked(self, validate_serial)
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class SerialTick:
     """End-to-end record of one serial tick; ``aborted_at`` names an abstaining stage."""
 

@@ -1,11 +1,92 @@
-"""Exception types and the validation-violation record shared across the library."""
+"""Exception types, the validation-violation record and the value-class decorator
+shared across the library."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+from operator import attrgetter
 
 
-@dataclass(frozen=True)
+def value_class(cls=None, /, *, frozen=False):
+    """``@dataclass(frozen=...)`` without generating code for each class.
+
+    ``dataclass(init=False, repr=False, eq=False)`` records the fields and
+    runs no ``exec``, so ``fields``, ``replace``, ``is_dataclass`` and
+    ``__match_args__`` work as before. The methods it would have generated
+    are the closures below: ``__init__`` (positional or keyword arguments,
+    defaults, ``default_factory``, then ``__post_init__``), ``__repr__``,
+    ``__eq__`` and ``__hash__`` over one field getter, and, when frozen,
+    ``__setattr__`` and ``__delattr__`` raising ``FrozenInstanceError``. A
+    method written in the class wins. The class has no ``__slots__``, and
+    every field is an ``__init__`` argument.
+    """
+    if cls is None:
+        return lambda cls: value_class(cls, frozen=frozen)
+    dataclass(init=False, repr=False, eq=False)(cls)
+    specs = fields(cls)
+    names = tuple(f.name for f in specs)
+    arity = len(names)
+    get = attrgetter(*names)
+    key = get if arity > 1 else lambda self: (get(self),)  # a tuple, as dataclass compares and hashes
+    post_init = hasattr(cls, "__post_init__")
+    set_field = object.__setattr__  # as dataclass sets them: the values stay inline, with no __dict__ object
+
+    def bind(args, kwargs):
+        if len(args) > arity:
+            raise TypeError(f"{cls.__qualname__}() takes {arity} positional arguments but {len(args)} were given")
+        values, missing = list(args), []
+        for f in specs[len(args):]:
+            if f.name in kwargs:
+                values.append(kwargs.pop(f.name))
+            elif f.default is not MISSING:
+                values.append(f.default)
+            elif f.default_factory is not MISSING:
+                values.append(f.default_factory())
+            else:
+                missing.append(f.name)
+        if kwargs:
+            raise TypeError(f"{cls.__qualname__}() got an unexpected or repeated argument {next(iter(kwargs))!r}")
+        if missing:
+            raise TypeError(f"{cls.__qualname__}() missing required arguments: {', '.join(missing)}")
+        return values
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != arity:
+            args = bind(args, kwargs)
+        for name, value in zip(names, args):
+            set_field(self, name, value)
+        if post_init:
+            self.__post_init__()
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(names, key(self)))
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    methods = {"__init__": __init__, "__repr__": __repr__, "__eq__": __eq__}
+    if frozen:
+        methods.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
+    for name, method in methods.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, method)
+    if cls.__dict__.get("__hash__") is None:  # as dataclass: an unfrozen class with eq is unhashable
+        cls.__hash__ = (lambda self: hash(key(self))) if frozen else None
+    return cls
+
+
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+@value_class(frozen=True)
 class Violation:
     """One broken invariant, reported as data rather than raised.
 

@@ -14,15 +14,14 @@ their initial states; a self-loop keeps its descendants untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .errors import StuckError, Violation, checked, each_member
+from .errors import StuckError, Violation, checked, each_member, value_class
 from .sequential import SequentialAutomaton, State, Symbol, validate_sa
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class HierarchicalAutomaton:
     """Tree of sequential automata; ``root`` names the top machine."""
 
@@ -63,7 +62,7 @@ class HierarchicalAutomaton:
         return checked(self, validate_ha)
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class HaConfiguration:
     """Active machines and their states, stored sorted by machine name."""
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field as dc_field
+from dataclasses import field as dc_field
 from typing import Callable, NamedTuple
 
 from .cellular import (
@@ -67,7 +67,7 @@ from .dhr import (
     dhr_rules,
     serial_rules,
 )
-from .errors import MimicError, PropertyError, Violation
+from .errors import MimicError, PropertyError, Violation, value_class
 from .hierarchical import HierarchicalAutomaton, ha_rules
 from .props import parse_predicate, render_predicate
 from .sequential import SequentialAutomaton, validate_sa
@@ -75,8 +75,10 @@ from .sequential import SequentialAutomaton, validate_sa
 KINDS = ("binding", "ca", "dhr", "ha", "ma", "pca", "property", "sa", "serial_dhr", "signature")
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class Diagnostic:
+    """A message about a document position, printed as ``file:line:col: message (hint)``."""
+
     file: str
     line: int
     col: int
@@ -88,7 +90,7 @@ class Diagnostic:
         return f"{text} ({self.hint})" if self.hint else text
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class ModelDocument:
     """All blocks of a document set, resolved and keyed by name per kind."""
 
@@ -151,8 +153,10 @@ class RawField(RawValue):
         self.entries: list[RawValue] | tuple = [] if sub == "table" else ()
 
 
-@dataclass
+@value_class
 class RawBlock:
+    """A ``kind name { ... }`` block as scanned: its header and field lines, not yet built."""
+
     kind: str
     name: str
     file: str
@@ -243,8 +247,10 @@ class _FieldSpec(NamedTuple):
     subs: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class _Kind:
+    """How one block kind is built, written and checked, and its fields in canonical order."""
+
     attr: str  # the ModelDocument attribute holding this kind's objects
     build: Callable  # (_Block, ModelDocument) -> object | None
     write: Callable  # object -> {field: value}; see _write_block
@@ -265,7 +271,7 @@ def _kind(attr: str, build, write, fields: str, check=None) -> _Kind:
     return _Kind(attr, build, write, specs, check)
 
 
-@dataclass
+@value_class
 class _Shared:
     """What a document's blocks share while it is built."""
 

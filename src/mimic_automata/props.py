@@ -9,35 +9,44 @@ constants ``true`` and ``false`` are available.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .errors import PropertyError
+from .errors import PropertyError, value_class
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class Atom:
+    """A proposition name, true in a state whose labels include it."""
+
     name: str
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class Not:
+    """Negation of ``inner``."""
+
     inner: "Pred"
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class And:
+    """Conjunction: both sides hold."""
+
     left: "Pred"
     right: "Pred"
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class Or:
+    """Disjunction: at least one side holds."""
+
     left: "Pred"
     right: "Pred"
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class Const:
+    """The constant ``true`` or ``false``."""
+
     value: bool
 
 

@@ -10,14 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import InputRejectedError, MimicError, Violation, checked
+from .errors import InputRejectedError, MimicError, Violation, checked, value_class
 
 Symbol = str
 State = str
 Word = tuple[Symbol, ...]
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class SequentialAutomaton:
     """Finite deterministic machine with initial and final states.
 
