@@ -564,6 +564,92 @@ def test_simulate_plain_sa_and_ca(capsys):
     assert "fixpoint" in out
 
 
+# a one-cell counter that steps a -> b -> c on input 1, and a radius-1 rule
+# that rotates a lattice left, so it never reaches a fixpoint
+COUNTER = """
+sa count {
+  states: a b c
+  initial: a
+  inputs: 0 1
+  outputs: x y
+  delta: a 0 -> a / x
+  delta: a 1 -> b / y
+  delta: b 0 -> b / x
+  delta: b 1 -> c / y
+  delta: c 0 -> c / x
+  delta: c 1 -> a / y
+}
+
+ca one {
+  cell_states: q
+  width: 1
+  rule expr: identity
+}
+
+binding count_cell {
+  mode: sa_from_ca
+  ca: one
+  seed: q
+  cell_map: q -> sa count
+}
+
+ma count_ma {
+  sas: count
+  cas: one
+  bindings: count_cell
+  root_binding: count_cell
+}
+
+property never_c {
+  kind: invariant
+  predicate: not cell0_state(c)
+}
+
+property reach_c {
+  kind: reach
+  predicate: cell0_state(c)
+}
+
+ca shift {
+  cell_states: 0 1
+  width: 3
+  rule table:
+""" + "".join(f"    {a} {b} {c} -> {c}\n" for a in "01" for b in "01" for c in "01") + "}\n"
+
+
+@pytest.mark.parametrize("prop, code, kind", [("never_c", 1, "counterexample"), ("reach_c", 0, "witness")])
+def test_check_prints_a_counterexample_or_witness_walk_as_text(capsys, tmp_path, prop, code, kind):
+    model = tmp_path / "counter.ma"
+    model.write_text(COUNTER)
+    assert run(capsys, ["check", str(model), "--model", "count_ma", "--property", prop]) == (code, (
+        "verdict: " + ("violated" if code else "holds") + "\n"
+        f"{kind} (2 steps):\n"
+        "  s0\n"
+        "    --[1 / y]-->\n"
+        "  s1\n"
+        "    --[1 / y]-->\n"
+        "  s2\n"
+        "stats.states: 3\n"
+        "stats.transitions: 6\n"), "")
+
+
+def test_simulate_a_bare_ca_as_text(capsys, tmp_path):
+    model = tmp_path / "counter.ma"
+    model.write_text(COUNTER)
+    assert run(capsys, ["simulate", str(model), "--model", "shift", "--input", "001", "--steps", "4"]) == (0, (
+        "model: shift\n"
+        "terminated_by: step_cap\n"
+        "t=0: ['0', '0', '1']\n"
+        "t=1: ['0', '1', '0']\n"
+        "t=2: ['1', '0', '0']\n"
+        "t=3: ['0', '0', '1']\n"
+        "t=4: ['0', '1', '0']\n"), "")
+    assert run(capsys, ["simulate", DHR, "--model", "ident3", "--input", "012", "--steps", "3"]) == (0, (
+        "model: ident3\n"
+        "terminated_by: fixpoint\n"
+        "t=0: ['0', '1', '2']\n"), "")
+
+
 def test_simulate_seeded_pca_is_reproducible(capsys):
     args = ["simulate", FLIP, "--model", "flip_ma", "--input", "a",
             "--steps", "3", "--seed", "9", "--format", "json"]
