@@ -106,6 +106,13 @@ class ProbabilisticCellularAutomaton:
 
 AnyCellular = CellularAutomaton | ProbabilisticCellularAutomaton
 
+LATTICE_FIELDS = ("name", "cell_states", "width", "radius", "boundary", "boundary_value")
+
+
+def lattice_shape(ca: AnyCellular) -> dict:
+    """The fields that every lattice automaton has besides its rule, by name: ``**shape`` and a rule build one."""
+    return {f: getattr(ca, f) for f in LATTICE_FIELDS}
+
 
 def _validate_shape(ca: AnyCellular, report: list[Violation]) -> None:
     if ca.width < 1:
@@ -269,9 +276,8 @@ class PcaRows(NamedTuple):
     hole: tuple | None
 
 
-def pca_rows(pca: ProbabilisticCellularAutomaton, lattice: Lattice, table: dict | None = None) -> PcaRows:
+def pca_rows(pca: ProbabilisticCellularAutomaton, lattice: Lattice, table: dict) -> PcaRows:
     """The lattice's ``PcaRows``; ``table`` maps each neighborhood to its row, built once into it."""
-    table = {} if table is None else table
     padded = _padded(pca, lattice)
     size = 2 * pca.radius + 1
     cells = []
@@ -306,14 +312,14 @@ def pca_step(pca: ProbabilisticCellularAutomaton, lattice: Lattice, rng: np.rand
     """Sample one synchronous update; each cell draws one uniform, in index order.
 
     Cell ``i`` takes the first successor whose cumulative probability
-    exceeds its uniform, or the last successor when none does.
+    exceeds its uniform, or the last successor when none does. It is one
+    draw of a fresh ``pca_sampler``, so it builds the lattice's rows anew.
     """
-    _require_width(pca, lattice)
-    return pca_sample(pca_rows(pca, lattice), rng)
+    return pca_sampler(pca)(lattice, rng)
 
 
 def pca_sampler(pca: ProbabilisticCellularAutomaton):
-    """``step(lattice, rng)``, equal to ``pca_step``, for many steps of one automaton.
+    """``step(lattice, rng)``: ``pca_step``, for many steps of one automaton.
 
     It builds each distinct lattice's rows, and each neighborhood's row,
     once for its own lifetime, then draws once per call.
@@ -364,15 +370,7 @@ def pca_step_distribution(
 def point_mass_pca(ca: CellularAutomaton) -> ProbabilisticCellularAutomaton:
     """Degenerate probabilistic version of a deterministic rule (all point masses)."""
     rule = {nb: ((target, 1.0),) for nb, target in ca.rule.items()}
-    return ProbabilisticCellularAutomaton(
-        name=ca.name,
-        cell_states=ca.cell_states,
-        width=ca.width,
-        radius=ca.radius,
-        boundary=ca.boundary,
-        boundary_value=ca.boundary_value,
-        rule=rule,
-    )
+    return ProbabilisticCellularAutomaton(**lattice_shape(ca), rule=rule)
 
 
 # Built-in rule tables. `xor` is the radius-1 additive rule (new cell is

@@ -160,9 +160,7 @@ class TransitionSystem:
 
     @property
     def transition_count(self) -> int:
-        if isinstance(self.transitions, _StoreView):
-            return len(self.transitions.store.targets)
-        return sum(len(edges) for edges in self.transitions.values())
+        return _edge_count(self.transitions)
 
 
 @value_class
@@ -170,7 +168,8 @@ class Dtmc:
     """Discrete-time Markov chain over canonical configurations.
 
     ``build_dtmc`` fills the three mappings with views over its exploration
-    store, as ``flatten`` does for a ``TransitionSystem``.
+    store, as ``flatten`` does for a ``TransitionSystem``. Hand-built chains
+    may use plain dicts.
     """
 
     states: Mapping[str, MimicConfiguration]
@@ -182,7 +181,12 @@ class Dtmc:
 
     @property
     def transition_count(self) -> int:
-        return len(self.rows.store.targets)
+        return _edge_count(self.rows)
+
+
+def _edge_count(rows: Mapping) -> int:
+    """The edges of a rows mapping: its store's for a ``_StoreView``, else the sum of its rows' lengths."""
+    return len(rows.store.targets) if isinstance(rows, _StoreView) else sum(map(len, rows.values()))
 
 
 Labeling = tuple[Callable[[MimicConfiguration], frozenset[str]], frozenset[str]]
@@ -572,20 +576,23 @@ def _as_predicate(target: Pred | str) -> Pred:
     return parse_predicate(target) if isinstance(target, str) else target
 
 
-def _graph(ts: TransitionSystem) -> tuple[_Store, Callable, Callable, Callable | None]:
+def _graph(ts: TransitionSystem | Dtmc) -> tuple[_Store, Callable, Callable, Callable | None]:
     """``(store, props, name, support)`` of ``ts``: a ``_Store`` whose index 0 is ``ts.initial``.
 
-    ``flatten``'s views already hold one, and ``name`` makes the ``s<i>``
-    names, for a returned path only. A plain-dict system (hand-built,
-    ``product``) is first interned by name through ``_explore``,
-    breadth-first from ``ts.initial``, and ``name`` gives the names back.
-    ``props(index)`` is the state's propositions and ``support`` the
-    propositions view's ``_row_classes``, or None.
+    ``flatten``'s and ``build_dtmc``'s views already hold one, and ``name``
+    makes the ``s<i>`` names, for a returned path only. A plain-dict system
+    (hand-built, ``product``) or chain is first interned by name through
+    ``_explore``, breadth-first from ``ts.initial``, and ``name`` gives the
+    names back; a chain edge's label is its probability. ``props(index)`` is
+    the state's propositions and ``support`` the propositions view's
+    ``_row_classes``, or None.
     """
-    rows, props = ts.transitions, ts.atomic_props
+    chain = isinstance(ts, Dtmc)
+    rows, props = ts.rows if chain else ts.transitions, ts.atomic_props
     if isinstance(rows, _StoreView) and isinstance(props, _StoreView) and ts.initial == "s0":
         return rows.store, props.value, _name, props.support
-    store, _ = _explore(ts.initial, ts.states.__getitem__, lambda _, sid, __: rows.get(sid, ()), math.inf)
+    row = (lambda sid: [(prob, t) for t, prob in rows.get(sid, ())]) if chain else (lambda sid: rows.get(sid, ()))
+    store, _ = _explore(ts.initial, ts.states.__getitem__, lambda _, sid, __: row(sid), math.inf)
     return store, lambda index: props[store.keys[index]], store.keys.__getitem__, None
 
 
@@ -928,7 +935,8 @@ def reach_probability_exact(
     _require_horizon(horizon)
     pred = _as_predicate(target)
     check_vocabulary(pred, dtmc.vocabulary)
-    is_target, offsets, cols, probs = _chain_arrays(dtmc.rows.store, dtmc.atomic_props.values(), pred)
+    store, props, _, _ = _graph(dtmc)
+    is_target, offsets, cols, probs = _chain_arrays(store, map(props, range(len(store.keys))), pred)
     n = len(is_target)
     rows = np.repeat(np.arange(n), np.diff(offsets))
     keep = ~is_target[rows] & _reaching(is_target, rows, cols)[cols]
@@ -959,7 +967,7 @@ def reach_probability_exact(
         probability=float(x[0]),
         method="exact-value-iteration",
         error_bound=residual,
-        stats={"states": n, "transitions": dtmc.transition_count, "iterations": iteration},
+        stats={"states": len(dtmc.states), "transitions": dtmc.transition_count, "iterations": iteration},
     )
 
 

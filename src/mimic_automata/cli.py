@@ -178,21 +178,13 @@ def _default_universe(ma: MimicAutomaton):
     return (binding_seed(ma, ma.root()),)
 
 
-def _path_json(path: Path | None):
+def _path_json(path: Path | None) -> list[dict] | None:
+    """Each state of the path and the action taken from it, its input word and output label; the last has none."""
     if path is None:
         return None
-    steps = []
-    for i, state in enumerate(path.states):
-        action = path.actions[i] if i < len(path.actions) else None
-        steps.append(
-            {
-                "state": state,
-                "action": None
-                if action is None
-                else {"input": "".join(str(s) for s in action.macro_input), "output": action.label()},
-            }
-        )
-    return steps
+    actions = [{"input": _word_text(a.macro_input), "output": a.label()} for a in path.actions]
+    actions += [None] * (len(path.states) - len(actions))
+    return [{"state": state, "action": action} for state, action in zip(path.states, actions)]
 
 
 def _write_json(verdict: str, stats, counterexample=None, probability=None, error_bound=None, result=None) -> None:
@@ -222,12 +214,10 @@ def _report(result: CheckResult, fmt: str) -> None:
         if result.counterexample is not None:
             kind = "witness" if result.verdict == "holds" else "counterexample"
             print(f"{kind} ({len(result.counterexample)} steps):")
-            for i, state in enumerate(result.counterexample.states):
-                print(f"  {state}")
-                if i < len(result.counterexample.actions):
-                    action = result.counterexample.actions[i]
-                    word = "".join(str(s) for s in action.macro_input)
-                    print(f"    --[{word} / {action.label()}]-->")
+            for step in _path_json(result.counterexample):
+                print(f"  {step['state']}")
+                if step["action"] is not None:
+                    print(f"    --[{step['action']['input']} / {step['action']['output']}]-->")
     for key in sorted(result.stats):
         print(f"stats.{key}: {result.stats[key]}")
 
@@ -328,21 +318,19 @@ def _simulate_sa(model: SequentialAutomaton, args):
     return (lambda: (f"{key}: {value}" for key, value in fields.items())), lambda: fields
 
 
-def _simulate_ca(model: CellularAutomaton, args):
-    run = ca_run(model, _read_lattice(model, args.input), t_max=args.steps)
+def _lattice_trace(head: dict, trace) -> tuple:
+    """A bare lattice run's text lines and JSON result: the ``head`` fields, then the trace."""
 
     def lines():
-        yield from (f"model: {model.name}", f"terminated_by: {run.terminated_by}")
-        yield from (f"t={i}: {list(lat)}" for i, lat in enumerate(run.trace))
+        yield from (f"{key}: {value}" for key, value in head.items())
+        yield from (f"t={i}: {list(lat)}" for i, lat in enumerate(trace))
 
-    def result():
-        return {
-            "model": model.name,
-            "terminated_by": run.terminated_by,
-            "trace": [[str(q) for q in lat] for lat in run.trace],
-        }
+    return lines, lambda: {**head, "trace": [[str(q) for q in lat] for lat in trace]}
 
-    return lines, result
+
+def _simulate_ca(model: CellularAutomaton, args):
+    run = ca_run(model, _read_lattice(model, args.input), t_max=args.steps)
+    return _lattice_trace({"model": model.name, "terminated_by": run.terminated_by}, run.trace)
 
 
 def _simulate_pca(model: ProbabilisticCellularAutomaton, args):
@@ -351,12 +339,7 @@ def _simulate_pca(model: ProbabilisticCellularAutomaton, args):
     step = pca_sampler(model)
     for _ in range(args.steps):
         trace.append(step(trace[-1], rng))
-
-    def lines():
-        yield f"model: {model.name}"
-        yield from (f"t={i}: {list(lat)}" for i, lat in enumerate(trace))
-
-    return lines, lambda: {"model": model.name, "trace": [[str(q) for q in lat] for lat in trace]}
+    return _lattice_trace({"model": model.name}, trace)
 
 
 # model kind -> simulate(model, args) giving (text lines, JSON result), each built only when called

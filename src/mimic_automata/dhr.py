@@ -29,6 +29,7 @@ from .cellular import (
     Lattice,
     ProbabilisticCellularAutomaton,
     RULE_TABLE_CAP,
+    lattice_shape,
     rule_fits,
 )
 from .composition import (
@@ -292,15 +293,8 @@ def _widen_scheduler(scheduler: AnyCellular, slots: Iterable[int]) -> AnyCellula
         center = nb[scheduler.radius]
         entry = scheduler.rule[tuple(base_state(q) for q in nb)]
         rule[nb] = tuple((_lift(s, center), p) for s, p in entry) if probabilistic else _lift(entry, center)
-    return type(scheduler)(
-        name=f"{scheduler.name}+faults",
-        cell_states=states,
-        width=scheduler.width,
-        radius=scheduler.radius,
-        boundary=scheduler.boundary,
-        boundary_value=scheduler.boundary_value,
-        rule=rule,
-    )
+    shape = {**lattice_shape(scheduler), "name": f"{scheduler.name}+faults", "cell_states": states}
+    return type(scheduler)(**shape, rule=rule)
 
 
 def build_dhr(d: DhrStructure) -> MimicAutomaton:
@@ -357,17 +351,17 @@ def _dhr_ticker(ma: MimicAutomaton, voter: VoterPolicy):
     ``encode`` and ``decode`` are the replay's. A tick carries replay
     states, whose first item is the lattice id, so it builds no
     configuration and hashes no deterministic lattice. Ticks with equal
-    outcomes share one frozen report: each (lattice id, successor id) holds
-    its untagged lattices and a table from (block, slot words) to the
-    report, so a report is built only on a miss. The vote runs once per
-    distinct tuple of slot words, equal dissenter sets are one object, and
-    fault tags are stripped once per distinct lattice.
+    outcomes share one frozen report: one table maps (lattice id,
+    successor id, block, slot words) to the report, so a report is built
+    only on a miss. The vote runs once per distinct tuple of slot words,
+    equal dissenter sets are one object, and fault tags are stripped once
+    per distinct lattice.
     """
     encode, step, decode = _replay(ma, ma.root(), depth=1)
     votes: dict = {}  # slot words -> (voted word, dissenters)
     shared: dict = {}  # dissenters -> the one equal set that every vote outcome holds
     bases: dict = {}  # lattice id -> untagged lattice
-    moves: dict = {}  # (lattice id, successor id) -> (untagged lattice, untagged successor, {(block, words): report})
+    reports: dict = {}  # (lattice id, successor id, block, slot words) -> report
 
     def untagged(lid: int, lattice: Lattice) -> Lattice:
         base = bases.get(lid)
@@ -378,18 +372,15 @@ def _dhr_ticker(ma: MimicAutomaton, voter: VoterPolicy):
     def tick(state: tuple, block: Word, rng: np.random.Generator | None):
         nxt, before, after, per_cell, _, _, _ = step(state, block, rng)
         words = tuple([r.output_word for r in per_cell])
-        ids = (state[0], nxt[0])
-        move = moves.get(ids)
-        if move is None:
-            move = moves[ids] = (untagged(ids[0], before), untagged(ids[1], after), {})
-        key = (block, words)
-        report = move[2].get(key)
+        key = (state[0], nxt[0], block, words)
+        report = reports.get(key)
         if report is None:
             outcome = votes.get(words)
             if outcome is None:
                 voted, dissenters = vote(voter, words)
                 outcome = votes[words] = (voted, shared.setdefault(dissenters, dissenters))
-            report = move[2][key] = DhrStepReport(block, words, *outcome, move[0], move[1])
+            report = reports[key] = DhrStepReport(block, words, *outcome, untagged(key[0], before),
+                                                  untagged(key[1], after))
         return nxt, report
 
     return encode, tick, decode

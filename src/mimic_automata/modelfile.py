@@ -36,6 +36,7 @@ from .cellular import (
     BOUNDARY_PERIODIC,
     BUILTIN_RULES,
     DEFAULT_STEP_CAP,
+    LATTICE_FIELDS,
     CellularAutomaton,
     ProbabilisticCellularAutomaton,
     builtin_rule_table,
@@ -503,32 +504,29 @@ def _report_sa(b: _Block, report, defined: dict) -> None:
             b.report_violations([v], f.line, f.col if token is None else f.tokens[token][1])
 
 
-def _build_rule_common(b: _Block):
+def _build_rule_common(b: _Block) -> dict | None:
+    """The block's ``lattice_shape`` fields, or None when a required one is missing or bad."""
     states = b.names("cell_states")
     width = b.integer("width")
     radius = b.integer("radius", default=1)
     boundary_f = b.take("boundary")
-    boundary = BOUNDARY_PERIODIC
-    boundary_value = None
+    boundary, boundary_value = BOUNDARY_PERIODIC, None
     if boundary_f is not None:
         names = boundary_f.texts
-        if names and names[0] == BOUNDARY_PERIODIC and len(names) == 1:
-            boundary = BOUNDARY_PERIODIC
-        elif names and names[0] == BOUNDARY_FIXED and len(names) == 2:
-            boundary = BOUNDARY_FIXED
-            boundary_value = names[1]
-        else:
+        if len(names) == 2 and names[0] == BOUNDARY_FIXED:
+            boundary, boundary_value = names
+        elif names != [BOUNDARY_PERIODIC]:
             b.err("boundary expects 'periodic' or 'fixed <state>'", boundary_f.line, boundary_f.col)
     if states is None or width is None or radius is None:
         return None
-    return tuple(states), width, radius, boundary, boundary_value
+    return dict(zip(LATTICE_FIELDS, (b.name, tuple(states), width, radius, boundary, boundary_value)))
 
 
 def _build_ca(b: _Block, doc: ModelDocument) -> CellularAutomaton | None:
-    common = _build_rule_common(b)
-    if common is None:
+    shape = _build_rule_common(b)
+    if shape is None:
         return None
-    cell_states, width, radius, boundary, boundary_value = common
+    cell_states, radius = shape["cell_states"], shape["radius"]
     expr_f, table_f = b.expr_or_table("rule")
 
     rule = None
@@ -552,25 +550,15 @@ def _build_ca(b: _Block, doc: ModelDocument) -> CellularAutomaton | None:
         b.err(f"ca {b.name}: missing 'rule expr:' or 'rule table:'")
         return None
 
-    ca = CellularAutomaton(
-        name=b.name,
-        cell_states=cell_states,
-        width=width,
-        radius=radius,
-        boundary=boundary,
-        boundary_value=boundary_value,
-        rule=rule,
-        rule_expr=rule_expr,
-    )
+    ca = CellularAutomaton(**shape, rule=rule, rule_expr=rule_expr)
     b.report_violations(validate_ca(ca))
     return ca
 
 
 def _build_pca(b: _Block, doc: ModelDocument) -> ProbabilisticCellularAutomaton | None:
-    common = _build_rule_common(b)
-    if common is None:
+    shape = _build_rule_common(b)
+    if shape is None:
         return None
-    cell_states, width, radius, boundary, boundary_value = common
     table_f = b.take("rule", "table")
     if table_f is None:
         b.err(f"pca {b.name}: missing 'rule table:'")
@@ -590,18 +578,10 @@ def _build_pca(b: _Block, doc: ModelDocument) -> ProbabilisticCellularAutomaton 
                 return None
         return tuple(out)
 
-    size = 2 * radius + 1
+    size = 2 * shape["radius"] + 1
     rule = b.table(table_f, size, f"rule entry expects {size} states, '->', then state@prob pairs", "rule", pairs)
 
-    pca = ProbabilisticCellularAutomaton(
-        name=b.name,
-        cell_states=cell_states,
-        width=width,
-        radius=radius,
-        boundary=boundary,
-        boundary_value=boundary_value,
-        rule=rule,
-    )
+    pca = ProbabilisticCellularAutomaton(**shape, rule=rule)
     b.report_violations(validate_pca(pca))
     return pca
 

@@ -7,6 +7,7 @@ from mimic_automata import (
     Action,
     Binding,
     ConvergenceError,
+    Dtmc,
     ExplosionError,
     MODE_SA_FROM_CA,
     MimicAutomaton,
@@ -633,6 +634,31 @@ def test_counterexamples_are_breadth_first_shortest_paths():
     shortest = Path(("s0", "m", "bad"), (act["m"], act["bad"]))
     assert check_invariant(ts, "ok").counterexample == shortest
     assert check_reach(ts, "bad").counterexample == shortest
+
+
+def test_a_hand_built_dtmc_is_interned_from_its_initial_state():
+    # The initial state is the last key, so a chain read in dict order
+    # would put another state at index 0. No state reaches the orphan; it
+    # counts in the stats, as in a hand-built TransitionSystem's.
+    rows = {
+        "orphan": (("start", 1.0),),
+        "trap": (("trap", 1.0),),
+        "goal": (("goal", 1.0),),
+        "start": (("start", 0.5), ("goal", 0.2), ("trap", 0.3)),
+    }
+    dtmc = Dtmc(
+        states={name: None for name in rows},
+        initial="start",
+        rows=rows,
+        atomic_props={name: frozenset({name}) for name in rows},
+        vocabulary=frozenset(rows),
+    )
+    assert dtmc.transition_count == 6
+    for horizon, want in ((1, 0.2), (2, 0.2 + 0.5 * 0.2)):
+        result = reach_probability_exact(dtmc, "goal", horizon=horizon)
+        assert result.probability == pytest.approx(want, abs=1e-15)
+        assert result.stats == {"states": 4, "transitions": 6, "iterations": horizon}
+    assert reach_probability_exact(dtmc, "goal").probability == pytest.approx(0.4, abs=1e-9)  # 0.2 / (1 - 0.5)
 
 
 def test_flatten_moderate_state_space_and_stable_ids():
